@@ -177,10 +177,6 @@ class KeypartState:
         )
 
 
-class UnanchorablePart(RuntimeError):
-    """A present part has no keypoint path that can localize its supplement."""
-
-
 @dataclass
 class TreeNode:
     part: int

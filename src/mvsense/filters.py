@@ -7,8 +7,6 @@ output size never exceeds the input size.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 
@@ -50,18 +48,27 @@ def largest_euclidean_cluster(points: np.ndarray, radius: float,
     if n == 0:
         return pts.reshape(0, 3)
     pairs = cKDTree(pts).query_pairs(radius, output_type="ndarray")
-    if len(pairs) == 0:
-        labels = np.arange(n)
-    else:
-        adj = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
-                         shape=(n, n))
-        _n_comp, labels = connected_components(adj, directed=False)
-    uniq, counts = np.unique(labels, return_counts=True)
-    if counts.max() < min_size:
+    # min-label propagation: hook the larger label of each unsettled pair
+    # onto the smaller, then jump pointers until every label is a root;
+    # at the fixed point each label is the lowest index in its component
+    labels = np.arange(n)
+    i, j = pairs[:, 0], pairs[:, 1]
+    while True:
+        li, lj = labels[i], labels[j]
+        unsettled = li != lj
+        if not unsettled.any():
+            break
+        li, lj = li[unsettled], lj[unsettled]
+        np.minimum.at(labels, np.maximum(li, lj), np.minimum(li, lj))
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+    counts = np.bincount(labels)
+    # labels are lowest member indices, so the first maximum is the
+    # largest component holding the lowest point index
+    best = int(np.argmax(counts))
+    if counts[best] < min_size:
         return pts[:0]
-    # ties pick the component holding the lowest point index
-    best_size = counts.max()
-    candidates = uniq[counts == best_size]
-    first_index = {lab: int(np.argmax(labels == lab)) for lab in candidates}
-    best = min(candidates, key=lambda lab: first_index[lab])
     return pts[labels == best]

@@ -56,12 +56,6 @@ class Intrinsics:
             raise ValueError("principal point must lie inside the image")
 
     @property
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
-
-    @property
     def focal(self) -> float:
         """Single scalar focal length; requires square pixels."""
         if abs(self.fx - self.fy) > 1e-9:
@@ -96,11 +90,6 @@ class RigidTransform:
     def identity() -> "RigidTransform":
         return RigidTransform(np.eye(3), np.zeros(3))
 
-    @staticmethod
-    def from_matrix(m: np.ndarray) -> "RigidTransform":
-        m = np.asarray(m, dtype=np.float64)
-        return RigidTransform(m[:3, :3], m[:3, 3])
-
     @classmethod
     def _trusted(cls, rotation: np.ndarray, translation: np.ndarray) -> "RigidTransform":
         """Skip validation for rotations produced by closed operations."""
@@ -108,13 +97,6 @@ class RigidTransform:
         object.__setattr__(obj, "rotation", rotation)
         object.__setattr__(obj, "translation", translation)
         return obj
-
-    @property
-    def matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation
-        return m
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Transform one (3,) point or an (N, 3) array."""
@@ -211,6 +193,17 @@ def normalize(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
+def _cross(a, b) -> tuple:
+    """Cross product of two 3-sequences of Python floats.
+
+    Same multiplies and subtractions, in the same order, as ``np.cross``,
+    so the result is bitwise equal, without its per-call array overhead.
+    """
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
 def rotation_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Minimal rotation taking unit vector a onto unit vector b."""
     a = normalize(a)
@@ -222,9 +215,9 @@ def rotation_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # 180 degrees: rotate about any axis perpendicular to a
         perp = perpendicular_unit(a)
         return 2.0 * np.outer(perp, perp) - np.eye(3)
-    v = np.cross(a, b)
+    v0, v1, v2 = _cross(a.tolist(), b.tolist())
     vx = np.array(
-        [[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0]], dtype=np.float64
+        [[0, -v2, v1], [v2, 0, -v0], [-v1, v0, 0]], dtype=np.float64
     )
     return np.eye(3) + vx + vx @ vx / (1.0 + c)
 
@@ -232,18 +225,18 @@ def rotation_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def perpendicular_unit(a: np.ndarray) -> np.ndarray:
     """Deterministic unit vector perpendicular to a."""
     a = normalize(a)
-    helper = np.array([1.0, 0.0, 0.0])
-    if abs(a[0]) > 0.9:
-        helper = np.array([0.0, 1.0, 0.0])
-    return normalize(np.cross(a, helper))
+    helper = (0.0, 1.0, 0.0) if abs(a[0]) > 0.9 else (1.0, 0.0, 0.0)
+    return normalize(np.array(_cross(a.tolist(), helper)))
 
 
 def frame_from_axis(axis: np.ndarray) -> np.ndarray:
     """Right-handed orthonormal frame (columns) with z along ``axis``."""
-    z = normalize(axis)
-    x = perpendicular_unit(z)
-    y = np.cross(z, x)
-    return np.column_stack([x, y, z])
+    z = normalize(axis).tolist()
+    x = perpendicular_unit(z).tolist()
+    y = _cross(z, x)
+    return np.array([[x[0], y[0], z[0]],
+                     [x[1], y[1], z[1]],
+                     [x[2], y[2], z[2]]])
 
 
 # ---------------------------------------------------------------------------
@@ -263,21 +256,6 @@ def project(point_world, pose: RigidTransform, k: Intrinsics):
     u = k.fx * p_cam[0] / z + k.cx
     v = k.fy * p_cam[1] / z + k.cy
     return np.array([u, v]), float(z)
-
-
-def project_many(points_world: np.ndarray, pose: RigidTransform, k: Intrinsics):
-    """Vectorized projection of (N, 3) world points.
-
-    Returns (pixels (N, 2), depths (N,)); rows with depth <= 0 get NaN pixels.
-    """
-    p_cam = pose.inverse().apply(points_world)
-    z = p_cam[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = k.fx * p_cam[:, 0] / z + k.cx
-        v = k.fy * p_cam[:, 1] / z + k.cy
-    px = np.column_stack([u, v])
-    px[z <= 0] = np.nan
-    return px, z
 
 
 def reproject(pixel, depth: float, k: Intrinsics) -> np.ndarray:

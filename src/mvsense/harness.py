@@ -190,7 +190,9 @@ def run_trial(script: ScenarioScript, config: str = "script",
     ``seed`` overrides the script seed; ``frames`` caps the frame count.
     When ``out_dir`` is given, per-frame metrics (CSV), a JSON summary and
     a timing sidecar are written there. ``dump_frame`` additionally dumps
-    that frame's masks, clouds and tree for debugging.
+    that frame's masks, clouds and tree for debugging; when that frame
+    fails, the dump holds what the frame produced before the failure and
+    no tree.
     """
     script.validate()
     scene = build_scene(script, config, seed)
@@ -243,6 +245,7 @@ def run_trial(script: ScenarioScript, config: str = "script",
         per_rig_parts: dict = {}
         frame_masks: dict = {}
         merged: dict = {}
+        tree = None
         t0 = time.perf_counter()
         try:
             for ci, rig in enumerate(scene.rigs):
@@ -294,6 +297,7 @@ def run_trial(script: ScenarioScript, config: str = "script",
             t0 = watch.add("fuse", t0)
 
             # per-camera masks and clouds
+            chunks: dict = {}
             for rig in scene.rigs:
                 parts_here = per_rig_parts[rig.rig_id]
                 if not parts_here:
@@ -321,8 +325,8 @@ def run_trial(script: ScenarioScript, config: str = "script",
                     mask, per_rig_depth[rig.rig_id], pose_cam, rig.intrinsics,
                     robot_links, cloud_params, rig.rig_id)
                 for cloud in clouds:
-                    merged.setdefault(cloud.part, []).append(cloud.points)
-            merged = {p: np.vstack(chunks) for p, chunks in merged.items()}
+                    chunks.setdefault(cloud.part, []).append(cloud.points)
+            merged = {p: np.vstack(c) for p, c in chunks.items()}
             t0 = watch.add("extract", t0)
 
             # tree: build from the union of per-camera part presence
@@ -375,6 +379,7 @@ def run_trial(script: ScenarioScript, config: str = "script",
         except Exception:  # per-frame errors never abort the trial
             log.exception("frame %d pipeline error (%s)", frame, script.name)
             predicted = [False] * body.NUM_KEYPARTS
+            tree = None  # a failed frame has no tree, not even a partial one
 
         row = {"frame": frame, "time": t}
         for j in range(body.NUM_KEYPARTS):
@@ -393,13 +398,8 @@ def run_trial(script: ScenarioScript, config: str = "script",
                 metrics.per_part_correct[j] += 1
         metrics.rows.append(row)
 
-        if dump_frame is not None and frame == dump_frame:
-            dump = {
-                "masks": frame_masks,
-                "clouds": merged,
-                "tree": tree,
-                "fused": fused,
-            }
+        if frame == dump_frame:
+            dump = {"masks": frame_masks, "clouds": merged, "tree": tree}
 
         scene.step(dt)
 
@@ -463,6 +463,8 @@ def write_frame_dump(dump: dict, out_dir: Path, frame: int) -> None:
             for p in pts:
                 f.write(f"{p[0]!r} {p[1]!r} {p[2]!r}\n")
     tree = dump["tree"]
+    if tree is None:  # the frame failed before its tree was registered
+        return
     state = {}
     for j, node in tree.nodes.items():
         entry = {"present": node.present, "supplemented": node.supplemented,
@@ -522,7 +524,7 @@ def format_comparison(per_scene: dict) -> str:
     scenes = list(per_scene)
     configs = list(next(iter(per_scene.values())))
     lines = []
-    header = ["config".ljust(14)] + [s.ljust(10) for s in scenes] + ["total"]
+    header = ["config".ljust(14)] + [s.ljust(12) for s in scenes] + ["total"]
     lines.append("  ".join(header))
     for config in configs:
         cells = [config.ljust(14)]
@@ -531,7 +533,7 @@ def format_comparison(per_scene: dict) -> str:
             m = per_scene[s][config]["mean_accuracy"]
             sd = per_scene[s][config]["std_accuracy"]
             means.append(m)
-            cells.append(f"{m:.4f}±{sd:.3f}"[:10].ljust(10))
+            cells.append(f"{m:.4f}±{sd:.3f}".ljust(12))
         cells.append(f"{np.mean(means):.4f}")
         lines.append("  ".join(cells))
     return "\n".join(lines)

@@ -23,10 +23,6 @@ from .geometry import frame_from_axis, normalize, rotation_between
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
 
-class EmptyCloud(ValueError):
-    """No data points available for registration."""
-
-
 def sample_cylinder_local(radius: float, height: float, n: int) -> np.ndarray:
     """Deterministic quasi-uniform lateral-surface samples, axis = +z.
 
@@ -57,27 +53,36 @@ class ICPResult:
     note: str = ""
 
 
-def _trimmed_pairs(model_pts: np.ndarray, data_pts: np.ndarray, trim: float):
-    """Nearest model point per data point, outliers trimmed.
+def _median(x: np.ndarray) -> float:
+    """``np.median`` of a 1-D array by partition: the same value, less overhead."""
+    k = len(x) // 2
+    if len(x) % 2:
+        return float(np.partition(x, k)[k])
+    part = np.partition(x, (k - 1, k))
+    return float((part[k - 1] + part[k]) / 2.0)
+
+
+def _trimmed_order(dist: np.ndarray, trim: float) -> np.ndarray:
+    """Indices of the kept correspondences, nearest first.
 
     Drops the worst ``trim`` fraction by distance plus anything beyond an
     adaptive gate (3x the median distance), which sheds mask bleed-over
     from adjacent body surfaces without losing true correspondences.
     """
-    dist, idx = cKDTree(model_pts).query(data_pts)
-    keep = len(data_pts)
-    if trim > 0 and len(data_pts) >= 16:
-        keep = max(8, int(np.ceil(len(data_pts) * (1.0 - trim))))
-        gate = max(3.0 * float(np.median(dist)), 0.02)
+    keep = len(dist)
+    if trim > 0 and len(dist) >= 16:
+        keep = max(8, int(np.ceil(len(dist) * (1.0 - trim))))
+        gate = max(3.0 * _median(dist), 0.02)
         keep = max(8, min(keep, int(np.count_nonzero(dist <= gate))))
-    order = np.argsort(dist, kind="stable")[:keep]
-    return model_pts[idx[order]], data_pts[order], dist[order]
+    return np.argsort(dist, kind="stable")[:keep]
 
 
 def _svd_rotation(h: np.ndarray) -> np.ndarray:
     u, _s, vt = np.linalg.svd(h)
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    return vt.T @ np.diag([1.0, 1.0, d]) @ u.T
+    r = vt.T @ u.T
+    if np.linalg.det(r) < 0:  # reflection: flip the weakest direction
+        r = (vt.T * [1.0, 1.0, -1.0]) @ u.T
+    return r
 
 
 def best_rigid_update(model_pts: np.ndarray, data_pts: np.ndarray):
@@ -123,8 +128,9 @@ def icp_register(model_local: np.ndarray, data_pts: np.ndarray,
                  trim: float = 0.1) -> ICPResult:
     """Register a keypart cylinder to a data cloud.
 
-    ``model_local`` holds canonical samples (axis +z, base at origin)
-    re-posed from the evolving state each iteration. With an anchor the
+    ``model_local`` holds canonical samples (axis +z, base at origin),
+    indexed once; each iteration finds correspondences with the data
+    moved into the evolving state's cylinder frame. With an anchor the
     update is rotation-about-anchor only. Iterations that fail to reduce
     the mean residual are rejected and terminate the loop, so the
     residual is non-increasing across accepted iterations.
@@ -144,10 +150,16 @@ def icp_register(model_local: np.ndarray, data_pts: np.ndarray,
         if float(axial.max() - axial.min()) < 0.3 * state.height:
             return ICPResult(state, 0, np.inf, False, "axial stub cloud")
 
+    model_tree = cKDTree(model_local)
+
     def evaluate(s: KeypartState):
-        model_pts = s.base + model_local @ frame_from_axis(s.axis).T
-        m, d, dist = _trimmed_pairs(model_pts, data_pts, trim)
-        return m, d, float(np.sqrt((dist ** 2).mean()))
+        """Trimmed nearest-model-point pairs (model, data) and their RMS distance."""
+        frame = frame_from_axis(s.axis)
+        dist, idx = model_tree.query((data_pts - s.base) @ frame)
+        order = _trimmed_order(dist, trim)
+        model_pts = s.base + model_local @ frame.T
+        return (model_pts[idx[order]], data_pts[order],
+                float(np.sqrt((dist[order] ** 2).mean())))
 
     m, d, residual = evaluate(state)
     iterations = 0

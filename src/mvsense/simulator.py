@@ -76,7 +76,7 @@ class CameraRig:
         """Camera-to-world pose: mount, then pan about local y, tilt about local x."""
         p = self.pan if pan is None else pan
         t = self.tilt if tilt is None else tilt
-        gimbal = RigidTransform(rot_y(p) @ rot_x(t), np.zeros(3))
+        gimbal = RigidTransform._trusted(rot_y(p) @ rot_x(t), np.zeros(3))
         return self.mount.compose(gimbal)
 
     def command(self, pan: float, tilt: float) -> None:

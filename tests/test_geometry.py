@@ -14,6 +14,7 @@ from mvsense.geometry import (
     InvalidDepth,
     RigidTransform,
     cylinder_clearance,
+    frame_from_axis,
     normalize,
     project,
     ray_cylinder_intersect,
@@ -282,3 +283,44 @@ class TestRotationBetween:
         a = np.array([0.0, 0.0, 1.0])
         r = rotation_between(a, -a)
         assert np.allclose(r @ a, -a, atol=1e-9)
+
+    def test_bitwise_equal_to_np_cross_formulation(self, rng):
+        for _ in range(500):
+            raw_a, raw_b = rng.normal(size=3), rng.normal(size=3)
+            a, b = normalize(raw_a), normalize(raw_b)
+            v = np.cross(a, b)
+            vx = np.array([[0, -v[2], v[1]], [v[2], 0, -v[0]],
+                           [-v[1], v[0], 0]], dtype=np.float64)
+            ref = np.eye(3) + vx + vx @ vx / (1.0 + float(np.dot(a, b)))
+            assert rotation_between(raw_a, raw_b).tobytes() == ref.tobytes()
+
+
+def frame_from_axis_np_cross(axis):
+    """The np.cross formulation of frame_from_axis, kept as the oracle."""
+    z = normalize(axis)
+    a = normalize(z)
+    helper = np.array([0.0, 1.0, 0.0]) if abs(a[0]) > 0.9 else np.array([1.0, 0.0, 0.0])
+    x = normalize(np.cross(a, helper))
+    return np.column_stack([x, np.cross(z, x), z])
+
+
+class TestFrameFromAxis:
+    def test_bitwise_equal_to_np_cross_on_both_branches(self, rng):
+        branches = set()
+        for i in range(2000):
+            axis = rng.normal(size=3) * rng.choice([1e-3, 1.0, 1e3])
+            if i % 2:
+                axis[0] = 40.0 * axis[0] + np.sign(axis[0])  # |a0| > 0.9
+            if i % 5 == 0:
+                axis[rng.integers(3)] = 0.0  # signed zeros in the cross terms
+            branches.add(bool(abs(normalize(axis)[0]) > 0.9))
+            got = frame_from_axis(axis)
+            assert got.tobytes() == frame_from_axis_np_cross(axis).tobytes()
+            assert got.flags.c_contiguous
+        assert branches == {False, True}
+
+    def test_right_handed_orthonormal(self, rng):
+        for _ in range(100):
+            f = frame_from_axis(rng.normal(size=3))
+            assert np.allclose(f.T @ f, np.eye(3), atol=1e-12)
+            assert np.linalg.det(f) == pytest.approx(1.0, abs=1e-12)

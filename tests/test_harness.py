@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from mvsense import body, scenario
+from mvsense import body, registration, scenario
 from mvsense.cli import main
 from mvsense.harness import (
     build_scene,
@@ -111,6 +111,37 @@ class TestRunTrial:
         tree = json.loads((tmp_path / "frame1_tree.json").read_text())
         assert "torso" in tree
 
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_dump_of_failed_frame_completes_without_tree(self, tmp_path,
+                                                         monkeypatch, failing):
+        real = registration.register_tree
+        calls = []
+
+        def register_tree(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == failing + 1:
+                raise RuntimeError("injected registration failure")
+            return real(*args, **kwargs)
+
+        clean = tmp_path / "clean"
+        run_trial(tiny_script(), config="multi-fixed", frames=2, out_dir=clean,
+                  dump_frame=failing)
+        monkeypatch.setattr(registration, "register_tree", register_tree)
+        out = tmp_path / "failed"
+        m = run_trial(tiny_script(), config="multi-fixed", frames=2,
+                      out_dir=out, dump_frame=failing)
+        assert m.frames == 2 and len(calls) == 2
+        assert not any(m.rows[failing][f"pred_{j}"]
+                       for j in range(body.NUM_KEYPARTS))
+        # the failed frame dumps the masks and clouds it made before the
+        # failure, and never a tree (its own partial one or a stale one)
+        dumped = sorted(p.name for p in out.glob("frame*"))
+        expected = sorted(p.name for p in clean.glob("frame*")
+                          if not p.name.endswith("_tree.json"))
+        assert dumped == expected
+        for name in dumped:
+            assert (out / name).read_bytes() == (clean / name).read_bytes()
+        assert (clean / f"frame{failing}_tree.json").exists()
 
 class TestCompareConfigs:
     def test_structure_and_single_trial_std_zero(self):
@@ -134,6 +165,13 @@ class TestCompareConfigs:
         text = format_comparison({"assembly": table})
         assert "multi-active" in text
         assert "assembly" in text
+
+    def test_format_comparison_prints_full_std(self):
+        stats = {"mean_accuracy": 0.91234, "std_accuracy": 0.0123}
+        text = format_comparison({"assembly": {"multi-active": stats},
+                                  "reach-in": {"multi-active": stats}})
+        assert "0.9123±0.012 " in text
+        assert text.count("±0.012") == 2
 
 
 class TestCli:

@@ -7,6 +7,12 @@ mean paint depth, whatever the input order.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from mvsense import body
 from mvsense.filters import largest_euclidean_cluster, passthrough, voxel_downsample
@@ -257,6 +263,51 @@ class TestFilters:
         assert len(voxel_downsample(empty, 0.1)) == 0
         assert len(passthrough(empty, np.zeros(0), 0, 1)) == 0
         assert len(largest_euclidean_cluster(empty, 0.1, 1)) == 0
+
+
+def reference_cluster(pts, radius, min_size):
+    """Largest single-linkage component by scipy's connected_components.
+
+    Ties go to the component holding the lowest point index.
+    """
+    n = len(pts)
+    pairs = cKDTree(pts).query_pairs(radius, output_type="ndarray")
+    adj = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                     shape=(n, n))
+    _n_comp, labels = connected_components(adj, directed=False)
+    sizes = np.bincount(labels)
+    first = {lab: int(np.argmax(labels == lab)) for lab in range(len(sizes))}
+    best = min(np.flatnonzero(sizes == sizes.max()), key=first.__getitem__)
+    if sizes[best] < min_size:
+        return pts[:0]
+    return pts[labels == best]
+
+
+class TestClusterMatchesConnectedComponents:
+    @settings(max_examples=150, deadline=None)
+    @given(pts=hnp.arrays(np.float64, st.tuples(st.integers(1, 80), st.just(3)),
+                          elements=st.floats(-1.0, 1.0, width=32)),
+           radius=st.sampled_from([0.05, 0.15, 0.3, 0.6]),
+           min_size=st.integers(0, 40))
+    def test_random_clouds(self, pts, radius, min_size):
+        got = largest_euclidean_cluster(pts, radius, min_size)
+        assert np.array_equal(got, reference_cluster(pts, radius, min_size))
+
+    @settings(max_examples=80, deadline=None)
+    @given(n_clusters=st.integers(2, 5), size=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1), extra=st.booleans())
+    def test_equal_size_ties_and_min_size_boundary(self, n_clusters, size,
+                                                   seed, extra):
+        rng = np.random.default_rng(seed)
+        blobs = [rng.uniform(-0.02, 0.02, (size, 3)) + [3.0 * c, 0.0, 0.0]
+                 for c in range(n_clusters)]
+        pts = np.vstack(blobs)[rng.permutation(n_clusters * size)]
+        min_size = size + int(extra)  # exactly at, then just past, the largest
+        got = largest_euclidean_cluster(pts, 0.2, min_size)
+        assert np.array_equal(got, reference_cluster(pts, 0.2, min_size))
+        assert len(got) == (0 if extra else size)
+        if not extra:
+            assert np.array_equal(got[0], pts[0])  # the tie holds index 0
 
 
 class TestExtractClouds:
