@@ -186,8 +186,13 @@ def rot_z(a: float) -> np.ndarray:
 
 
 def normalize(v: np.ndarray) -> np.ndarray:
+    """Unit vector along the 3-vector ``v``.
+
+    ``np.sqrt(v.dot(v))`` is the path ``np.linalg.norm`` takes for a 1-D
+    float array, so the result is bitwise equal, without its wrapper.
+    """
     v = np.asarray(v, dtype=np.float64)
-    n = np.linalg.norm(v)
+    n = np.sqrt(v.dot(v))
     if n < 1e-12:
         raise ValueError("cannot normalize a zero vector")
     return v / n

@@ -187,12 +187,13 @@ def run_trial(script: ScenarioScript, config: str = "script",
               out_dir=None, dump_frame: int | None = None) -> TrialMetrics:
     """Execute one scenario end to end and score it against ground truth.
 
-    ``seed`` overrides the script seed; ``frames`` caps the frame count.
-    When ``out_dir`` is given, per-frame metrics (CSV), a JSON summary and
-    a timing sidecar are written there. ``dump_frame`` additionally dumps
-    that frame's masks, clouds and tree for debugging; when that frame
-    fails, the dump holds what the frame produced before the failure and
-    no tree.
+    ``seed`` overrides the script seed; ``frames`` (at least 1) caps the
+    frame count. When ``out_dir`` is given, per-frame metrics (CSV), a JSON
+    summary and a timing sidecar are written there. ``dump_frame``, one of
+    the script's frames, additionally dumps that frame's masks, clouds and
+    tree for debugging; when that frame fails, the dump holds what the
+    frame produced before the failure and no tree. Out-of-range
+    ``frames`` or ``dump_frame`` raise ``ConfigError``.
     """
     script.validate()
     scene = build_scene(script, config, seed)
@@ -200,7 +201,14 @@ def run_trial(script: ScenarioScript, config: str = "script",
     props = prop_cylinders(script)
     dt = 1.0 / script.frame_rate
     n_frames = int(round(script.duration * script.frame_rate))
+    if dump_frame is not None and not 0 <= dump_frame < n_frames:
+        raise scenario.ConfigError(
+            f"{dump_frame} is outside the trial's frames [0, {n_frames})",
+            field_name="frame")
     if frames is not None:
+        if frames < 1:
+            raise scenario.ConfigError(f"need at least 1, got {frames}",
+                                       field_name="frames")
         n_frames = min(n_frames, frames)
 
     metrics = TrialMetrics(script.name, config, scene.seed, n_frames)

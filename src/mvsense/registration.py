@@ -2,7 +2,10 @@
 
 Each keypart cylinder is registered to its extracted cloud by iterating
 nearest-neighbor correspondences (every data point to its closest model
-point) and a closed-form SVD update. The torso refines with a free rigid
+point) and a closed-form SVD update. The model is small (``model-samples``,
+128 by default) and changes with every call, so correspondences come from
+a blocked matrix product against all model points rather than from a
+spatial index built per call. The torso refines with a free rigid
 update; every child part is anchored at its parent joint, so its update
 is a pure rotation about that anchor and articulation is preserved by
 construction. Keypoint-derived poses provide the initial coarse state,
@@ -11,14 +14,14 @@ and supplemented nodes (no cloud exists for them) skip ICP entirely.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import body
 from .body import BodyTree, KeypartState, PartDimensions
-from .geometry import frame_from_axis, normalize, rotation_between
+from .geometry import _cross, frame_from_axis, normalize, rotation_between
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
@@ -53,13 +56,45 @@ class ICPResult:
     note: str = ""
 
 
-def _median(x: np.ndarray) -> float:
-    """``np.median`` of a 1-D array by partition: the same value, less overhead."""
-    k = len(x) // 2
-    if len(x) % 2:
-        return float(np.partition(x, k)[k])
-    part = np.partition(x, (k - 1, k))
-    return float((part[k - 1] + part[k]) / 2.0)
+# Score-matrix entries per block of the correspondence search. Keeps each
+# (rows, 3) x (3, M) product below OpenBLAS's multi-threading threshold for
+# dgemm (M * N * K > 262144), where thread start-up costs more than the
+# product on a 2-core host, and bounds memory for any ``model-samples``.
+_BLOCK_ENTRIES = 65536
+
+
+def nearest_model_search(model_local: np.ndarray):
+    """Build ``search(points) -> (idx, dist)``: each point's nearest model point.
+
+    The search is exhaustive: per block of rows, the argmin over
+    ``|m|^2 - 2 p.m`` (the squared distance less ``|p|^2``) from one
+    matrix product. Among model points with equal scores the lowest index
+    wins. Distances are recomputed from the chosen pairs as
+    ``sqrt(dx*dx + dy*dy + dz*dz)``, summed in that order, so they carry
+    no cancellation error from the expanded form.
+    """
+    neg2_t = np.ascontiguousarray(-2.0 * model_local.T)
+    sq = (model_local * model_local).sum(axis=1)
+    block = max(1, _BLOCK_ENTRIES // len(model_local))
+
+    def search(points: np.ndarray):
+        n = len(points)
+        idx = np.empty(n, dtype=np.intp)
+        # one score buffer per call: a fresh block-sized array per block
+        # costs more in page faults than the product itself
+        buf = np.empty((min(block, n), len(sq)))
+        for start in range(0, n, block):
+            rows = points[start:start + block]
+            scores = np.matmul(rows, neg2_t, out=buf[:len(rows)])
+            scores += sq
+            scores.argmin(axis=1, out=idx[start:start + block])
+        diff = points - model_local.take(idx, axis=0)
+        diff *= diff
+        dist = diff[:, 0] + diff[:, 1]
+        dist += diff[:, 2]
+        return idx, np.sqrt(dist, out=dist)
+
+    return search
 
 
 def _trimmed_order(dist: np.ndarray, trim: float) -> np.ndarray:
@@ -69,26 +104,35 @@ def _trimmed_order(dist: np.ndarray, trim: float) -> np.ndarray:
     adaptive gate (3x the median distance), which sheds mask bleed-over
     from adjacent body surfaces without losing true correspondences.
     """
-    keep = len(dist)
-    if trim > 0 and len(dist) >= 16:
-        keep = max(8, int(np.ceil(len(dist) * (1.0 - trim))))
-        gate = max(3.0 * _median(dist), 0.02)
-        keep = max(8, min(keep, int(np.count_nonzero(dist <= gate))))
-    return np.argsort(dist, kind="stable")[:keep]
+    n = len(dist)
+    order = np.argsort(dist, kind="stable")
+    if trim <= 0 or n < 16:
+        return order
+    ranked = dist[order]
+    k = n // 2
+    median = ranked[k] if n % 2 else (ranked[k - 1] + ranked[k]) / 2.0
+    gate = max(3.0 * float(median), 0.02)
+    within = int(np.searchsorted(ranked, gate, side="right"))
+    keep = max(8, min(math.ceil(n * (1.0 - trim)), within))
+    return order[:keep]
 
 
 def _svd_rotation(h: np.ndarray) -> np.ndarray:
     u, _s, vt = np.linalg.svd(h)
     r = vt.T @ u.T
-    if np.linalg.det(r) < 0:  # reflection: flip the weakest direction
+    r0, r1, r2 = r.tolist()
+    c = _cross(r1, r2)
+    if r0[0] * c[0] + r0[1] * c[1] + r0[2] * c[2] < 0:
+        # det(r) < 0, a reflection: flip the weakest direction
         r = (vt.T * [1.0, 1.0, -1.0]) @ u.T
     return r
 
 
 def best_rigid_update(model_pts: np.ndarray, data_pts: np.ndarray):
     """Closed-form (R, t) minimizing sum ||data - (R model + t)||^2."""
-    mc = model_pts.mean(axis=0)
-    dc = data_pts.mean(axis=0)
+    n = len(model_pts)
+    mc = model_pts.sum(axis=0) / n
+    dc = data_pts.sum(axis=0) / n
     h = (model_pts - mc).T @ (data_pts - dc)
     r = _svd_rotation(h)
     return r, dc - r @ mc
@@ -128,10 +172,14 @@ def icp_register(model_local: np.ndarray, data_pts: np.ndarray,
                  trim: float = 0.1) -> ICPResult:
     """Register a keypart cylinder to a data cloud.
 
-    ``model_local`` holds canonical samples (axis +z, base at origin),
-    indexed once; each iteration finds correspondences with the data
-    moved into the evolving state's cylinder frame. With an anchor the
-    update is rotation-about-anchor only. Iterations that fail to reduce
+    ``model_local`` holds canonical samples (axis +z, base at origin).
+    Each iteration moves the data into the evolving state's cylinder frame
+    and pairs every data point with its nearest model point
+    (``nearest_model_search``: exhaustive, lowest model index on a tie, in
+    blocks of at most ``65536 // len(model_local)`` rows so that no matrix
+    product is large enough for BLAS to split it over threads, and memory
+    stays bounded for any model size). With an anchor the update is
+    rotation-about-anchor only. Iterations that fail to reduce
     the mean residual are rejected and terminate the loop, so the
     residual is non-increasing across accepted iterations.
     """
@@ -150,16 +198,16 @@ def icp_register(model_local: np.ndarray, data_pts: np.ndarray,
         if float(axial.max() - axial.min()) < 0.3 * state.height:
             return ICPResult(state, 0, np.inf, False, "axial stub cloud")
 
-    model_tree = cKDTree(model_local)
+    nearest = nearest_model_search(model_local)
 
     def evaluate(s: KeypartState):
         """Trimmed nearest-model-point pairs (model, data) and their RMS distance."""
         frame = frame_from_axis(s.axis)
-        dist, idx = model_tree.query((data_pts - s.base) @ frame)
+        idx, dist = nearest((data_pts - s.base) @ frame)
         order = _trimmed_order(dist, trim)
-        model_pts = s.base + model_local @ frame.T
-        return (model_pts[idx[order]], data_pts[order],
-                float(np.sqrt((dist[order] ** 2).mean())))
+        kept = dist[order] ** 2
+        return (s.base + model_local[idx[order]] @ frame.T, data_pts[order],
+                float(np.sqrt(kept.sum() / len(kept))))
 
     m, d, residual = evaluate(state)
     iterations = 0

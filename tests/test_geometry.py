@@ -304,6 +304,22 @@ def frame_from_axis_np_cross(axis):
     return np.column_stack([x, np.cross(z, x), z])
 
 
+class TestNormalize:
+    def test_bitwise_equal_to_linalg_norm(self, rng):
+        mat = rng.normal(size=(50, 3))
+        cases = [rng.normal(size=3) * rng.choice([1e-9, 1.0, 1e9])
+                 for _ in range(2000)]
+        cases += [mat[:3, 1], mat[7], [3.0, 4.0, 0.0], [0.0, -0.0, 2.5]]
+        for v in cases:
+            ref = np.asarray(v, dtype=np.float64)
+            ref = ref / np.linalg.norm(ref)
+            assert normalize(v).tobytes() == ref.tobytes()
+
+    def test_zero_vector_rejected(self):
+        with pytest.raises(ValueError):
+            normalize([0.0, 0.0, 1e-13])
+
+
 class TestFrameFromAxis:
     def test_bitwise_equal_to_np_cross_on_both_branches(self, rng):
         branches = set()

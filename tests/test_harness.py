@@ -218,6 +218,30 @@ class TestCli:
         assert rc == 0
         assert list(out.glob("frame3_*_mask.txt"))
 
+    @pytest.mark.parametrize("frame", [5, 100000, -1])
+    def test_dump_frame_outside_trial_exit_1(self, tmp_path, capsys, frame):
+        path = self._write_script(tmp_path)  # 0.5 s at 10 Hz: frames 0..4
+        out = tmp_path / "dump"
+        rc = main(["dump-frame", "--script", str(path), "--frame", str(frame),
+                   "--out-dir", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert (f"field 'frame': {frame} is outside the trial's frames [0, 5)"
+                in captured.err)
+        assert "dumped" not in captured.out
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("frames", [0, -5])
+    def test_simulate_frames_below_one_exit_1(self, tmp_path, capsys, frames):
+        path = self._write_script(tmp_path)
+        out = tmp_path / "out"
+        rc = main(["simulate", "--script", str(path), "--frames", str(frames),
+                   "--out-dir", str(out)])
+        assert rc == 1
+        assert (f"field 'frames': need at least 1, got {frames}"
+                in capsys.readouterr().err)
+        assert not out.exists() or not any(out.iterdir())
+
     def test_emit_template(self, tmp_path):
         out = tmp_path / "scene.scn"
         rc = main(["emit-template", "--name", "assembly", "--seed", "2",

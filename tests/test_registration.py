@@ -9,14 +9,21 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.spatial import cKDTree
 
 from mvsense import body
 from mvsense.body import KeypartState, augment, build_tree, rest_dofs, pose_from_dofs
 from mvsense.geometry import normalize, rot_x, rot_y, rot_z
 from mvsense.registration import (
+    _svd_rotation,
+    _trimmed_order,
     best_anchored_rotation,
     best_rigid_update,
     icp_register,
+    nearest_model_search,
     register_tree,
     sample_cylinder,
     sample_cylinder_local,
@@ -100,6 +107,126 @@ class TestClosedFormUpdates:
             t_p = t + rng.uniform(-0.05, 0.05, 3)
             perturbed = ((model @ r_p.T + t_p - data) ** 2).sum()
             assert perturbed >= best - 1e-12
+
+
+class TestNearestModelSearch:
+    """The blocked matrix-product search against a KD-tree reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.sampled_from([8, 128, 160, 600]), cylinder=st.booleans(),
+           seed=st.integers(0, 2**32 - 1),
+           spread=st.sampled_from([1e-3, 0.02, 0.5]), data=st.data())
+    def test_matches_kdtree_bitwise(self, m, cylinder, seed, spread, data):
+        rng = np.random.default_rng(seed)
+        if cylinder:
+            model = sample_cylinder_local(rng.uniform(0.02, 0.3),
+                                          rng.uniform(0.05, 1.0), m)
+        else:
+            model = rng.normal(size=(m, 3)) * rng.uniform(0.01, 2.0)
+        block = 65536 // m
+        # from a single row to just past three blocks
+        rows = data.draw(st.integers(1, 3 * block + 1), label="rows")
+        points = (model[rng.integers(m, size=rows)]
+                  + rng.normal(scale=spread, size=(rows, 3)))
+        idx, dist = nearest_model_search(model)(points)
+        ref_dist, ref_idx = cKDTree(model).query(points)
+        assert np.array_equal(idx, ref_idx)
+        assert dist.tobytes() == ref_dist.tobytes()
+
+    def test_exact_tie_goes_to_lowest_model_index(self):
+        model = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0],
+                          [0.0, -1.0, 0.0], [3.0, 3.0, -3.0], [-3.0, 3.0, -3.0],
+                          [3.0, -3.0, -3.0], [0.0, 1.0, 0.0]])
+        points = np.array([[0.0, 0.0, 0.0],    # 0-3 tie
+                           [0.0, 0.0, 5.0],    # 0-3 tie, off the plane
+                           [-0.5, 0.5, 0.0],   # 1 and 2 tie
+                           [-0.5, -0.5, 0.0],  # 2 and 3 tie
+                           [0.0, 2.0, 0.0]])   # 1 and its duplicate 7
+        idx, dist = nearest_model_search(model)(points)
+        assert idx.tolist() == [0, 0, 1, 2, 1]
+        assert dist.tolist() == [1.0, np.sqrt(26.0), np.sqrt(0.5), np.sqrt(0.5), 1.0]
+
+
+def trimmed_order_reference(dist, trim):
+    """Partition median and count_nonzero gate, kept as the oracle."""
+    n = len(dist)
+    keep = n
+    if trim > 0 and n >= 16:
+        keep = max(8, int(np.ceil(n * (1.0 - trim))))
+        k = n // 2
+        if n % 2:
+            median = float(np.partition(dist, k)[k])
+        else:
+            part = np.partition(dist, (k - 1, k))
+            median = float((part[k - 1] + part[k]) / 2.0)
+        gate = max(3.0 * median, 0.02)
+        keep = max(8, min(keep, int(np.count_nonzero(dist <= gate))))
+    return np.argsort(dist, kind="stable")[:keep]
+
+
+class TestTrimmedOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(dist=hnp.arrays(np.float64, st.integers(3, 120),
+                           elements=st.one_of(
+                               st.sampled_from([0.0, 0.004, 0.006, 0.02, 0.5]),
+                               st.floats(0.0, 2.0))),
+           trim=st.sampled_from([0.0, 0.1, 0.3, 0.9]))
+    def test_bitwise_equal_to_partition_formulation(self, dist, trim):
+        got = _trimmed_order(dist, trim)
+        ref = trimmed_order_reference(dist, trim)
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("n", [8, 15, 16, 17, 40, 41])
+    def test_gate_sheds_outliers_at_odd_and_even_n(self, n):
+        # a quarter of the points are bleed-over far beyond 3x the median
+        dist = np.full(n, 0.01)  # duplicates of the median value
+        dist[::4] = 1.0
+        got = _trimmed_order(dist, 0.1)
+        assert np.array_equal(got, trimmed_order_reference(dist, 0.1))
+        if n >= 16:
+            assert len(got) == max(8, int(np.count_nonzero(dist < 1.0)))
+        else:
+            assert len(got) == n
+
+    @pytest.mark.parametrize("values, counts, kept", [
+        ((0.001, 0.02, 1.0), (12, 4, 4), 16),   # distances exactly at the 0.02 floor
+        ((0.25, 0.75, 2.0), (11, 3, 6), 14),    # distances exactly at 3x the median
+        ((0.125, 0.5, 1.0), (10, 5, 5), 15),    # even n: median between two values
+    ])
+    def test_gate_boundaries(self, values, counts, kept):
+        dist = np.repeat(values, counts)
+        dist = dist[np.random.default_rng(7).permutation(len(dist))]
+        got = _trimmed_order(dist, 0.1)
+        assert len(got) == kept
+        assert np.array_equal(got, trimmed_order_reference(dist, 0.1))
+
+
+def svd_rotation_reference(h):
+    """The np.linalg.det formulation of _svd_rotation, kept as the oracle."""
+    u, _s, vt = np.linalg.svd(h)
+    r = vt.T @ u.T
+    if np.linalg.det(r) < 0:
+        r = (vt.T * [1.0, 1.0, -1.0]) @ u.T
+    return r
+
+
+class TestSvdRotation:
+    def test_triple_product_sign_matches_det(self, rng):
+        reflections = 0
+        cases = [rng.normal(size=(3, 3)) * rng.choice([1e-6, 1.0, 1e6])
+                 for _ in range(500)]
+        cases += [np.diag([1.0, 2.0, -3.0]),      # det(h) < 0: a reflection
+                  np.diag([1.0, 2.0, 0.0]),       # rank 2
+                  np.outer([1.0, 2.0, 3.0], [0.5, -1.0, 2.0]),  # rank 1
+                  np.zeros((3, 3))]
+        for h in cases:
+            u, _s, vt = np.linalg.svd(h)
+            reflections += bool(np.linalg.det(vt.T @ u.T) < 0)
+            got = _svd_rotation(h)
+            assert got.tobytes() == svd_rotation_reference(h).tobytes()
+            assert np.linalg.det(got) == pytest.approx(1.0, abs=1e-9)
+        assert 0 < reflections < len(cases)
 
 
 class TestIcpRegister:
