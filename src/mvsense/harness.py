@@ -193,7 +193,8 @@ def run_trial(script: ScenarioScript, config: str = "script",
     the script's frames, additionally dumps that frame's masks, clouds and
     tree for debugging; when that frame fails, the dump holds what the
     frame produced before the failure and no tree. Out-of-range
-    ``frames`` or ``dump_frame`` raise ``ConfigError``.
+    ``frames`` or ``dump_frame``, or a ``dump_frame`` the ``frames`` cap
+    leaves out, raise ``ConfigError``.
     """
     script.validate()
     scene = build_scene(script, config, seed)
@@ -210,6 +211,9 @@ def run_trial(script: ScenarioScript, config: str = "script",
             raise scenario.ConfigError(f"need at least 1, got {frames}",
                                        field_name="frames")
         n_frames = min(n_frames, frames)
+        if dump_frame is not None and dump_frame >= n_frames:
+            raise scenario.ConfigError(
+                f"{dump_frame} is past the {n_frames} frames run", field_name="frame")
 
     metrics = TrialMetrics(script.name, config, scene.seed, n_frames)
     cloud_params = keyparts.CloudParams(

@@ -2,14 +2,15 @@
 
 The scene holds a ground-truth cylinder human on a scripted 24-DOF
 trajectory, a robot arm proxy (a chain of link cylinders on its own
-script), and pan-tilt camera rigs. It renders depth images by ray
-casting against all cylinders and emits detector-like keypoint
-observations whose confidences reflect occlusion and field of view.
-Everything is deterministic for a fixed seed.
+script), and pan-tilt camera rigs. It renders depth images and tests
+keypoint occlusion with one ray-cylinder kernel, ``geometry.cast_rays``,
+and emits detector-like keypoint observations whose confidences reflect
+occlusion and field of view. Everything is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,8 +21,7 @@ from .geometry import (
     Cylinder,
     Intrinsics,
     RigidTransform,
-    project,
-    ray_cylinder_hits,
+    cast_rays,
     rot_x,
     rot_y,
 )
@@ -223,28 +223,26 @@ def _cached_rays(k: Intrinsics) -> np.ndarray:
 
 
 def _cylinder_pixel_bbox(cyl: Cylinder, cam_from_world, k: Intrinsics):
-    """Conservative image bbox of a cylinder, or None (off-view / full view).
+    """Conservative image bbox (u0, u1, v0, v1), inclusive, of a cylinder.
 
-    Returns (u0, u1, v0, v1) inclusive, 'full' when the cylinder crosses
-    the image plane (fall back to all pixels), or None when fully behind.
+    The whole image when the cylinder nears the image plane; None when it
+    is fully behind the camera or off view.
     """
-    ends = np.stack([cam_from_world.apply(cyl.base), cam_from_world.apply(cyl.top)])
-    z = ends[:, 2]
-    if np.all(z <= 0.05):
+    x0, y0, z0 = cam_from_world.apply(cyl.base).tolist()
+    x1, y1, z1 = cam_from_world.apply(cyl.top).tolist()
+    if z0 <= 0.05 and z1 <= 0.05:
         return None
-    if np.any(z - cyl.radius <= 0.05):
-        return "full"
-    us = k.fx * ends[:, 0] / z + k.cx
-    vs = k.fy * ends[:, 1] / z + k.cy
+    near = min(z0 - cyl.radius, z1 - cyl.radius)
+    if near <= 0.05:
+        return (0, k.width - 1, 0, k.height - 1)
+    us = (k.fx * x0 / z0 + k.cx, k.fx * x1 / z1 + k.cx)
+    vs = (k.fy * y0 / z0 + k.cy, k.fy * y1 / z1 + k.cy)
     # sphere bound: projected radius grows as the sphere nears the camera
-    rad_px = max(k.fx, k.fy) * cyl.radius / max(float(np.min(z - cyl.radius)), 0.05)
-    pad = rad_px + 2.0
-    u0 = int(np.floor(us.min() - pad))
-    u1 = int(np.ceil(us.max() + pad))
-    v0 = int(np.floor(vs.min() - pad))
-    v1 = int(np.ceil(vs.max() + pad))
-    u0, u1 = max(0, u0), min(k.width - 1, u1)
-    v0, v1 = max(0, v0), min(k.height - 1, v1)
+    pad = max(k.fx, k.fy) * cyl.radius / near + 2.0
+    u0 = max(0, math.floor(min(us) - pad))
+    u1 = min(k.width - 1, math.ceil(max(us) + pad))
+    v0 = max(0, math.floor(min(vs) - pad))
+    v1 = min(k.height - 1, math.ceil(max(vs) + pad))
     if u1 < u0 or v1 < v0:
         return None
     return (u0, u1, v0, v1)
@@ -255,108 +253,65 @@ def render_depth(rig: CameraRig, cylinders, noise: DepthNoise | None = None,
     """Ray-cast depth image; misses are 0, depth is camera-frame z.
 
     Rays use z=1 direction scaling so the intersection parameter is the
-    camera depth directly. Each cylinder is intersected only inside its
-    conservative projected bounding box. Optional Gaussian depth noise
-    and dropout.
+    camera depth directly. Each cylinder is cast only through the pixels
+    of its conservative bounding box, and all cylinders go through one
+    ``geometry.cast_rays`` call, in blocks of whole cylinders small enough
+    to keep the temporaries in L2. Rotating a box's rays into the world,
+    like the kernel's products with an axis, stays one BLAS call per
+    cylinder, because a batched product rounds differently. Optional
+    Gaussian depth noise and dropout are applied in place.
     """
     k = rig.intrinsics
     pose = rig.world_pose()
     inv = pose.inverse()
     rays_cam = _cached_rays(k)
-    origin = pose.translation[None, :]
-
-    depth = np.full((k.height, k.width), np.inf)
+    boxes, dirs, cast = [], [], []
     for cyl in cylinders:
         bbox = _cylinder_pixel_bbox(cyl, inv, k)
         if bbox is None:
             continue
-        if bbox == "full":
-            u0, u1, v0, v1 = 0, k.width - 1, 0, k.height - 1
-        else:
-            u0, u1, v0, v1 = bbox
-        sub = rays_cam[v0:v1 + 1, u0:u1 + 1].reshape(-1, 3)
-        t = ray_cylinder_hits(origin, sub @ pose.rotation.T, cyl)
-        t = t.reshape(v1 - v0 + 1, u1 - u0 + 1)
-        view = depth[v0:v1 + 1, u0:u1 + 1]
-        np.minimum(view, t, out=view)
+        u0, u1, v0, v1 = bbox
+        boxes.append((slice(v0, v1 + 1), slice(u0, u1 + 1)))
+        dirs.append(rays_cam[boxes[-1]].reshape(-1, 3) @ pose.rotation.T)
+        cast.append(cyl)
+    t = cast_rays(pose.translation, dirs, cast)
 
-    depth = np.where(np.isfinite(depth), depth, 0.0)
+    depth = np.full((k.height, k.width), np.inf)
+    start = 0
+    for box in boxes:
+        view = depth[box]
+        np.minimum(view, t[start:start + view.size].reshape(view.shape), out=view)
+        start += view.size
+    depth[~np.isfinite(depth)] = 0.0
     if noise is not None and rng is not None:
-        hit = depth > 0
         if noise.sigma_d > 0:
-            depth = depth + np.where(hit, rng.normal(0.0, noise.sigma_d, depth.shape), 0.0)
+            np.add(depth, rng.normal(0.0, noise.sigma_d, depth.shape), out=depth, where=depth > 0)
         if noise.p_drop > 0:
-            drop = rng.random(depth.shape) < noise.p_drop
-            depth = np.where(drop, 0.0, depth)
-        depth = np.where(depth > 1e-6, depth, 0.0)
-    return depth.astype(np.float64)
+            depth[rng.random(depth.shape) < noise.p_drop] = 0.0
+        depth[~(depth > 1e-6)] = 0.0
+    return depth
 
 
-def keypoint_occluded(camera_pos: np.ndarray, kp_world: np.ndarray,
-                      keypoint: int, cylinders_by_part: dict,
-                      extra_cylinders=()) -> bool:
-    """Ray test from the camera to a keypoint against all other geometry.
-
-    Cylinders of parts that contain the keypoint are excluded, so a joint
-    is not occluded by its own limb surface.
-    """
-    d = kp_world - camera_pos
-    dist = float(np.linalg.norm(d))
-    if dist < 1e-9:
-        return False
-    d = d / dist
-    own = {p for p, kps in body.PART_KEYPOINTS.items() if keypoint in kps}
-    origin = camera_pos[None, :]
-    ray = d[None, :]
-    for part, cyl in cylinders_by_part.items():
-        if part in own:
-            continue
-        t = ray_cylinder_hits(origin, ray, cyl)[0]
-        if np.isfinite(t) and t < dist - 0.01:
-            return True
-    for cyl in extra_cylinders:
-        t = ray_cylinder_hits(origin, ray, cyl)[0]
-        if np.isfinite(t) and t < dist - 0.01:
-            return True
-    return False
+# _OWN_KEYPOINTS[part, kp]: the keypoint is on the part, whose surface cannot occlude it
+_OWN_KEYPOINTS = np.array([[kp in body.PART_KEYPOINTS[p] for kp in range(body.NUM_KEYPOINTS)]
+                           for p in range(body.NUM_KEYPARTS)])
 
 
 def occlusion_mask(camera_pos: np.ndarray, keypoints_world: np.ndarray,
                    cylinders_by_part: dict, extra_cylinders=()) -> np.ndarray:
-    """Occlusion flags for all 17 keypoints at once (one pass per cylinder)."""
-    n = len(keypoints_world)
+    """Occlusion flags for the 17 keypoints, from one ``cast_rays`` call.
+
+    A keypoint is occluded when its sight line from the camera hits a
+    cylinder more than 1 cm before it, other than its own parts' surface.
+    """
     d = keypoints_world - camera_pos[None, :]
     dist = np.linalg.norm(d, axis=1)
-    safe = np.maximum(dist, 1e-9)
-    rays = d / safe[:, None]
-    origin = camera_pos[None, :]
-    occluded = np.zeros(n, dtype=bool)
-    for part, cyl in cylinders_by_part.items():
-        t = ray_cylinder_hits(origin, rays, cyl)
-        hit = np.isfinite(t) & (t < dist - 0.01)
-        own = np.array([kp in body.PART_KEYPOINTS[part] for kp in range(n)])
-        occluded |= hit & ~own
-    for cyl in extra_cylinders:
-        t = ray_cylinder_hits(origin, rays, cyl)
-        occluded |= np.isfinite(t) & (t < dist - 0.01)
-    return occluded
-
-
-def keypoint_visibility(rig: CameraRig, pose: HumanPose, keypoint: int,
-                        robot_links=()) -> str:
-    """'visible', 'occluded', or 'out' for one keypoint in one camera."""
-    cam_pose = rig.world_pose()
-    kp = pose.keypoints[keypoint]
-    try:
-        pixel, _depth = project(kp, cam_pose, rig.intrinsics)
-    except Exception:
-        return "out"
-    if not rig.intrinsics.contains(pixel):
-        return "out"
-    parts = {p: pose.states[p].cylinder() for p in range(body.NUM_KEYPARTS)}
-    if keypoint_occluded(cam_pose.translation, kp, keypoint, parts, robot_links):
-        return "occluded"
-    return "visible"
+    rays = d / np.maximum(dist, 1e-9)[:, None]
+    cyls = list(cylinders_by_part.values()) + list(extra_cylinders)
+    t = cast_rays(camera_pos, [rays] * len(cyls), cyls)
+    blocked = t.reshape(len(cyls), len(rays)) < dist - 0.01
+    blocked[:len(cylinders_by_part)] &= ~_OWN_KEYPOINTS[list(cylinders_by_part)]
+    return blocked.any(axis=0)
 
 
 def synthetic_detect(rig: CameraRig, pose: HumanPose, robot_links=(),
@@ -377,31 +332,18 @@ def synthetic_detect(rig: CameraRig, pose: HumanPose, robot_links=(),
     cam_pts = cam_pose.inverse().apply(targets)
     occluded = occlusion_mask(cam_pose.translation, targets, parts, robot_links)
 
-    obs = []
-    for kp in range(body.NUM_KEYPOINTS):
-        z = cam_pts[kp, 2]
-        if z <= 0.05:
-            pixel = np.array([0.0, 0.0])
-            conf = noise.c_out
-        else:
-            pixel = np.array([
-                k.fx * cam_pts[kp, 0] / z + k.cx,
-                k.fy * cam_pts[kp, 1] / z + k.cy,
-            ])
-            if not k.contains(pixel):
-                conf = noise.c_out
-            elif occluded[kp]:
-                conf = noise.c_hi * noise.c_occ
-            else:
-                conf = noise.c_hi
-        if rng is not None and noise.sigma_px > 0:
-            pixel = pixel + rng.normal(0.0, noise.sigma_px, 2)
-        pixel = np.array([
-            float(np.clip(pixel[0], 0.0, k.width - 1)),
-            float(np.clip(pixel[1], 0.0, k.height - 1)),
-        ])
-        obs.append(Observation2D(kp, pixel, float(conf), rig.rig_id, timestamp))
-    return obs
+    z = cam_pts[:, 2]
+    front = z > 0.05
+    zs = np.where(front, z, 1.0)
+    uv = np.column_stack([k.fx * cam_pts[:, 0] / zs + k.cx, k.fy * cam_pts[:, 1] / zs + k.cy])
+    pixel = np.where(front[:, None], uv, 0.0)
+    inside = front & (pixel >= 0.0).all(axis=1) & (pixel < [k.width, k.height]).all(axis=1)
+    conf = np.where(inside, np.where(occluded, noise.c_hi * noise.c_occ, noise.c_hi), noise.c_out)
+    if rng is not None and noise.sigma_px > 0:
+        pixel = pixel + rng.normal(0.0, noise.sigma_px, pixel.shape)
+    pixel = np.clip(pixel, 0.0, [k.width - 1, k.height - 1])
+    return [Observation2D(kp, pixel[kp], float(conf[kp]), rig.rig_id, timestamp)
+            for kp in range(body.NUM_KEYPOINTS)]
 
 
 class SyntheticDetector:

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_rigid
+from conftest import keypoint_flags, random_rigid
 from mvsense import body, harness, scenario, scheduler
 from mvsense.body import (
     KeypartState,
@@ -37,7 +37,7 @@ from mvsense.registration import (
     sample_cylinder,
     sample_cylinder_local,
 )
-from mvsense.simulator import keypoint_visibility, render_depth
+from mvsense.simulator import render_depth
 
 
 def ok(n, text):
@@ -134,8 +134,8 @@ def test_criterion_04_reprojection_round_trip():
         cyls = [pose.states[p].cylinder() for p in range(10)]
         depth = render_depth(rig, cyls)
         cam_pose = rig.world_pose()
-        for kp in range(body.NUM_KEYPOINTS):
-            if keypoint_visibility(rig, pose, kp) != "visible":
+        for kp, flag in enumerate(keypoint_flags(rig, pose)):
+            if flag != "visible":
                 continue
             cam_pt = cam_pose.inverse().apply(pose.keypoints[kp])
             if not (0.5 <= cam_pt[2] <= 4.0):

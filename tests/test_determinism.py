@@ -8,9 +8,14 @@ registration computes, down to the last bit of a mean error, shows up
 here. A change that alters behaviour on purpose must say so and update
 these digests with the accuracy table before and after.
 
+The 144x112 renders each fit in one block of ``geometry.cast_rays``, so
+one more trial runs the assembly template at multi-fixed with 640x480
+cameras, where every render spans several blocks.
+
 Recorded with Python 3.11, numpy 2.4 and scipy 1.17 on x86-64.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -44,13 +49,39 @@ GOLDEN = {
         "ac96255c4b48a26b65eaa119deabd312d14449006bf3681d7e7572507cefc498",
 }
 
+HIRES_GOLDEN = {
+    "assembly_multi-fixed_0_frames.csv":
+        "8011b6212a9334019f565d8e7234ff0d2293ffeb66147a4333aa8a354f145bb3",
+    "assembly_multi-fixed_0_summary.json":
+        "2de12283b041d4481cab3699fc12049b0fa7157267dcf8c1f0d89a56e86df8b2",
+}
+
+
+def hires(cam, width=640, height=480):
+    """The same camera at 640x480, focal length scaled so no view angle shrinks."""
+    s = min(width / cam.width, height / cam.height)
+    return dataclasses.replace(cam, width=width, height=height,
+                               fx=cam.fx * s, fy=cam.fy * s,
+                               cx=(width - 1) / 2.0, cy=(height - 1) / 2.0)
+
+
+def assert_digests(script, config, out_dir, golden):
+    for suffix in ("_frames.csv", "_summary.json"):
+        name = f"{script.name}_{config}_0{suffix}"
+        digest = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+        assert digest == golden[name], f"{name} changed"
+
 
 @pytest.mark.parametrize("template", sorted(scenario.TEMPLATES))
 @pytest.mark.parametrize("config", ["multi-active", "single-fixed"])
 def test_metrics_files_match_golden_digests(template, config, tmp_path):
     script = scenario.TEMPLATES[template](seed=0, duration=1.0)
     harness.run_trial(script, config=config, out_dir=tmp_path)
-    for suffix in ("_frames.csv", "_summary.json"):
-        name = f"{script.name}_{config}_0{suffix}"
-        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        assert digest == GOLDEN[name], f"{name} changed"
+    assert_digests(script, config, tmp_path, GOLDEN)
+
+
+def test_hires_metrics_files_match_golden_digests(tmp_path):
+    script = scenario.TEMPLATES["assembly"](seed=0, duration=0.5)
+    script.cameras = [hires(cam) for cam in script.cameras]
+    harness.run_trial(script, config="multi-fixed", out_dir=tmp_path)
+    assert_digests(script, "multi-fixed", tmp_path, HIRES_GOLDEN)

@@ -6,17 +6,23 @@ cylinder's signed distance field, independent of the quadratic solve.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_rigid
+from conftest import random_rigid, ray_cylinder_hits_reference
 from mvsense.geometry import (
+    RAY_BLOCK,
     BehindCamera,
     Cylinder,
     InvalidDepth,
     RigidTransform,
+    _ray_blocks,
+    cast_rays,
     cylinder_clearance,
     frame_from_axis,
     normalize,
     project,
+    ray_cylinder_hits,
     ray_cylinder_intersect,
     reproject,
     rotation_between,
@@ -227,6 +233,141 @@ class TestRayCylinder:
                 assert t1 is None
             else:
                 assert t1 == pytest.approx(t0, abs=1e-9)
+
+
+def reference_cast(origin, dirs, cylinders):
+    """The per-cylinder loop that ``cast_rays`` replaced."""
+    return np.concatenate([np.empty(0)] + [
+        ray_cylinder_hits_reference(np.asarray(origin)[None, :], d, c)
+        for d, c in zip(dirs, cylinders) if len(d)])
+
+
+def tangent_dirs(origin, cyl, n, rng):
+    """Directions from ``origin`` that graze the cylinder's lateral surface."""
+    frame = frame_from_axis(cyl.axis)
+    rel = (origin - cyl.base) @ frame  # x, y across the axis, z along it
+    rho = np.hypot(rel[0], rel[1])
+    if rho <= cyl.radius:
+        return np.empty((0, 3))
+    phi = np.arctan2(rel[1], rel[0]) + rng.choice([-1.0, 1.0], n) * np.arccos(
+        cyl.radius / rho)
+    touch = np.column_stack([cyl.radius * np.cos(phi), cyl.radius * np.sin(phi),
+                             rng.uniform(-0.2, 1.2, n) * cyl.height])
+    return touch @ frame.T + cyl.base - origin
+
+
+def rim_dirs(origin, cyl, n, rng):
+    """Directions from ``origin`` to points on the rims of the caps."""
+    frame = frame_from_axis(cyl.axis)
+    phi = rng.uniform(0.0, 2.0 * np.pi, n)
+    rim = np.column_stack([cyl.radius * np.cos(phi), cyl.radius * np.sin(phi),
+                           cyl.height * rng.integers(0, 2, n)])
+    return rim @ frame.T + cyl.base - origin
+
+
+def special_dirs(origin, cyl, n, rng):
+    """n directions: aimed near the cylinder or at a cap's rim, along and
+    across its axis, grazing its side, and random."""
+    target = (cyl.base + np.outer(rng.uniform(-0.2, 1.2, n), cyl.axis * cyl.height)
+              + rng.normal(scale=cyl.radius, size=(n, 3)))
+    dirs = target - origin
+    kind = rng.integers(0, 6, n)
+    rim = kind == 5
+    dirs[rim] = rim_dirs(origin, cyl, rim.sum(), rng)
+    along = kind == 1
+    dirs[along] = np.outer(rng.choice([-1.0, 1.0], along.sum()), cyl.axis)
+    across = kind == 2  # zero axial component, exactly so on an axis-aligned cylinder
+    dirs[across] = dirs[across] - np.outer(dirs[across] @ cyl.axis, cyl.axis)
+    if np.count_nonzero(cyl.axis) == 1:
+        dirs[np.ix_(across, cyl.axis != 0)] = 0.0
+    graze = np.flatnonzero(kind == 3)
+    tangent = tangent_dirs(origin, cyl, len(graze), rng)
+    dirs[graze[:len(tangent)]] = tangent
+    random = kind == 4
+    dirs[random] = rng.normal(size=(random.sum(), 3))
+    return dirs
+
+
+COUNTS = [0, 1, 2, 3, 17, 300, RAY_BLOCK - 1, RAY_BLOCK, RAY_BLOCK + 1]
+
+
+class TestCastRays:
+    """The blocked kernel against the per-cylinder body it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           counts=st.lists(st.sampled_from(COUNTS), min_size=1, max_size=5),
+           aligned=st.lists(st.booleans(), min_size=5, max_size=5),
+           inside=st.booleans())
+    def test_matches_per_cylinder_reference_bitwise(self, seed, counts, aligned,
+                                                    inside):
+        rng = np.random.default_rng(seed)
+        cylinders = []
+        for k in range(len(counts)):
+            if aligned[k]:
+                axis = np.eye(3)[rng.integers(3)] * rng.choice([-1.0, 1.0])
+            else:
+                axis = normalize(rng.normal(size=3))
+            cylinders.append(Cylinder(np.round(rng.normal(size=3), 2), axis,
+                                      rng.uniform(0.1, 2.0), rng.uniform(0.02, 0.6)))
+        if inside:  # from inside the first cylinder
+            c = cylinders[0]
+            origin = c.base + c.axis * (0.5 * c.height)
+        else:
+            origin = np.round(rng.normal(scale=2.0, size=3), 2)
+        dirs = [special_dirs(origin, c, n, rng) for c, n in zip(cylinders, counts)]
+        t = cast_rays(origin, dirs, cylinders)
+        assert t.tobytes() == reference_cast(origin, dirs, cylinders).tobytes()
+
+    @pytest.mark.parametrize("counts", [
+        [RAY_BLOCK - 1, 2],           # the second cylinder starts a block
+        [RAY_BLOCK - 1, 1, 5],        # the first block is exactly full
+        [5, 3 * RAY_BLOCK + 7, 1],    # one cylinder larger than a block
+        [1, 0, 1, 0],                 # single rays and empty cylinders
+        [0, 0],
+    ])
+    def test_block_boundaries(self, counts, rng):
+        blocks = list(_ray_blocks(counts))
+        assert blocks[0][0] == 0 and blocks[-1][1] == len(counts)
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        assert all(sum(counts[i:j]) <= RAY_BLOCK or j - i == 1 for i, j in blocks)
+        origin = np.array([0.3, -2.5, 0.4])
+        cylinders = [Cylinder(rng.normal(scale=0.5, size=3), normalize(rng.normal(size=3)),
+                              1.0, 0.4) for _ in counts]
+        dirs = [special_dirs(origin, c, n, rng) for c, n in zip(cylinders, counts)]
+        t = cast_rays(origin, dirs, cylinders)
+        assert len(t) == sum(counts)
+        assert t.tobytes() == reference_cast(origin, dirs, cylinders).tobytes()
+
+    def test_single_ray_cylinders(self, rng):
+        """One ray per cylinder, aimed at it: the reference's products for a
+        single row go through BLAS ddot, not numpy's own loop."""
+        origin = np.array([0.25, -1.5, 0.75])
+        cylinders = [Cylinder(rng.normal(size=3), normalize(rng.normal(size=3)),
+                              rng.uniform(0.2, 1.5), rng.uniform(0.05, 0.5))
+                     for _ in range(400)]
+        dirs = [c.midpoint[None, :] + rng.normal(scale=c.radius, size=(1, 3)) - origin
+                for c in cylinders]
+        t = cast_rays(origin, dirs, cylinders)
+        assert np.isfinite(t).sum() > 100
+        assert t.tobytes() == reference_cast(origin, dirs, cylinders).tobytes()
+
+    def test_no_cylinders(self):
+        assert cast_rays(np.zeros(3), [], []).shape == (0,)
+
+    def test_exact_tangent_and_axis_parallel_rays(self):
+        cyl = Cylinder(np.zeros(3), np.array([0.0, 0.0, 1.0]), 1.0, 0.5)
+        origin = np.array([2.0, 0.5, 0.5])
+        dirs = np.array([[-1.0, 0.0, 0.0],   # grazes the side: discriminant 0
+                         [-1.0, 0.0, 0.5],   # crosses the top cap plane off the disc
+                         [0.0, 0.0, 1.0],    # parallel to the axis, outside
+                         [-4.0, -1.0, 0.0]])  # through the axis, across it
+        t = ray_cylinder_hits(origin, dirs, cyl)
+        ref = ray_cylinder_hits_reference(origin[None, :], dirs, cyl)
+        assert t.tobytes() == ref.tobytes()
+        assert t[0] == 2.0 and t[2] == np.inf
+        below = ray_cylinder_hits(np.array([0.1, 0.0, -1.0]), dirs[2:3], cyl)
+        assert below.tolist() == [1.0]  # bottom cap, through a single-ray call
 
 
 class TestSegmentsAndClearance:

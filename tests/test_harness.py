@@ -111,6 +111,13 @@ class TestRunTrial:
         tree = json.loads((tmp_path / "frame1_tree.json").read_text())
         assert "torso" in tree
 
+    @pytest.mark.parametrize("dump_frame", [2, 3])
+    def test_dump_frame_past_frames_cap_rejected(self, tmp_path, dump_frame):
+        with pytest.raises(scenario.ConfigError, match="past the 2 frames run"):
+            run_trial(tiny_script(), config="multi-fixed", frames=2,
+                      out_dir=tmp_path, dump_frame=dump_frame)
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("failing", [0, 1])
     def test_dump_of_failed_frame_completes_without_tree(self, tmp_path,
                                                          monkeypatch, failing):

@@ -1,12 +1,15 @@
 """Scene simulator: depth rendering, synthetic detection, servo stepping,
 and oracle-consistency of the rendered data."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from mvsense import body, scenario
+from conftest import keypoint_flags, ray_cylinder_hits_reference
+from mvsense import body, harness, scenario
 from mvsense.body import PartDimensions, pose_from_dofs, rest_dofs
-from mvsense.geometry import Cylinder, Intrinsics, ray_cylinder_intersect
+from mvsense.geometry import Cylinder, Intrinsics, cast_rays, ray_cylinder_intersect
 from mvsense.keypoints import Observation2D, lift_depth
 from mvsense.simulator import (
     CameraRig,
@@ -16,8 +19,9 @@ from mvsense.simulator import (
     RobotArmProxy,
     Scene,
     SyntheticDetector,
+    _cached_rays,
+    _cylinder_pixel_bbox,
     camera_mount,
-    keypoint_visibility,
     render_depth,
     synthetic_detect,
 )
@@ -212,8 +216,8 @@ class TestSyntheticDetect:
         cyls = [pose.states[p].cylinder() for p in range(10)] + [blocker]
         depth = render_depth(rig, cyls)
         cam_pose = rig.world_pose()
-        for kp in range(body.NUM_KEYPOINTS):
-            flag = keypoint_visibility(rig, pose, kp, robot_links=[blocker])
+        flags = keypoint_flags(rig, pose, robot_links=[blocker])
+        for kp, flag in enumerate(flags):
             if flag == "out":
                 continue
             cam_pt = cam_pose.inverse().apply(pose.keypoints[kp])
@@ -248,8 +252,8 @@ class TestOracleConsistency:
         cam_pose = rig.world_pose()
         k = rig.intrinsics
         checked = 0
-        for kp in range(body.NUM_KEYPOINTS):
-            if keypoint_visibility(rig, pose, kp) != "visible":
+        for kp, flag in enumerate(keypoint_flags(rig, pose)):
+            if flag != "visible":
                 continue
             cam_pt = cam_pose.inverse().apply(pose.keypoints[kp])
             pixel = np.array([k.fx * cam_pt[0] / cam_pt[2] + k.cx,
@@ -280,3 +284,222 @@ class TestOracleConsistency:
                 scene.step(0.1)
             streams.append(np.stack(rows))
         assert np.array_equal(streams[0], streams[1])
+
+
+# ---------------------------------------------------------------------------
+# the per-cylinder simulator that the blocked ray cast replaced, kept as the
+# bitwise reference
+
+
+def bbox_reference(cyl, cam_from_world, k):
+    ends = np.stack([cam_from_world.apply(cyl.base), cam_from_world.apply(cyl.top)])
+    z = ends[:, 2]
+    if np.all(z <= 0.05):
+        return None
+    if np.any(z - cyl.radius <= 0.05):
+        return "full"
+    us = k.fx * ends[:, 0] / z + k.cx
+    vs = k.fy * ends[:, 1] / z + k.cy
+    rad_px = max(k.fx, k.fy) * cyl.radius / max(float(np.min(z - cyl.radius)), 0.05)
+    pad = rad_px + 2.0
+    u0, u1 = int(np.floor(us.min() - pad)), int(np.ceil(us.max() + pad))
+    v0, v1 = int(np.floor(vs.min() - pad)), int(np.ceil(vs.max() + pad))
+    u0, u1 = max(0, u0), min(k.width - 1, u1)
+    v0, v1 = max(0, v0), min(k.height - 1, v1)
+    if u1 < u0 or v1 < v0:
+        return None
+    return (u0, u1, v0, v1)
+
+
+def render_depth_reference(rig, cylinders, noise=None, rng=None):
+    k = rig.intrinsics
+    pose = rig.world_pose()
+    inv = pose.inverse()
+    rays_cam = _cached_rays(k)
+    origin = pose.translation[None, :]
+    depth = np.full((k.height, k.width), np.inf)
+    for cyl in cylinders:
+        bbox = bbox_reference(cyl, inv, k)
+        if bbox is None:
+            continue
+        if bbox == "full":
+            u0, u1, v0, v1 = 0, k.width - 1, 0, k.height - 1
+        else:
+            u0, u1, v0, v1 = bbox
+        sub = rays_cam[v0:v1 + 1, u0:u1 + 1].reshape(-1, 3)
+        t = ray_cylinder_hits_reference(origin, sub @ pose.rotation.T, cyl)
+        view = depth[v0:v1 + 1, u0:u1 + 1]
+        np.minimum(view, t.reshape(v1 - v0 + 1, u1 - u0 + 1), out=view)
+    depth = np.where(np.isfinite(depth), depth, 0.0)
+    if noise is not None and rng is not None:
+        hit = depth > 0
+        if noise.sigma_d > 0:
+            depth = depth + np.where(hit, rng.normal(0.0, noise.sigma_d, depth.shape), 0.0)
+        if noise.p_drop > 0:
+            drop = rng.random(depth.shape) < noise.p_drop
+            depth = np.where(drop, 0.0, depth)
+        depth = np.where(depth > 1e-6, depth, 0.0)
+    return depth.astype(np.float64)
+
+
+def synthetic_detect_reference(rig, pose, robot_links=(), noise=None, rng=None,
+                               timestamp=0.0):
+    noise = noise or DetectorNoise()
+    cam_pose = rig.world_pose()
+    k = rig.intrinsics
+    targets = pose.keypoint_array()
+    cam_pts = cam_pose.inverse().apply(targets)
+    # occlusion, one pass per cylinder
+    n = len(targets)
+    d = targets - cam_pose.translation[None, :]
+    dist = np.linalg.norm(d, axis=1)
+    rays = d / np.maximum(dist, 1e-9)[:, None]
+    origin = cam_pose.translation[None, :]
+    occluded = np.zeros(n, dtype=bool)
+    for part in range(body.NUM_KEYPARTS):
+        t = ray_cylinder_hits_reference(origin, rays, pose.states[part].cylinder())
+        own = np.array([kp in body.PART_KEYPOINTS[part] for kp in range(n)])
+        occluded |= np.isfinite(t) & (t < dist - 0.01) & ~own
+    for cyl in robot_links:
+        t = ray_cylinder_hits_reference(origin, rays, cyl)
+        occluded |= np.isfinite(t) & (t < dist - 0.01)
+    obs = []
+    for kp in range(body.NUM_KEYPOINTS):
+        z = cam_pts[kp, 2]
+        if z <= 0.05:
+            pixel = np.array([0.0, 0.0])
+            conf = noise.c_out
+        else:
+            pixel = np.array([k.fx * cam_pts[kp, 0] / z + k.cx,
+                              k.fy * cam_pts[kp, 1] / z + k.cy])
+            if not k.contains(pixel):
+                conf = noise.c_out
+            elif occluded[kp]:
+                conf = noise.c_hi * noise.c_occ
+            else:
+                conf = noise.c_hi
+        if rng is not None and noise.sigma_px > 0:
+            pixel = pixel + rng.normal(0.0, noise.sigma_px, 2)
+        pixel = np.array([float(np.clip(pixel[0], 0.0, k.width - 1)),
+                          float(np.clip(pixel[1], 0.0, k.height - 1))])
+        obs.append(Observation2D(kp, pixel, float(conf), rig.rig_id, timestamp))
+    return obs
+
+
+def at_resolution(rig, size):
+    """The rig at ``size`` pixels, focal length scaled so no view angle shrinks."""
+    k = rig.intrinsics
+    w, h = size
+    s = min(w / k.width, h / k.height)
+    return dataclasses.replace(rig, intrinsics=Intrinsics(
+        k.fx * s, k.fy * s, (w - 1) / 2.0, (h - 1) / 2.0, w, h))
+
+
+def assert_same_observations(got, want):
+    assert len(got) == len(want) == body.NUM_KEYPOINTS
+    for g, w in zip(got, want):
+        assert (g.keypoint, g.confidence, g.camera, g.timestamp) == \
+            (w.keypoint, w.confidence, w.camera, w.timestamp)
+        assert type(g.confidence) is float
+        assert g.pixel.dtype == np.float64 and g.pixel.tobytes() == w.pixel.tobytes()
+
+
+def template_views(size, times=(0.0, 1.3, 2.6)):
+    """(scene, rig index, rig, pose, scene cylinders, detector links) for a
+    few frames of each template, with the rigs panned and tilted so that
+    keypoints leave the image."""
+    for name in sorted(scenario.TEMPLATES):
+        script = scenario.TEMPLATES[name](seed=4, duration=3.0)
+        scene = harness.build_scene(script, "multi-active")
+        props = harness.prop_cylinders(script)
+        for t in times:
+            scene.t = t
+            pose = scene.human.pose_at(t)
+            links = list(scene.robot.links_at(t)) if scene.robot else []
+            for ci, rig in enumerate(scene.rigs):
+                rig = at_resolution(rig, size)
+                rig.pan, rig.tilt = 0.45 * np.sin(3.0 * t + ci), -0.2 * np.cos(t)
+                yield scene, ci, rig, pose, scene.cylinders(pose) + props, links + props
+
+
+SIZES = [(144, 112), (640, 480)]
+
+
+class TestMatchesPerCylinderReference:
+    """render_depth and synthetic_detect equal, bit for bit, the per-cylinder
+    simulator they replaced."""
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_render_depth_on_template_frames(self, size):
+        for scene, ci, rig, _pose, cyls, _links in template_views(size):
+            want = render_depth_reference(rig, cyls)
+            assert render_depth(rig, cyls).tobytes() == want.tobytes()
+            got = render_depth(rig, cyls, scene.depth_noise, scene.rng(0, ci))
+            want = render_depth_reference(rig, cyls, scene.depth_noise, scene.rng(0, ci))
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_synthetic_detect_on_template_frames(self, size):
+        out_of_image = 0
+        for scene, ci, rig, pose, _cyls, links in template_views(size):
+            for rng in (None, scene.rng(1, ci)):
+                got = synthetic_detect(rig, pose, links, scene.detector_noise, rng, 0.7)
+                want = synthetic_detect_reference(
+                    rig, pose, links, scene.detector_noise,
+                    None if rng is None else scene.rng(1, ci), 0.7)
+                assert_same_observations(got, want)
+            out_of_image += sum(o.confidence == scene.detector_noise.c_out for o in got)
+        assert out_of_image > 0
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_camera_inside_the_body_and_occluders(self, size):
+        """Keypoints behind the camera, outside the image and occluded; the
+        camera sits inside the torso cylinder."""
+        pose = pose_from_dofs(rest_dofs(position=(2.5, 0.0, 0.9), heading=np.pi / 2))
+        blocker = Cylinder(np.array([1.2, 0.05, 0.0]), np.array([0.0, 0.0, 1.0]), 2.0, 0.1)
+        cyls = [pose.states[p].cylinder() for p in range(body.NUM_KEYPARTS)] + [blocker]
+        noise = DetectorNoise()
+        torso = pose.states[body.TORSO].cylinder()
+        confidences, behind = set(), 0
+        for rig in (small_rig(pos=(0.0, 0.0, 1.2)),
+                    small_rig(pos=tuple(torso.midpoint), yaw=0.3, pitch=-0.2)):
+            rig = at_resolution(rig, size)
+            got = render_depth(rig, cyls, DepthNoise(), np.random.default_rng(5))
+            want = render_depth_reference(rig, cyls, DepthNoise(), np.random.default_rng(5))
+            assert got.tobytes() == want.tobytes()
+            for rng in (None, 6):
+                got = synthetic_detect(rig, pose, [blocker], noise,
+                                       rng and np.random.default_rng(rng))
+                want = synthetic_detect_reference(rig, pose, [blocker], noise,
+                                                  rng and np.random.default_rng(rng))
+                assert_same_observations(got, want)
+                confidences |= {o.confidence for o in want}
+            z = rig.world_pose().inverse().apply(pose.keypoint_array())[:, 2]
+            behind += int(np.sum(z <= 0.05))
+        assert behind > 0
+        assert confidences == {noise.c_hi, noise.c_hi * noise.c_occ, noise.c_out}
+
+
+class TestPixelBoundingBox:
+    """Pixels outside a cylinder's bbox are never cast, so no ray through
+    them may hit the cylinder."""
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_every_hit_pixel_lies_in_its_bbox(self, size):
+        hits = 0
+        for _scene, _ci, rig, _pose, cyls, _links in template_views(size, times=(0.0, 2.6)):
+            k = rig.intrinsics
+            pose = rig.world_pose()
+            rays = _cached_rays(k).reshape(-1, 3) @ pose.rotation.T
+            t = cast_rays(pose.translation, [rays] * len(cyls), cyls)
+            hit = np.isfinite(t).reshape(len(cyls), k.height, k.width)
+            for cyl, mask in zip(cyls, hit):
+                bbox = _cylinder_pixel_bbox(cyl, pose.inverse(), k)
+                inside = np.zeros_like(mask)
+                if bbox is not None:
+                    u0, u1, v0, v1 = bbox
+                    inside[v0:v1 + 1, u0:u1 + 1] = True
+                assert not np.any(mask & ~inside), (cyl, bbox)
+                hits += int(mask.sum())
+        assert hits > 0
