@@ -508,8 +508,11 @@ def compare_configs(script: ScenarioScript, configs=CONFIGS, trials: int = 10,
 
     Runs ``trials`` seeds (script.seed, script.seed+1, ...) per config.
     Trials are independent, so they may run in a process pool; results
-    are reduced in a fixed order either way.
+    are reduced in a fixed order either way. ``trials < 1`` raises
+    ``ConfigError``.
     """
+    if trials < 1:
+        raise scenario.ConfigError(f"need at least 1, got {trials}", field_name="trials")
     tasks = [(scenario.emit(script), config, script.seed + k)
              for config in configs for k in range(trials)]
     if jobs > 1:

@@ -123,9 +123,6 @@ class PresenceWindow:
         return len(self._buf)
 
 
-KeypartPresenceWindow = PresenceWindow
-
-
 def presence(window: PresenceWindow) -> int:
     """Existence flag E in {0, 1} from a confidence window."""
     if len(window) < 1:

@@ -5,7 +5,9 @@ trajectory, a robot arm proxy (a chain of link cylinders on its own
 script), and pan-tilt camera rigs. It renders depth images and tests
 keypoint occlusion with one ray-cylinder kernel, ``geometry.cast_rays``,
 and emits detector-like keypoint observations whose confidences reflect
-occlusion and field of view. Everything is deterministic for a fixed seed.
+occlusion and field of view. Depth noise is drawn for hit pixels only, so
+its cost follows the body's size in the image, not the pixel count.
+Everything is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -258,8 +260,13 @@ def render_depth(rig: CameraRig, cylinders, noise: DepthNoise | None = None,
     ``geometry.cast_rays`` call, in blocks of whole cylinders small enough
     to keep the temporaries in L2. Rotating a box's rays into the world,
     like the kernel's products with an axis, stays one BLAS call per
-    cylinder, because a batched product rounds differently. Optional
-    Gaussian depth noise and dropout are applied in place.
+    cylinder, because a batched product rounds differently.
+
+    Optional Gaussian depth noise and dropout touch hit pixels only: one
+    ``normal`` and then one ``random`` draw of one value per hit pixel, in
+    row-major order. Misses stay exactly 0.0, and any noisy depth at or
+    below 1e-6 becomes a miss. At 640x480 about a tenth of the pixels are
+    hit, and drawing for every pixel took about a third of a render.
     """
     k = rig.intrinsics
     pose = rig.world_pose()
@@ -282,13 +289,17 @@ def render_depth(rig: CameraRig, cylinders, noise: DepthNoise | None = None,
         view = depth[box]
         np.minimum(view, t[start:start + view.size].reshape(view.shape), out=view)
         start += view.size
-    depth[~np.isfinite(depth)] = 0.0
+    flat = depth.reshape(-1)
+    hit = np.flatnonzero(flat < np.inf)
+    d = flat[hit]
     if noise is not None and rng is not None:
         if noise.sigma_d > 0:
-            np.add(depth, rng.normal(0.0, noise.sigma_d, depth.shape), out=depth, where=depth > 0)
+            d += rng.normal(0.0, noise.sigma_d, len(hit))
         if noise.p_drop > 0:
-            depth[rng.random(depth.shape) < noise.p_drop] = 0.0
-        depth[~(depth > 1e-6)] = 0.0
+            d[rng.random(len(hit)) < noise.p_drop] = 0.0
+        d[~(d > 1e-6)] = 0.0
+    flat.fill(0.0)
+    flat[hit] = d
     return depth
 
 

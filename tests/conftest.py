@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -95,3 +97,11 @@ def keypoint_flags(rig, pose, robot_links=()) -> list:
         else:
             flags.append("occluded" if occluded[kp] else "visible")
     return flags
+
+
+def hires(cam, width=640, height=480):
+    """The same camera spec at 640x480, focal length scaled so no view angle shrinks."""
+    s = min(width / cam.width, height / cam.height)
+    return dataclasses.replace(cam, width=width, height=height,
+                               fx=cam.fx * s, fy=cam.fy * s,
+                               cx=(width - 1) / 2.0, cy=(height - 1) / 2.0)

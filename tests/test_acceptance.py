@@ -29,6 +29,7 @@ from mvsense.keypoints import (
     effectiveness_factor,
     fuse,
     lift_depth,
+    presence,
 )
 from mvsense.keyparts import Trapezoid, base_half_length, paint_masks, BACKGROUND
 from mvsense.registration import (
@@ -111,8 +112,7 @@ def test_criterion_03_presence_windows_exhaustive():
         assert w.score() == hand  # identical accumulation, bitwise equal
         assert int(w.present()) == int(hand > alpha)
         # keypart windows share the rule via the max-confidence drive
-        from mvsense.keyparts import part_presence
-        assert part_presence(w) == int(hand > alpha)
+        assert presence(w) == int(hand > alpha)
     ok(3, "64/64 binary windows match hand-evaluated geometric sums")
 
 

@@ -15,22 +15,22 @@ cameras, where every render spans several blocks.
 Recorded with Python 3.11, numpy 2.4 and scipy 1.17 on x86-64.
 """
 
-import dataclasses
 import hashlib
 
 import pytest
 
+from conftest import hires
 from mvsense import harness, scenario
 
 GOLDEN = {
     "assembly_multi-active_0_frames.csv":
         "bdf2451a09f6f816c157936d5ab1f534c53fc1c5cb019965e333610f1f662496",
     "assembly_multi-active_0_summary.json":
-        "904f8a320c0c9ff57173f214d36d336b97e5a0ed0164443841dadcd746711ab6",
+        "972bfec25086782acc6dc1fe1011b1a2c344e877f648ea73b0b315c0fa1da535",
     "assembly_single-fixed_0_frames.csv":
         "fedf02ce9e2e63a75cb210284d0adb9f5be1f2f9eab4ea5dc05c7d92fa8b26e6",
     "assembly_single-fixed_0_summary.json":
-        "724f8ba35eec4dff83de80347811dd586819cf7eab2e05e3a25804b0e25b73ec",
+        "8df5dad789c3c965afb886fad6b6533e406d34e88bb6681ffa365f6c1f2584a5",
     "enter-exit_multi-active_0_frames.csv":
         "c8efd13522621bd5bc190794e97808ff627d470f5a3874293b7809f546f1839e",
     "enter-exit_multi-active_0_summary.json":
@@ -42,27 +42,19 @@ GOLDEN = {
     "reach-in_multi-active_0_frames.csv":
         "d54586760e862739ddb6aa1cdb25d16644c683bba85a0c02566d94d7863a6230",
     "reach-in_multi-active_0_summary.json":
-        "816026cc44dcf7edf0c5e07cfafa94209ad5d003606faac8dd164ca5e73d95dc",
+        "0766086c4df7996451e05a26ae9fd175430af9fbbc39213e212255caf41a3cf7",
     "reach-in_single-fixed_0_frames.csv":
         "773887f1ceacc1b81794e5829a97ae179ab0ae0e149288354da000c1c0023190",
     "reach-in_single-fixed_0_summary.json":
-        "ac96255c4b48a26b65eaa119deabd312d14449006bf3681d7e7572507cefc498",
+        "246ead9b10cbcc789dc823c3d8ebba1c3b2aab9dc1ae9b3aa639048bcdc58a06",
 }
 
 HIRES_GOLDEN = {
     "assembly_multi-fixed_0_frames.csv":
         "8011b6212a9334019f565d8e7234ff0d2293ffeb66147a4333aa8a354f145bb3",
     "assembly_multi-fixed_0_summary.json":
-        "2de12283b041d4481cab3699fc12049b0fa7157267dcf8c1f0d89a56e86df8b2",
+        "2af739414154b121f8ca0424b4dd964a0e39876da8be414d6a47d21634302249",
 }
-
-
-def hires(cam, width=640, height=480):
-    """The same camera at 640x480, focal length scaled so no view angle shrinks."""
-    s = min(width / cam.width, height / cam.height)
-    return dataclasses.replace(cam, width=width, height=height,
-                               fx=cam.fx * s, fy=cam.fy * s,
-                               cx=(width - 1) / 2.0, cy=(height - 1) / 2.0)
 
 
 def assert_digests(script, config, out_dir, golden):

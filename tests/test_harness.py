@@ -249,6 +249,18 @@ class TestCli:
                 in capsys.readouterr().err)
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_compare_trials_below_one_exit_1(self, tmp_path, capsys, trials):
+        path = self._write_script(tmp_path)
+        out = tmp_path / "out"
+        rc = main(["compare", "--script", str(path), "--trials", str(trials),
+                   "--out-dir", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert f"field 'trials': need at least 1, got {trials}" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_emit_template(self, tmp_path):
         out = tmp_path / "scene.scn"
         rc = main(["emit-template", "--name", "assembly", "--seed", "2",

@@ -14,20 +14,21 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from mvsense import body
+from conftest import hires
+from mvsense import body, harness, keyparts, scenario
 from mvsense.filters import largest_euclidean_cluster, passthrough, voxel_downsample
-from mvsense.geometry import Cylinder, Intrinsics, RigidTransform
-from mvsense.keypoints import FusedKeypoint, Observation2D, PresenceWindow
+from mvsense.geometry import Cylinder, Intrinsics, RigidTransform, reproject_many
+from mvsense.keypoints import FusedKeypoint, Observation2D, PresenceWindow, presence
 from mvsense.keyparts import (
     BACKGROUND,
     CloudParams,
+    KeypartCloud,
     MaskImage,
     Trapezoid,
     base_half_length,
     extract_clouds,
     paint_masks,
     part_endpoints,
-    part_presence,
     project_keypoints_to_mask,
     trapezoid_for_part,
 )
@@ -49,13 +50,13 @@ class TestPartPresence:
         confs[body.L_SHOULDER] = 1.0
         for _ in range(6):
             w.update(max(confs.values()))
-        assert part_presence(w) == 1
+        assert presence(w) == 1
 
     def test_all_members_zero_absent(self):
         w = PresenceWindow(m=5, gamma=0.7, alpha=1.0)
         for _ in range(6):
             w.update(0.0)
-        assert part_presence(w) == 0
+        assert presence(w) == 0
 
     def test_alternating_history_matches_formula(self):
         history = [1.0, 0.0, 1.0, 0.0, 1.0, 0.0]
@@ -65,7 +66,7 @@ class TestPartPresence:
         expected = sum((0.7 ** m) * c
                        for m, c in enumerate(reversed(history)))
         assert w.score() == pytest.approx(expected, abs=0)
-        assert part_presence(w) == int(expected > 1.0)
+        assert presence(w) == int(expected > 1.0)
 
 
 class TestTrapezoidGeometry:
@@ -391,3 +392,137 @@ class TestExtractClouds:
         with pytest.raises(ValueError):
             extract_clouds(MaskImage.blank(10, 10), depth, rig.world_pose(),
                            rig.intrinsics)
+
+
+def extract_clouds_reference(mask, depth_image, world_from_cam, k, robot_links=(),
+                             params=CloudParams(), camera=""):
+    """extract_clouds with the validity test over the whole image, as it was
+    before the test moved inside the labeled window."""
+    if mask.labels.shape != depth_image.shape:
+        raise ValueError("mask and depth image dimensions differ")
+    valid = (mask.labels != BACKGROUND) & np.isfinite(depth_image) & (depth_image > 0)
+    if params.depth_gate > 0:
+        valid &= np.abs(depth_image - mask.depths) <= params.depth_gate
+    clouds = []
+    if not valid.any():
+        return clouds
+    vs, us = np.nonzero(valid)
+    labels = mask.labels[vs, us]
+    depths = depth_image[vs, us].astype(np.float64)
+    cam_pts = reproject_many(np.column_stack([us, vs]).astype(np.float64), depths, k)
+    world_pts = world_from_cam.apply(cam_pts)
+
+    cam_from_world = world_from_cam.inverse()
+    for part in np.unique(labels):
+        pts = world_pts[labels == part]
+
+        if robot_links:
+            keep = np.ones(len(pts), dtype=bool)
+            for link in robot_links:
+                margin = link.radius * (params.robot_margin_scale - 1.0)
+                keep &= ~link.contains(pts, radial_margin=margin)
+            pts = pts[keep]
+
+        pts = voxel_downsample(pts, params.voxel)
+        if len(pts):
+            cam_z = cam_from_world.apply(pts)[:, 2]
+            pts = passthrough(pts, cam_z, params.range_min, params.range_max)
+        pts = largest_euclidean_cluster(pts, params.cluster_radius, params.cluster_min)
+        if len(pts):
+            clouds.append(KeypartCloud(int(part), pts, camera))
+    return clouds
+
+
+def same_clouds(got, want) -> bool:
+    return ([(c.part, c.camera, c.points.dtype, c.points.shape) for c in got]
+            == [(c.part, c.camera, c.points.dtype, c.points.shape) for c in want]
+            and all(g.points.tobytes() == w.points.tobytes() for g, w in zip(got, want)))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+class TestExtractMatchesFullImageReference:
+    """extract_clouds, which tests depth only inside the labeled window,
+    equals the full-image reference bit for bit. The constructed depth
+    images hold inf, so both sides warn on inf - inf in the gate."""
+
+    @pytest.mark.parametrize("size", [(144, 112), (640, 480)])
+    def test_template_trials(self, size, monkeypatch):
+        # run_trial turns a frame's exception into a failed frame, so the
+        # comparison is recorded here and asserted after the trials
+        results = []
+        extract = keyparts.extract_clouds
+
+        def compared(*args, **kwargs):
+            got = extract(*args, **kwargs)
+            results.append((same_clouds(got, extract_clouds_reference(*args, **kwargs)),
+                            len(got)))
+            return got
+
+        monkeypatch.setattr(keyparts, "extract_clouds", compared)
+        for name in sorted(scenario.TEMPLATES):
+            script = scenario.TEMPLATES[name](seed=3, duration=0.6)
+            script.cameras = [hires(cam, *size) for cam in script.cameras]
+            harness.run_trial(script, config="multi-fixed")
+        assert results and all(equal for equal, _ in results)
+        assert sum(n for _, n in results) > 0
+
+    @staticmethod
+    def _wall_frame(seed):
+        """A wall filling a 160x120 view, with zero, NaN and inf pixels, and
+        paint depths around the measured depth, some past the gate."""
+        from mvsense.simulator import CameraRig, camera_mount, render_depth
+        rig = CameraRig("c0", k_small(), camera_mount((0, 0, 0.5), 0.0, 0.0))
+        wall = Cylinder(np.array([3.0, 0.0, -3.0]), np.array([0.0, 0.0, 1.0]), 6.0, 1.5)
+        depth = render_depth(rig, [wall])
+        assert np.all(depth > 0)
+        rng = np.random.default_rng(seed)
+        for bad in (0.0, np.nan, np.inf):
+            depth[rng.integers(0, 120, 40), rng.integers(0, 160, 40)] = bad
+        paint = depth + rng.normal(0.0, 0.2, depth.shape)
+        return rig, depth, paint
+
+    @pytest.mark.parametrize("window", [
+        (slice(0, 1), slice(0, 160)),      # top row
+        (slice(119, 120), slice(0, 160)),  # bottom row
+        (slice(0, 120), slice(0, 1)),      # left column
+        (slice(0, 120), slice(159, 160)),  # right column
+        (slice(0, 120), slice(0, 160)),    # whole image
+        (slice(0, 6), slice(0, 9)),        # top-left corner
+        (slice(110, 120), slice(150, 160)),  # bottom-right corner
+        (slice(40, 75), slice(50, 95)),    # interior
+    ])
+    @pytest.mark.parametrize("params", [CloudParams(cluster_min=1),
+                                        CloudParams(depth_gate=0.0), CloudParams()])
+    def test_windows_touching_the_borders(self, window, params):
+        rig, depth, paint = self._wall_frame(seed=window[0].start + window[1].start)
+        rng = np.random.default_rng(window[0].stop)
+        mask = MaskImage.blank(160, 120)
+        labels = rng.integers(-1, 4, mask.labels[window].shape)  # -1 is BACKGROUND
+        mask.labels[window] = labels
+        mask.depths[window] = np.where(labels == BACKGROUND, np.inf, paint[window])
+        got = extract_clouds(mask, depth, rig.world_pose(), rig.intrinsics, params=params,
+                             camera="c0")
+        want = extract_clouds_reference(mask, depth, rig.world_pose(), rig.intrinsics,
+                                        params=params, camera="c0")
+        assert same_clouds(got, want)
+        assert want or params.cluster_min > 1  # a one-pixel strip may be below 10 points
+
+    def test_nothing_painted(self):
+        rig, depth, _paint = self._wall_frame(seed=0)
+        mask = MaskImage.blank(160, 120)
+        assert extract_clouds(mask, depth, rig.world_pose(), rig.intrinsics) == []
+        assert extract_clouds_reference(mask, depth, rig.world_pose(), rig.intrinsics) == []
+
+    @pytest.mark.parametrize("pixel", [(0, 0), (0, 159), (119, 0), (119, 159), (60, 80)])
+    def test_single_painted_pixel(self, pixel):
+        rig, depth, _paint = self._wall_frame(seed=1)
+        depth[pixel] = 2.0
+        mask = MaskImage.blank(160, 120)
+        mask.labels[pixel] = body.TORSO
+        mask.depths[pixel] = 2.0
+        params = CloudParams(cluster_min=1)
+        got = extract_clouds(mask, depth, rig.world_pose(), rig.intrinsics, params=params)
+        want = extract_clouds_reference(mask, depth, rig.world_pose(), rig.intrinsics,
+                                        params=params)
+        assert same_clouds(got, want)
+        assert [(c.part, len(c.points)) for c in got] == [(body.TORSO, 1)]

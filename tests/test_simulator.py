@@ -332,13 +332,14 @@ def render_depth_reference(rig, cylinders, noise=None, rng=None):
         np.minimum(view, t.reshape(v1 - v0 + 1, u1 - u0 + 1), out=view)
     depth = np.where(np.isfinite(depth), depth, 0.0)
     if noise is not None and rng is not None:
-        hit = depth > 0
+        # one normal, then one uniform, per hit pixel in row-major order
+        hit = np.flatnonzero(depth > 0)
+        values = depth.flat[hit]
         if noise.sigma_d > 0:
-            depth = depth + np.where(hit, rng.normal(0.0, noise.sigma_d, depth.shape), 0.0)
+            values = values + rng.normal(0.0, noise.sigma_d, len(hit))
         if noise.p_drop > 0:
-            drop = rng.random(depth.shape) < noise.p_drop
-            depth = np.where(drop, 0.0, depth)
-        depth = np.where(depth > 1e-6, depth, 0.0)
+            values = np.where(rng.random(len(hit)) < noise.p_drop, 0.0, values)
+        depth.flat[hit] = np.where(values > 1e-6, values, 0.0)
     return depth.astype(np.float64)
 
 
@@ -479,6 +480,36 @@ class TestMatchesPerCylinderReference:
             behind += int(np.sum(z <= 0.05))
         assert behind > 0
         assert confidences == {noise.c_hi, noise.c_hi * noise.c_occ, noise.c_out}
+
+
+class TestDepthNoiseRule:
+    """Depth noise and dropout are drawn for hit pixels only."""
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_one_normal_then_one_uniform_per_hit_pixel(self, size):
+        noise = DepthNoise()
+        hits, kept, errors = 0, 0, []
+        views = template_views(size, times=(0.0, 2.6))
+        for seed, (_scene, _ci, rig, _pose, cyls, _links) in enumerate(views):
+            clean = render_depth(rig, cyls)
+            rng = np.random.default_rng(seed)
+            noisy = render_depth(rig, cyls, noise, rng)
+            hit = clean > 0
+            n_hit = int(hit.sum())
+            assert noisy[~hit].tobytes() == bytes(8 * (clean.size - n_hit))
+            advanced = np.random.default_rng(seed)
+            advanced.normal(0.0, noise.sigma_d, n_hit)
+            advanced.random(n_hit)
+            assert rng.bit_generator.state == advanced.bit_generator.state
+            survived = hit & (noisy > 0)
+            hits += n_hit
+            kept += int(survived.sum())
+            errors.append(noisy[survived] - clean[survived])
+        errors = np.concatenate(errors)
+        assert hits > 0
+        assert abs((hits - kept) / hits - noise.p_drop) < 0.005
+        assert np.std(errors) == pytest.approx(noise.sigma_d, rel=0.05)
+        assert abs(np.mean(errors)) < 4.0 * noise.sigma_d / np.sqrt(len(errors))
 
 
 class TestPixelBoundingBox:
