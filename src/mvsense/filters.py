@@ -1,39 +1,55 @@
-"""Point-cloud cleanup: voxel downsampling, pass-through, clustering.
+"""Point-cloud cleanup: labeled voxel downsampling and clustering.
 
-All filters are subtractive or averaging; none invents points, so the
-output size never exceeds the input size.
+Both filters are subtractive or averaging; neither invents points, so
+the output size never exceeds the input size.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 
-def voxel_downsample(points: np.ndarray, voxel: float) -> np.ndarray:
-    """One centroid per occupied voxel, emitted in voxel-key order."""
-    pts = np.asarray(points, dtype=np.float64)
-    if len(pts) == 0:
-        return pts.reshape(0, 3)
-    keys = np.floor(pts / voxel).astype(np.int64)
-    order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
-    keys = keys[order]
-    pts = pts[order]
-    change = np.any(np.diff(keys, axis=0) != 0, axis=1)
-    starts = np.concatenate([[0], np.nonzero(change)[0] + 1, [len(pts)]])
-    out = np.add.reduceat(pts, starts[:-1], axis=0)
-    counts = np.diff(starts)
-    return out / counts[:, None]
+def voxel_downsample(points: np.ndarray, labels: np.ndarray,
+                     voxel: float) -> tuple:
+    """One centroid per occupied voxel of each label: ``(centroids, labels)``.
 
+    Points of different labels never share a centroid. The output is in
+    (label, voxel-key) order, so each label's centroids are one contiguous
+    slice, equal bit for bit to downsampling that label's points alone:
+    within a voxel the points are summed in input order.
 
-def passthrough(points: np.ndarray, values: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Keep points whose companion scalar lies in [lo, hi]."""
+    The sort key packs label, voxel key and point index into one int64,
+    most significant first. The index makes every key distinct, so one
+    plain sort gives the stable order. A cloud whose bounding box holds
+    too many voxels for that (at 2 cm voxels and 20k points, a box some
+    700 m on a side) raises ``ValueError``.
+    """
     pts = np.asarray(points, dtype=np.float64)
-    if len(pts) == 0:
-        return pts.reshape(0, 3)
-    vals = np.asarray(values, dtype=np.float64)
-    keep = (vals >= lo) & (vals <= hi)
-    return pts[keep]
+    labels = np.asarray(labels)
+    n = len(pts)
+    if n == 0:
+        return pts.reshape(0, 3), labels[:0]
+    cells = np.floor(pts / voxel).astype(np.int64)
+    columns = [labels, cells[:, 0], cells[:, 1], cells[:, 2]]
+    lows = [int(c.min()) for c in columns]
+    spans = [int(c.max()) - lo + 1 for c, lo in zip(columns, lows)]
+    if math.prod(spans) * n > np.iinfo(np.int64).max:
+        raise ValueError(f"{n} points span {spans[1:]} voxels of {voxel} in "
+                         f"{spans[0]} labels, too many for one sort key")
+    key = np.zeros(n, dtype=np.int64)
+    for column, lo, span in zip(columns, lows, spans):
+        key *= span
+        key += column
+        key -= lo
+    key, order = np.divmod(np.sort(key * n + np.arange(n)), n)
+    starts = np.concatenate(([0], np.flatnonzero(key[1:] != key[:-1]) + 1))
+    # np.take gathers rows about three times faster than fancy indexing
+    out = np.add.reduceat(np.take(pts, order, axis=0), starts, axis=0)
+    counts = np.diff(starts, append=n)
+    return out / counts[:, None], labels[order[starts]]
 
 
 def largest_euclidean_cluster(points: np.ndarray, radius: float,

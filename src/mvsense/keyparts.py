@@ -6,6 +6,13 @@ proportional to focal_length * radius / depth. Trapezoids are painted
 far-to-near so nearer parts own contested pixels, then each labeled
 depth pixel is lifted to a world point and the per-part clouds are
 cleaned (robot-envelope removal, voxel/range/cluster filters).
+
+Painting tests each trapezoid's whole pixel box at once, by edge
+functions that are one term per row and one per column. Extraction
+makes one pass per camera: it lifts the labeled pixels, removes robot
+points, voxel-downsamples and range-gates all parts together, which
+leaves the centroids in (part, voxel-key) order, and then clusters each
+part's contiguous slice.
 """
 
 from __future__ import annotations
@@ -15,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import body
-from .filters import largest_euclidean_cluster, passthrough, voxel_downsample
-from .geometry import Intrinsics, RigidTransform, project, reproject_many
+from .filters import largest_euclidean_cluster, voxel_downsample
+from .geometry import BehindCamera, Intrinsics, RigidTransform, project, reproject_many
 from .keypoints import FusedKeypoint, NoValidDepth, Observation2D, slice_depth
 
 BACKGROUND = -1
@@ -87,25 +94,30 @@ class Trapezoid:
             self.mid_lower - perp * self.len_lower,
         ])
 
-    def contains(self, pixels: np.ndarray) -> np.ndarray:
-        """Vectorized point-in-convex-quad test (boundary counts as inside)."""
-        corners = self.corners()
-        pts = np.atleast_2d(np.asarray(pixels, dtype=np.float64))
+    def contains(self, u, v) -> np.ndarray:
+        """Point-in-convex-quad test at pixel (u, v); the boundary is inside.
+
+        ``u`` and ``v`` broadcast: a row of columns and a column of rows
+        test a whole pixel box, with each edge function one term per
+        column, one per row and one subtraction per pixel.
+        """
+        corners = self.corners().tolist()
+        u = np.atleast_1d(np.asarray(u, dtype=np.float64))
+        v = np.atleast_1d(np.asarray(v, dtype=np.float64))
+        edges = list(zip(corners, corners[1:] + corners[:1]))
         # winding orientation from the shoelace sum
         area2 = 0.0
-        for i in range(4):
-            a = corners[i]
-            b = corners[(i + 1) % 4]
-            area2 += a[0] * b[1] - b[0] * a[1]
+        for (ax, ay), (bx, by) in edges:
+            area2 += ax * by - bx * ay
         orient = 1.0 if area2 >= 0 else -1.0
-        inside = np.ones(len(pts), dtype=bool)
-        for i in range(4):
-            a = corners[i]
-            b = corners[(i + 1) % 4]
-            e = b - a
-            cross = e[0] * (pts[:, 1] - a[1]) - e[1] * (pts[:, 0] - a[0])
-            inside &= orient * cross >= -1e-9
-        return inside
+        # Edge function orient * (e0 (v - a1) - e1 (u - a0)) for e = b - a.
+        # Negation is exact, so the sign moves onto e with the same bits.
+        # A pixel is inside when the least of the four is at least -1e-9.
+        least = None
+        for (ax, ay), (bx, by) in edges:
+            edge = (orient * (bx - ax)) * (v - ay) - (orient * (by - ay)) * (u - ax)
+            least = edge if least is None else np.minimum(least, edge, out=edge)
+        return least >= -1e-9
 
 
 @dataclass
@@ -151,7 +163,7 @@ def project_keypoints_to_mask(fused: dict, raw: dict, world_from_cam: RigidTrans
         if fk is not None:
             try:
                 pixel, depth = project(fk.position_world, world_from_cam, k)
-            except Exception:
+            except BehindCamera:
                 continue
             anchors[kp] = MaskAnchor(kp, pixel, depth, True)
         elif kp in raw:
@@ -216,6 +228,11 @@ def paint_masks(trapezoids, width: int, height: int) -> MaskImage:
     depth covering it, independent of input order. The stored per-pixel
     depth interpolates between the base paint depths, giving extraction a
     depth prior for the labeled part at that pixel.
+
+    Each trapezoid is tested over its clipped pixel box at once, a row of
+    column coordinates against a column of row coordinates (see
+    ``Trapezoid.contains``), and its depth is interpolated only at the
+    pixels inside, which are written in row-major order.
     """
     mask = MaskImage.blank(width, height)
     for tz in sorted(trapezoids, key=lambda t: (-t.paint_depth, t.part)):
@@ -226,14 +243,25 @@ def paint_masks(trapezoids, width: int, height: int) -> MaskImage:
         v1 = min(height - 1, int(np.ceil(corners[:, 1].max())))
         if u1 < u0 or v1 < v0:
             continue
-        vv, uu = np.mgrid[v0:v1 + 1, u0:u1 + 1]
-        pix = np.column_stack([uu.ravel(), vv.ravel()]).astype(np.float64)
-        inside = tz.contains(pix)
-        depths = tz.depth_at(pix)
-        inside2 = inside.reshape(vv.shape)
-        mask.labels[v0:v1 + 1, u0:u1 + 1][inside2] = tz.part
-        mask.depths[v0:v1 + 1, u0:u1 + 1][inside2] = depths[inside]
+        us = np.arange(u0, u1 + 1, dtype=np.float64)
+        vs = np.arange(v0, v1 + 1, dtype=np.float64)[:, None]
+        inside = tz.contains(us, vs)
+        pixels = np.column_stack([np.broadcast_to(us, inside.shape)[inside],
+                                  np.broadcast_to(vs, inside.shape)[inside]])
+        box = (slice(v0, v1 + 1), slice(u0, u1 + 1))
+        mask.labels[box][inside] = tz.part
+        mask.depths[box][inside] = tz.depth_at(pixels)
     return mask
+
+
+def _rows_where(keep: np.ndarray, *arrays) -> list:
+    """The rows of each array where ``keep`` is true, in order.
+
+    ``np.take`` by index gathers rows about three times faster than a
+    boolean index does.
+    """
+    index = np.flatnonzero(keep)
+    return [np.take(a, index, axis=0) for a in arrays]
 
 
 @dataclass(frozen=True)
@@ -255,13 +283,17 @@ def extract_clouds(mask: MaskImage, depth_image: np.ndarray,
                    camera: str = "") -> list:
     """Per-part world-frame clouds from a painted mask and a depth image.
 
-    Pipeline per labeled part: lift valid-depth pixels, drop points inside
-    any (inflated) robot-link cylinder, voxel-downsample, range-gate on
-    camera distance, and keep the largest Euclidean cluster.
+    One pass over all labeled pixels: lift the pixels with valid depth
+    that pass the depth gate, drop points inside any (inflated) robot-link
+    cylinder, voxel-downsample with the part label as the first sort key,
+    and range-gate every centroid on camera depth. The centroids then
+    come in (part, voxel-key) order, and each part's contiguous slice goes
+    to ``largest_euclidean_cluster``; clouds are returned in part order.
 
-    The depth tests run only inside the window of rows and columns that
-    hold a label; at 640x480 it covers about a sixth of the image. Pixels
-    are still taken in row-major order of the whole image.
+    The validity test runs only inside the window of rows and columns
+    that hold a label; at 640x480 it covers about a sixth of the image.
+    Pixels are still taken in row-major order of the whole image, and the
+    depth gate is evaluated at valid pixels only.
     """
     if mask.labels.shape != depth_image.shape:
         raise ValueError("mask and depth image dimensions differ")
@@ -273,35 +305,41 @@ def extract_clouds(mask: MaskImage, depth_image: np.ndarray,
     cols = np.flatnonzero(labeled.any(axis=0))
     window = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
     depth = depth_image[window]
-    valid = labeled[window] & np.isfinite(depth) & (depth > 0)
-    if params.depth_gate > 0:
-        valid &= np.abs(depth - mask.depths[window]) <= params.depth_gate
-    if not valid.any():
-        return clouds
-    vs, us = np.nonzero(valid)
-    depths = depth[vs, us].astype(np.float64)
+    vs, us = np.nonzero(labeled[window] & np.isfinite(depth) & (depth > 0))
     vs += rows[0]
     us += cols[0]
-    labels = mask.labels[vs, us]
+    # flat pixel indices: np.take gathers about twice as fast as [vs, us]
+    flat = vs * depth_image.shape[1] + us
+    depths = np.take(depth_image, flat).astype(np.float64, copy=False)
+    if params.depth_gate > 0:
+        gate = np.abs(depths - np.take(mask.depths, flat)) <= params.depth_gate
+        vs, us, flat, depths = _rows_where(gate, vs, us, flat, depths)
+    if not len(depths):
+        return clouds
+    labels = np.take(mask.labels, flat)
+    parts = np.unique(labels)
     cam_pts = reproject_many(np.column_stack([us, vs]).astype(np.float64), depths, k)
-    world_pts = world_from_cam.apply(cam_pts)
+    pts = world_from_cam.apply(cam_pts)
 
-    cam_from_world = world_from_cam.inverse()
-    for part in np.unique(labels):
-        pts = world_pts[labels == part]
+    if robot_links:
+        keep = np.ones(len(pts), dtype=bool)
+        for link in robot_links:
+            margin = link.radius * (params.robot_margin_scale - 1.0)
+            keep &= ~link.contains(pts, radial_margin=margin)
+        pts, labels = _rows_where(keep, pts, labels)
 
-        if robot_links:
-            keep = np.ones(len(pts), dtype=bool)
-            for link in robot_links:
-                margin = link.radius * (params.robot_margin_scale - 1.0)
-                keep &= ~link.contains(pts, radial_margin=margin)
-            pts = pts[keep]
-
-        pts = voxel_downsample(pts, params.voxel)
-        if len(pts):
-            cam_z = cam_from_world.apply(pts)[:, 2]
-            pts = passthrough(pts, cam_z, params.range_min, params.range_max)
-        pts = largest_euclidean_cluster(pts, params.cluster_radius, params.cluster_min)
-        if len(pts):
-            clouds.append(KeypartCloud(int(part), pts, camera))
+    pts, labels = voxel_downsample(pts, labels, params.voxel)
+    if len(pts):
+        cam_z = world_from_cam.inverse().apply(pts)[:, 2]
+        keep = (cam_z >= params.range_min) & (cam_z <= params.range_max)
+        pts, labels = _rows_where(keep, pts, labels)
+    # every part that had a pixel is clustered, even when its slice is empty
+    bounds = np.searchsorted(labels, parts, side="right")
+    start = 0
+    for part, stop in zip(parts, bounds):
+        kept = largest_euclidean_cluster(pts[start:stop], params.cluster_radius,
+                                         params.cluster_min)
+        start = stop
+        if len(kept):
+            clouds.append(KeypartCloud(int(part), kept, camera))
     return clouds

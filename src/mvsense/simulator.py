@@ -267,6 +267,8 @@ def render_depth(rig: CameraRig, cylinders, noise: DepthNoise | None = None,
     row-major order. Misses stay exactly 0.0, and any noisy depth at or
     below 1e-6 becomes a miss. At 640x480 about a tenth of the pixels are
     hit, and drawing for every pixel took about a third of a render.
+    The nearest-hit reduction, the hit test and the write-back run only
+    over the union window of the boxes; the rest of the image is zeros.
     """
     k = rig.intrinsics
     pose = rig.world_pose()
@@ -283,23 +285,28 @@ def render_depth(rig: CameraRig, cylinders, noise: DepthNoise | None = None,
         cast.append(cyl)
     t = cast_rays(pose.translation, dirs, cast)
 
-    depth = np.full((k.height, k.width), np.inf)
+    # every hit lies in the union window of the boxes; row-major order
+    # inside it is the whole image's order, so the draws land alike
+    v0 = min((box[0].start for box in boxes), default=0)
+    v1 = max((box[0].stop for box in boxes), default=0)
+    u0 = min((box[1].start for box in boxes), default=0)
+    u1 = max((box[1].stop for box in boxes), default=0)
+    near = np.full((v1 - v0, u1 - u0), np.inf)
     start = 0
-    for box in boxes:
-        view = depth[box]
+    for rows, cols in boxes:
+        view = near[rows.start - v0:rows.stop - v0, cols.start - u0:cols.stop - u0]
         np.minimum(view, t[start:start + view.size].reshape(view.shape), out=view)
         start += view.size
-    flat = depth.reshape(-1)
-    hit = np.flatnonzero(flat < np.inf)
-    d = flat[hit]
+    hit = near < np.inf
+    d = near[hit]
     if noise is not None and rng is not None:
         if noise.sigma_d > 0:
-            d += rng.normal(0.0, noise.sigma_d, len(hit))
+            d += rng.normal(0.0, noise.sigma_d, len(d))
         if noise.p_drop > 0:
-            d[rng.random(len(hit)) < noise.p_drop] = 0.0
+            d[rng.random(len(d)) < noise.p_drop] = 0.0
         d[~(d > 1e-6)] = 0.0
-    flat.fill(0.0)
-    flat[hit] = d
+    depth = np.zeros((k.height, k.width))
+    depth[v0:v1, u0:u1][hit] = d
     return depth
 
 

@@ -177,7 +177,7 @@ def test_criterion_05_mask_semantics(rng):
             best = np.full(width, np.inf)
             label = np.full(width, BACKGROUND, dtype=np.int16)
             for tz in tzs:
-                inside = tz.contains(pix)
+                inside = tz.contains(pix[:, 0], pix[:, 1])
                 closer = inside & (tz.paint_depth < best)
                 label[closer] = tz.part
                 best[closer] = tz.paint_depth

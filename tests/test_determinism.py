@@ -9,8 +9,9 @@ here. A change that alters behaviour on purpose must say so and update
 these digests with the accuracy table before and after.
 
 The 144x112 renders each fit in one block of ``geometry.cast_rays``, so
-one more trial runs the assembly template at multi-fixed with 640x480
-cameras, where every render spans several blocks.
+two more trials run at multi-fixed with 640x480 cameras, where every
+render spans several blocks: assembly, and reach-in, whose robot links
+remove points from several keyparts of one camera in the same frame.
 
 Recorded with Python 3.11, numpy 2.4 and scipy 1.17 on x86-64.
 """
@@ -54,6 +55,10 @@ HIRES_GOLDEN = {
         "8011b6212a9334019f565d8e7234ff0d2293ffeb66147a4333aa8a354f145bb3",
     "assembly_multi-fixed_0_summary.json":
         "2af739414154b121f8ca0424b4dd964a0e39876da8be414d6a47d21634302249",
+    "reach-in_multi-fixed_0_frames.csv":
+        "49c8fef410cc5a02620a6f18a0d93a58922f874c449fee2a8f93a17ec0d72cf7",
+    "reach-in_multi-fixed_0_summary.json":
+        "9993fc03f920e519634a92fbadcc13ded5281348d5be99255836f1d6b75a4d35",
 }
 
 
@@ -72,8 +77,18 @@ def test_metrics_files_match_golden_digests(template, config, tmp_path):
     assert_digests(script, config, tmp_path, GOLDEN)
 
 
-def test_hires_metrics_files_match_golden_digests(tmp_path):
-    script = scenario.TEMPLATES["assembly"](seed=0, duration=0.5)
+def run_hires(template, duration, out_dir):
+    script = scenario.TEMPLATES[template](seed=0, duration=duration)
     script.cameras = [hires(cam) for cam in script.cameras]
-    harness.run_trial(script, config="multi-fixed", out_dir=tmp_path)
-    assert_digests(script, "multi-fixed", tmp_path, HIRES_GOLDEN)
+    harness.run_trial(script, config="multi-fixed", out_dir=out_dir)
+    assert_digests(script, "multi-fixed", out_dir, HIRES_GOLDEN)
+
+
+def test_hires_metrics_files_match_golden_digests(tmp_path):
+    run_hires("assembly", 0.5, tmp_path)
+
+
+def test_hires_reach_in_metrics_files_match_golden_digests(tmp_path):
+    # from the fourth frame on the robot's links reach into several
+    # keyparts' clouds of one camera at once
+    run_hires("reach-in", 1.5, tmp_path)

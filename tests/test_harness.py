@@ -261,6 +261,18 @@ class TestCli:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_compare_jobs_below_one_exit_1(self, tmp_path, capsys, jobs):
+        path = self._write_script(tmp_path)
+        out = tmp_path / "out"
+        rc = main(["compare", "--script", str(path), "--trials", "1",
+                   "--jobs", str(jobs), "--out-dir", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert f"field 'jobs': need at least 1, got {jobs}" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_emit_template(self, tmp_path):
         out = tmp_path / "scene.scn"
         rc = main(["emit-template", "--name", "assembly", "--seed", "2",

@@ -2,8 +2,12 @@
 
 Painting semantics are verified against a per-pixel brute-force oracle:
 the label of a pixel must be the covering trapezoid with the smallest
-mean paint depth, whatever the input order.
+mean paint depth, whatever the input order. Painting, the label-keyed
+voxel filter and extraction are also checked bit for bit against the
+bodies they replaced, kept here as oracles.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +20,7 @@ from scipy.spatial import cKDTree
 
 from conftest import hires
 from mvsense import body, harness, keyparts, scenario
-from mvsense.filters import largest_euclidean_cluster, passthrough, voxel_downsample
+from mvsense.filters import largest_euclidean_cluster, voxel_downsample
 from mvsense.geometry import Cylinder, Intrinsics, RigidTransform, reproject_many
 from mvsense.keypoints import FusedKeypoint, Observation2D, PresenceWindow, presence
 from mvsense.keyparts import (
@@ -145,11 +149,23 @@ class TestProjectKeypointsToMask:
 
     def test_behind_camera_keypoint_skipped(self):
         k = k_small()
-        fused = {0: FusedKeypoint(0, np.array([0.0, 0.0, -1.0]), 0.9, 1)}
+        fused = {0: FusedKeypoint(0, np.array([0.0, 0.0, -1.0]), 0.9, 1),
+                 1: FusedKeypoint(1, np.array([0.1, 0.0, 2.0]), 0.9, 1)}
         depth = np.full((120, 160), 1.5)
         anchors = project_keypoints_to_mask(
             fused, {}, RigidTransform.identity(), k, depth, 3, [body.HEAD])
         assert 0 not in anchors
+        assert 1 in anchors  # the keypoint in front still gets its anchor
+
+    def test_other_projection_errors_propagate(self, monkeypatch):
+        def broken(*_args):
+            raise ZeroDivisionError("bug in project")
+
+        monkeypatch.setattr(keyparts, "project", broken)
+        fused = {0: FusedKeypoint(0, np.array([0.0, 0.0, 2.0]), 0.9, 1)}
+        with pytest.raises(ZeroDivisionError, match="bug in project"):
+            project_keypoints_to_mask(fused, {}, RigidTransform.identity(), k_small(),
+                                      np.full((120, 160), 1.5), 3, [body.HEAD])
 
     def test_part_endpoints_torso_uses_midpoints(self):
         from mvsense.keyparts import MaskAnchor
@@ -176,7 +192,7 @@ def brute_force_labels(trapezoids, width, height):
         pix = np.column_stack([np.arange(width), np.full(width, v)]).astype(float)
         best_depth = np.full(width, np.inf)
         for tz in trapezoids:
-            inside = tz.contains(pix)
+            inside = tz.contains(pix[:, 0], pix[:, 1])
             closer = inside & (tz.paint_depth < best_depth)
             labels[v, closer] = tz.part
             best_depth[closer] = tz.paint_depth
@@ -231,23 +247,147 @@ class TestPaintMasks:
         assert counts.sum() == 80 * 60
 
 
+def trapezoid_contains_reference(tz, pixels):
+    """Trapezoid.contains as it was before its edge functions became
+    separable: the point test over an (N, 2) array of (u, v) pixels."""
+    corners = tz.corners()
+    pts = np.atleast_2d(np.asarray(pixels, dtype=np.float64))
+    area2 = 0.0
+    for i in range(4):
+        a = corners[i]
+        b = corners[(i + 1) % 4]
+        area2 += a[0] * b[1] - b[0] * a[1]
+    orient = 1.0 if area2 >= 0 else -1.0
+    inside = np.ones(len(pts), dtype=bool)
+    for i in range(4):
+        a = corners[i]
+        b = corners[(i + 1) % 4]
+        e = b - a
+        cross = e[0] * (pts[:, 1] - a[1]) - e[1] * (pts[:, 0] - a[0])
+        inside &= orient * cross >= -1e-9
+    return inside
+
+
+def paint_masks_reference(trapezoids, width, height):
+    """paint_masks as it was: (u, v) arrays over each clipped box from
+    ``mgrid``, the point test and ``depth_at`` at every pixel of the box."""
+    mask = MaskImage.blank(width, height)
+    for tz in sorted(trapezoids, key=lambda t: (-t.paint_depth, t.part)):
+        corners = tz.corners()
+        u0 = max(0, int(np.floor(corners[:, 0].min())))
+        u1 = min(width - 1, int(np.ceil(corners[:, 0].max())))
+        v0 = max(0, int(np.floor(corners[:, 1].min())))
+        v1 = min(height - 1, int(np.ceil(corners[:, 1].max())))
+        if u1 < u0 or v1 < v0:
+            continue
+        vv, uu = np.mgrid[v0:v1 + 1, u0:u1 + 1]
+        pix = np.column_stack([uu.ravel(), vv.ravel()]).astype(np.float64)
+        inside = trapezoid_contains_reference(tz, pix)
+        depths = tz.depth_at(pix)
+        inside2 = inside.reshape(vv.shape)
+        mask.labels[v0:v1 + 1, u0:u1 + 1][inside2] = tz.part
+        mask.depths[v0:v1 + 1, u0:u1 + 1][inside2] = depths[inside]
+    return mask
+
+
+def same_mask(got, want) -> bool:
+    return (got.labels.dtype == want.labels.dtype and got.depths.dtype == want.depths.dtype
+            and got.labels.tobytes() == want.labels.tobytes()
+            and got.depths.tobytes() == want.depths.tobytes())
+
+
+def winding(tz) -> float:
+    c = tz.corners()
+    return float(sum(c[i, 0] * c[(i + 1) % 4, 1] - c[(i + 1) % 4, 0] * c[i, 1]
+                     for i in range(4)))
+
+
+# (part, mid_upper, mid_lower, len_upper, len_lower, depth_upper, depth_lower)
+CONSTRUCTED_TRAPEZOIDS = {
+    "end-on square patch": [(2, (40.3, 30.7), (40.3, 30.7), 6.5, 4.0, 1.5, 1.5)],
+    "crosses left border": [(1, (-6.0, 10.0), (12.0, 45.0), 9.0, 7.0, 2.0, 2.5)],
+    "crosses right border": [(1, (70.0, 5.5), (86.25, 40.0), 8.0, 5.0, 2.0, 1.0)],
+    "crosses top border": [(3, (30.0, -9.0), (36.0, 20.0), 10.0, 6.0, 1.0, 3.0)],
+    "crosses bottom border": [(3, (50.0, 48.0), (47.5, 70.0), 7.0, 11.0, 2.5, 2.0)],
+    "crosses a corner": [(4, (-4.0, -4.0), (9.0, 9.0), 8.0, 8.0, 1.0, 1.0)],
+    "covers the image": [(0, (40.0, -20.0), (40.0, 80.0), 60.0, 60.0, 2.0, 2.0)],
+    "outside the image": [(5, (-30.0, 10.0), (-25.0, 40.0), 5.0, 5.0, 1.0, 1.0)],
+    "end-on at a corner": [(6, (79.0, 59.0), (79.0, 59.0), 3.0, 3.0, 1.0, 1.0)],
+    "both windings overlapping": [(1, (20.0, 10.0), (30.0, 50.0), 8.0, 6.0, 2.0, 2.0),
+                                  (2, (25.0, 12.0), (28.0, 48.0), -7.0, -5.0, 1.5, 1.8)],
+}
+
+
+class TestPaintMatchesPerBoxReference:
+    """paint_masks, which tests each box by separable edge functions and
+    interpolates depth only inside, equals the per-box reference bit for
+    bit, labels and painted depths."""
+
+    @pytest.mark.parametrize("size", [(144, 112), (640, 480)])
+    def test_template_trials(self, size, monkeypatch):
+        results = []
+        paint = keyparts.paint_masks
+
+        def compared(*args):
+            got = paint(*args)
+            results.append((same_mask(got, paint_masks_reference(*args)),
+                            int((got.labels != BACKGROUND).sum())))
+            return got
+
+        monkeypatch.setattr(keyparts, "paint_masks", compared)
+        for name in sorted(scenario.TEMPLATES):
+            script = scenario.TEMPLATES[name](seed=3, duration=0.6)
+            script.cameras = [hires(cam, *size) for cam in script.cameras]
+            harness.run_trial(script, config="multi-fixed")
+        assert results and all(equal for equal, _ in results)
+        assert sum(n for _, n in results) > 0
+
+    @pytest.mark.parametrize("case", sorted(CONSTRUCTED_TRAPEZOIDS))
+    def test_constructed(self, case):
+        tzs = [make_trapezoid(*spec) for spec in CONSTRUCTED_TRAPEZOIDS[case]]
+        got = paint_masks(tzs, 80, 60)
+        assert same_mask(got, paint_masks_reference(tzs, 80, 60))
+        if case != "outside the image":
+            assert (got.labels != BACKGROUND).any()
+
+    def test_constructed_cases_hold_both_windings(self):
+        signs = {np.sign(winding(make_trapezoid(*spec)))
+                 for specs in CONSTRUCTED_TRAPEZOIDS.values() for spec in specs}
+        assert signs == {-1.0, 1.0}
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6))
+    def test_random_trapezoids(self, seed, n):
+        rng = np.random.default_rng(seed)
+        tzs = []
+        for part in range(n):
+            mu = rng.uniform(-20, 100, 2)
+            ml = mu + rng.uniform(-40, 40, 2) * (rng.random() > 0.2)  # some end-on
+            sign = rng.choice([-1.0, 1.0])
+            tzs.append(make_trapezoid(part, mu, ml, sign * rng.uniform(0.5, 15),
+                                      sign * rng.uniform(0.5, 15),
+                                      rng.uniform(0.5, 4.0), rng.uniform(0.5, 4.0)))
+        assert same_mask(paint_masks(tzs, 80, 60), paint_masks_reference(tzs, 80, 60))
+
+
 class TestFilters:
     def test_voxel_downsample_merges_to_centroids(self):
         pts = np.array([[0.0, 0.0, 0.0], [0.009, 0.0, 0.0], [0.5, 0.5, 0.5]])
-        out = voxel_downsample(pts, 0.02)
+        out, labels = voxel_downsample(pts, np.zeros(3, dtype=np.int16), 0.02)
         assert len(out) == 2
         assert np.allclose(out[0], [0.0045, 0.0, 0.0])
+        assert labels.tolist() == [0, 0]
+
+    def test_voxel_downsample_keeps_labels_apart(self):
+        pts = np.array([[0.0, 0.0, 0.0], [0.009, 0.0, 0.0], [0.5, 0.5, 0.5]])
+        out, labels = voxel_downsample(pts, np.array([3, 1, 3], dtype=np.int16), 0.02)
+        assert labels.tolist() == [1, 3, 3]
+        assert np.array_equal(out, pts[[1, 0, 2]])
 
     def test_never_adds_points(self, rng):
         pts = rng.uniform(-1, 1, (500, 3))
-        assert len(voxel_downsample(pts, 0.05)) <= 500
-        assert len(passthrough(pts, pts[:, 2], -0.5, 0.5)) <= 500
+        assert len(voxel_downsample(pts, rng.integers(0, 4, 500), 0.05)[0]) <= 500
         assert len(largest_euclidean_cluster(pts, 0.2, 5)) <= 500
-
-    def test_passthrough_range(self):
-        pts = np.array([[0, 0, 0.1], [0, 0, 3.0], [0, 0, 9.0]], dtype=float)
-        out = passthrough(pts, pts[:, 2], 0.2, 5.0)
-        assert len(out) == 1 and out[0][2] == 3.0
 
     def test_cluster_keeps_largest(self):
         a = np.random.default_rng(0).normal(0, 0.01, (30, 3))
@@ -261,9 +401,65 @@ class TestFilters:
 
     def test_empty_inputs(self):
         empty = np.zeros((0, 3))
-        assert len(voxel_downsample(empty, 0.1)) == 0
-        assert len(passthrough(empty, np.zeros(0), 0, 1)) == 0
+        out, labels = voxel_downsample(empty, np.zeros(0, dtype=np.int16), 0.1)
+        assert out.shape == (0, 3) and labels.shape == (0,)
         assert len(largest_euclidean_cluster(empty, 0.1, 1)) == 0
+
+
+def voxel_downsample_reference(points, voxel):
+    """The per-part voxel filter that the label-keyed one replaced: one
+    centroid per occupied voxel, in voxel-key order."""
+    pts = np.asarray(points, dtype=np.float64)
+    if len(pts) == 0:
+        return pts.reshape(0, 3)
+    keys = np.floor(pts / voxel).astype(np.int64)
+    order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
+    keys = keys[order]
+    pts = pts[order]
+    change = np.any(np.diff(keys, axis=0) != 0, axis=1)
+    starts = np.concatenate([[0], np.nonzero(change)[0] + 1, [len(pts)]])
+    out = np.add.reduceat(pts, starts[:-1], axis=0)
+    counts = np.diff(starts)
+    return out / counts[:, None]
+
+
+@st.composite
+def labeled_clouds(draw):
+    """Points with interleaved labels, some exactly on voxel boundaries,
+    negative coordinates, and labels that hold a single point."""
+    voxel = draw(st.sampled_from([0.02, 0.05, 0.25]))
+    n = draw(st.integers(1, 60))
+    coord = st.one_of(st.floats(-1.0, 1.0, width=32),
+                      st.integers(-40, 40).map(lambda i: i * voxel))
+    pts = draw(hnp.arrays(np.float64, (n, 3), elements=coord))
+    labels = draw(hnp.arrays(np.int16, n, elements=st.integers(0, 9)))
+    return pts, labels, voxel
+
+
+class TestVoxelMatchesPerLabelReference:
+    @settings(max_examples=100, deadline=None)
+    @given(cloud=labeled_clouds())
+    def test_label_keyed_equals_per_label_calls(self, cloud):
+        pts, labels, voxel = cloud
+        got, got_labels = voxel_downsample(pts, labels, voxel)
+        want = [voxel_downsample_reference(pts[labels == part], voxel)
+                for part in np.unique(labels)]
+        want_labels = np.repeat(np.unique(labels), [len(w) for w in want])
+        assert got.dtype == np.float64 and got.shape == (len(want_labels), 3)
+        assert got.tobytes() == np.concatenate(want).tobytes()
+        assert got_labels.dtype == labels.dtype
+        assert np.array_equal(got_labels, want_labels)
+
+    def test_cloud_too_wide_for_one_sort_key_raises(self):
+        pts = np.array([[0.0, 0.0, 0.0], [1e4, -1e4, 1e4]])
+        with pytest.raises(ValueError, match="too many for one sort key"):
+            voxel_downsample(pts, np.array([0, 9], dtype=np.int16), 1e-3)
+
+    def test_coincident_points_of_two_labels_stay_apart(self):
+        pts = np.array([[-0.02, 0.0, 0.04]] * 3)
+        got, got_labels = voxel_downsample(pts, np.array([5, 2, 5], dtype=np.int16), 0.02)
+        assert got_labels.tolist() == [2, 5]
+        assert np.array_equal(got, pts[:2])
 
 
 def reference_cluster(pts, radius, min_size):
@@ -351,7 +547,7 @@ class TestExtractClouds:
         pts_cam = cam.apply(clouds[0].points)
         u = k.fx * pts_cam[:, 0] / pts_cam[:, 2] + k.cx
         v = k.fy * pts_cam[:, 1] / pts_cam[:, 2] + k.cy
-        assert tz.contains(np.column_stack([u, v])).all()
+        assert tz.contains(u, v).all()
 
     def test_robot_envelope_removes_points(self):
         rig, cyl, depth = self._scene()
@@ -387,6 +583,35 @@ class TestExtractClouds:
         cam_z = rig.world_pose().inverse().apply(gated[0].points)[:, 2]
         assert np.all(cam_z < 2.5)  # wall points (z ~ 2.5+) were gated out
 
+    def test_range_gate_on_camera_depth(self):
+        rig, _cyl, depth = self._scene()
+        tz = make_trapezoid(3, (79.5, 10.0), (79.5, 110.0), 10.0, 10.0, 2.0, 2.0)
+        mask = paint_masks([tz], 160, 120)
+        cam = rig.world_pose().inverse()
+        kept = extract_clouds(mask, depth, rig.world_pose(), rig.intrinsics,
+                              params=CloudParams(cluster_min=5, range_max=1.955))
+        cam_z = cam.apply(kept[0].points)[:, 2]  # the near side spans 1.94-1.975 m
+        assert np.all(cam_z <= 1.955) and len(cam_z) >= 5
+        every = extract_clouds(mask, depth, rig.world_pose(), rig.intrinsics,
+                               params=CloudParams(cluster_min=5))
+        assert len(every[0].points) > len(kept[0].points)
+        assert extract_clouds(mask, depth, rig.world_pose(), rig.intrinsics,
+                              params=CloudParams(cluster_min=5, range_min=1.98)) == []
+
+    def test_inf_depth_evaluates_no_invalid_gate(self):
+        rig, depth, paint = wall_frame(seed=4)
+        mask = MaskImage.blank(160, 120)
+        mask.labels[:, 40:120] = body.TORSO
+        mask.depths[:, 40:120] = paint[:, 40:120]
+        mask.labels[::2, 60] = BACKGROUND  # background inside the window
+        mask.depths[::2, 60] = np.inf
+        depth[::4, 60] = np.inf  # inf - inf there before validity was tested first
+        depth[5, 50] = np.inf  # and an inf at a labeled pixel
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            clouds = extract_clouds(mask, depth, rig.world_pose(), rig.intrinsics)
+        assert [c.part for c in clouds] == [body.TORSO]
+
     def test_dimension_mismatch_rejected(self):
         rig, _cyl, depth = self._scene()
         with pytest.raises(ValueError):
@@ -397,7 +622,9 @@ class TestExtractClouds:
 def extract_clouds_reference(mask, depth_image, world_from_cam, k, robot_links=(),
                              params=CloudParams(), camera=""):
     """extract_clouds with the validity test over the whole image, as it was
-    before the test moved inside the labeled window."""
+    before the test moved inside the labeled window, and with the robot,
+    voxel and range filters run once per part, as before they ran once per
+    camera. Its gate evaluates inf - inf where the depth image holds inf."""
     if mask.labels.shape != depth_image.shape:
         raise ValueError("mask and depth image dimensions differ")
     valid = (mask.labels != BACKGROUND) & np.isfinite(depth_image) & (depth_image > 0)
@@ -423,10 +650,10 @@ def extract_clouds_reference(mask, depth_image, world_from_cam, k, robot_links=(
                 keep &= ~link.contains(pts, radial_margin=margin)
             pts = pts[keep]
 
-        pts = voxel_downsample(pts, params.voxel)
+        pts = voxel_downsample_reference(pts, params.voxel)
         if len(pts):
             cam_z = cam_from_world.apply(pts)[:, 2]
-            pts = passthrough(pts, cam_z, params.range_min, params.range_max)
+            pts = pts[(cam_z >= params.range_min) & (cam_z <= params.range_max)]
         pts = largest_euclidean_cluster(pts, params.cluster_radius, params.cluster_min)
         if len(pts):
             clouds.append(KeypartCloud(int(part), pts, camera))
@@ -439,11 +666,31 @@ def same_clouds(got, want) -> bool:
             and all(g.points.tobytes() == w.points.tobytes() for g, w in zip(got, want)))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+def quiet_reference(*args, **kwargs):
+    """extract_clouds_reference without its inf - inf warning."""
+    with np.errstate(invalid="ignore"):
+        return extract_clouds_reference(*args, **kwargs)
+
+
+def wall_frame(seed):
+    """A wall filling a 160x120 view, with zero, NaN and inf pixels, and
+    paint depths around the measured depth, some past the gate."""
+    from mvsense.simulator import CameraRig, camera_mount, render_depth
+    rig = CameraRig("c0", k_small(), camera_mount((0, 0, 0.5), 0.0, 0.0))
+    wall = Cylinder(np.array([3.0, 0.0, -3.0]), np.array([0.0, 0.0, 1.0]), 6.0, 1.5)
+    depth = render_depth(rig, [wall])
+    assert np.all(depth > 0)
+    rng = np.random.default_rng(seed)
+    for bad in (0.0, np.nan, np.inf):
+        depth[rng.integers(0, 120, 40), rng.integers(0, 160, 40)] = bad
+    paint = depth + rng.normal(0.0, 0.2, depth.shape)
+    return rig, depth, paint
+
+
 class TestExtractMatchesFullImageReference:
-    """extract_clouds, which tests depth only inside the labeled window,
-    equals the full-image reference bit for bit. The constructed depth
-    images hold inf, so both sides warn on inf - inf in the gate."""
+    """extract_clouds, which tests depth only inside the labeled window and
+    filters all parts of a camera in one pass, equals the full-image,
+    per-part reference bit for bit."""
 
     @pytest.mark.parametrize("size", [(144, 112), (640, 480)])
     def test_template_trials(self, size, monkeypatch):
@@ -454,8 +701,7 @@ class TestExtractMatchesFullImageReference:
 
         def compared(*args, **kwargs):
             got = extract(*args, **kwargs)
-            results.append((same_clouds(got, extract_clouds_reference(*args, **kwargs)),
-                            len(got)))
+            results.append((same_clouds(got, quiet_reference(*args, **kwargs)), len(got)))
             return got
 
         monkeypatch.setattr(keyparts, "extract_clouds", compared)
@@ -465,21 +711,6 @@ class TestExtractMatchesFullImageReference:
             harness.run_trial(script, config="multi-fixed")
         assert results and all(equal for equal, _ in results)
         assert sum(n for _, n in results) > 0
-
-    @staticmethod
-    def _wall_frame(seed):
-        """A wall filling a 160x120 view, with zero, NaN and inf pixels, and
-        paint depths around the measured depth, some past the gate."""
-        from mvsense.simulator import CameraRig, camera_mount, render_depth
-        rig = CameraRig("c0", k_small(), camera_mount((0, 0, 0.5), 0.0, 0.0))
-        wall = Cylinder(np.array([3.0, 0.0, -3.0]), np.array([0.0, 0.0, 1.0]), 6.0, 1.5)
-        depth = render_depth(rig, [wall])
-        assert np.all(depth > 0)
-        rng = np.random.default_rng(seed)
-        for bad in (0.0, np.nan, np.inf):
-            depth[rng.integers(0, 120, 40), rng.integers(0, 160, 40)] = bad
-        paint = depth + rng.normal(0.0, 0.2, depth.shape)
-        return rig, depth, paint
 
     @pytest.mark.parametrize("window", [
         (slice(0, 1), slice(0, 160)),      # top row
@@ -494,7 +725,7 @@ class TestExtractMatchesFullImageReference:
     @pytest.mark.parametrize("params", [CloudParams(cluster_min=1),
                                         CloudParams(depth_gate=0.0), CloudParams()])
     def test_windows_touching_the_borders(self, window, params):
-        rig, depth, paint = self._wall_frame(seed=window[0].start + window[1].start)
+        rig, depth, paint = wall_frame(seed=window[0].start + window[1].start)
         rng = np.random.default_rng(window[0].stop)
         mask = MaskImage.blank(160, 120)
         labels = rng.integers(-1, 4, mask.labels[window].shape)  # -1 is BACKGROUND
@@ -502,27 +733,26 @@ class TestExtractMatchesFullImageReference:
         mask.depths[window] = np.where(labels == BACKGROUND, np.inf, paint[window])
         got = extract_clouds(mask, depth, rig.world_pose(), rig.intrinsics, params=params,
                              camera="c0")
-        want = extract_clouds_reference(mask, depth, rig.world_pose(), rig.intrinsics,
-                                        params=params, camera="c0")
+        want = quiet_reference(mask, depth, rig.world_pose(), rig.intrinsics,
+                               params=params, camera="c0")
         assert same_clouds(got, want)
         assert want or params.cluster_min > 1  # a one-pixel strip may be below 10 points
 
     def test_nothing_painted(self):
-        rig, depth, _paint = self._wall_frame(seed=0)
+        rig, depth, _paint = wall_frame(seed=0)
         mask = MaskImage.blank(160, 120)
         assert extract_clouds(mask, depth, rig.world_pose(), rig.intrinsics) == []
-        assert extract_clouds_reference(mask, depth, rig.world_pose(), rig.intrinsics) == []
+        assert quiet_reference(mask, depth, rig.world_pose(), rig.intrinsics) == []
 
     @pytest.mark.parametrize("pixel", [(0, 0), (0, 159), (119, 0), (119, 159), (60, 80)])
     def test_single_painted_pixel(self, pixel):
-        rig, depth, _paint = self._wall_frame(seed=1)
+        rig, depth, _paint = wall_frame(seed=1)
         depth[pixel] = 2.0
         mask = MaskImage.blank(160, 120)
         mask.labels[pixel] = body.TORSO
         mask.depths[pixel] = 2.0
         params = CloudParams(cluster_min=1)
         got = extract_clouds(mask, depth, rig.world_pose(), rig.intrinsics, params=params)
-        want = extract_clouds_reference(mask, depth, rig.world_pose(), rig.intrinsics,
-                                        params=params)
+        want = quiet_reference(mask, depth, rig.world_pose(), rig.intrinsics, params=params)
         assert same_clouds(got, want)
         assert [(c.part, len(c.points)) for c in got] == [(body.TORSO, 1)]
