@@ -389,15 +389,6 @@ def ray_cylinder_hits(origin, dirs: np.ndarray, cyl: Cylinder) -> np.ndarray:
     return cast_rays(origin, [np.asarray(dirs, dtype=np.float64).reshape(-1, 3)], [cyl])
 
 
-def ray_cylinder_intersect(origin, direction, cyl: Cylinder):
-    """Nearest hit distance of a unit-direction ray, or None on a miss."""
-    d = _as_vec3(direction)
-    if abs(np.linalg.norm(d) - 1.0) > 1e-6:
-        raise ValueError("direction must be a unit vector")
-    t = ray_cylinder_hits(_as_vec3(origin), d[None, :], cyl)[0]
-    return float(t) if np.isfinite(t) else None
-
-
 # ---------------------------------------------------------------------------
 # segment / segment distance (used for collision clearance)
 

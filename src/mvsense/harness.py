@@ -468,7 +468,7 @@ def write_frame_dump(dump: dict, out_dir: Path, frame: int) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     for rig_id, mask in dump["masks"].items():
         path = out_dir / f"frame{frame}_{rig_id}_mask.txt"
-        np.savetxt(path, mask.labels, fmt="%d")
+        np.savetxt(path, mask.expanded().labels, fmt="%d")
     for part, pts in dump["clouds"].items():
         path = out_dir / f"frame{frame}_part{part}_cloud.xyz"
         with open(path, "w", encoding="utf-8") as f:

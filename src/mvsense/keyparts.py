@@ -122,17 +122,40 @@ class Trapezoid:
 
 @dataclass
 class MaskImage:
-    """Per-pixel keypart label plus the depth it was painted at."""
+    """Per-pixel keypart label plus the depth it was painted at.
+
+    ``labels`` and ``depths`` cover a window of the image whose first
+    pixel is ``origin`` (row, column); every pixel outside it is
+    background. ``shape`` is the whole image's (height, width), by default
+    the window's.
+    """
 
     labels: np.ndarray
     depths: np.ndarray
+    origin: tuple = (0, 0)
+    shape: tuple | None = None
+
+    def __post_init__(self):
+        if self.shape is None:
+            self.shape = self.labels.shape
 
     @staticmethod
-    def blank(width: int, height: int) -> "MaskImage":
+    def blank(width: int, height: int, origin=(0, 0), shape=None) -> "MaskImage":
+        """A background window of width x height pixels at ``origin``."""
         return MaskImage(
             np.full((height, width), BACKGROUND, dtype=np.int16),
             np.full((height, width), np.inf, dtype=np.float64),
+            origin, shape,
         )
+
+    def expanded(self) -> "MaskImage":
+        """The same mask over the whole image."""
+        whole = MaskImage.blank(self.shape[1], self.shape[0])
+        r0, c0 = self.origin
+        h, w = self.labels.shape
+        whole.labels[r0:r0 + h, c0:c0 + w] = self.labels
+        whole.depths[r0:r0 + h, c0:c0 + w] = self.depths
+        return whole
 
 
 @dataclass
@@ -232,23 +255,31 @@ def paint_masks(trapezoids, width: int, height: int) -> MaskImage:
     Each trapezoid is tested over its clipped pixel box at once, a row of
     column coordinates against a column of row coordinates (see
     ``Trapezoid.contains``), and its depth is interpolated only at the
-    pixels inside, which are written in row-major order.
+    pixels inside, which are written in row-major order. The mask covers
+    only the union window of the boxes: at 640x480 the trapezoids fill a
+    few percent of the image.
     """
-    mask = MaskImage.blank(width, height)
+    painted = []
     for tz in sorted(trapezoids, key=lambda t: (-t.paint_depth, t.part)):
         corners = tz.corners()
         u0 = max(0, int(np.floor(corners[:, 0].min())))
         u1 = min(width - 1, int(np.ceil(corners[:, 0].max())))
         v0 = max(0, int(np.floor(corners[:, 1].min())))
         v1 = min(height - 1, int(np.ceil(corners[:, 1].max())))
-        if u1 < u0 or v1 < v0:
-            continue
+        if u1 >= u0 and v1 >= v0:
+            painted.append((tz, u0, u1, v0, v1))
+    if not painted:
+        return MaskImage.blank(0, 0, shape=(height, width))
+    _, u0s, u1s, v0s, v1s = zip(*painted)
+    r0, c0 = min(v0s), min(u0s)
+    mask = MaskImage.blank(max(u1s) + 1 - c0, max(v1s) + 1 - r0, (r0, c0), (height, width))
+    for tz, u0, u1, v0, v1 in painted:
         us = np.arange(u0, u1 + 1, dtype=np.float64)
         vs = np.arange(v0, v1 + 1, dtype=np.float64)[:, None]
         inside = tz.contains(us, vs)
         pixels = np.column_stack([np.broadcast_to(us, inside.shape)[inside],
                                   np.broadcast_to(vs, inside.shape)[inside]])
-        box = (slice(v0, v1 + 1), slice(u0, u1 + 1))
+        box = (slice(v0 - r0, v1 + 1 - r0), slice(u0 - c0, u1 + 1 - c0))
         mask.labels[box][inside] = tz.part
         mask.depths[box][inside] = tz.depth_at(pixels)
     return mask
@@ -290,33 +321,30 @@ def extract_clouds(mask: MaskImage, depth_image: np.ndarray,
     come in (part, voxel-key) order, and each part's contiguous slice goes
     to ``largest_euclidean_cluster``; clouds are returned in part order.
 
-    The validity test runs only inside the window of rows and columns
-    that hold a label; at 640x480 it covers about a sixth of the image.
-    Pixels are still taken in row-major order of the whole image, and the
-    depth gate is evaluated at valid pixels only.
+    The validity test runs only inside the mask's window, the union of
+    its trapezoids' boxes, so no pass covers the whole image. Pixels are
+    still taken in row-major order of the whole image, and the depth gate
+    is evaluated at valid pixels only.
     """
-    if mask.labels.shape != depth_image.shape:
+    if mask.shape != depth_image.shape:
         raise ValueError("mask and depth image dimensions differ")
     clouds = []
-    labeled = mask.labels != BACKGROUND
-    rows = np.flatnonzero(labeled.any(axis=1))
-    if not len(rows):
-        return clouds
-    cols = np.flatnonzero(labeled.any(axis=0))
-    window = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
-    depth = depth_image[window]
-    vs, us = np.nonzero(labeled[window] & np.isfinite(depth) & (depth > 0))
-    vs += rows[0]
-    us += cols[0]
+    r0, c0 = mask.origin
+    h, w = mask.labels.shape
+    depth = depth_image[r0:r0 + h, c0:c0 + w]
+    vs, us = np.nonzero((mask.labels != BACKGROUND) & np.isfinite(depth) & (depth > 0))
     # flat pixel indices: np.take gathers about twice as fast as [vs, us]
+    in_window = vs * w + us
+    vs += r0
+    us += c0
     flat = vs * depth_image.shape[1] + us
     depths = np.take(depth_image, flat).astype(np.float64, copy=False)
     if params.depth_gate > 0:
-        gate = np.abs(depths - np.take(mask.depths, flat)) <= params.depth_gate
-        vs, us, flat, depths = _rows_where(gate, vs, us, flat, depths)
+        gate = np.abs(depths - np.take(mask.depths, in_window)) <= params.depth_gate
+        vs, us, in_window, depths = _rows_where(gate, vs, us, in_window, depths)
     if not len(depths):
         return clouds
-    labels = np.take(mask.labels, flat)
+    labels = np.take(mask.labels, in_window)
     parts = np.unique(labels)
     cam_pts = reproject_many(np.column_stack([us, vs]).astype(np.float64), depths, k)
     pts = world_from_cam.apply(cam_pts)

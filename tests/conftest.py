@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mvsense import body
-from mvsense.geometry import BehindCamera, Intrinsics, RigidTransform, project
+from mvsense.geometry import BehindCamera, Intrinsics, RigidTransform, project, ray_cylinder_hits
 from mvsense.geometry import rot_x, rot_y, rot_z
 from mvsense.simulator import occlusion_mask
 
@@ -73,6 +73,16 @@ def ray_cylinder_hits_reference(origins, dirs, cyl):
             best = np.where(ok & (t < best), t, best)
 
     return best
+
+
+def first_hit(origin, direction, cyl):
+    """Distance to the nearest hit of one ray, or None on a miss.
+
+    ``geometry.ray_cylinder_hits`` for a single ray; with a unit direction
+    the ray parameter is the distance.
+    """
+    t = ray_cylinder_hits(origin, np.asarray(direction, dtype=np.float64)[None, :], cyl)[0]
+    return float(t) if np.isfinite(t) else None
 
 
 def keypoint_flags(rig, pose, robot_links=()) -> list:

@@ -170,7 +170,7 @@ def test_criterion_05_mask_semantics(rng):
                                  float(rng.uniform(2, 10)),
                                  float(rng.uniform(0.5, 4.0)),
                                  float(rng.uniform(0.5, 4.0))))
-        mask = paint_masks(tzs, width, height)
+        mask = paint_masks(tzs, width, height).expanded()
         pix_row = np.arange(width)
         for v in range(height):
             pix = np.column_stack([pix_row, np.full(width, v)]).astype(float)

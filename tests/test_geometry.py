@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_rigid, ray_cylinder_hits_reference
+from conftest import first_hit, random_rigid, ray_cylinder_hits_reference
 from mvsense.geometry import (
     RAY_BLOCK,
     BehindCamera,
@@ -23,7 +23,6 @@ from mvsense.geometry import (
     normalize,
     project,
     ray_cylinder_hits,
-    ray_cylinder_intersect,
     reproject,
     rotation_between,
     segment_segment_distance,
@@ -183,18 +182,18 @@ class TestRayCylinder:
         self.cyl = Cylinder(np.zeros(3), np.array([0.0, 0.0, 1.0]), 1.0, 0.5)
 
     def test_hits_top_cap(self):
-        t = ray_cylinder_intersect((0, 0, 5), (0, 0, -1), self.cyl)
+        t = first_hit((0, 0, 5), (0, 0, -1), self.cyl)
         assert t == pytest.approx(4.0, abs=1e-12)
 
     def test_lateral_miss(self):
-        assert ray_cylinder_intersect((2, 0, 0.5), (0, 0, -1), self.cyl) is None
+        assert first_hit((2, 0, 0.5), (0, 0, -1), self.cyl) is None
 
     def test_lateral_hit(self):
-        t = ray_cylinder_intersect((2, 0, 0.5), (-1, 0, 0), self.cyl)
+        t = first_hit((2, 0, 0.5), (-1, 0, 0), self.cyl)
         assert t == pytest.approx(1.5, abs=1e-12)
 
     def test_inside_hits_wall(self):
-        t = ray_cylinder_intersect((0, 0, 0.5), (1, 0, 0), self.cyl)
+        t = first_hit((0, 0, 0.5), (1, 0, 0), self.cyl)
         assert t == pytest.approx(0.5, abs=1e-12)
 
     def test_random_rays_match_sphere_tracing(self, rng):
@@ -210,7 +209,7 @@ class TestRayCylinder:
                 direction = normalize(target - origin)
             else:
                 direction = normalize(rng.normal(size=3))
-            ours = ray_cylinder_intersect(origin, direction, self.cyl)
+            ours = first_hit(origin, direction, self.cyl)
             oracle = sphere_trace(origin, direction, self.cyl)
             if oracle is None:
                 assert ours is None or ours > 40.0
@@ -223,12 +222,11 @@ class TestRayCylinder:
         for _ in range(200):
             origin = rng.uniform(-3, 3, 3)
             direction = normalize(rng.normal(size=3))
-            t0 = ray_cylinder_intersect(origin, direction, self.cyl)
+            t0 = first_hit(origin, direction, self.cyl)
             x = random_rigid(rng)
             moved = Cylinder(x.apply(self.cyl.base), x.apply_vector(self.cyl.axis),
                              self.cyl.height, self.cyl.radius)
-            t1 = ray_cylinder_intersect(x.apply(origin), x.apply_vector(direction),
-                                        moved)
+            t1 = first_hit(x.apply(origin), x.apply_vector(direction), moved)
             if t0 is None:
                 assert t1 is None
             else:

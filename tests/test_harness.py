@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from mvsense import body, registration, scenario
+from mvsense import body, keyparts, registration, scenario
 from mvsense.cli import main
 from mvsense.harness import (
     build_scene,
@@ -110,6 +110,29 @@ class TestRunTrial:
         assert masks and clouds
         tree = json.loads((tmp_path / "frame1_tree.json").read_text())
         assert "torso" in tree
+
+    def test_dumped_mask_covers_the_whole_image(self, tmp_path, monkeypatch):
+        """Masks hold only their painted window; the dump writes the whole
+        image's labels, background outside the window."""
+        painted = []
+        paint = keyparts.paint_masks
+
+        def recorded(*args):
+            painted.append(paint(*args))
+            return painted[-1]
+
+        monkeypatch.setattr(keyparts, "paint_masks", recorded)
+        script = tiny_script()
+        run_trial(script, config="multi-fixed", frames=2, out_dir=tmp_path, dump_frame=1)
+        dumped = sorted(tmp_path.glob("frame1_*_mask.txt"))
+        assert dumped and len(painted) >= len(dumped)
+        for path, mask in zip(dumped, painted[-len(dumped):]):
+            labels = np.loadtxt(path, dtype=np.int16, ndmin=2)
+            assert labels.shape == mask.shape
+            assert mask.labels.size < labels.size
+            assert np.array_equal(labels, mask.expanded().labels)
+            labeled = (mask.labels != keyparts.BACKGROUND).sum()
+            assert (labels != keyparts.BACKGROUND).sum() == labeled
 
     @pytest.mark.parametrize("dump_frame", [2, 3])
     def test_dump_frame_past_frames_cap_rejected(self, tmp_path, dump_frame):

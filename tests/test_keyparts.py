@@ -204,7 +204,7 @@ class TestPaintMasks:
         a = make_trapezoid(1, (20, 10), (20, 50), 10, 10, 1.0, 1.0)
         b = make_trapezoid(2, (25, 10), (25, 50), 10, 10, 3.0, 3.0)
         mask = paint_masks([a, b], 80, 60)
-        overlap = mask.labels[30, 22]
+        overlap = mask.expanded().labels[30, 22]
         assert overlap == 1
 
     def test_disjoint_order_independent(self):
@@ -223,7 +223,7 @@ class TestPaintMasks:
                 tzs.append(make_trapezoid(
                     part, mu, ml, rng.uniform(2, 12), rng.uniform(2, 12),
                     rng.uniform(0.5, 4.0), rng.uniform(0.5, 4.0)))
-            mask = paint_masks(tzs, 80, 60)
+            mask = paint_masks(tzs, 80, 60).expanded()
             assert np.array_equal(mask.labels, brute_force_labels(tzs, 80, 60))
 
     def test_input_permutation_never_changes_mask(self, rng):
@@ -242,9 +242,49 @@ class TestPaintMasks:
                               rng.uniform(2, 12), rng.uniform(2, 12),
                               rng.uniform(0.5, 4.0), rng.uniform(0.5, 4.0))
                for p in range(4)]
-        mask = paint_masks(tzs, 80, 60)
+        mask = paint_masks(tzs, 80, 60).expanded()
         _labels, counts = np.unique(mask.labels, return_counts=True)
         assert counts.sum() == 80 * 60
+
+
+class TestMaskWindow:
+    """paint_masks stores only the union window of its trapezoids' boxes."""
+
+    def test_window_is_the_union_of_the_boxes(self):
+        a = make_trapezoid(1, (20, 10), (20, 30), 4, 4, 1.0, 1.0)
+        b = make_trapezoid(2, (50, 35), (55, 45), 3, 3, 2.0, 2.0)
+        mask = paint_masks([a, b], 80, 60)
+        corners = np.vstack([a.corners(), b.corners()])
+        (u0, v0), (u1, v1) = np.floor(corners.min(axis=0)), np.ceil(corners.max(axis=0))
+        assert mask.shape == (60, 80)
+        assert mask.origin == (v0, u0)
+        assert mask.labels.shape == mask.depths.shape == (v1 - v0 + 1, u1 - u0 + 1)
+        whole = mask.expanded()
+        assert whole.origin == (0, 0) and whole.labels.shape == (60, 80)
+        assert np.array_equal(whole.labels, brute_force_labels([a, b], 80, 60))
+        assert (mask.labels != BACKGROUND).sum() == (whole.labels != BACKGROUND).sum()
+
+    def test_nothing_in_the_image(self, k_vga):
+        mask = paint_masks([make_trapezoid(1, (-30, 10), (-25, 40), 5, 5, 1.0, 1.0)], 80, 60)
+        assert mask.labels.size == 0 and mask.shape == (60, 80)
+        assert (mask.expanded().labels == BACKGROUND).all()
+        depth = np.full((60, 80), 2.0)
+        assert extract_clouds(mask, depth, RigidTransform.identity(), k_vga) == []
+
+    def test_blank_is_the_whole_image(self):
+        mask = MaskImage.blank(80, 60)
+        assert mask.origin == (0, 0) and mask.shape == (60, 80) == mask.labels.shape
+
+    def test_extract_reads_the_window(self):
+        """The same labels painted in a window and over the whole image
+        give the same clouds."""
+        rig, depth, _paint = wall_frame(5)
+        tz = make_trapezoid(body.TORSO, (60.0, 30.0), (95.0, 90.0), 14.0, 10.0, 1.5, 1.6)
+        mask = paint_masks([tz], 160, 120)
+        assert mask.labels.size < 160 * 120
+        got = extract_clouds(mask, depth, rig.world_pose(), rig.intrinsics)
+        want = extract_clouds(mask.expanded(), depth, rig.world_pose(), rig.intrinsics)
+        assert got and same_clouds(got, want)
 
 
 def trapezoid_contains_reference(tz, pixels):
@@ -291,6 +331,7 @@ def paint_masks_reference(trapezoids, width, height):
 
 
 def same_mask(got, want) -> bool:
+    got = got.expanded()
     return (got.labels.dtype == want.labels.dtype and got.depths.dtype == want.depths.dtype
             and got.labels.tobytes() == want.labels.tobytes()
             and got.depths.tobytes() == want.depths.tobytes())
@@ -625,6 +666,7 @@ def extract_clouds_reference(mask, depth_image, world_from_cam, k, robot_links=(
     before the test moved inside the labeled window, and with the robot,
     voxel and range filters run once per part, as before they ran once per
     camera. Its gate evaluates inf - inf where the depth image holds inf."""
+    mask = mask.expanded()
     if mask.labels.shape != depth_image.shape:
         raise ValueError("mask and depth image dimensions differ")
     valid = (mask.labels != BACKGROUND) & np.isfinite(depth_image) & (depth_image > 0)

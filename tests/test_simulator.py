@@ -6,10 +6,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import keypoint_flags, ray_cylinder_hits_reference
+from conftest import first_hit, keypoint_flags, ray_cylinder_hits_reference
 from mvsense import body, harness, scenario
 from mvsense.body import PartDimensions, pose_from_dofs, rest_dofs
-from mvsense.geometry import Cylinder, Intrinsics, cast_rays, ray_cylinder_intersect
+from mvsense.geometry import Cylinder, Intrinsics, RigidTransform, cast_rays, normalize
 from mvsense.keypoints import Observation2D, lift_depth
 from mvsense.simulator import (
     CameraRig,
@@ -21,6 +21,7 @@ from mvsense.simulator import (
     SyntheticDetector,
     _cached_rays,
     _cylinder_pixel_bbox,
+    _pixel_spans,
     camera_mount,
     render_depth,
     synthetic_detect,
@@ -38,6 +39,13 @@ class TestRenderDepth:
         assert depth.shape == (120, 160)
         assert np.all(depth == 0.0)
 
+    def test_cylinders_out_of_view_all_zero(self):
+        behind = Cylinder(np.array([-3.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]), 1.0, 0.2)
+        aside = Cylinder(np.array([3.0, 30.0, 0.0]), np.array([0.0, 0.0, 1.0]), 1.0, 0.2)
+        depth = render_depth(small_rig(), [behind, aside])
+        assert depth.shape == (120, 160)
+        assert np.all(depth == 0.0)
+
     def test_center_pixel_matches_analytic_intersection(self):
         rig = small_rig()
         cyl = Cylinder(np.array([3.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]),
@@ -48,7 +56,7 @@ class TestRenderDepth:
         d_cam = np.array([(79.0 - 79.5) / 200.0, (59.0 - 59.5) / 200.0, 1.0])
         d_world = pose.rotation @ d_cam
         n = np.linalg.norm(d_world)
-        t = ray_cylinder_intersect(pose.translation, d_world / n, cyl)
+        t = first_hit(pose.translation, d_world / n, cyl)
         expected_z = t / n
         assert depth[59, 79] == pytest.approx(expected_z, abs=1e-4)
 
@@ -73,6 +81,18 @@ class TestRenderDepth:
         assert 0.2 < dropped.sum() / hit.sum() < 0.4
         kept = hit & (noisy > 0)
         assert np.abs(noisy[kept] - clean[kept]).max() < 0.08
+
+    def test_cylinder_through_the_camera_plane_is_rendered(self):
+        """Both axis ends at camera depth 0, the surface in front: the
+        camera looks out of the cylinder's side from inside it."""
+        k = Intrinsics(fx=100.0, fy=100.0, cx=71.5, cy=55.5, width=144, height=112)
+        rig = CameraRig("cam", k, RigidTransform.identity())
+        cyl = Cylinder(np.array([-1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]), 2.0, 0.2)
+        t = cast_rays(np.zeros(3), [_cached_rays(k).reshape(-1, 3)], [cyl])
+        full = np.where(np.isfinite(t), t, 0.0).reshape(k.height, k.width)
+        assert np.count_nonzero(full) == k.width * k.height
+        assert render_depth(rig, [cyl]).tobytes() == full.tobytes()
+        assert full[56, 72] == pytest.approx(0.2, abs=1e-3)
 
     def test_deterministic_given_stream(self):
         rig = small_rig()
@@ -294,7 +314,7 @@ class TestOracleConsistency:
 def bbox_reference(cyl, cam_from_world, k):
     ends = np.stack([cam_from_world.apply(cyl.base), cam_from_world.apply(cyl.top)])
     z = ends[:, 2]
-    if np.all(z <= 0.05):
+    if np.all(z + cyl.radius <= 0.0):  # no point of the cylinder in front
         return None
     if np.any(z - cyl.radius <= 0.05):
         return "full"
@@ -512,25 +532,221 @@ class TestDepthNoiseRule:
         assert abs(np.mean(errors)) < 4.0 * noise.sigma_d / np.sqrt(len(errors))
 
 
+def render_depth_box_reference(rig, cylinders, noise=None, rng=None):
+    """render_depth as it was before footprints, body verbatim: each
+    cylinder is cast through its whole bounding box (``bbox_reference``
+    in place of the per-cylinder ``_cylinder_pixel_bbox``)."""
+    k = rig.intrinsics
+    pose = rig.world_pose()
+    inv = pose.inverse()
+    rays_cam = _cached_rays(k)
+    boxes, dirs, cast = [], [], []
+    for cyl in cylinders:
+        bbox = bbox_reference(cyl, inv, k)
+        if bbox is None:
+            continue
+        if bbox == "full":
+            bbox = (0, k.width - 1, 0, k.height - 1)
+        u0, u1, v0, v1 = bbox
+        boxes.append((slice(v0, v1 + 1), slice(u0, u1 + 1)))
+        dirs.append(rays_cam[boxes[-1]].reshape(-1, 3) @ pose.rotation.T)
+        cast.append(cyl)
+    t = cast_rays(pose.translation, dirs, cast)
+
+    # every hit lies in the union window of the boxes; row-major order
+    # inside it is the whole image's order, so the draws land alike
+    v0 = min((box[0].start for box in boxes), default=0)
+    v1 = max((box[0].stop for box in boxes), default=0)
+    u0 = min((box[1].start for box in boxes), default=0)
+    u1 = max((box[1].stop for box in boxes), default=0)
+    near = np.full((v1 - v0, u1 - u0), np.inf)
+    start = 0
+    for rows, cols in boxes:
+        view = near[rows.start - v0:rows.stop - v0, cols.start - u0:cols.stop - u0]
+        np.minimum(view, t[start:start + view.size].reshape(view.shape), out=view)
+        start += view.size
+    hit = near < np.inf
+    d = near[hit]
+    if noise is not None and rng is not None:
+        if noise.sigma_d > 0:
+            d += rng.normal(0.0, noise.sigma_d, len(d))
+        if noise.p_drop > 0:
+            d[rng.random(len(d)) < noise.p_drop] = 0.0
+        d[~(d > 1e-6)] = 0.0
+    depth = np.zeros((k.height, k.width))
+    depth[v0:v1, u0:u1][hit] = d
+    return depth
+
+
+def box_masks(rig, cyls):
+    """(len(cyls), H, W) masks of each cylinder's ``_cylinder_pixel_bbox``."""
+    k = rig.intrinsics
+    inv = rig.world_pose().inverse()
+    ends = np.array([[inv.apply(c.base), inv.apply(c.top)] for c in cyls]).reshape(-1, 2, 3)
+    visible, low, high = _cylinder_pixel_bbox(ends, np.array([c.radius for c in cyls]), k)
+    masks = np.zeros((len(cyls), k.height, k.width), dtype=bool)
+    for i in np.flatnonzero(visible):
+        (u0, v0), (u1, v1) = low[i].astype(int), high[i].astype(int)
+        masks[i, v0:v1 + 1, u0:u1 + 1] = True
+    return masks
+
+
+def footprint_masks(rig, cyls):
+    """(len(cyls), H, W) masks of the pixels render_depth casts per cylinder."""
+    k = rig.intrinsics
+    cyl, row, first, spans = _pixel_spans(cyls, rig.world_pose().inverse(), k)
+    masks = np.zeros((len(cyls), k.height, k.width), dtype=bool)
+    for c, v, u, n in zip(cyl, row, first, spans):
+        masks[c, v, u:u + n] = True
+    return masks
+
+
+def full_image_hits(rig, cyls):
+    """(len(cyls), H, W) masks of the pixels whose ray hits each cylinder."""
+    k = rig.intrinsics
+    pose = rig.world_pose()
+    rays = _cached_rays(k).reshape(-1, 3) @ pose.rotation.T
+    t = cast_rays(pose.translation, [rays] * len(cyls), cyls)
+    return np.isfinite(t).reshape(len(cyls), k.height, k.width)
+
+
+def camera_cylinder(rig, base_cam, axis_cam, height, radius):
+    """A cylinder given in the rig's camera coordinates."""
+    pose = rig.world_pose()
+    return Cylinder(pose.apply(np.asarray(base_cam, dtype=np.float64)),
+                    pose.rotation @ normalize(axis_cam), height, radius)
+
+
+def random_camera_cylinders(rig, rng, n=25):
+    """Cylinders in hard poses for a footprint: end-on, along the image
+    axes, crossing the near plane, around the camera, and random."""
+    cyls = []
+    for i in range(n):
+        kind = i % 5
+        height, radius = rng.uniform(0.05, 1.2), rng.uniform(0.02, 0.3)
+        base = np.array([rng.uniform(-1.0, 1.0), rng.uniform(-0.8, 0.8), rng.uniform(0.4, 4.0)])
+        if kind == 0:  # end-on, exactly or nearly along the optical axis
+            axis = (0.0, 0.0, rng.choice([-1.0, 1.0]))
+            if i % 10:
+                axis = normalize(np.array(axis) + rng.normal(scale=0.02, size=3))
+            if i % 15 == 0:
+                base[:2] = 0.0  # its image is one point
+        elif kind == 1:  # along an image axis
+            axis = np.eye(3)[rng.integers(2)] * rng.choice([-1.0, 1.0])
+        elif kind == 2:  # crossing the camera plane
+            base[2] = rng.uniform(-1.0, 0.0)
+            axis = normalize(np.array([rng.normal(), rng.normal(), 1.0]))
+            height = rng.uniform(0.5, 3.0)
+        elif kind == 3:  # around the camera
+            axis = normalize(rng.normal(size=3))
+            base = -axis * rng.uniform(0.0, height)
+        else:
+            axis = normalize(rng.normal(size=3))
+        cyls.append(camera_cylinder(rig, base, axis, height, radius))
+    # thin rods just beside the camera, through its plane: their images
+    # reach the image border, far past the corners' clamped projections
+    for base in ((0.005, 0.0, -0.5), (0.0, -0.004, -0.3)):
+        cyls.append(camera_cylinder(rig, base, (0.0, 0.0, 1.0), 2.0, 0.003))
+    return cyls
+
+
+def hard_views(size):
+    """(rig, cylinders) pairs: random cylinders in hard poses, and a camera
+    inside the torso of a template body."""
+    rng = np.random.default_rng(11)
+    pose = pose_from_dofs(rest_dofs(position=(2.5, 0.0, 0.9), heading=np.pi / 2))
+    body_cyls = [pose.states[p].cylinder() for p in range(body.NUM_KEYPARTS)]
+    torso = pose.states[body.TORSO].cylinder()
+    for yaw, pitch in ((0.0, 0.0), (0.7, -0.3), (-1.2, 0.5)):
+        rig = at_resolution(small_rig(pos=(0.3, -0.2, 1.1), yaw=yaw, pitch=pitch), size)
+        yield rig, random_camera_cylinders(rig, rng)
+        rig = at_resolution(small_rig(pos=tuple(torso.midpoint), yaw=yaw, pitch=pitch), size)
+        yield rig, body_cyls
+
+
 class TestPixelBoundingBox:
-    """Pixels outside a cylinder's bbox are never cast, so no ray through
-    them may hit the cylinder."""
+    """Pixels outside a cylinder's bbox, and outside its footprint, are
+    never cast, so no ray through them may hit the cylinder."""
 
     @pytest.mark.parametrize("size", SIZES)
     def test_every_hit_pixel_lies_in_its_bbox(self, size):
-        hits = 0
+        hits = cast = boxed = 0
         for _scene, _ci, rig, _pose, cyls, _links in template_views(size, times=(0.0, 2.6)):
-            k = rig.intrinsics
-            pose = rig.world_pose()
-            rays = _cached_rays(k).reshape(-1, 3) @ pose.rotation.T
-            t = cast_rays(pose.translation, [rays] * len(cyls), cyls)
-            hit = np.isfinite(t).reshape(len(cyls), k.height, k.width)
-            for cyl, mask in zip(cyls, hit):
-                bbox = _cylinder_pixel_bbox(cyl, pose.inverse(), k)
-                inside = np.zeros_like(mask)
-                if bbox is not None:
-                    u0, u1, v0, v1 = bbox
-                    inside[v0:v1 + 1, u0:u1 + 1] = True
-                assert not np.any(mask & ~inside), (cyl, bbox)
-                hits += int(mask.sum())
+            hit = full_image_hits(rig, cyls)
+            box = box_masks(rig, cyls)
+            footprint = footprint_masks(rig, cyls)
+            assert not np.any(hit & ~box)
+            assert not np.any(hit & ~footprint)
+            hits += int(hit.sum())
+            cast += int(footprint.sum())
+            boxed += int(box.sum())
+        assert hits > 0
+        assert cast < 0.8 * boxed  # the footprints do cut the rays
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_hard_poses_hit_only_inside_footprint(self, size):
+        hits = 0
+        for rig, cyls in hard_views(size):
+            hit = full_image_hits(rig, cyls)
+            footprint = footprint_masks(rig, cyls)
+            assert not np.any(hit & ~footprint)
+            hits += int(hit.sum())
+        assert hits > 0
+
+    def test_one_pixel_footprint_casts_its_box(self):
+        """A tiny cylinder whose footprint holds only the corner pixel (0, 0)
+        is cast through its whole box, a rectangle clipped at that corner;
+        a little further in, through the four pixels of its footprint."""
+        rig = small_rig()
+        k = rig.intrinsics
+        cast = []
+        for u, v in ((-0.7, -0.7), (0.3, 0.3)):
+            base = ((u - k.cx) / k.fx * 3.0, (v - k.cy) / k.fy * 3.0, 3.0)
+            cast.append(footprint_masks(rig, [camera_cylinder(rig, base, (1.0, 1.0, 0.0),
+                                                                1e-3, 1e-3)])[0])
+        rows, cols = np.nonzero(cast[0])
+        assert cast[0].sum() > 4 and cast[0][:rows.max() + 1, :cols.max() + 1].all()
+        assert cast[1].sum() == 4 and cast[1][:2, :2].all()
+
+
+class TestMatchesBoxCastReference:
+    """render_depth equals, bit for bit, the whole-box cast it replaced."""
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_template_frames(self, size):
+        for scene, ci, rig, _pose, cyls, _links in template_views(size):
+            want = render_depth_box_reference(rig, cyls)
+            assert render_depth(rig, cyls).tobytes() == want.tobytes()
+            got = render_depth(rig, cyls, scene.depth_noise, scene.rng(0, ci))
+            want = render_depth_box_reference(rig, cyls, scene.depth_noise, scene.rng(0, ci))
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_hard_poses(self, size):
+        for seed, (rig, cyls) in enumerate(hard_views(size)):
+            for noise in (None, DepthNoise()):
+                got = render_depth(rig, cyls, noise, np.random.default_rng(seed))
+                want = render_depth_box_reference(rig, cyls, noise, np.random.default_rng(seed))
+                assert got.tobytes() == want.tobytes()
+
+    def test_hard_poses_one_cylinder_at_a_time(self):
+        for rig, cyls in hard_views(SIZES[0]):
+            for cyl in cyls:
+                assert render_depth(rig, [cyl]).tobytes() == \
+                    render_depth_box_reference(rig, [cyl]).tobytes()
+
+    def test_one_pixel_footprints(self):
+        """Tiny cylinders over the corner pixel, some of which it hits."""
+        rng = np.random.default_rng(3)
+        rig = small_rig()
+        k = rig.intrinsics
+        hits = 0
+        for _ in range(200):
+            u, v = rng.uniform(-0.8, 0.2, 2)
+            z = rng.uniform(0.5, 4.0)
+            base = ((u - k.cx) / k.fx * z, (v - k.cy) / k.fy * z, z)
+            cyl = camera_cylinder(rig, base, rng.normal(size=3), 0.01, rng.uniform(1e-3, 0.01))
+            got = render_depth(rig, [cyl])
+            assert got.tobytes() == render_depth_box_reference(rig, [cyl]).tobytes()
+            hits += bool(got[0, 0] > 0)
         assert hits > 0
