@@ -384,11 +384,6 @@ def cast_rays(origin, dirs: list, cylinders: list) -> np.ndarray:
     return out
 
 
-def ray_cylinder_hits(origin, dirs: np.ndarray, cyl: Cylinder) -> np.ndarray:
-    """``cast_rays`` against one cylinder: t per ray, +inf on a miss."""
-    return cast_rays(origin, [np.asarray(dirs, dtype=np.float64).reshape(-1, 3)], [cyl])
-
-
 # ---------------------------------------------------------------------------
 # segment / segment distance (used for collision clearance)
 

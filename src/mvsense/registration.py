@@ -10,6 +10,8 @@ update; every child part is anchored at its parent joint, so its update
 is a pure rotation about that anchor and articulation is preserved by
 construction. Keypoint-derived poses provide the initial coarse state,
 and supplemented nodes (no cloud exists for them) skip ICP entirely.
+An iteration on a few hundred points costs mostly numpy calls, so it makes
+few: one product per block, one gather per trim, LAPACK's SVD directly.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgesdd
 
 from . import body
 from .body import BodyTree, KeypartState, PartDimensions
@@ -40,13 +43,6 @@ def sample_cylinder_local(radius: float, height: float, n: int) -> np.ndarray:
     return np.column_stack([radius * np.cos(ang), radius * np.sin(ang), z])
 
 
-def sample_cylinder(state: KeypartState, n: int) -> np.ndarray:
-    """World-frame lateral-surface samples of a posed keypart cylinder."""
-    local = sample_cylinder_local(state.radius, state.height, n)
-    frame = frame_from_axis(state.axis)
-    return state.base + local @ frame.T
-
-
 @dataclass
 class ICPResult:
     state: KeypartState
@@ -56,10 +52,10 @@ class ICPResult:
     note: str = ""
 
 
-# Score-matrix entries per block of the correspondence search. Keeps each
-# (rows, 3) x (3, M) product below OpenBLAS's multi-threading threshold for
-# dgemm (M * N * K > 262144), where thread start-up costs more than the
-# product on a 2-core host, and bounds memory for any ``model-samples``.
+# Score-matrix entries per block of the correspondence search: a block's
+# (rows, 4) x (4, M) product has rows * M * 4 <= 262144, OpenBLAS's dgemm
+# threading threshold (it splits only above it), so no thread start-up,
+# which costs more than the product on 2 cores; memory stays bounded too.
 _BLOCK_ENTRIES = 65536
 
 
@@ -68,25 +64,29 @@ def nearest_model_search(model_local: np.ndarray):
 
     The search is exhaustive: per block of rows, the argmin over
     ``|m|^2 - 2 p.m`` (the squared distance less ``|p|^2``) from one
-    matrix product. Among model points with equal scores the lowest index
-    wins. Distances are recomputed from the chosen pairs as
-    ``sqrt(dx*dx + dy*dy + dz*dz)``, summed in that order, so they carry
-    no cancellation error from the expanded form.
+    product of ``[p, 1]`` with ``-2 m^T`` stacked over the row ``|m|^2``.
+    Its last step adds ``1.0 * |m|^2``, an exact product, so it rounds like
+    the separate ``scores += |m|^2`` it replaces and the scores keep their
+    bits; with K = 4 a block stays at the ``_BLOCK_ENTRIES`` bound. Among
+    model points with equal scores the lowest index wins. Distances are
+    recomputed from the chosen pairs as ``sqrt(dx*dx + dy*dy + dz*dz)``,
+    summed in that order, so they carry no cancellation error.
     """
-    neg2_t = np.ascontiguousarray(-2.0 * model_local.T)
-    sq = (model_local * model_local).sum(axis=1)
+    weights = np.vstack([-2.0 * model_local.T,
+                         (model_local * model_local).sum(axis=1)])
     block = max(1, _BLOCK_ENTRIES // len(model_local))
 
     def search(points: np.ndarray):
         n = len(points)
         idx = np.empty(n, dtype=np.intp)
+        homogeneous = np.ones((n, 4))
+        homogeneous[:, :3] = points
         # one score buffer per call: a fresh block-sized array per block
         # costs more in page faults than the product itself
-        buf = np.empty((min(block, n), len(sq)))
+        buf = np.empty((min(block, n), len(model_local)))
         for start in range(0, n, block):
-            rows = points[start:start + block]
-            scores = np.matmul(rows, neg2_t, out=buf[:len(rows)])
-            scores += sq
+            rows = homogeneous[start:start + block]
+            scores = np.matmul(rows, weights, out=buf[:len(rows)])
             scores.argmin(axis=1, out=idx[start:start + block])
         diff = points - model_local.take(idx, axis=0)
         diff *= diff
@@ -97,8 +97,8 @@ def nearest_model_search(model_local: np.ndarray):
     return search
 
 
-def _trimmed_order(dist: np.ndarray, trim: float) -> np.ndarray:
-    """Indices of the kept correspondences, nearest first.
+def _trimmed_order(dist: np.ndarray, trim: float) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the kept correspondences, nearest first, and their distances.
 
     Drops the worst ``trim`` fraction by distance plus anything beyond an
     adaptive gate (3x the median distance), which sheds mask bleed-over
@@ -106,19 +106,28 @@ def _trimmed_order(dist: np.ndarray, trim: float) -> np.ndarray:
     """
     n = len(dist)
     order = np.argsort(dist, kind="stable")
+    ranked = dist.take(order)
     if trim <= 0 or n < 16:
-        return order
-    ranked = dist[order]
+        return order, ranked
     k = n // 2
     median = ranked[k] if n % 2 else (ranked[k - 1] + ranked[k]) / 2.0
     gate = max(3.0 * float(median), 0.02)
     within = int(np.searchsorted(ranked, gate, side="right"))
     keep = max(8, min(math.ceil(n * (1.0 - trim)), within))
-    return order[:keep]
+    return order[:keep], ranked[:keep]
 
 
 def _svd_rotation(h: np.ndarray) -> np.ndarray:
-    u, _s, vt = np.linalg.svd(h)
+    """Rotation ``V U^T`` from the SVD ``h = U S V^T``, reflection corrected.
+
+    LAPACK's ``dgesdd`` is called directly for the full ``U`` and ``V^T``
+    that ``np.linalg.svd`` gets from it, at half the cost of a 3x3 call (5
+    against 11 us, 2-core x86). A nonzero ``info`` (NaN input gives -4, no
+    convergence a positive count) raises ``LinAlgError`` as numpy does.
+    """
+    u, _s, vt, info = dgesdd(h)
+    if info:
+        raise np.linalg.LinAlgError(f"SVD failed: dgesdd info {info}")
     r = vt.T @ u.T
     r0, r1, r2 = r.tolist()
     c = _cross(r1, r2)
@@ -154,12 +163,8 @@ def _apply_update(state: KeypartState, r: np.ndarray, t: np.ndarray,
     lateral anchors consistent with the keypoints that defined them.
     """
     new = state.copy()
-    if anchor is not None:
-        new.base = anchor.copy()
-        new.axis = normalize(r @ state.axis)
-    else:
-        new.base = r @ state.base + t
-        new.axis = normalize(r @ state.axis)
+    new.base = anchor.copy() if anchor is not None else r @ state.base + t
+    new.axis = normalize(r @ state.axis)
     if state.frame is not None:
         spin_free = rotation_between(state.axis, new.axis)
         new.frame = spin_free @ state.frame
@@ -175,13 +180,10 @@ def icp_register(model_local: np.ndarray, data_pts: np.ndarray,
     ``model_local`` holds canonical samples (axis +z, base at origin).
     Each iteration moves the data into the evolving state's cylinder frame
     and pairs every data point with its nearest model point
-    (``nearest_model_search``: exhaustive, lowest model index on a tie, in
-    blocks of at most ``65536 // len(model_local)`` rows so that no matrix
-    product is large enough for BLAS to split it over threads, and memory
-    stays bounded for any model size). With an anchor the update is
-    rotation-about-anchor only. Iterations that fail to reduce
-    the mean residual are rejected and terminate the loop, so the
-    residual is non-increasing across accepted iterations.
+    (``nearest_model_search``: exhaustive, lowest model index on a tie).
+    With an anchor the update is rotation-about-anchor only. Iterations
+    that fail to reduce the mean residual are rejected and terminate the
+    loop, so the residual is non-increasing across accepted iterations.
     """
     data_pts = np.asarray(data_pts, dtype=np.float64)
     if len(data_pts) == 0:
@@ -204,9 +206,11 @@ def icp_register(model_local: np.ndarray, data_pts: np.ndarray,
         """Trimmed nearest-model-point pairs (model, data) and their RMS distance."""
         frame = frame_from_axis(s.axis)
         idx, dist = nearest((data_pts - s.base) @ frame)
-        order = _trimmed_order(dist, trim)
-        kept = dist[order] ** 2
-        return (s.base + model_local[idx[order]] @ frame.T, data_pts[order],
+        order, kept = _trimmed_order(dist, trim)
+        kept *= kept
+        m = model_local.take(idx.take(order), axis=0) @ frame.T
+        m += s.base
+        return (m, data_pts.take(order, axis=0),
                 float(np.sqrt(kept.sum() / len(kept))))
 
     m, d, residual = evaluate(state)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from mvsense import body
-from mvsense.geometry import BehindCamera, Intrinsics, RigidTransform, project, ray_cylinder_hits
-from mvsense.geometry import rot_x, rot_y, rot_z
+from mvsense.body import KeypartState
+from mvsense.geometry import BehindCamera, Intrinsics, RigidTransform, cast_rays, project
+from mvsense.geometry import frame_from_axis, rot_x, rot_y, rot_z
+from mvsense.registration import sample_cylinder_local
 from mvsense.simulator import occlusion_mask
 
 
@@ -78,11 +80,18 @@ def ray_cylinder_hits_reference(origins, dirs, cyl):
 def first_hit(origin, direction, cyl):
     """Distance to the nearest hit of one ray, or None on a miss.
 
-    ``geometry.ray_cylinder_hits`` for a single ray; with a unit direction
-    the ray parameter is the distance.
+    ``geometry.cast_rays`` for a single ray; with a unit direction the ray
+    parameter is the distance.
     """
-    t = ray_cylinder_hits(origin, np.asarray(direction, dtype=np.float64)[None, :], cyl)[0]
+    t = cast_rays(origin, [np.asarray(direction, dtype=np.float64)[None, :]], [cyl])[0]
     return float(t) if np.isfinite(t) else None
+
+
+def sample_cylinder(state: KeypartState, n: int) -> np.ndarray:
+    """World-frame lateral-surface samples of a posed keypart cylinder."""
+    local = sample_cylinder_local(state.radius, state.height, n)
+    frame = frame_from_axis(state.axis)
+    return state.base + local @ frame.T
 
 
 def keypoint_flags(rig, pose, robot_links=()) -> list:

@@ -1,0 +1,153 @@
+"""The ICP step that ``mvsense.registration`` replaced, kept as a bitwise oracle.
+
+``nearest_model_search``, ``_trimmed_order`` and ``icp_register`` are the
+bodies from before ``|m|^2`` was folded into the correspondence product,
+the kept distances were gathered once per trim and the SVD went to
+LAPACK directly; ``_svd_rotation`` calls ``np.linalg.svd``. The live code
+must give the same bits on every input.
+"""
+
+import math
+
+import numpy as np
+
+from mvsense.body import KeypartState
+from mvsense.geometry import _cross, frame_from_axis
+from mvsense.registration import ICPResult, _apply_update
+
+_BLOCK_ENTRIES = 65536
+
+
+def nearest_model_search(model_local: np.ndarray):
+    neg2_t = np.ascontiguousarray(-2.0 * model_local.T)
+    sq = (model_local * model_local).sum(axis=1)
+    block = max(1, _BLOCK_ENTRIES // len(model_local))
+
+    def search(points: np.ndarray):
+        n = len(points)
+        idx = np.empty(n, dtype=np.intp)
+        # one score buffer per call: a fresh block-sized array per block
+        # costs more in page faults than the product itself
+        buf = np.empty((min(block, n), len(sq)))
+        for start in range(0, n, block):
+            rows = points[start:start + block]
+            scores = np.matmul(rows, neg2_t, out=buf[:len(rows)])
+            scores += sq
+            scores.argmin(axis=1, out=idx[start:start + block])
+        diff = points - model_local.take(idx, axis=0)
+        diff *= diff
+        dist = diff[:, 0] + diff[:, 1]
+        dist += diff[:, 2]
+        return idx, np.sqrt(dist, out=dist)
+
+    return search
+
+
+def _trimmed_order(dist: np.ndarray, trim: float) -> np.ndarray:
+    n = len(dist)
+    order = np.argsort(dist, kind="stable")
+    if trim <= 0 or n < 16:
+        return order
+    ranked = dist[order]
+    k = n // 2
+    median = ranked[k] if n % 2 else (ranked[k - 1] + ranked[k]) / 2.0
+    gate = max(3.0 * float(median), 0.02)
+    within = int(np.searchsorted(ranked, gate, side="right"))
+    keep = max(8, min(math.ceil(n * (1.0 - trim)), within))
+    return order[:keep]
+
+
+def _svd_rotation(h: np.ndarray) -> np.ndarray:
+    u, _s, vt = np.linalg.svd(h)
+    r = vt.T @ u.T
+    r0, r1, r2 = r.tolist()
+    c = _cross(r1, r2)
+    if r0[0] * c[0] + r0[1] * c[1] + r0[2] * c[2] < 0:
+        # det(r) < 0, a reflection: flip the weakest direction
+        r = (vt.T * [1.0, 1.0, -1.0]) @ u.T
+    return r
+
+
+def best_rigid_update(model_pts: np.ndarray, data_pts: np.ndarray):
+    n = len(model_pts)
+    mc = model_pts.sum(axis=0) / n
+    dc = data_pts.sum(axis=0) / n
+    h = (model_pts - mc).T @ (data_pts - dc)
+    r = _svd_rotation(h)
+    return r, dc - r @ mc
+
+
+def best_anchored_rotation(model_pts: np.ndarray, data_pts: np.ndarray,
+                           anchor: np.ndarray) -> np.ndarray:
+    h = (model_pts - anchor).T @ (data_pts - anchor)
+    return _svd_rotation(h)
+
+
+def icp_register(model_local: np.ndarray, data_pts: np.ndarray,
+                 init: KeypartState, anchor: np.ndarray | None = None,
+                 max_iterations: int = 50, tol: float = 1e-6,
+                 trim: float = 0.1) -> ICPResult:
+    data_pts = np.asarray(data_pts, dtype=np.float64)
+    if len(data_pts) == 0:
+        return ICPResult(init.copy(), 0, np.inf, False, "empty cloud")
+    span = data_pts.max(axis=0) - data_pts.min(axis=0) if len(data_pts) > 1 else np.zeros(3)
+    if len(data_pts) < 3 or np.linalg.norm(span) < 1e-9:
+        return ICPResult(init.copy(), 0, np.inf, False, "degenerate cloud")
+
+    state = init.copy()
+    if anchor is not None:
+        state.base = np.asarray(anchor, dtype=np.float64).copy()
+        # a stub covering a small axial fraction cannot fix a rotation
+        axial = data_pts @ state.axis
+        if float(axial.max() - axial.min()) < 0.3 * state.height:
+            return ICPResult(state, 0, np.inf, False, "axial stub cloud")
+
+    nearest = nearest_model_search(model_local)
+
+    def evaluate(s: KeypartState):
+        """Trimmed nearest-model-point pairs (model, data) and their RMS distance."""
+        frame = frame_from_axis(s.axis)
+        idx, dist = nearest((data_pts - s.base) @ frame)
+        order = _trimmed_order(dist, trim)
+        kept = dist[order] ** 2
+        return (s.base + model_local[idx[order]] @ frame.T, data_pts[order],
+                float(np.sqrt(kept.sum() / len(kept))))
+
+    m, d, residual = evaluate(state)
+    iterations = 0
+    converged = False
+    for _ in range(max_iterations):
+        if anchor is not None:
+            r = best_anchored_rotation(m, d, state.base)
+            candidate = _apply_update(state, r, np.zeros(3), state.base)
+        else:
+            r, t = best_rigid_update(m, d)
+            candidate = _apply_update(state, r, t, None)
+
+        cand_m, cand_d, cand_residual = evaluate(candidate)
+        if cand_residual > residual + 1e-12:
+            # reject the step; a rejection within tolerance is a fixed point
+            converged = (cand_residual - residual) < tol
+            break
+        improvement = residual - cand_residual
+        state, m, d, residual = candidate, cand_m, cand_d, cand_residual
+        iterations += 1
+        if improvement < tol:
+            converged = True
+            break
+
+    return ICPResult(state, iterations, float(residual), converged)
+
+
+def assert_same_result(got: ICPResult, ref: ICPResult) -> None:
+    """Every field of two ICP results, state arrays compared by their bytes."""
+    assert got.state.base.tobytes() == ref.state.base.tobytes()
+    assert got.state.axis.tobytes() == ref.state.axis.tobytes()
+    assert (got.state.frame is None) == (ref.state.frame is None)
+    if ref.state.frame is not None:
+        assert got.state.frame.tobytes() == ref.state.frame.tobytes()
+    assert (got.state.part, got.state.height, got.state.radius) == \
+        (ref.state.part, ref.state.height, ref.state.radius)
+    assert float(got.residual).hex() == float(ref.residual).hex()
+    assert (got.iterations, got.converged, got.note) == \
+        (ref.iterations, ref.converged, ref.note)

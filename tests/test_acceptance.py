@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import keypoint_flags, random_rigid
+from conftest import keypoint_flags, random_rigid, sample_cylinder
 from mvsense import body, harness, scenario, scheduler
 from mvsense.body import (
     KeypartState,
@@ -32,12 +32,7 @@ from mvsense.keypoints import (
     presence,
 )
 from mvsense.keyparts import Trapezoid, base_half_length, paint_masks, BACKGROUND
-from mvsense.registration import (
-    icp_register,
-    register_tree,
-    sample_cylinder,
-    sample_cylinder_local,
-)
+from mvsense.registration import icp_register, register_tree, sample_cylinder_local
 from mvsense.simulator import render_depth
 
 

@@ -22,7 +22,6 @@ from mvsense.geometry import (
     frame_from_axis,
     normalize,
     project,
-    ray_cylinder_hits,
     reproject,
     rotation_between,
     segment_segment_distance,
@@ -360,11 +359,11 @@ class TestCastRays:
                          [-1.0, 0.0, 0.5],   # crosses the top cap plane off the disc
                          [0.0, 0.0, 1.0],    # parallel to the axis, outside
                          [-4.0, -1.0, 0.0]])  # through the axis, across it
-        t = ray_cylinder_hits(origin, dirs, cyl)
+        t = cast_rays(origin, [dirs], [cyl])
         ref = ray_cylinder_hits_reference(origin[None, :], dirs, cyl)
         assert t.tobytes() == ref.tobytes()
         assert t[0] == 2.0 and t[2] == np.inf
-        below = ray_cylinder_hits(np.array([0.1, 0.0, -1.0]), dirs[2:3], cyl)
+        below = cast_rays(np.array([0.1, 0.0, -1.0]), [dirs[2:3]], [cyl])
         assert below.tolist() == [1.0]  # bottom cap, through a single-ray call
 
 

@@ -14,10 +14,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.spatial import cKDTree
 
+import icp_reference as ref
+from conftest import sample_cylinder
 from mvsense import body
 from mvsense.body import KeypartState, augment, build_tree, rest_dofs, pose_from_dofs
 from mvsense.geometry import normalize, rot_x, rot_y, rot_z
 from mvsense.registration import (
+    _BLOCK_ENTRIES,
     _svd_rotation,
     _trimmed_order,
     best_anchored_rotation,
@@ -25,7 +28,6 @@ from mvsense.registration import (
     icp_register,
     nearest_model_search,
     register_tree,
-    sample_cylinder,
     sample_cylinder_local,
 )
 
@@ -172,18 +174,20 @@ class TestTrimmedOrder:
                                st.floats(0.0, 2.0))),
            trim=st.sampled_from([0.0, 0.1, 0.3, 0.9]))
     def test_bitwise_equal_to_partition_formulation(self, dist, trim):
-        got = _trimmed_order(dist, trim)
-        ref = trimmed_order_reference(dist, trim)
-        assert got.dtype == ref.dtype
-        assert np.array_equal(got, ref)
+        got, kept = _trimmed_order(dist, trim)
+        want = trimmed_order_reference(dist, trim)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert kept.tobytes() == dist[want].tobytes()
 
     @pytest.mark.parametrize("n", [8, 15, 16, 17, 40, 41])
     def test_gate_sheds_outliers_at_odd_and_even_n(self, n):
         # a quarter of the points are bleed-over far beyond 3x the median
         dist = np.full(n, 0.01)  # duplicates of the median value
         dist[::4] = 1.0
-        got = _trimmed_order(dist, 0.1)
+        got, kept = _trimmed_order(dist, 0.1)
         assert np.array_equal(got, trimmed_order_reference(dist, 0.1))
+        assert kept.tobytes() == dist[got].tobytes()
         if n >= 16:
             assert len(got) == max(8, int(np.count_nonzero(dist < 1.0)))
         else:
@@ -197,9 +201,10 @@ class TestTrimmedOrder:
     def test_gate_boundaries(self, values, counts, kept):
         dist = np.repeat(values, counts)
         dist = dist[np.random.default_rng(7).permutation(len(dist))]
-        got = _trimmed_order(dist, 0.1)
+        got, got_dist = _trimmed_order(dist, 0.1)
         assert len(got) == kept
         assert np.array_equal(got, trimmed_order_reference(dist, 0.1))
+        assert got_dist.tobytes() == dist[got].tobytes()
 
 
 def svd_rotation_reference(h):
@@ -227,6 +232,78 @@ class TestSvdRotation:
             assert got.tobytes() == svd_rotation_reference(h).tobytes()
             assert np.linalg.det(got) == pytest.approx(1.0, abs=1e-9)
         assert 0 < reflections < len(cases)
+
+    def test_nan_input_raises(self):
+        h = np.eye(3)
+        h[1, 2] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            svd_rotation_reference(h)  # the np.linalg.svd behaviour kept
+        with pytest.raises(np.linalg.LinAlgError):
+            _svd_rotation(h)
+
+
+def noisy_cylinder_cloud(state, n, rng, tilt_deg, shift, noise):
+    """``n`` samples of ``state`` tilted and shifted, with noise and bleed-over."""
+    axis = normalize(rot_x(np.radians(tilt_deg)) @ state.axis)
+    moved = KeypartState(state.part, state.base + shift, axis,
+                         state.height, state.radius, state.frame)
+    pts = sample_cylinder(moved, max(n, 8))[rng.permutation(max(n, 8))[:n]]
+    pts = pts + rng.normal(0.0, noise, pts.shape)
+    stray = rng.random(n) < 0.1  # far outliers for the trim gate
+    pts[stray] += rng.normal(0.0, 0.3, (int(stray.sum()), 3))
+    return pts
+
+
+class TestMatchesReplacedStep:
+    """The live search and ICP against ``icp_reference``, bit for bit.
+
+    ``TestTrimmedOrder`` covers the trim on its own.
+    """
+
+    def test_block_product_stays_under_blas_threading_threshold(self):
+        for m in range(8, _BLOCK_ENTRIES + 1):
+            block = max(1, _BLOCK_ENTRIES // m)
+            assert block * m * 4 <= 262144
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=st.sampled_from([8, 128, 160, 600]), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]), data=st.data())
+    def test_search(self, m, seed, scale, data):
+        rng = np.random.default_rng(seed)
+        model = rng.normal(size=(m, 3)) * scale
+        block = _BLOCK_ENTRIES // m
+        rows = data.draw(st.one_of(st.integers(1, 3 * block + 1),
+                                   st.just(3 * block + 1)), label="rows")
+        points = rng.normal(size=(rows, 3)) * scale
+        idx, dist = nearest_model_search(model)(points)
+        ref_idx, ref_dist = ref.nearest_model_search(model)(points)
+        assert idx.tobytes() == ref_idx.tobytes()
+        assert dist.tobytes() == ref_dist.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.sampled_from([8, 128, 160, 600]), anchored=st.booleans(),
+           trim=st.sampled_from([0.0, 0.1, 0.9]), seed=st.integers(0, 2**32 - 1),
+           tilt=st.floats(-20.0, 20.0), data=st.data())
+    def test_icp_register(self, m, anchored, trim, seed, tilt, data):
+        rng = np.random.default_rng(seed)
+        if anchored:
+            init = KeypartState(body.L_UPPER_ARM, rng.normal(size=3),
+                                normalize(rng.normal(size=3)), 0.3, 0.05)
+            anchor, shift = init.base.copy(), np.zeros(3)
+        else:  # the torso carries a frame that every update must move
+            init = pose_from_dofs(rest_dofs(heading=rng.uniform(-3, 3))
+                                  ).states[body.TORSO]
+            anchor, shift = None, rng.normal(0.0, 0.02, 3)
+        assert anchored or init.frame is not None
+        block = _BLOCK_ENTRIES // m
+        # below the trim's 16-point floor up to just past three blocks
+        n = data.draw(st.one_of(st.integers(3, 20), st.integers(3, 3 * block + 1),
+                                st.just(3 * block + 1)), label="n")
+        pts = noisy_cylinder_cloud(init, n, rng, tilt, shift, 0.004)
+        model = sample_cylinder_local(init.radius, init.height, m)
+        got = icp_register(model, pts, init, anchor, trim=trim)
+        ref.assert_same_result(got, ref.icp_register(model, pts, init, anchor,
+                                                     trim=trim))
 
 
 class TestIcpRegister:
