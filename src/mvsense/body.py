@@ -203,9 +203,6 @@ class BodyTree:
         if not self.nodes:
             self.nodes = {p: TreeNode(p) for p in range(NUM_KEYPARTS)}
 
-    def active_parts(self) -> list:
-        return [p for p in range(NUM_KEYPARTS) if self.nodes[p].active]
-
     def traversal(self) -> list:
         """Active parts, parents strictly before children."""
         out = []
@@ -213,21 +210,6 @@ class BodyTree:
             if self.nodes[p].active:
                 out.append(p)
         return out
-
-    def is_connected(self) -> bool:
-        """True when every active node reaches the root through active nodes."""
-        active = set(self.active_parts())
-        if not active:
-            return True
-        if TORSO not in active:
-            return False
-        for p in active:
-            q = p
-            while q is not None:
-                if q not in active:
-                    return False
-                q = PARENT[q]
-        return True
 
 
 def build_tree(present_parts) -> BodyTree:
@@ -493,19 +475,6 @@ DOF_LAYOUT = (
 )
 
 
-def limb_direction(ref_frame: np.ndarray, theta_x: float, theta_y: float) -> np.ndarray:
-    """Axis direction from two intrinsic rotations of the reference frame."""
-    return ref_frame @ (rot_x(theta_x) @ rot_y(theta_y) @ np.array([0.0, 0.0, 1.0]))
-
-
-def limb_angles(ref_frame: np.ndarray, axis: np.ndarray) -> tuple:
-    """Inverse of limb_direction for axes in the reference hemisphere."""
-    local = ref_frame.T @ normalize(axis)
-    ty = float(np.arcsin(np.clip(local[0], -1.0, 1.0)))
-    tx = float(np.arctan2(-local[1], local[2]))
-    return tx, ty
-
-
 def limb_frame(ref_frame: np.ndarray, theta_x: float, theta_y: float) -> np.ndarray:
     return ref_frame @ rot_x(theta_x) @ rot_y(theta_y)
 
@@ -595,11 +564,3 @@ def pose_from_dofs(dofs, dims: PartDimensions | None = None) -> HumanPose:
     keypoints[R_EAR] = c + head.axis * (0.05 * h) + h_lat * r
 
     return HumanPose(states, keypoints, d.copy())
-
-
-def rest_dofs(position=(0.0, 0.0, 0.0), heading: float = 0.0) -> np.ndarray:
-    """Neutral standing pose at a world position with a yaw heading."""
-    d = np.zeros(TOTAL_DOF)
-    d[0:3] = position
-    d[5] = heading
-    return d

@@ -87,10 +87,6 @@ class RigidTransform:
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
 
-    @staticmethod
-    def identity() -> "RigidTransform":
-        return RigidTransform(np.eye(3), np.zeros(3))
-
     @classmethod
     def _trusted(cls, rotation: np.ndarray, translation: np.ndarray) -> "RigidTransform":
         """Skip validation for rotations produced by closed operations."""
@@ -105,13 +101,6 @@ class RigidTransform:
         if p.ndim == 1:
             return self.rotation @ p + self.translation
         return p @ self.rotation.T + self.translation
-
-    def apply_vector(self, vec: np.ndarray) -> np.ndarray:
-        """Rotate a direction (no translation)."""
-        v = np.asarray(vec, dtype=np.float64)
-        if v.ndim == 1:
-            return self.rotation @ v
-        return v @ self.rotation.T
 
     def compose(self, other: "RigidTransform") -> "RigidTransform":
         """Returns self ∘ other (apply ``other`` first)."""

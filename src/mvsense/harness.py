@@ -1,15 +1,25 @@
-"""Trial execution: the full per-frame sensing loop plus metrics.
+"""Trial execution in three pieces: simulator loop, pipeline, scorer.
 
-Per frame and camera the loop runs detect -> presence windows -> depth
-lift -> fusion barrier -> masks -> cloud extraction, then tree
-build/augment/register, then viewpoint scheduling, then the scene step.
+``run_trial`` runs the simulator. Per frame it renders each rig's depth
+image, runs the detector contract (``keypoints.detect`` over
+``simulator.SyntheticDetector``) and hands the result to the pipeline as
+a ``FrameInput``; then it steps the scene.
 
-Keypart recognition is scored as binary classification against scene
-ground truth: a part truly exists in a frame when its cylinder midpoint
-lies inside the scenario's workspace volume (presence is scored
-globally, not per camera). Metrics files are deterministic for a fixed
-script and seed; wall-clock timings go to a separate sidecar that is
-excluded from that guarantee.
+``Pipeline.step`` is the paper's per-frame loop and knows nothing of the
+simulator: per camera it updates the presence windows and lifts present
+keypoints through the depth image, then it fuses them across cameras,
+paints masks, extracts keypart clouds, builds, augments and registers
+the cylinder tree, and plans the next camera commands. It fills a
+``FrameResult`` one stage at a time, so a frame that fails keeps what it
+made before the failure; the failure is logged and the frame predicts
+every part absent.
+
+``TrialMetrics.score`` is the only code that reads ground truth.
+Keypart recognition is scored as binary classification: a part truly
+exists in a frame when its cylinder midpoint lies inside the scenario's
+workspace volume (presence is scored globally, not per camera). Metrics
+files are deterministic for a fixed script and seed; wall-clock timings
+go to a separate sidecar that is excluded from that guarantee.
 """
 
 from __future__ import annotations
@@ -25,10 +35,43 @@ import numpy as np
 
 from . import body, keyparts, registration, scenario, scheduler, simulator
 from .geometry import Cylinder, Intrinsics
-from .keypoints import NoValidDepth, PresenceWindow, fuse, lift_depth
+from .keypoints import NoValidDepth, PresenceWindow, detect, fuse, lift_depth
 from .scenario import CONFIGS, ScenarioScript
 
 log = logging.getLogger("mvsense.harness")
+
+
+@dataclass
+class FrameInput:
+    """One frame as the cameras delivered it, keyed by rig id."""
+
+    frame: int
+    t: float
+    depth: dict          # rig id -> (H, W) depth image, 0 where invalid
+    observations: dict   # rig id -> the 17 Observation2D, in keypoint order
+    poses: dict          # rig id -> camera-to-world RigidTransform
+    robot_links: list    # robot link cylinders at t
+
+
+@dataclass
+class FrameResult:
+    """What ``Pipeline.step`` made of one frame, in stage order.
+
+    A failed frame keeps the stages it finished; ``tree`` is set only once
+    registration returned.
+    """
+
+    fused: dict = field(default_factory=dict)   # keypoint -> FusedKeypoint
+    masks: dict = field(default_factory=dict)   # rig id -> PartMask
+    clouds: dict = field(default_factory=dict)  # part -> (N, 3) world points
+    parts: list = field(default_factory=list)   # parts some camera holds present
+    tree: body.BodyTree | None = None
+    plan: scheduler.ViewpointTrajectory | None = None
+    failed: bool = False
+
+    def predicted(self) -> list:
+        """Presence per keypart; a failed frame predicts every part absent."""
+        return [not self.failed and j in self.parts for j in range(body.NUM_KEYPARTS)]
 
 
 @dataclass
@@ -65,6 +108,41 @@ class TrialMetrics:
     def precision(self) -> float:
         d = self.tp + self.fp
         return self.tp / d if d else 0.0
+
+    def score(self, frame: int, t: float, result: FrameResult, pose,
+              workspace_min, workspace_max) -> None:
+        """Add one frame: pose errors of its registered tree, presence counts.
+
+        ``pose`` is the ground-truth human pose; a part truly exists when
+        its midpoint lies in the workspace box (``gt_part_presence``).
+        """
+        present = gt_part_presence(pose, workspace_min, workspace_max)
+        if result.tree is not None:
+            for j in result.parts:
+                est = result.tree.nodes[j].state
+                if not present[j] or est is None:
+                    continue
+                gt_cyl = pose.states[j].cylinder()
+                cosang = float(np.clip(np.dot(gt_cyl.axis, est.axis), -1.0, 1.0))
+                self.axis_errors_deg.append(float(np.degrees(np.arccos(cosang))))
+                est_mid = est.base + est.axis * (0.5 * est.height)
+                self.position_errors_m.append(float(np.linalg.norm(gt_cyl.midpoint - est_mid)))
+
+        row = {"frame": frame, "time": t}
+        for j, (p, g) in enumerate(zip(result.predicted(), present)):
+            row[f"pred_{j}"] = int(p)
+            row[f"true_{j}"] = int(g)
+            if p and g:
+                self.tp += 1
+            elif p and not g:
+                self.fp += 1
+            elif g:
+                self.fn += 1
+            else:
+                self.tn += 1
+            if p == g:
+                self.per_part_correct[j] += 1
+        self.rows.append(row)
 
     def summary(self) -> dict:
         return {
@@ -182,6 +260,180 @@ class _Stopwatch:
         return t1
 
 
+class Pipeline:
+    """The per-frame perception loop over a fixed set of camera rigs.
+
+    It holds the state that outlives a frame: each rig's keypoint and
+    keypart presence windows, and the scheduler's last estimate and
+    uncertainty per tracked part. ``robot_links_at(t)`` gives the
+    robot's links over the scheduler's horizon; without it (no robot)
+    the cameras are never steered. Steering commands the rigs; the
+    caller moves them. Wall-clock stage times add up in ``timings_ms``.
+    """
+
+    def __init__(self, script: ScenarioScript, rigs: list, robot_links_at=None):
+        self.script = script
+        self.rigs = rigs
+        self.robot_links_at = robot_links_at
+        self.dt = 1.0 / script.frame_rate
+        self.dims = script.part_dimensions()
+        self.depth_offsets = keypoint_depth_offsets(self.dims)
+        self.cloud_params = keyparts.CloudParams(
+            voxel=script.voxel, range_min=script.range_min, range_max=script.range_max,
+            cluster_radius=script.cluster_radius, cluster_min=script.cluster_min,
+            robot_margin_scale=script.robot_margin, depth_gate=script.depth_gate,
+        )
+        self.sched_params = scheduler.SchedulerParams(
+            horizon=script.sched_horizon, gamma=script.sched_gamma,
+            interval=script.sched_interval, grid_pan=script.sched_grid_pan,
+            grid_tilt=script.sched_grid_tilt, growth=script.sched_growth,
+            sigma_obs=script.sched_sigma_obs, sigma_cap=script.sched_sigma_cap,
+            exhaustive_limit=script.sched_exhaustive_limit,
+        )
+
+        def windows(n):
+            return [PresenceWindow(script.window_m, script.window_gamma,
+                                   script.window_alpha) for _ in range(n)]
+
+        self.kp_windows = {rig.rig_id: windows(body.NUM_KEYPOINTS) for rig in rigs}
+        self.part_windows = {rig.rig_id: windows(body.NUM_KEYPARTS) for rig in rigs}
+        self.tracked: dict = {}  # part -> [last estimated cylinder, sigma]
+        self.timings_ms: dict = {}
+
+    def step(self, inp: FrameInput) -> FrameResult:
+        """Run one frame; a stage that raises is logged and fails the frame."""
+        result = FrameResult()
+        try:
+            self._run(inp, result)
+        except Exception:  # per-frame errors never abort the trial
+            log.exception("frame %d pipeline error (%s)", inp.frame, self.script.name)
+            result.failed = True
+        return result
+
+    def _run(self, inp: FrameInput, result: FrameResult) -> None:
+        script, dims = self.script, self.dims
+        watch = _Stopwatch(self.timings_ms)
+        t0 = time.perf_counter()
+
+        # per camera: presence windows, then depth lift of present keypoints
+        lifted: dict = {}
+        seen: dict = {}
+        for rig in self.rigs:
+            obs = inp.observations[rig.rig_id]
+            kw = self.kp_windows[rig.rig_id]
+            pw = self.part_windows[rig.rig_id]
+            for o in obs:
+                kw[o.keypoint].update(o.confidence)
+            for j in range(body.NUM_KEYPARTS):
+                pw[j].update(max(obs[k].confidence for k in body.PART_KEYPOINTS[j]))
+            kp3d = lifted[rig.rig_id] = {}
+            for o in obs:
+                if kw[o.keypoint].present():
+                    try:
+                        p = lift_depth(o, inp.depth[rig.rig_id], script.slice_radius,
+                                       rig.intrinsics)
+                    except NoValidDepth:
+                        continue  # absent for this camera this frame
+                    kp3d[o.keypoint] = p * ((p[2] + self.depth_offsets[o.keypoint]) / p[2])
+            seen[rig.rig_id] = [j for j in range(body.NUM_KEYPARTS) if pw[j].present()]
+        t0 = watch.add("lift", t0)
+
+        # fusion barrier: world-frame weighted mean per keypoint
+        for kp in range(body.NUM_KEYPOINTS):
+            entries = [(lifted[rig.rig_id][kp], inp.observations[rig.rig_id][kp].confidence,
+                        inp.poses[rig.rig_id])
+                       for rig in self.rigs if kp in lifted[rig.rig_id]]
+            if entries:
+                result.fused[kp] = fuse(entries, kp)
+        t0 = watch.add("fuse", t0)
+
+        # per-camera masks and clouds
+        chunks: dict = {}
+        for rig in self.rigs:
+            parts_here = seen[rig.rig_id]
+            if not parts_here:
+                continue
+            depth, pose_cam = inp.depth[rig.rig_id], inp.poses[rig.rig_id]
+            anchors = keyparts.project_keypoints_to_mask(
+                result.fused, dict(enumerate(inp.observations[rig.rig_id])),
+                pose_cam, rig.intrinsics, depth, script.slice_radius, parts_here)
+            trapezoids = []
+            for j in parts_here:
+                ends = keyparts.part_endpoints(j, anchors)
+                if ends is None:
+                    continue
+                (px_u, d_u), (px_l, d_l) = ends
+                if d_u <= 0 or d_l <= 0:
+                    continue
+                trapezoids.append(keyparts.trapezoid_for_part(
+                    j, (px_u, px_l), (d_u, d_l), rig.intrinsics,
+                    dims.cylinder_radius(j), script.mask_inflation))
+            mask = keyparts.paint_masks(trapezoids, rig.intrinsics.width,
+                                        rig.intrinsics.height)
+            result.masks[rig.rig_id] = mask
+            clouds = keyparts.extract_clouds(
+                mask, depth, pose_cam, rig.intrinsics, inp.robot_links,
+                self.cloud_params, rig.rig_id)
+            for cloud in clouds:
+                chunks.setdefault(cloud.part, []).append(cloud.points)
+        result.clouds = {p: np.vstack(c) for p, c in chunks.items()}
+        t0 = watch.add("extract", t0)
+
+        # tree: build from the union of per-camera part presence
+        result.parts = sorted({j for parts in seen.values() for j in parts})
+        tree = body.build_tree(result.parts)
+        tree = body.augment(
+            tree, {k: f.position_world for k, f in result.fused.items()}, dims)
+        result.tree = registration.register_tree(tree, result.clouds, result.fused,
+                                                 dims, script.model_samples)
+        t0 = watch.add("register", t0)
+
+        # scheduler bookkeeping and planning
+        params, tracked = self.sched_params, self.tracked
+        for j in range(body.NUM_KEYPARTS):
+            state = result.tree.nodes[j].state
+            if j in result.parts and state is not None:
+                tracked[j] = [state.cylinder(), params.sigma_obs]
+            elif j in tracked:
+                tracked[j][1] = min(tracked[j][1] + params.growth * self.dt,
+                                    params.sigma_cap)
+        steer = [rig for rig in self.rigs if rig.active]
+        if steer and tracked and self.robot_links_at is not None:
+            estimate = scheduler.estimate_collision(
+                {j: c for j, (c, _s) in tracked.items()},
+                {j: s for j, (_c, s) in tracked.items()},
+                self.robot_links_at, params, inp.t)
+            result.plan = scheduler.plan(
+                steer, estimate, {j: c.midpoint for j, (c, _s) in tracked.items()},
+                params)
+            for rig in steer:
+                rig.command(*result.plan.commands[rig.rig_id][0])
+        watch.add("schedule", t0)
+
+
+def sense(scene: simulator.Scene, pose, props: list, frame: int,
+          timings_ms: dict) -> FrameInput:
+    """Render and detect every rig of ``scene`` at its current time."""
+    watch = _Stopwatch(timings_ms)
+    detector = simulator.SyntheticDetector()
+    t = scene.t
+    robot_links = scene.robot.links_at(t) if scene.robot else []
+    scene_cyls = scene.cylinders(pose) + props
+    occluders = list(robot_links) + props
+    inp = FrameInput(frame, t, {}, {}, {}, robot_links)
+    t0 = time.perf_counter()
+    for ci, rig in enumerate(scene.rigs):
+        inp.depth[rig.rig_id] = simulator.render_depth(
+            rig, scene_cyls, scene.depth_noise, scene.rng(simulator.STREAM_DEPTH, ci))
+        t0 = watch.add("render", t0)
+        image = (rig, pose, occluders, scene.detector_noise,
+                 scene.rng(simulator.STREAM_DETECT, ci), t)
+        inp.observations[rig.rig_id] = detect(image, detector, rig.rig_id, t)
+        inp.poses[rig.rig_id] = rig.world_pose()
+        t0 = watch.add("detect", t0)
+    return inp
+
+
 def run_trial(script: ScenarioScript, config: str = "script",
               seed: int | None = None, frames: int | None = None,
               out_dir=None, dump_frame: int | None = None) -> TrialMetrics:
@@ -198,7 +450,6 @@ def run_trial(script: ScenarioScript, config: str = "script",
     """
     script.validate()
     scene = build_scene(script, config, seed)
-    dims = script.part_dimensions()
     props = prop_cylinders(script)
     dt = 1.0 / script.frame_rate
     n_frames = int(round(script.duration * script.frame_rate))
@@ -215,204 +466,24 @@ def run_trial(script: ScenarioScript, config: str = "script",
             raise scenario.ConfigError(
                 f"{dump_frame} is past the {n_frames} frames run", field_name="frame")
 
-    metrics = TrialMetrics(script.name, config, scene.seed, n_frames)
-    cloud_params = keyparts.CloudParams(
-        voxel=script.voxel, range_min=script.range_min, range_max=script.range_max,
-        cluster_radius=script.cluster_radius, cluster_min=script.cluster_min,
-        robot_margin_scale=script.robot_margin, depth_gate=script.depth_gate,
-    )
-    sched_params = scheduler.SchedulerParams(
-        horizon=script.sched_horizon, gamma=script.sched_gamma,
-        interval=script.sched_interval, grid_pan=script.sched_grid_pan,
-        grid_tilt=script.sched_grid_tilt, growth=script.sched_growth,
-        sigma_obs=script.sched_sigma_obs, sigma_cap=script.sched_sigma_cap,
-        exhaustive_limit=script.sched_exhaustive_limit,
-    )
-
-    def window():
-        return PresenceWindow(script.window_m, script.window_gamma,
-                              script.window_alpha)
-
-    kp_windows = {rig.rig_id: [window() for _ in range(body.NUM_KEYPOINTS)]
-                  for rig in scene.rigs}
-    part_windows = {rig.rig_id: [window() for _ in range(body.NUM_KEYPARTS)]
-                    for rig in scene.rigs}
-    depth_offsets = keypoint_depth_offsets(dims)
-
-    # scheduler bookkeeping: last estimated cylinder + uncertainty per part
-    tracked: dict = {}
-    watch = _Stopwatch(metrics.timings_ms)
+    pipeline = Pipeline(script, scene.rigs,
+                        scene.robot.links_at if scene.robot else None)
+    metrics = TrialMetrics(script.name, config, scene.seed, n_frames,
+                           timings_ms=pipeline.timings_ms)
     dump = None
-
     for frame in range(n_frames):
         t = scene.t
         pose = scene.human.pose_at(t)
-        robot_links = scene.robot.links_at(t) if scene.robot else []
-        scene_cyls = scene.cylinders(pose) + props
-        gt_present = gt_part_presence(pose, script.workspace_min, script.workspace_max)
-
-        per_rig_obs: dict = {}
-        per_rig_depth: dict = {}
-        per_rig_kp3d: dict = {}
-        per_rig_parts: dict = {}
-        frame_masks: dict = {}
-        merged: dict = {}
-        tree = None
-        t0 = time.perf_counter()
         try:
-            for ci, rig in enumerate(scene.rigs):
-                depth = simulator.render_depth(
-                    rig, scene_cyls, scene.depth_noise,
-                    scene.rng(simulator.STREAM_DEPTH, ci))
-                t0 = watch.add("render", t0)
-                obs = simulator.synthetic_detect(
-                    rig, pose, list(robot_links) + props, scene.detector_noise,
-                    scene.rng(simulator.STREAM_DETECT, ci), t)
-                t0 = watch.add("detect", t0)
-
-                kw = kp_windows[rig.rig_id]
-                pw = part_windows[rig.rig_id]
-                for o in obs:
-                    kw[o.keypoint].update(o.confidence)
-                for j in range(body.NUM_KEYPARTS):
-                    cj = max(obs[k].confidence for k in body.PART_KEYPOINTS[j])
-                    pw[j].update(cj)
-
-                kp3d = {}
-                for o in obs:
-                    if kw[o.keypoint].present():
-                        try:
-                            p = lift_depth(o, depth, script.slice_radius,
-                                           rig.intrinsics)
-                        except NoValidDepth:
-                            continue  # absent for this camera this frame
-                        kp3d[o.keypoint] = p * (
-                            (p[2] + depth_offsets[o.keypoint]) / p[2])
-                per_rig_obs[rig.rig_id] = obs
-                per_rig_depth[rig.rig_id] = depth
-                per_rig_kp3d[rig.rig_id] = kp3d
-                per_rig_parts[rig.rig_id] = [
-                    j for j in range(body.NUM_KEYPARTS) if pw[j].present()]
-                t0 = watch.add("lift", t0)
-
-            # fusion barrier: world-frame weighted mean per keypoint
-            fused = {}
-            for kp in range(body.NUM_KEYPOINTS):
-                entries = []
-                for rig in scene.rigs:
-                    if kp in per_rig_kp3d[rig.rig_id]:
-                        conf = per_rig_obs[rig.rig_id][kp].confidence
-                        entries.append((per_rig_kp3d[rig.rig_id][kp], conf,
-                                        rig.world_pose()))
-                if entries:
-                    fused[kp] = fuse(entries, kp)
-            t0 = watch.add("fuse", t0)
-
-            # per-camera masks and clouds
-            chunks: dict = {}
-            for rig in scene.rigs:
-                parts_here = per_rig_parts[rig.rig_id]
-                if not parts_here:
-                    continue
-                pose_cam = rig.world_pose()
-                anchors = keyparts.project_keypoints_to_mask(
-                    fused, {o.keypoint: o for o in per_rig_obs[rig.rig_id]},
-                    pose_cam, rig.intrinsics, per_rig_depth[rig.rig_id],
-                    script.slice_radius, parts_here)
-                trapezoids = []
-                for j in parts_here:
-                    ends = keyparts.part_endpoints(j, anchors)
-                    if ends is None:
-                        continue
-                    (px_u, d_u), (px_l, d_l) = ends
-                    if d_u <= 0 or d_l <= 0:
-                        continue
-                    trapezoids.append(keyparts.trapezoid_for_part(
-                        j, (px_u, px_l), (d_u, d_l), rig.intrinsics,
-                        dims.cylinder_radius(j), script.mask_inflation))
-                mask = keyparts.paint_masks(trapezoids, rig.intrinsics.width,
-                                            rig.intrinsics.height)
-                frame_masks[rig.rig_id] = mask
-                clouds = keyparts.extract_clouds(
-                    mask, per_rig_depth[rig.rig_id], pose_cam, rig.intrinsics,
-                    robot_links, cloud_params, rig.rig_id)
-                for cloud in clouds:
-                    chunks.setdefault(cloud.part, []).append(cloud.points)
-            merged = {p: np.vstack(c) for p, c in chunks.items()}
-            t0 = watch.add("extract", t0)
-
-            # tree: build from the union of per-camera part presence
-            union_parts = sorted({j for parts_list in per_rig_parts.values()
-                                  for j in parts_list})
-            tree = body.build_tree(union_parts)
-            tree = body.augment(
-                tree, {k: f.position_world for k, f in fused.items()}, dims)
-            tree = registration.register_tree(tree, merged, fused, dims,
-                                              script.model_samples)
-            t0 = watch.add("register", t0)
-
-            # pose errors against ground truth
-            axis_errs, pos_errs = [], []
-            for j in union_parts:
-                node = tree.nodes[j]
-                if not gt_present[j] or node.state is None:
-                    continue
-                gt_cyl = pose.states[j].cylinder()
-                est = node.state
-                cosang = float(np.clip(np.dot(gt_cyl.axis, est.axis), -1.0, 1.0))
-                axis_errs.append(float(np.degrees(np.arccos(cosang))))
-                est_mid = est.base + est.axis * (0.5 * est.height)
-                pos_errs.append(float(np.linalg.norm(gt_cyl.midpoint - est_mid)))
-            metrics.axis_errors_deg.extend(axis_errs)
-            metrics.position_errors_m.extend(pos_errs)
-
-            # scheduler bookkeeping and planning
-            predicted = [j in union_parts for j in range(body.NUM_KEYPARTS)]
-            for j in range(body.NUM_KEYPARTS):
-                node = tree.nodes[j]
-                if predicted[j] and node.state is not None:
-                    tracked[j] = [node.state.cylinder(), sched_params.sigma_obs]
-                elif j in tracked:
-                    tracked[j][1] = min(tracked[j][1] + sched_params.growth * dt,
-                                        sched_params.sigma_cap)
-            steer = [rig for rig in scene.rigs if rig.active]
-            if steer and tracked and scene.robot is not None:
-                estimate = scheduler.estimate_collision(
-                    {j: c for j, (c, _s) in tracked.items()},
-                    {j: s for j, (_c, s) in tracked.items()},
-                    scene.robot.links_at, sched_params, t)
-                traj = scheduler.plan(
-                    steer, estimate,
-                    {j: c.midpoint for j, (c, _s) in tracked.items()},
-                    sched_params)
-                for rig in steer:
-                    rig.command(*traj.commands[rig.rig_id][0])
-            t0 = watch.add("schedule", t0)
-        except Exception:  # per-frame errors never abort the trial
-            log.exception("frame %d pipeline error (%s)", frame, script.name)
-            predicted = [False] * body.NUM_KEYPARTS
-            tree = None  # a failed frame has no tree, not even a partial one
-
-        row = {"frame": frame, "time": t}
-        for j in range(body.NUM_KEYPARTS):
-            p, g = predicted[j], gt_present[j]
-            row[f"pred_{j}"] = int(p)
-            row[f"true_{j}"] = int(g)
-            if p and g:
-                metrics.tp += 1
-            elif p and not g:
-                metrics.fp += 1
-            elif g:
-                metrics.fn += 1
-            else:
-                metrics.tn += 1
-            if p == g:
-                metrics.per_part_correct[j] += 1
-        metrics.rows.append(row)
-
+            inp = sense(scene, pose, props, frame, metrics.timings_ms)
+        except Exception:  # a failed render or detector fails the frame only
+            log.exception("frame %d sensing error (%s)", frame, script.name)
+            result = FrameResult(failed=True)
+        else:
+            result = pipeline.step(inp)
+        metrics.score(frame, t, result, pose, script.workspace_min, script.workspace_max)
         if frame == dump_frame:
-            dump = {"masks": frame_masks, "clouds": merged, "tree": tree}
-
+            dump = result
         scene.step(dt)
 
     if out_dir is not None:
@@ -464,21 +535,20 @@ def write_metrics(metrics: TrialMetrics, out_dir: Path) -> dict:
             "timings_json": timing_path}
 
 
-def write_frame_dump(dump: dict, out_dir: Path, frame: int) -> None:
+def write_frame_dump(result: FrameResult, out_dir: Path, frame: int) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    for rig_id, mask in dump["masks"].items():
+    for rig_id, mask in result.masks.items():
         path = out_dir / f"frame{frame}_{rig_id}_mask.txt"
         np.savetxt(path, mask.expanded().labels, fmt="%d")
-    for part, pts in dump["clouds"].items():
+    for part, pts in result.clouds.items():
         path = out_dir / f"frame{frame}_part{part}_cloud.xyz"
         with open(path, "w", encoding="utf-8") as f:
             for p in pts:
                 f.write(f"{p[0]!r} {p[1]!r} {p[2]!r}\n")
-    tree = dump["tree"]
-    if tree is None:  # the frame failed before its tree was registered
+    if result.failed:  # no tree, not even one registered before the failure
         return
     state = {}
-    for j, node in tree.nodes.items():
+    for j, node in result.tree.nodes.items():
         entry = {"present": node.present, "supplemented": node.supplemented,
                  "registered": node.registered, "note": node.note}
         if node.state is not None:

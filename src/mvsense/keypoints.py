@@ -1,7 +1,7 @@
 """Per-camera keypoint observations and their multi-camera fusion.
 
-Stages, per frame and camera: decode detector heatmaps into (pixel,
-confidence) observations, track a discounted sliding window of
+Stages, per frame and camera: normalize the detector's 17 (pixel,
+confidence) pairs into observations, track a discounted sliding window of
 confidences to decide presence, lift present keypoints to 3D through a
 depth-image slice, and finally fuse all cameras' 3D estimates with
 confidence weights in the world frame.
@@ -31,19 +31,6 @@ class EmptyInput(ValueError):
 
 
 @dataclass(frozen=True)
-class Heatmap:
-    """Confidence grid for one keypoint, values in (0, 1), shape (H', W')."""
-
-    values: np.ndarray
-    keypoint: int
-
-    def peak(self):
-        """(u, v) grid location and value of the maximum; first (v, u) wins ties."""
-        v, u = np.unravel_index(int(np.argmax(self.values)), self.values.shape)
-        return (int(u), int(v)), float(self.values[v, u])
-
-
-@dataclass(frozen=True)
 class Observation2D:
     """One keypoint seen by one camera at one timestamp."""
 
@@ -54,34 +41,19 @@ class Observation2D:
     timestamp: float
 
 
-def decode_heatmap(hm: Heatmap, image_size) -> tuple:
-    """Heatmap argmax scaled into image coordinates (center-aligned)."""
-    (u, v), conf = hm.peak()
-    hp_h, hp_w = hm.values.shape
-    w, h = image_size
-    sx, sy = w / hp_w, h / hp_h
-    return np.array([(u + 0.5) * sx - 0.5, (v + 0.5) * sy - 0.5]), conf
-
-
 def detect(image, detector, camera: str = "", timestamp: float = 0.0) -> list:
     """Run a detector and normalize its output to 17 observations.
 
-    A detector is any object with ``infer(image)`` returning either 17
-    Heatmaps or 17 (pixel, confidence) pairs, plus an ``image_size``
-    attribute (W, H). Detector exceptions propagate as-is.
+    A detector is any object with ``infer(image)`` returning 17
+    (pixel, confidence) pairs in keypoint order. Any other count raises
+    ``DetectorFailure``; detector exceptions propagate as-is.
     """
     output = detector.infer(image)
     if len(output) != NUM_KEYPOINTS:
         raise DetectorFailure(f"detector returned {len(output)} keypoints")
-    obs = []
-    for k, item in enumerate(output):
-        if isinstance(item, Heatmap):
-            pixel, conf = decode_heatmap(item, detector.image_size)
-        else:
-            pixel, conf = item
-            pixel = np.asarray(pixel, dtype=np.float64)
-        obs.append(Observation2D(k, pixel, float(conf), camera, timestamp))
-    return obs
+    return [Observation2D(k, np.asarray(pixel, dtype=np.float64), float(conf),
+                          camera, timestamp)
+            for k, (pixel, conf) in enumerate(output)]
 
 
 @dataclass
@@ -118,16 +90,6 @@ class PresenceWindow:
     def present(self) -> bool:
         # the sign convention maps an exact-threshold score to absent
         return self.score() > self.alpha
-
-    def __len__(self):
-        return len(self._buf)
-
-
-def presence(window: PresenceWindow) -> int:
-    """Existence flag E in {0, 1} from a confidence window."""
-    if len(window) < 1:
-        raise ValueError("presence needs at least one confidence entry")
-    return int(window.present())
 
 
 _DISC_CACHE: dict = {}

@@ -544,11 +544,6 @@ def emit(script: ScenarioScript) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_file(script: ScenarioScript, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(emit(script))
-
-
 # ---------------------------------------------------------------------------
 # built-in scenario templates (three production-style scenes)
 

@@ -72,14 +72,6 @@ def combine_parts(p_parts: np.ndarray) -> float:
     return float(min(1.0 - np.prod(1.0 - np.asarray(p_parts)), P_CAP))
 
 
-def objective_value(p_hats, gamma: float) -> float:
-    """sum_m gamma^m * ln(1 - p_hat[m]); p_hat clamped below 1."""
-    total = 0.0
-    for m, p in enumerate(p_hats):
-        total += (gamma ** m) * float(np.log(1.0 - min(float(p), P_CAP)))
-    return total
-
-
 def estimate_collision(part_cylinders: dict, sigmas: dict, robot_links_at,
                        params: SchedulerParams, t0: float = 0.0) -> CollisionEstimate:
     """Clearance and baseline collision probability per planning interval.

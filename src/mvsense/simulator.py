@@ -27,7 +27,7 @@ from .geometry import (
     rot_x,
     rot_y,
 )
-from .keypoints import Heatmap, Observation2D
+from .keypoints import Observation2D
 
 # rng stream labels
 STREAM_DEPTH = 0
@@ -468,34 +468,12 @@ def synthetic_detect(rig: CameraRig, pose: HumanPose, robot_links=(),
 
 
 class SyntheticDetector:
-    """Detector-interface adapter over synthetic_detect.
+    """Detector-interface adapter over ``synthetic_detect``.
 
-    ``infer`` consumes a (rig, pose, robot_links, rng, timestamp) frame
-    handle. In heatmap mode it renders one Gaussian blob per keypoint at
-    the observation pixel with the observation confidence as peak value.
+    ``infer`` takes a ``(rig, pose, occluders, noise, rng, timestamp)``
+    frame handle, the arguments of ``synthetic_detect``, and returns the
+    17 (pixel, confidence) pairs that ``keypoints.detect`` expects.
     """
 
-    def __init__(self, image_size, heatmaps: bool = False,
-                 heatmap_size=None, blob_sigma: float = 2.0):
-        self.image_size = tuple(image_size)
-        self.heatmaps = heatmaps
-        self.heatmap_size = tuple(heatmap_size or image_size)
-        self.blob_sigma = blob_sigma
-
-    def infer(self, frame):
-        rig, pose, robot_links, noise, rng, timestamp = frame
-        obs = synthetic_detect(rig, pose, robot_links, noise, rng, timestamp)
-        if not self.heatmaps:
-            return [(o.pixel, o.confidence) for o in obs]
-        w, h = self.image_size
-        hw, hh = self.heatmap_size
-        out = []
-        for o in obs:
-            # map the image pixel into heatmap coordinates (center-aligned)
-            u = (o.pixel[0] + 0.5) * hw / w - 0.5
-            v = (o.pixel[1] + 0.5) * hh / h - 0.5
-            us, vs = np.meshgrid(np.arange(hw), np.arange(hh))
-            g = np.exp(-((us - u) ** 2 + (vs - v) ** 2) / (2 * self.blob_sigma ** 2))
-            values = np.clip(o.confidence * g, 1e-6, 1.0 - 1e-6)
-            out.append(Heatmap(values, o.keypoint))
-        return out
+    def infer(self, frame) -> list:
+        return [(o.pixel, o.confidence) for o in synthetic_detect(*frame)]

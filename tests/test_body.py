@@ -6,15 +6,14 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import is_connected, limb_angles, rest_dofs
 from mvsense import body
 from mvsense.body import (
     augment,
     build_tree,
     enforce_joint_constraints,
-    limb_angles,
-    limb_direction,
+    limb_frame,
     pose_from_dofs,
-    rest_dofs,
 )
 from mvsense.geometry import frame_from_axis, normalize
 
@@ -63,23 +62,23 @@ def full_keypoints(heading=0.0):
 class TestBuildAndAugment:
     def test_all_present_is_connected_without_supplements(self):
         tree = build_tree(range(10))
-        assert tree.is_connected()
+        assert is_connected(tree)
         tree = augment(tree, full_keypoints())
         assert sum(n.supplemented for n in tree.nodes.values()) == 0
 
     def test_empty_presence_yields_empty_tree(self):
         tree = augment(build_tree([]), full_keypoints())
-        assert tree.active_parts() == []
-        assert tree.is_connected()
+        assert tree.traversal() == []
+        assert is_connected(tree)
 
     def test_missing_upper_arm_breaks_connectivity_before_augment(self):
         tree = build_tree([body.TORSO, body.L_LOWER_ARM])
-        assert not tree.is_connected()
+        assert not is_connected(tree)
 
     def test_no_supplement_needed_for_complete_chain(self):
         tree = build_tree([body.TORSO, body.L_UPPER_ARM, body.L_LOWER_ARM])
         tree = augment(tree, full_keypoints())
-        assert tree.is_connected()
+        assert is_connected(tree)
         assert sum(n.supplemented for n in tree.nodes.values()) == 0
 
     def test_supplemented_upper_arm_axis_from_joint_keypoints(self):
@@ -92,7 +91,7 @@ class TestBuildAndAugment:
                                   - np.asarray(kps[body.L_SHOULDER]))
         assert np.allclose(node.state.axis, expected_axis, atol=1e-12)
         assert np.allclose(node.state.base, kps[body.L_SHOULDER], atol=1e-12)
-        assert tree.is_connected()
+        assert is_connected(tree)
 
     def test_torso_supplemented_as_root_from_anchor_keypoints(self):
         kps = full_keypoints()
@@ -100,7 +99,7 @@ class TestBuildAndAugment:
         tree = augment(tree, kps)
         assert tree.nodes[body.TORSO].supplemented
         assert tree.nodes[body.R_UPPER_LEG].supplemented
-        assert tree.is_connected()
+        assert is_connected(tree)
         # root state fitted from keypoints 5, 6, 11, 12
         torso = tree.nodes[body.TORSO].state
         hip_mid = 0.5 * (np.asarray(kps[body.L_HIP]) + np.asarray(kps[body.R_HIP]))
@@ -117,15 +116,15 @@ class TestBuildAndAugment:
         tree = augment(tree, kps)
         assert body.L_LOWER_ARM in tree.excluded
         assert not tree.nodes[body.L_LOWER_ARM].present
-        assert tree.is_connected()
+        assert is_connected(tree)
 
     def test_connectivity_over_all_presence_subsets(self):
         kps = full_keypoints()
         for bits in itertools.product((0, 1), repeat=10):
             present = [p for p, b in enumerate(bits) if b]
             tree = augment(build_tree(present), kps)
-            assert tree.is_connected(), f"subset {present} not connected"
-            active = set(tree.active_parts())
+            assert is_connected(tree), f"subset {present} not connected"
+            active = set(tree.traversal())
             assert set(present) <= active | set(tree.excluded)
 
     def test_traversal_parents_first_and_unique(self):
@@ -146,7 +145,7 @@ class TestJointConstraints:
         tree = augment(build_tree([body.TORSO, body.L_UPPER_ARM, body.L_LOWER_ARM]),
                        kps)
         pose = pose_from_dofs(rest_dofs())
-        for p in tree.active_parts():
+        for p in tree.traversal():
             tree.nodes[p].state = pose.states[p].copy()
         return tree
 
@@ -162,7 +161,7 @@ class TestJointConstraints:
     def test_idempotent(self):
         tree = self._chain_tree()
         enforce_joint_constraints(tree)
-        before = {p: tree.nodes[p].state.base.copy() for p in tree.active_parts()}
+        before = {p: tree.nodes[p].state.base.copy() for p in tree.traversal()}
         enforce_joint_constraints(tree)
         for p, base in before.items():
             assert np.allclose(tree.nodes[p].state.base, base, atol=1e-9)
@@ -170,7 +169,7 @@ class TestJointConstraints:
     def test_random_perturbed_chain_gaps_zero_lengths_kept(self, rng):
         for _ in range(20):
             tree = self._chain_tree()
-            lengths = {p: tree.nodes[p].state.height for p in tree.active_parts()}
+            lengths = {p: tree.nodes[p].state.height for p in tree.traversal()}
             for p in (body.L_UPPER_ARM, body.L_LOWER_ARM):
                 st = tree.nodes[p].state
                 st.base = st.base + rng.uniform(-0.1, 0.1, 3)
@@ -179,14 +178,14 @@ class TestJointConstraints:
             la = tree.nodes[body.L_LOWER_ARM].state
             assert np.linalg.norm(ua.base - tree.keypoints[body.L_SHOULDER]) < 1e-9
             assert np.linalg.norm(la.base - ua.tip) < 1e-9
-            for p in tree.active_parts():
+            for p in tree.traversal():
                 assert tree.nodes[p].state.height == pytest.approx(lengths[p])
 
     def test_never_changes_height_or_radius(self, rng):
         tree = self._chain_tree()
         dims_before = {p: (tree.nodes[p].state.height, tree.nodes[p].state.radius)
-                       for p in tree.active_parts()}
-        for p in tree.active_parts():
+                       for p in tree.traversal()}
+        for p in tree.traversal():
             tree.nodes[p].state.base = tree.nodes[p].state.base + rng.normal(size=3) * 0.02
         enforce_joint_constraints(tree)
         for p, (h, r) in dims_before.items():
@@ -224,9 +223,9 @@ class TestForwardKinematics:
             ref = frame_from_axis(normalize(rng.normal(size=3)))
             tx = rng.uniform(-1.2, 1.2)
             ty = rng.uniform(-1.2, 1.2)
-            axis = limb_direction(ref, tx, ty)
+            axis = limb_frame(ref, tx, ty)[:, 2]
             tx2, ty2 = limb_angles(ref, axis)
-            assert np.allclose(limb_direction(ref, tx2, ty2), axis, atol=1e-9)
+            assert np.allclose(limb_frame(ref, tx2, ty2)[:, 2], axis, atol=1e-9)
 
     def test_heading_rotates_pose(self):
         p0 = pose_from_dofs(rest_dofs(heading=0.0))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import first_hit, random_rigid, ray_cylinder_hits_reference
+from conftest import first_hit, identity, random_rigid, ray_cylinder_hits_reference
 from mvsense.geometry import (
     RAY_BLOCK,
     BehindCamera,
@@ -83,19 +83,19 @@ def sphere_trace(origin, direction, cyl, t_max=50.0, eps=1e-5):
 class TestProjection:
     def test_optical_axis_point_maps_to_principal_point(self, k_vga):
         pixel, depth = project(np.array([0.0, 0.0, 2.0]),
-                               RigidTransform.identity(), k_vga)
+                               identity(), k_vga)
         assert pixel == pytest.approx([320.0, 240.0])
         assert depth == pytest.approx(2.0)
 
     def test_unit_offset(self, k_vga):
         pixel, _ = project(np.array([1.0, 0.0, 2.0]),
-                           RigidTransform.identity(), k_vga)
+                           identity(), k_vga)
         # 500 * 1/2 + 320
         assert pixel == pytest.approx([570.0, 240.0])
 
     def test_behind_camera_raises(self, k_vga):
         with pytest.raises(BehindCamera):
-            project(np.array([0.0, 0.0, -1.0]), RigidTransform.identity(), k_vga)
+            project(np.array([0.0, 0.0, -1.0]), identity(), k_vga)
 
     def test_reproject_principal_point(self, k_vga):
         p = reproject((320.0, 240.0), 3.5, k_vga)
@@ -111,7 +111,7 @@ class TestProjection:
                 reproject((10.0, 10.0), bad, k_vga)
 
     def test_round_trip_identity(self, k_vga, rng):
-        pose = RigidTransform.identity()
+        pose = identity()
         worst = 0.0
         for _ in range(1000):
             z = rng.uniform(0.1, 10.0)
@@ -223,9 +223,9 @@ class TestRayCylinder:
             direction = normalize(rng.normal(size=3))
             t0 = first_hit(origin, direction, self.cyl)
             x = random_rigid(rng)
-            moved = Cylinder(x.apply(self.cyl.base), x.apply_vector(self.cyl.axis),
+            moved = Cylinder(x.apply(self.cyl.base), x.rotation @ self.cyl.axis,
                              self.cyl.height, self.cyl.radius)
-            t1 = first_hit(x.apply(origin), x.apply_vector(direction), moved)
+            t1 = first_hit(x.apply(origin), x.rotation @ direction, moved)
             if t0 is None:
                 assert t1 is None
             else:

@@ -2,12 +2,14 @@
 and the command-line surface with its exit codes."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
 
-from mvsense import body, keyparts, registration, scenario
+from mvsense import body, harness, keyparts, registration, scenario, simulator
 from mvsense.cli import main
+from mvsense.keypoints import DetectorFailure
 from mvsense.harness import (
     build_scene,
     compare_configs,
@@ -173,6 +175,75 @@ class TestRunTrial:
             assert (out / name).read_bytes() == (clean / name).read_bytes()
         assert (clean / f"frame{failing}_tree.json").exists()
 
+    @pytest.mark.parametrize("fault", ["returns 16", "raises"])
+    def test_detector_fault_fails_that_frame_only(self, monkeypatch, caplog, fault):
+        """A detector that returns 16 keypoints, or raises, at 0.5 s: that
+        frame is logged once and scored all absent, and the trial goes on."""
+        infer = simulator.SyntheticDetector.infer
+
+        def faulty(self, frame):
+            pairs = infer(self, frame)
+            if abs(frame[5] - 0.5) > 1e-9:
+                return pairs
+            if fault == "raises":
+                raise DetectorFailure("injected")
+            return pairs[:16]
+
+        clean = run_trial(tiny_script(), config="multi-fixed")
+        monkeypatch.setattr(simulator.SyntheticDetector, "infer", faulty)
+        with caplog.at_level(logging.ERROR, logger="mvsense.harness"):
+            m = run_trial(tiny_script(), config="multi-fixed")
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1
+        assert "frame 5 " in errors[0].getMessage()
+        assert isinstance(errors[0].exc_info[1], DetectorFailure)
+        if fault == "returns 16":
+            assert "returned 16 keypoints" in str(errors[0].exc_info[1])
+        assert m.frames == clean.frames == len(m.rows)
+        assert any(clean.rows[5][f"pred_{j}"] for j in range(body.NUM_KEYPARTS))
+        assert not any(m.rows[5][f"pred_{j}"] for j in range(body.NUM_KEYPARTS))
+        assert m.rows[:5] == clean.rows[:5]
+
+
+class TestPipeline:
+    def test_replay_without_a_scene_reproduces_the_trial(self, monkeypatch):
+        """The trial's FrameInputs, replayed through a fresh Pipeline over
+        fresh rigs, give its presence rows and pose errors bit for bit."""
+        script = tiny_script()
+        inputs, truths = [], []
+        step, score = harness.Pipeline.step, harness.TrialMetrics.score
+
+        def recording_step(self, inp):
+            inputs.append(inp)
+            return step(self, inp)
+
+        def recording_score(self, frame, t, result, pose, lo, hi):
+            truths.append((frame, t, pose))
+            return score(self, frame, t, result, pose, lo, hi)
+
+        monkeypatch.setattr(harness.Pipeline, "step", recording_step)
+        monkeypatch.setattr(harness.TrialMetrics, "score", recording_score)
+        trial = run_trial(script, config="multi-fixed", frames=8)
+        monkeypatch.undo()
+        assert len(inputs) == len(truths) == 8
+        assert trial.axis_errors_deg  # registration ran and was scored
+
+        def no_simulator(*args, **kwargs):
+            raise AssertionError("the replay touched the simulator")
+
+        for name in ("render_depth", "synthetic_detect"):
+            monkeypatch.setattr(simulator, name, no_simulator)
+        monkeypatch.setattr(simulator.Scene, "__init__", no_simulator)
+        pipeline = harness.Pipeline(script, select_cameras(script, "multi-fixed"))
+        replay = harness.TrialMetrics(script.name, "multi-fixed", trial.seed, 8)
+        for inp, (frame, t, pose) in zip(inputs, truths):
+            replay.score(frame, t, pipeline.step(inp), pose,
+                         script.workspace_min, script.workspace_max)
+        assert replay.rows == trial.rows
+        assert replay.axis_errors_deg == trial.axis_errors_deg
+        assert replay.position_errors_m == trial.position_errors_m
+
+
 class TestCompareConfigs:
     def test_structure_and_single_trial_std_zero(self):
         script = tiny_script(duration=1.0)
@@ -207,7 +278,7 @@ class TestCompareConfigs:
 class TestCli:
     def _write_script(self, tmp_path):
         path = tmp_path / "t.scn"
-        scenario.emit_file(tiny_script(duration=0.5), path)
+        path.write_text(scenario.emit(tiny_script(duration=0.5)), encoding="utf-8")
         return path
 
     def test_validate_ok(self, tmp_path, capsys):

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 import icp_reference as ref
-from conftest import sample_cylinder
+from conftest import rest_dofs, sample_cylinder
 from mvsense import body
-from mvsense.body import KeypartState, pose_from_dofs, rest_dofs
+from mvsense.body import KeypartState, pose_from_dofs
 from mvsense.geometry import normalize, rot_x, rot_z
 from mvsense.registration import icp_register, nearest_model_search, sample_cylinder_local
 

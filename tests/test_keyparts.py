@@ -18,11 +18,11 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from conftest import hires
+from conftest import hires, identity
 from mvsense import body, harness, keyparts, scenario
 from mvsense.filters import largest_euclidean_cluster, voxel_downsample
-from mvsense.geometry import Cylinder, Intrinsics, RigidTransform, reproject_many
-from mvsense.keypoints import FusedKeypoint, Observation2D, PresenceWindow, presence
+from mvsense.geometry import Cylinder, Intrinsics, reproject_many
+from mvsense.keypoints import FusedKeypoint, Observation2D, PresenceWindow
 from mvsense.keyparts import (
     BACKGROUND,
     CloudParams,
@@ -54,13 +54,13 @@ class TestPartPresence:
         confs[body.L_SHOULDER] = 1.0
         for _ in range(6):
             w.update(max(confs.values()))
-        assert presence(w) == 1
+        assert w.present()
 
     def test_all_members_zero_absent(self):
         w = PresenceWindow(m=5, gamma=0.7, alpha=1.0)
         for _ in range(6):
             w.update(0.0)
-        assert presence(w) == 0
+        assert not w.present()
 
     def test_alternating_history_matches_formula(self):
         history = [1.0, 0.0, 1.0, 0.0, 1.0, 0.0]
@@ -70,7 +70,7 @@ class TestPartPresence:
         expected = sum((0.7 ** m) * c
                        for m, c in enumerate(reversed(history)))
         assert w.score() == pytest.approx(expected, abs=0)
-        assert presence(w) == int(expected > 1.0)
+        assert w.present() == (expected > 1.0)
 
 
 class TestTrapezoidGeometry:
@@ -132,7 +132,7 @@ class TestProjectKeypointsToMask:
         fused = {0: FusedKeypoint(0, np.array([0.0, 0.0, 2.0]), 0.9, 1)}
         depth = np.full((120, 160), 2.0)
         anchors = project_keypoints_to_mask(
-            fused, {}, RigidTransform.identity(), k, depth, 3, [body.HEAD])
+            fused, {}, identity(), k, depth, 3, [body.HEAD])
         assert np.allclose(anchors[0].pixel, [k.cx, k.cy], atol=1e-9)
         assert anchors[0].depth == pytest.approx(2.0)
         assert anchors[0].fused
@@ -142,7 +142,7 @@ class TestProjectKeypointsToMask:
         raw = {0: Observation2D(0, np.array([40.0, 30.0]), 0.4, "c", 0.0)}
         depth = np.full((120, 160), 1.5)
         anchors = project_keypoints_to_mask(
-            {}, raw, RigidTransform.identity(), k, depth, 3, [body.HEAD])
+            {}, raw, identity(), k, depth, 3, [body.HEAD])
         assert np.allclose(anchors[0].pixel, [40.0, 30.0])
         assert anchors[0].depth == pytest.approx(1.5)
         assert not anchors[0].fused
@@ -153,7 +153,7 @@ class TestProjectKeypointsToMask:
                  1: FusedKeypoint(1, np.array([0.1, 0.0, 2.0]), 0.9, 1)}
         depth = np.full((120, 160), 1.5)
         anchors = project_keypoints_to_mask(
-            fused, {}, RigidTransform.identity(), k, depth, 3, [body.HEAD])
+            fused, {}, identity(), k, depth, 3, [body.HEAD])
         assert 0 not in anchors
         assert 1 in anchors  # the keypoint in front still gets its anchor
 
@@ -164,7 +164,7 @@ class TestProjectKeypointsToMask:
         monkeypatch.setattr(keyparts, "project", broken)
         fused = {0: FusedKeypoint(0, np.array([0.0, 0.0, 2.0]), 0.9, 1)}
         with pytest.raises(ZeroDivisionError, match="bug in project"):
-            project_keypoints_to_mask(fused, {}, RigidTransform.identity(), k_small(),
+            project_keypoints_to_mask(fused, {}, identity(), k_small(),
                                       np.full((120, 160), 1.5), 3, [body.HEAD])
 
     def test_part_endpoints_torso_uses_midpoints(self):
@@ -269,7 +269,7 @@ class TestMaskWindow:
         assert mask.labels.size == 0 and mask.shape == (60, 80)
         assert (mask.expanded().labels == BACKGROUND).all()
         depth = np.full((60, 80), 2.0)
-        assert extract_clouds(mask, depth, RigidTransform.identity(), k_vga) == []
+        assert extract_clouds(mask, depth, identity(), k_vga) == []
 
     def test_blank_is_the_whole_image(self):
         mask = MaskImage.blank(80, 60)

@@ -1,4 +1,4 @@
-"""Keypoint observation pipeline: detection decoding, presence windows,
+"""Keypoint observation pipeline: the detector contract, presence windows,
 depth lifting, and confidence-weighted multi-camera fusion.
 
 Fusion correctness is checked against an independent gradient-descent
@@ -8,28 +8,22 @@ minimizer of the weighted squared-distance objective.
 import numpy as np
 import pytest
 
-from conftest import random_rigid
-from mvsense.geometry import RigidTransform
+from conftest import identity, random_rigid
 from mvsense.keypoints import (
     DetectorFailure,
     EmptyInput,
-    Heatmap,
     NoValidDepth,
     Observation2D,
     PresenceWindow,
-    decode_heatmap,
     detect,
     effectiveness_factor,
     fuse,
     lift_depth,
-    presence,
     slice_depth,
 )
 
 
 class FakeDetector:
-    image_size = (64, 48)
-
     def __init__(self, output):
         self.output = output
 
@@ -39,62 +33,15 @@ class FakeDetector:
         return self.output
 
 
-def _heatmaps_with_peak(peaks):
-    """17 uniform-ish heatmaps with one stated peak each ((u, v), value)."""
-    out = []
-    for k, ((u, v), value) in enumerate(peaks):
-        grid = np.full((48, 64), 1e-4)
-        grid[v, u] = value
-        out.append(Heatmap(grid, k))
-    return out
-
-
 class TestDetect:
-    def test_single_peak(self):
-        peaks = [((10, 20), 0.9)] * 17
-        obs = detect(None, FakeDetector(_heatmaps_with_peak(peaks)))
-        assert len(obs) == 17
-        assert obs[0].pixel == pytest.approx([10.0, 20.0])
-        assert obs[0].confidence == pytest.approx(0.9)
-
-    def test_uniform_heatmap_tie_breaks_lowest_v_u(self):
-        grid = np.full((48, 64), 0.25)
-        pixel, conf = decode_heatmap(Heatmap(grid, 0), (64, 48))
-        assert pixel == pytest.approx([0.0, 0.0])
-        assert conf == pytest.approx(0.25)
-
-    def test_row_tie_prefers_lowest_u(self):
-        grid = np.full((48, 64), 1e-4)
-        grid[5, 7] = 0.5
-        grid[5, 9] = 0.5
-        pixel, _ = decode_heatmap(Heatmap(grid, 0), (64, 48))
-        assert pixel == pytest.approx([7.0, 5.0])
-
-    def test_heatmap_scaling_center_aligned(self):
-        grid = np.full((24, 32), 1e-4)  # half resolution
-        grid[6, 8] = 0.8
-        pixel, _ = decode_heatmap(Heatmap(grid, 0), (64, 48))
-        assert pixel == pytest.approx([(8 + 0.5) * 2 - 0.5, (6 + 0.5) * 2 - 0.5])
-
-    def test_gaussian_blob_argmax_matches_exhaustive_scan(self, rng):
-        for _ in range(50):
-            cu, cv = rng.integers(2, 62), rng.integers(2, 46)
-            us, vs = np.meshgrid(np.arange(64), np.arange(48))
-            grid = 0.9 * np.exp(-((us - cu) ** 2 + (vs - cv) ** 2) / 8.0) + 1e-5
-            pixel, _ = decode_heatmap(Heatmap(grid, 0), (64, 48))
-            # exhaustive scan oracle
-            best = max(((grid[v, u], (u, v)) for v in range(48) for u in range(64)),
-                       key=lambda t: t[0])[1]
-            assert abs(pixel[0] - best[0]) <= 1.0
-            assert abs(pixel[1] - best[1]) <= 1.0
-
     def test_detector_failure_propagates(self):
         with pytest.raises(DetectorFailure):
             detect(None, FakeDetector(DetectorFailure("boom")))
 
-    def test_wrong_count_rejected(self):
-        with pytest.raises(DetectorFailure):
-            detect(None, FakeDetector([(np.zeros(2), 0.5)] * 5))
+    @pytest.mark.parametrize("count", [5, 16, 18])
+    def test_wrong_count_rejected(self, count):
+        with pytest.raises(DetectorFailure, match=f"returned {count} keypoints"):
+            detect(None, FakeDetector([(np.zeros(2), 0.5)] * count))
 
     def test_direct_pairs_pass_through(self):
         pairs = [((float(k), 2.0 * k), 0.5) for k in range(17)]
@@ -110,13 +57,13 @@ class TestPresence:
         for _ in range(5):
             w.update(1.0)
         assert w.score() == pytest.approx(1 + 0.9 + 0.81 + 0.729 + 0.6561)
-        assert presence(w) == 1
+        assert w.present()
 
     def test_all_zero_absent(self):
         w = PresenceWindow(m=4, gamma=0.9, alpha=2.0)
         for _ in range(5):
             w.update(0.0)
-        assert presence(w) == 0
+        assert not w.present()
 
     def test_exact_threshold_is_absent(self):
         # score = 1 + 0.5 + 0.25 = 1.75 == alpha -> sgn(0) convention: absent
@@ -124,19 +71,15 @@ class TestPresence:
         for _ in range(3):
             w.update(1.0)
         assert w.score() == pytest.approx(1.75)
-        assert presence(w) == 0
+        assert not w.present()
 
     def test_warm_up_pads_missing_history_with_zero(self):
         w = PresenceWindow(m=5, gamma=0.7, alpha=1.0)
         w.update(0.9)
         assert w.score() == pytest.approx(0.9)
-        assert presence(w) == 0  # biased toward absence at startup
+        assert not w.present()  # biased toward absence at startup
         w.update(0.9)
-        assert presence(w) == 1
-
-    def test_empty_window_rejected(self):
-        with pytest.raises(ValueError):
-            presence(PresenceWindow())
+        assert w.present()
 
     def test_parameter_ranges_validated(self):
         with pytest.raises(ValueError):
@@ -150,15 +93,15 @@ class TestPresence:
             w = PresenceWindow(m=5, gamma=0.7, alpha=1.0)
             for c in confs:
                 w.update(c)
-            before = presence(w)
+            before = w.present()
             bump = rng.integers(0, 6)
             confs2 = confs.copy()
             confs2[bump] = min(1.0, confs2[bump] + rng.uniform(0, 1))
             w2 = PresenceWindow(m=5, gamma=0.7, alpha=1.0)
             for c in confs2:
                 w2.update(c)
-            if before == 1:
-                assert presence(w2) == 1
+            if before:
+                assert w2.present()
 
 
 class TestLiftDepth:
@@ -235,7 +178,7 @@ class TestFuse:
         assert fk.contributing_cameras == 1
 
     def test_two_equal_cameras_average(self):
-        ident = RigidTransform.identity()
+        ident = identity()
         a = np.array([1.0, 0.0, 0.0])
         b = np.array([0.0, 1.0, 0.0])
         fk = fuse([(a, 0.5, ident), (b, 0.5, ident)])
@@ -280,7 +223,7 @@ class TestFuse:
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_fused_confidence_increasing_in_camera_count(self):
-        ident = RigidTransform.identity()
+        ident = identity()
         prev = 0.0
         for n in range(1, 8):
             entries = [(np.zeros(3), 0.6, ident)] * n

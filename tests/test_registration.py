@@ -15,9 +15,9 @@ from hypothesis.extra import numpy as hnp
 from scipy.spatial import cKDTree
 
 import icp_reference as ref
-from conftest import sample_cylinder
+from conftest import rest_dofs, sample_cylinder
 from mvsense import body
-from mvsense.body import KeypartState, augment, build_tree, rest_dofs, pose_from_dofs
+from mvsense.body import KeypartState, augment, build_tree, pose_from_dofs
 from mvsense.geometry import normalize, rot_x, rot_y, rot_z
 from mvsense.registration import (
     _BLOCK_ENTRIES,

@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import objective_value
 from mvsense.geometry import Cylinder, Intrinsics
 from mvsense.scheduler import (
     CollisionEstimate,
@@ -13,7 +14,6 @@ from mvsense.scheduler import (
     collision_probability,
     combine_parts,
     estimate_collision,
-    objective_value,
     plan,
 )
 from mvsense.simulator import CameraRig, camera_mount

@@ -6,11 +6,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import first_hit, keypoint_flags, ray_cylinder_hits_reference
+from conftest import first_hit, identity, keypoint_flags, ray_cylinder_hits_reference, rest_dofs
 from mvsense import body, harness, scenario
-from mvsense.body import PartDimensions, pose_from_dofs, rest_dofs
-from mvsense.geometry import Cylinder, Intrinsics, RigidTransform, cast_rays, normalize
-from mvsense.keypoints import Observation2D, lift_depth
+from mvsense.body import PartDimensions, pose_from_dofs
+from mvsense.geometry import Cylinder, Intrinsics, cast_rays, normalize
+from mvsense.keypoints import Observation2D, detect, lift_depth
 from mvsense.simulator import (
     CameraRig,
     DepthNoise,
@@ -86,7 +86,7 @@ class TestRenderDepth:
         """Both axis ends at camera depth 0, the surface in front: the
         camera looks out of the cylinder's side from inside it."""
         k = Intrinsics(fx=100.0, fy=100.0, cx=71.5, cy=55.5, width=144, height=112)
-        rig = CameraRig("cam", k, RigidTransform.identity())
+        rig = CameraRig("cam", k, identity())
         cyl = Cylinder(np.array([-1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]), 2.0, 0.2)
         t = cast_rays(np.zeros(3), [_cached_rays(k).reshape(-1, 3)], [cyl])
         full = np.where(np.isfinite(t), t, 0.0).reshape(k.height, k.width)
@@ -247,18 +247,19 @@ class TestSyntheticDetect:
             z_blocked = rendered > 0 and rendered < cam_pt[2] - 0.05
             assert (flag == "occluded") == z_blocked, (kp, flag, rendered, cam_pt[2])
 
-    def test_heatmap_mode_peaks_at_observation(self):
+    def test_detector_contract_returns_the_synthetic_observations(self):
+        """``keypoints.detect`` over the adapter gives ``synthetic_detect``'s
+        observations bit for bit, noise included."""
         rig, pose = self._scene()
-        det = SyntheticDetector((160, 120), heatmaps=True, heatmap_size=(80, 60))
-        frame = (rig, pose, [], DetectorNoise(sigma_px=0.0), None, 0.0)
-        heatmaps = det.infer(frame)
-        assert len(heatmaps) == 17
-        from mvsense.keypoints import decode_heatmap
-        obs = synthetic_detect(rig, pose, noise=DetectorNoise(sigma_px=0.0))
-        for hm, o in zip(heatmaps, obs):
-            pixel, conf = decode_heatmap(hm, (160, 120))
-            if o.confidence > 0.5:  # in-view keypoints localize
-                assert np.hypot(*(pixel - o.pixel)) <= 2.0
+        noise = DetectorNoise()
+        frame = (rig, pose, [], noise, np.random.default_rng(5), 0.5)
+        obs = detect(frame, SyntheticDetector(), rig.rig_id, 0.5)
+        want = synthetic_detect(rig, pose, [], noise, np.random.default_rng(5), 0.5)
+        assert len(obs) == 17
+        for o, w in zip(obs, want):
+            assert (o.keypoint, o.confidence, o.camera, o.timestamp) == \
+                (w.keypoint, w.confidence, w.camera, w.timestamp)
+            assert np.array_equal(o.pixel, w.pixel)
 
 
 class TestOracleConsistency:
