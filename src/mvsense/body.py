@@ -497,8 +497,9 @@ class HumanPose:
     keypoints: dict
     dofs: np.ndarray
 
-    def cylinders(self) -> dict:
-        return {p: s.cylinder() for p, s in self.states.items()}
+    def cylinders(self) -> list:
+        """The part cylinders in part order."""
+        return [self.states[p].cylinder() for p in range(NUM_KEYPARTS)]
 
     def keypoint_array(self) -> np.ndarray:
         return np.stack([self.keypoints[k] for k in range(NUM_KEYPOINTS)])

@@ -114,10 +114,11 @@ class TrialMetrics:
         """Add one frame: pose errors of its registered tree, presence counts.
 
         ``pose`` is the ground-truth human pose; a part truly exists when
-        its midpoint lies in the workspace box (``gt_part_presence``).
+        its midpoint lies in the workspace box (``gt_part_presence``). A
+        failed frame adds no pose error, even one that failed after registering.
         """
         present = gt_part_presence(pose, workspace_min, workspace_max)
-        if result.tree is not None:
+        if not result.failed:
             for j in result.parts:
                 est = result.tree.nodes[j].state
                 if not present[j] or est is None:
@@ -193,11 +194,10 @@ def select_cameras(script: ScenarioScript, config: str) -> list:
 
 def build_scene(script: ScenarioScript, config: str = "script",
                 seed: int | None = None) -> simulator.Scene:
-    dims = script.part_dimensions()
     human = simulator.GroundTruthHuman(
         np.array([t for t, _ in script.human_waypoints]),
         np.array([d for _, d in script.human_waypoints]),
-        dims,
+        script.dims,
     )
     robot = None
     if script.robot_waypoints:
@@ -211,9 +211,8 @@ def build_scene(script: ScenarioScript, config: str = "script",
         robot=robot,
         rigs=select_cameras(script, config),
         seed=script.seed if seed is None else seed,
-        detector_noise=simulator.DetectorNoise(
-            script.sigma_px, script.c_hi, script.c_occ, script.c_out),
-        depth_noise=simulator.DepthNoise(script.depth_sigma, script.depth_drop),
+        detector_noise=script.detector,
+        depth_noise=script.depth_noise,
     )
 
 
@@ -276,20 +275,7 @@ class Pipeline:
         self.rigs = rigs
         self.robot_links_at = robot_links_at
         self.dt = 1.0 / script.frame_rate
-        self.dims = script.part_dimensions()
-        self.depth_offsets = keypoint_depth_offsets(self.dims)
-        self.cloud_params = keyparts.CloudParams(
-            voxel=script.voxel, range_min=script.range_min, range_max=script.range_max,
-            cluster_radius=script.cluster_radius, cluster_min=script.cluster_min,
-            robot_margin_scale=script.robot_margin, depth_gate=script.depth_gate,
-        )
-        self.sched_params = scheduler.SchedulerParams(
-            horizon=script.sched_horizon, gamma=script.sched_gamma,
-            interval=script.sched_interval, grid_pan=script.sched_grid_pan,
-            grid_tilt=script.sched_grid_tilt, growth=script.sched_growth,
-            sigma_obs=script.sched_sigma_obs, sigma_cap=script.sched_sigma_cap,
-            exhaustive_limit=script.sched_exhaustive_limit,
-        )
+        self.depth_offsets = keypoint_depth_offsets(script.dims)
 
         def windows(n):
             return [PresenceWindow(script.window_m, script.window_gamma,
@@ -311,7 +297,7 @@ class Pipeline:
         return result
 
     def _run(self, inp: FrameInput, result: FrameResult) -> None:
-        script, dims = self.script, self.dims
+        script, dims = self.script, self.script.dims
         watch = _Stopwatch(self.timings_ms)
         t0 = time.perf_counter()
 
@@ -373,7 +359,7 @@ class Pipeline:
             result.masks[rig.rig_id] = mask
             clouds = keyparts.extract_clouds(
                 mask, depth, pose_cam, rig.intrinsics, inp.robot_links,
-                self.cloud_params, rig.rig_id)
+                script.cloud, rig.rig_id)
             for cloud in clouds:
                 chunks.setdefault(cloud.part, []).append(cloud.points)
         result.clouds = {p: np.vstack(c) for p, c in chunks.items()}
@@ -389,7 +375,7 @@ class Pipeline:
         t0 = watch.add("register", t0)
 
         # scheduler bookkeeping and planning
-        params, tracked = self.sched_params, self.tracked
+        params, tracked = script.scheduler, self.tracked
         for j in range(body.NUM_KEYPARTS):
             state = result.tree.nodes[j].state
             if j in result.parts and state is not None:
@@ -418,8 +404,8 @@ def sense(scene: simulator.Scene, pose, props: list, frame: int,
     detector = simulator.SyntheticDetector()
     t = scene.t
     robot_links = scene.robot.links_at(t) if scene.robot else []
-    scene_cyls = scene.cylinders(pose) + props
     occluders = list(robot_links) + props
+    scene_cyls = pose.cylinders() + occluders
     inp = FrameInput(frame, t, {}, {}, {}, robot_links)
     t0 = time.perf_counter()
     for ci, rig in enumerate(scene.rigs):

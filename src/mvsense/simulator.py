@@ -191,14 +191,6 @@ class Scene:
         ss = np.random.SeedSequence([self.seed, self.frame_index, rig_index, stream])
         return np.random.Generator(np.random.PCG64(ss))
 
-    def cylinders(self, pose: HumanPose | None = None) -> list:
-        """All scene cylinders, human parts first then robot links."""
-        pose = pose or self.human.pose_at(self.t)
-        cyls = [pose.states[p].cylinder() for p in range(body.NUM_KEYPARTS)]
-        if self.robot is not None:
-            cyls.extend(self.robot.links_at(self.t))
-        return cyls
-
     def step(self, dt: float) -> None:
         if dt <= 0:
             raise ValueError("dt must be positive")

@@ -204,6 +204,21 @@ class TestRunTrial:
         assert not any(m.rows[5][f"pred_{j}"] for j in range(body.NUM_KEYPARTS))
         assert m.rows[:5] == clean.rows[:5]
 
+    def test_failed_frame_adds_no_pose_error(self, monkeypatch):
+        """Frames that fail in the scheduler, after their trees were
+        registered, predict every part absent and add no pose error."""
+        calls = []
+
+        def plan(*args, **kwargs):
+            calls.append(None)
+            raise RuntimeError("injected scheduler failure")
+
+        monkeypatch.setattr(harness.scheduler, "plan", plan)
+        m = run_trial(tiny_script(), config="multi-active", frames=4)
+        assert calls
+        assert m.summary()["pose_samples"] == 0
+        assert not any(row[f"pred_{j}"] for row in m.rows for j in range(body.NUM_KEYPARTS))
+
 
 class TestPipeline:
     def test_replay_without_a_scene_reproduces_the_trial(self, monkeypatch):
@@ -290,6 +305,13 @@ class TestCli:
         bad = tmp_path / "bad.scn"
         bad.write_text("format mvsense-scenario 1\nbogus-directive 1\n")
         assert main(["validate", "--script", str(bad)]) == 1
+
+    def test_validate_bare_scalar_directive_exit_1(self, tmp_path, capsys):
+        text = scenario.emit(tiny_script())
+        bad = tmp_path / "bad.scn"
+        bad.write_text(text.replace("\nseed 3\n", "\nseed\n"))
+        assert main(["validate", "--script", str(bad)]) == 1
+        assert "config error: line 3, field 'seed'" in capsys.readouterr().err
 
     def test_missing_file_exit_1(self):
         assert main(["validate", "--script", "/nonexistent.scn"]) == 1

@@ -4,9 +4,15 @@ emission round trip, and the shipped template files."""
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mvsense import body
 from mvsense.scenario import (
+    DIRECTIVES,
+    CameraSpec,
     ConfigError,
+    PropSpec,
     ScenarioScript,
     TEMPLATES,
     emit,
@@ -89,13 +95,52 @@ class TestParse:
     def test_part_dim_override(self):
         text = MINIMAL + "part-dim torso radius=0.2 height=0.6\n"
         script = parse(text)
-        assert script.part_radius[0] == 0.2
-        assert script.part_height[0] == 0.6
-        assert script.part_radius[1] == ScenarioScript().part_radius[1]
+        assert script.dims.radius[0] == 0.2
+        assert script.dims.height[0] == 0.6
+        assert script.dims.radius[1] == ScenarioScript().dims.radius[1]
 
     def test_prop_requires_all_fields(self):
         with pytest.raises(ConfigError):
             parse(MINIMAL + "prop pos=1,2,0 radius=0.5\n")
+
+    @pytest.mark.parametrize("line", ["bare", "extra token"])
+    @pytest.mark.parametrize("directive", ["seed", "duration", "frame-rate", "slice-radius",
+                                           "mask-inflation", "model-samples"])
+    def test_malformed_scalar_directive(self, directive, line):
+        kept = [ln for ln in MINIMAL.splitlines() if ln.split()[0] != directive]
+        bad = directive if line == "bare" else f"{directive} 3 7"
+        with pytest.raises(ConfigError) as err:
+            parse("\n".join(kept + [bad]) + "\n")
+        assert err.value.line == len(kept) + 1
+        assert err.value.field_name == directive
+
+    @pytest.mark.parametrize("old, new, field", [
+        ("duration 1.0", "duration inf", "duration"),
+        ("pos=3.0,0.0,1.6", "pos=nan,0,1.6", "pos"),
+        ("dof=0,0,0.9,", "dof=nan,0,0.9,", "dof"),
+    ])
+    def test_non_finite_numbers_rejected(self, old, new, field):
+        lineno = next(i for i, ln in enumerate(MINIMAL.splitlines(), 1) if old in ln)
+        with pytest.raises(ConfigError) as err:
+            parse(MINIMAL.replace(old, new))
+        assert (err.value.line, err.value.field_name) == (lineno, field)
+
+    def test_camera_fy_defaults_to_fx(self):
+        script = parse(MINIMAL.replace("fx=150 fy=150", "fx=120"))
+        assert script.cameras[0].fy == 120.0
+
+    def test_validate_error_points_at_its_line(self):
+        """A check ``validate`` makes after parsing names the line that set
+        the field: the singleton directive, or the failing entry."""
+        cam = next(ln for ln in MINIMAL.splitlines() if ln.startswith("camera"))
+        text = MINIMAL + "window gamma=1.2\n"
+        with pytest.raises(ConfigError) as err:
+            parse(text)
+        assert (err.value.line, err.value.field_name) == (len(text.splitlines()), "window")
+        text = MINIMAL + cam.replace("cam0", "cam1").replace("fy=150", "fy=151") + "\n"
+        with pytest.raises(ConfigError) as err:
+            parse(text)
+        assert (err.value.line, err.value.field_name) == (len(text.splitlines()), "camera")
 
 
 class TestRoundTrip:
@@ -113,13 +158,35 @@ class TestRoundTrip:
         text = emit(script)
         assert emit(parse(text)) == text
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_every_key_off_its_default_round_trips(self, data):
+        script = data.draw(off_default_scripts())
+        text = emit(script)
+        assert parse(text) == script
+        assert emit(parse(text)) == text
+
+
+class TestMalformedText:
+    @settings(max_examples=400, deadline=None)
+    @given(name=st.sampled_from(sorted(TEMPLATES)), data=st.data())
+    def test_one_edit_parses_or_raises_config_error_with_line(self, name, data):
+        text = edited(data, (SCENARIO_DIR / f"{name}.scn").read_text())
+        try:
+            parse(text)
+        except ConfigError as err:
+            assert err.line is not None, str(err)
+
 
 class TestShippedFiles:
     @pytest.mark.parametrize("name", sorted(TEMPLATES))
     def test_files_match_templates(self, name):
+        """Each shipped file parses to its template and is, byte for byte,
+        the template's canonical text."""
         path = SCENARIO_DIR / f"{name}.scn"
         assert path.exists(), f"missing canonical scenario file {path}"
         assert parse_file(path) == TEMPLATES[name](seed=0)
+        assert emit(TEMPLATES[name](seed=0)) == path.read_text(encoding="utf-8")
 
     def test_templates_define_two_cameras_and_robot(self):
         for name, builder in TEMPLATES.items():
@@ -127,3 +194,94 @@ class TestShippedFiles:
             assert len(script.cameras) == 2
             assert script.robot_waypoints
             script.validate()
+
+
+# ---------------------------------------------------------------------------
+# generators for the property tests
+
+
+def nudge(draw, value):
+    """A valid value near ``value`` (a field's default) but not equal to it."""
+    if isinstance(value, str):
+        return value + draw(st.text("abcxyz_-", min_size=1, max_size=4))
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + draw(st.integers(1, 3))
+    if isinstance(value, tuple):
+        return tuple(nudge(draw, v) for v in value)
+    f = draw(st.floats(0.001, 0.05))
+    return value * (1.0 - f) if value else f
+
+
+def finite(lo=-10.0, hi=10.0):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def times(draw):
+    return sorted(draw(st.lists(finite(0.0, 60.0), min_size=1, max_size=4, unique=True)))
+
+
+@st.composite
+def off_default_scripts(draw):
+    """Scripts in which every key of the directive table is off its default."""
+    script = ScenarioScript()
+    for word, spec in DIRECTIVES.items():
+        if not spec.repeats and word != "robot":
+            (row,) = spec.rows(script)
+            spec.store(script, {k.attr: nudge(draw, v) for k, v in zip(spec.keys, row)})
+    for name, radius, height in DIRECTIVES["part-dim"].rows(script):
+        DIRECTIVES["part-dim"].store(script, {"part": name, "radius": nudge(draw, radius),
+                                              "height": nudge(draw, height)})
+    camera = DIRECTIVES["camera"]
+    for i in range(draw(st.integers(1, 3))):
+        (row,) = camera.rows(ScenarioScript(cameras=[CameraSpec(f"cam{i}")]))
+        values = {k.attr: nudge(draw, v) for k, v in zip(camera.keys, row)}
+        camera.store(script, dict(values, fy=values["fx"]))
+    script.props = [PropSpec(draw(st.tuples(finite(), finite(), finite())),
+                             draw(finite(0.01, 2.0)), draw(finite(0.01, 3.0)))
+                    for _ in range(draw(st.integers(0, 2)))]
+    joints = draw(st.integers(2, 4))
+    script.robot_waypoints = [
+        (t, tuple(draw(st.tuples(finite(), finite(), finite())) for _ in range(joints)))
+        for t in times(draw)]
+    (row,) = DIRECTIVES["robot"].rows(script)
+    script.robot_radius = nudge(draw, row[0])
+    script.human_waypoints = [
+        (t, tuple(draw(st.lists(finite(), min_size=body.TOTAL_DOF, max_size=body.TOTAL_DOF))))
+        for t in times(draw)]
+    script.validate()
+    return script
+
+
+JUNK = st.one_of(
+    st.sampled_from(["", "nan", "inf", "-inf", "1e999", "-1", "0", "1e-300", "yes", "x",
+                     "=", "a=b", "1,2", "1,2,3", ";", "#", "9" * 40, "seed", "camera"]),
+    st.text(st.characters(blacklist_categories=("Zs", "Zl", "Zp", "Cc", "Cs")), max_size=8),
+    st.floats().map(repr),
+    st.integers(-10**6, 10**6).map(str),
+)
+
+
+def edited(data, text: str) -> str:
+    """``text`` after one edit of one line: delete a token, insert junk,
+    replace a value, duplicate the line, or cut it down to its directive."""
+    lines = text.splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    tokens = lines[i].split()
+    j = data.draw(st.integers(0, len(tokens) - 1))
+    edit = data.draw(st.sampled_from(["delete", "insert", "replace", "duplicate", "cut"]))
+    if edit == "delete":
+        del tokens[j]
+    elif edit == "insert":
+        tokens.insert(data.draw(st.integers(0, len(tokens))), data.draw(JUNK))
+    elif edit == "replace":
+        key, eq, _ = tokens[j].partition("=")
+        tokens[j] = key + eq + data.draw(JUNK) if eq else data.draw(JUNK)
+    elif edit == "duplicate":
+        lines.insert(i, lines[i])
+    else:
+        tokens = tokens[:1]
+    if edit != "duplicate":
+        lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"

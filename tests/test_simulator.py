@@ -441,7 +441,7 @@ def template_views(size, times=(0.0, 1.3, 2.6)):
             for ci, rig in enumerate(scene.rigs):
                 rig = at_resolution(rig, size)
                 rig.pan, rig.tilt = 0.45 * np.sin(3.0 * t + ci), -0.2 * np.cos(t)
-                yield scene, ci, rig, pose, scene.cylinders(pose) + props, links + props
+                yield scene, ci, rig, pose, pose.cylinders() + links + props, links + props
 
 
 SIZES = [(144, 112), (640, 480)]
