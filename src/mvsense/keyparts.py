@@ -69,7 +69,10 @@ class Trapezoid:
         n2 = float(axis @ axis)
         if n2 < 1e-12:
             return np.full(len(pts), self.paint_depth)
-        t = np.clip((pts - self.mid_upper) @ axis / n2, 0.0, 1.0)
+        # elementwise, so a pixel's depth does not depend on how many
+        # pixels share the call (a matrix product rounds by row count)
+        rel = pts - self.mid_upper
+        t = np.clip((rel[:, 0] * axis[0] + rel[:, 1] * axis[1]) / n2, 0.0, 1.0)
         return self.paint_depth_upper + t * (self.paint_depth_lower - self.paint_depth_upper)
 
     def corners(self) -> np.ndarray:

@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.sparse import coo_matrix
@@ -398,6 +398,7 @@ class TestPaintMatchesPerBoxReference:
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6))
+    @example(seed=190625392, n=2)  # a one-pixel trapezoid
     def test_random_trapezoids(self, seed, n):
         rng = np.random.default_rng(seed)
         tzs = []
