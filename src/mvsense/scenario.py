@@ -148,6 +148,9 @@ class ScenarioScript:
              "scheduler grid must be >= 1", "scheduler")
         need(sched.growth >= 0, "scheduler growth must be >= 0", "scheduler")
         need(sched.sigma_obs > 0, "scheduler sigma-obs must be > 0", "scheduler")
+        need(sched.sigma_cap > 0, "scheduler sigma-cap must be > 0", "scheduler")
+        need(sched.exhaustive_limit >= 0, "scheduler exhaustive-limit must be >= 0",
+             "scheduler")
         need(all(a < b for a, b in zip(self.workspace_min, self.workspace_max)),
              "workspace min must be < max per axis", "workspace")
         need(len(dims.radius) == body.NUM_KEYPARTS
@@ -316,8 +319,6 @@ def _parsed_camera(cam_id, **values) -> CameraSpec:
     return CameraSpec(cam_id, **values)
 
 
-_ROBOT = _setting(_k("radius", attr="robot_radius"))
-
 DIRECTIVES = {
     "name": _scalar("name", WORD),
     "seed": _scalar("seed", INT),
@@ -352,9 +353,7 @@ DIRECTIVES = {
                        _k("rate"), _k("active", YES_NO), owner="cameras", make=_parsed_camera),
     "prop": _listing(_k("pos", VEC3), _k("radius"), _k("height"), owner="props",
                      make=PropSpec, required=True),
-    # a script without a robot writes no radius
-    "robot": _ROBOT._replace(
-        rows=lambda script: _ROBOT.rows(script) if script.robot_waypoints else []),
+    "robot": _setting(_k("radius", attr="robot_radius")),
     "robot-waypoint": _listing(_k("t"), _k("joints", JOINTS), owner="robot_waypoints",
                                make=lambda t, joints: (t, joints), row=tuple,
                                required=True),

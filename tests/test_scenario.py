@@ -143,10 +143,29 @@ class TestParse:
         assert (err.value.line, err.value.field_name) == (len(text.splitlines()), "camera")
 
 
+    @pytest.mark.parametrize("key, value", [("sigma-cap", "0"), ("sigma-cap", "-1.0"),
+                                            ("exhaustive-limit", "-5")])
+    def test_scheduler_ranges_rejected(self, key, value):
+        text = MINIMAL + f"scheduler {key}={value}\n"
+        with pytest.raises(ConfigError) as err:
+            parse(text)
+        assert (err.value.line, err.value.field_name) == (len(text.splitlines()), "scheduler")
+        assert key in err.value.message
+
+    def test_scheduler_range_edges_accepted(self):
+        script = parse(MINIMAL + "scheduler sigma-cap=1e-3 exhaustive-limit=0\n")
+        assert (script.scheduler.sigma_cap, script.scheduler.exhaustive_limit) == (1e-3, 0)
+
+
 class TestRoundTrip:
     def test_emit_parse_identity_minimal(self):
         script = parse(MINIMAL)
         assert parse(emit(script)) == script
+
+    def test_robot_radius_without_a_robot_round_trips(self):
+        script = parse(MINIMAL + "robot radius=0.1\n")
+        assert not script.robot_waypoints
+        assert parse(emit(script)) == script and script.robot_radius == 0.1
 
     @pytest.mark.parametrize("name", sorted(TEMPLATES))
     def test_emit_parse_identity_templates(self, name):
@@ -241,10 +260,11 @@ def off_default_scripts(draw):
     script.props = [PropSpec(draw(st.tuples(finite(), finite(), finite())),
                              draw(finite(0.01, 2.0)), draw(finite(0.01, 3.0)))
                     for _ in range(draw(st.integers(0, 2)))]
-    joints = draw(st.integers(2, 4))
-    script.robot_waypoints = [
-        (t, tuple(draw(st.tuples(finite(), finite(), finite())) for _ in range(joints)))
-        for t in times(draw)]
+    if draw(st.booleans()):  # with a robot, or a robot-less script
+        joints = draw(st.integers(2, 4))
+        script.robot_waypoints = [
+            (t, tuple(draw(st.tuples(finite(), finite(), finite())) for _ in range(joints)))
+            for t in times(draw)]
     (row,) = DIRECTIVES["robot"].rows(script)
     script.robot_radius = nudge(draw, row[0])
     script.human_waypoints = [
