@@ -16,7 +16,6 @@ have square pixels (fx == fy); see ``Intrinsics.focal``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -276,100 +275,86 @@ def reproject_many(pixels: np.ndarray, depths: np.ndarray, k: Intrinsics) -> np.
 # ray / cylinder intersection
 
 
-# Rays per block of ``cast_rays``. A block's float64 temporaries, about 2 MB
+def cylinder_table(cylinders, frame: RigidTransform) -> np.ndarray:
+    """(m, 8) rows of each cylinder's base, axis, height and radius, with the
+    base and axis moved by ``frame``.
+
+    The move is written out elementwise, so a cylinder's row has the same
+    bits whichever cylinders share the call.
+    """
+    g = np.array([c.base.tolist() + c.axis.tolist() + [c.height, c.radius]
+                  for c in cylinders]).reshape(-1, 8)
+    # [i, end, j, k] = rotation[j, k] * point[k] for the base and the axis
+    p = g[:, :6].reshape(-1, 2, 1, 3) * frame.rotation
+    g[:, :6] = (p[..., 0] + p[..., 1] + p[..., 2]).reshape(-1, 6)
+    g[:, :3] += frame.translation
+    return g
+
+
+# Rays per block of ``cast_rays``. A block's float64 temporaries, under 2 MB
 # at 8192 rays, stay near a 2 MB per-core L2; 640x480 renders cast in 64k-ray
 # blocks ran about 1.5x slower, and small blocks pay numpy's call overhead.
 RAY_BLOCK = 8192
 
 
-def _ray_blocks(counts: list):
-    """``(first, stop)`` ranges of consecutive whole cylinders with at most
-    RAY_BLOCK rays, or a single cylinder that alone has more."""
-    first, rays = 0, 0
-    for i, n in enumerate(counts):
-        if i > first and rays + n > RAY_BLOCK:
-            yield first, i
-            first, rays = i, 0
-        rays += n
-    yield first, len(counts)
+def cast_rays(dirs: np.ndarray, cylinders: np.ndarray, counts) -> np.ndarray:
+    """Smallest positive ray parameter t per ray from the origin, +inf on a miss.
 
+    ``dirs`` (3, n) holds the ray directions as rows of x, y and z; they need
+    not be unit length, and t is in their units. ``cylinders`` (m, 8) holds
+    rows of base, unit axis, height and radius relative to the rays' origin
+    (``cylinder_table``). The first ``counts[0]`` rays are cast against
+    cylinder 0 only, the next ``counts[1]`` against cylinder 1, and so on.
+    The lateral surface and both caps count.
 
-def cast_rays(origin, dirs: list, cylinders: list) -> np.ndarray:
-    """Smallest positive ray parameter t per ray from one origin.
-
-    ``dirs[i]``, an (n_i, 3) float64 array, is cast against ``cylinders[i]``
-    only; the result holds all rays' t in that order, +inf on a miss. The
-    lateral surface and both caps count; t is in units of the directions,
-    which need not be unit length.
-
-    Each elementwise step, the ``einsum`` row dots included, runs once per
-    block of ``_ray_blocks``: a row gets the same bits whichever rows share
-    the call. A product with a cylinder's axis stays one BLAS call (gemv, or
-    ddot for one row) on that cylinder's rows, because a batched product or a
-    row dot with a repeated axis rounds differently. Origin-only terms are
-    computed once per cylinder with the bits the per-ray arrays had: numpy
-    sums a broadcast origin's products in order from 0.0, ddot a single ray's.
+    Every step is elementwise arithmetic, with no matrix product or row dot,
+    so a ray's t has the same bits whichever rays and cylinders share the
+    call. Per cylinder, with b its base and a its axis, the kernel computes
+    q = b - (b.a) a, the base's offset from the axis line through the
+    origin, and qc = |q|^2 - r^2 once. Along a ray t d, with e = d - (d.a) a,
+    the distance from the axis line is r where t^2 |e|^2 - 2 t q.e + qc = 0
+    (the half-b form), and the axial coordinate t d.a - b.a is 0 or the
+    height at the cap planes. The ray is inside the cylinder where it is
+    both between the roots and between the cap planes, and the hit is the
+    first positive t of that interval: its start, or its end for an origin
+    inside the cylinder.
     """
-    origin = np.asarray(origin, dtype=np.float64).reshape(3)
-    counts = [len(d) for d in dirs]
-    out = np.empty(sum(counts))
-    if not cylinders:
-        return out
-    axis = np.array([c.axis for c in cylinders])
-    o = origin - np.array([c.base for c in cylinders])
-    od = 0.0 + o[:, 0] * axis[:, 0] + o[:, 1] * axis[:, 1] + o[:, 2] * axis[:, 2]
-    for i in np.flatnonzero(np.equal(counts, 1)):
-        od[i] = o[i] @ axis[i]
-    o_perp = o - od[:, None] * axis
-    r2 = np.array([c.radius * c.radius for c in cylinders])
-    qc = np.einsum("ij,ij->i", o_perp, o_perp) - r2
-    # one row per per-cylinder term, repeated out to the rays of a block
-    terms = np.vstack([axis.T, o.T, od, qc, [c.height for c in cylinders], r2])
-
-    stop = 0
-    for first, last in _ray_blocks(counts):
-        start, cnt = stop, counts[first:last]
-        stop += sum(cnt)
-        if stop == start:
-            continue
-        rows = [(i, slice(e - c, e)) for i, c, e in
-                zip(range(first, last), cnt, itertools.accumulate(cnt)) if c]
-        a0, a1, a2, o0, o1, o2, od_r, qc_r, h_r, r2_r = np.repeat(terms[:, first:last], cnt, 1)
-        d = np.concatenate(dirs[first:last])
-        dd, ax_hit = np.empty((2, stop - start))
-        for i, r in rows:
-            np.matmul(d[r], axis[i], out=dd[r])
-        # d minus its axial part by strided columns (a broadcast (n, 3) product is slower)
-        d_perp = np.empty_like(d)
-        for j, a_j in enumerate((a0, a1, a2)):
-            np.subtract(d[:, j], dd * a_j, out=d_perp[:, j])
-        qa = np.einsum("ij,ij->i", d_perp, d_perp)
-        qb = 2.0 * np.einsum("ij,ij->i", np.repeat(o_perp[first:last], cnt, 0), d_perp)
-
-        best = np.full(stop - start, np.inf)
-        disc = qb * qb - 4.0 * qa * qc_r
-        valid = (disc >= 0) & (qa > 1e-16)
-        sq = np.sqrt(np.where(valid, disc, 0.0))
-        moving = np.abs(dd) > 1e-16
-        step = np.where(moving, dd, 1.0)
-        hit = d_perp
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for sign in (-1.0, 1.0):
-                t = (-qb + sign * sq) / (2.0 * qa)
-                ax = od_r + t * dd
-                np.minimum(best, t, out=best,
-                           where=valid & (t > 1e-12) & (ax >= 0.0) & (ax <= h_r))
-            # caps at axial coordinate 0 and h
-            for plane in (0.0, h_r):
-                t = (plane - od_r) / step
-                for j, o_j in enumerate((o0, o1, o2)):
-                    np.add(o_j, t * d[:, j], out=hit[:, j])
-                for i, r in rows:
-                    np.matmul(hit[r], axis[i], out=ax_hit[r])
-                radial2 = np.einsum("ij,ij->i", hit, hit) - ax_hit * ax_hit
-                np.minimum(best, t, out=best,
-                           where=moving & (t > 1e-12) & (radial2 <= r2_r))
-        out[start:stop] = best
+    counts = np.asarray(counts, dtype=np.int64)
+    n = int(counts.sum())
+    out = np.empty(n)
+    b, a = cylinders[:, :3].T, cylinders[:, 3:6].T
+    ba = b[0] * a[0] + b[1] * a[1] + b[2] * a[2]
+    q = b - ba * a
+    r = cylinders[:, 7]
+    qc = q[0] * q[0] + q[1] * q[1] + q[2] * q[2] - r * r
+    # one row per per-cylinder term: t d.a runs from ba to ba + h between the
+    # cap planes, and a ray along the axis is inside the side everywhere
+    # (within = inf) or nowhere (NaN)
+    terms = np.vstack([a, q, qc, ba, ba + cylinders[:, 6], np.where(qc <= 0.0, np.inf, np.nan)])
+    ends = np.cumsum(counts)
+    for start in range(0, n, RAY_BLOCK):
+        stop = min(start + RAY_BLOCK, n)
+        rays = np.clip(ends, start, stop) - np.clip(ends - counts, start, stop)
+        a0, a1, a2, q0, q1, q2, qc_r, bottom, top, within = np.repeat(terms, rays, axis=1)
+        dx, dy, dz = dirs[:, start:stop]
+        dd = dx * a0 + dy * a1 + dz * a2
+        ex, ey, ez = dx - dd * a0, dy - dd * a1, dz - dd * a2
+        qa = ex * ex + ey * ey + ez * ez
+        qb = q0 * ex + q1 * ey + q2 * ez
+        # NaN, which fails every comparison, stands for an empty interval:
+        # a negative discriminant, or a ray along the axis outside its radius
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            sq = np.sqrt(qb * qb - qa * qc_r)
+            side = qa > 1e-16
+            enter = np.where(side, (qb - sq) / qa, -within)
+            leave = np.where(side, (qb + sq) / qa, within)
+            # a ray in a cap plane (d.a = 0, b.a = 0) is between the planes
+            step = np.where(dd == 0.0, 1e-300, dd)
+            t0, t1 = bottom / step, top / step
+            enter = np.maximum(enter, np.minimum(t0, t1))
+            leave = np.minimum(leave, np.maximum(t0, t1))
+            t = np.where(enter > 1e-12, enter, leave)
+            out[start:stop] = np.where((enter <= leave) & (t > 1e-12), t, np.inf)
     return out
 
 

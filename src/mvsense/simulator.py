@@ -5,10 +5,11 @@ trajectory, a robot arm proxy (a chain of link cylinders on its own
 script), and pan-tilt camera rigs. It renders depth images and tests
 keypoint occlusion with one ray-cylinder kernel, ``geometry.cast_rays``,
 and emits detector-like keypoint observations whose confidences reflect
-occlusion and field of view. A render casts each cylinder only through
-the pixels of its projected footprint, and depth noise is drawn for hit
-pixels only, so its cost follows the body's size in the image, not the
-pixel count. Everything is deterministic for a fixed seed.
+occlusion and field of view. A render casts in the camera frame, each
+cylinder only through the pixels of its projected footprint, and depth
+noise is drawn for hit pixels only, so its cost follows the body's size
+in the image, not the pixel count. Everything is deterministic for a
+fixed seed.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .geometry import (
     Intrinsics,
     RigidTransform,
     cast_rays,
+    cylinder_table,
     rot_x,
     rot_y,
 )
@@ -200,95 +202,51 @@ class Scene:
         self.frame_index += 1
 
 
-_RAY_CACHE: dict = {}
-
-
-def _cached_rays(k: Intrinsics) -> np.ndarray:
-    """Camera-frame ray directions with z = 1 per pixel, shape (H, W, 3)."""
-    key = (k.fx, k.fy, k.cx, k.cy, k.width, k.height)
-    if key not in _RAY_CACHE:
-        vs, us = np.mgrid[0:k.height, 0:k.width]
-        rays = np.empty((k.height, k.width, 3))
-        rays[..., 0] = (us - k.cx) / k.fx
-        rays[..., 1] = (vs - k.cy) / k.fy
-        rays[..., 2] = 1.0
-        _RAY_CACHE[key] = rays
-    return _RAY_CACHE[key]
-
-
-def _cylinder_pixel_bbox(ends: np.ndarray, radius: np.ndarray, k: Intrinsics) -> tuple:
-    """Conservative image bbox of each cylinder: ``(visible, low, high)``.
-
-    ``ends`` (n, 2, 3) holds each cylinder's base and top in camera
-    coordinates. ``low`` and ``high`` (n, 2) are the inclusive (u, v)
-    pixel bounds, whole numbers as floats. The box is the whole image
-    when a cylinder nears the image plane, which covers a camera inside
-    it. A cylinder is not visible when no point of it can be in front of
-    the camera (both ends at least a radius behind) or its box misses
-    the image. ``render_depth`` casts inside this box only.
-
-    All cylinders are computed at once, from ends moved into the camera
-    by one product. An end may then differ in its last bit from a move of
-    that end alone, and a box edge by one pixel, inside the box's 2 px
-    margin.
-    """
-    z = ends[..., 2]
-    near = z.min(axis=1) - radius
-    whole = near <= 0.05
-    uv = ends[..., :2] / np.where(whole[:, None], 1.0, z)[..., None] * (k.fx, k.fy) + (k.cx, k.cy)
-    # sphere bound: projected radius grows as the sphere nears the camera
-    pad = (max(k.fx, k.fy) * radius / np.where(whole, 1.0, near) + 2.0)[:, None]
-    size = (k.width - 1, k.height - 1)
-    low = np.where(whole[:, None], 0.0, np.maximum(np.floor(uv.min(axis=1) - pad), 0.0))
-    high = np.where(whole[:, None], size, np.minimum(np.ceil(uv.max(axis=1) + pad), size))
-    visible = (z.max(axis=1) + radius > 0.0) & (high >= low).all(axis=1)
-    return visible, low, high
-
+# Camera depth at which a footprint is clipped: its part in front is
+# projected, and the thin slab behind it, down to the camera plane, is
+# bounded by the side of the optical axis it lies on.
+NEAR = 0.05
 
 # rows of the bounding box corners as weights of (base, h axis, r e1, r e2):
 # the four corners around the base, then the four around the top
 _CORNERS = np.array([[1.0, end, s1, s2] for end in (0.0, 1.0)
                      for s1, s2 in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))])
-_AXIS_WEIGHTS = np.array([-0.25] * 4 + [0.25] * 4)
+# the box's twelve edges: pairs of corners that differ in one weight
+_EDGES = np.array([(i, j) for i in range(8) for j in range(i + 1, 8)
+                   if bin(i ^ j).count("1") == 1])
+# the planes the edges are clipped at, and which crossings bound the front part
+_PLANES = np.array([NEAR, 0.0])
+_FRONT_PLANES = np.tile(_PLANES > 0.0, len(_EDGES))
 
 
-def _pixel_spans(cylinders, cam_from_world, k: Intrinsics) -> tuple:
+def _pixel_spans(table: np.ndarray, k: Intrinsics) -> tuple:
     """The pixels ``render_depth`` casts per cylinder, as row spans.
 
-    Returns ``(cylinder, row, first column, length)`` arrays, one entry per
-    row of each visible cylinder's ``_cylinder_pixel_bbox``, in cylinder
-    then row order; a length may be 0.
+    ``table`` holds the cylinders in camera coordinates
+    (``geometry.cylinder_table``). Returns ``(cylinder, row, first
+    column, length)`` arrays, one entry per row of each visible cylinder's
+    pixel box, in cylinder then row order; a length may be 0.
 
-    The span is the row's crossing of the cylinder's footprint: the image
-    of its oriented bounding box (the ends +- r e1 +- r e2, with e1 and e2
-    unit vectors across the axis), bounded by a rectangle along the
-    projected axis and across it and widened by 1 px on each side. The box
-    holds the cylinder, and when it lies in front of the camera its image
-    is the hull of its projected corners, so every pixel whose ray can hit
-    the cylinder lies in the rectangle; the margin absorbs rounding. All
-    cylinders are computed at once: numpy's per-call cost makes a loop
-    over cylinders slower than the rays it saves at 144x112.
-
-    The whole box row is cast instead when a corner is within 0.05 of the
-    camera plane or behind it, when the projected axis is shorter than
-    1e-3 px, and when the footprint holds one pixel of a larger box: a
-    one-row product rounds differently from a multi-row one, so that pixel
-    would not keep the bits of the box cast.
+    A cylinder lies in its oriented bounding box (the ends +- r e1 +- r
+    e2, with e1 and e2 unit vectors across the axis), which is clipped at
+    camera depth ``NEAR`` along its twelve edges. The part in front
+    projects inside the hull of its projected vertices, and so inside a
+    rectangle along the projected axis and across it. The part between
+    the camera plane and ``NEAR`` has x / z >= x_min / NEAR when its x_min
+    is positive, and likewise for x_max < 0 and for y, which bounds its
+    image per image axis by a half-plane, or by none when the part
+    surrounds the optical axis. A row's span is the hull of its crossings
+    of the two parts, widened by 1 px on each side to absorb rounding. The
+    camera plane bounds nothing more: a ray hits at t > 0 only, and t is
+    camera depth. All cylinders are computed at once: numpy's per-call cost
+    makes a loop over cylinders slower than the rays it saves at 144x112.
     """
-    if not len(cylinders):
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, empty, empty
-    g = np.array([cyl.base.tolist() + cyl.axis.tolist() + [cyl.height, cyl.radius]
-                  for cyl in cylinders])
-    r = g[:, 7]
-    # (base, h axis, r e1, r e2) per cylinder in camera coordinates
-    basis = np.empty((len(g), 4, 3))
-    basis[:, :2] = g[:, :6].reshape(-1, 2, 3) @ cam_from_world.rotation.T
-    basis[:, 0] += cam_from_world.translation
-    ax, ay, az = basis[:, 1].T.copy()
-    basis[:, 1] *= g[:, 6:7]
-    visible, low, high = _cylinder_pixel_bbox(
-        np.stack([basis[:, 0], basis[:, 0] + basis[:, 1]], axis=1), r, k)
+    n, r = len(table), table[:, 7]
+    # (base, h axis, r e1, r e2) per cylinder
+    basis = np.empty((n, 4, 3))
+    basis[:, 0] = table[:, :3]
+    basis[:, 1] = table[:, 3:6] * table[:, 6:7]
+    bx, by, bz, ax, ay, az = table[:, :6].T
     # e1, e2 across the axis without a branch (Duff et al. 2017)
     sign = np.copysign(1.0, az)
     c = -1.0 / (sign + az)
@@ -299,45 +257,71 @@ def _pixel_spans(cylinders, cam_from_world, k: Intrinsics) -> tuple:
     basis[:, 3, 0] = d * r
     basis[:, 3, 1] = sign * r + ay * ay * c * r
     basis[:, 3, 2] = -ay * r
-    index = np.flatnonzero(visible)
-    low, high = low[index], high[index]
-    corners = _CORNERS @ basis[index]  # (n, 8, 3)
-    z = corners[..., 2:]
-    front = z.min(axis=1)[:, 0] > 0.05
-    # a corner near or behind the camera plane leaves the box cast; keep
-    # its division finite
-    uv = corners[..., :2] / np.maximum(z, 0.05) * (k.fx, k.fy) + (k.cx, k.cy)
-    # projected axis direction, from the mean corner of each end
-    e = _AXIS_WEIGHTS @ uv
+    corners = _CORNERS @ basis  # (n, 8, 3)
+    p, q = corners[:, _EDGES[:, :1]], corners[:, _EDGES[:, 1:]]  # (n, 12, 1, 3)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = p + (_PLANES[:, None] - p[..., 2:]) / (q[..., 2:] - p[..., 2:]) * (q - p)
+    crosses = ((p[..., 2] < _PLANES) != (q[..., 2] < _PLANES)).reshape(n, _FRONT_PLANES.size)
+    points = np.concatenate([corners, cross.reshape(n, _FRONT_PLANES.size, 3)], axis=1)
+    z = corners[..., 2]
+    front = np.concatenate([z >= NEAR, crosses & _FRONT_PLANES], axis=1)
+    slab = np.concatenate([(z >= 0.0) & (z <= NEAR), crosses], axis=1)
+
+    # the projected axis has the direction (fx (a_x b_z - a_z b_x),
+    # fy (a_y b_z - a_z b_y)) at every point in front of the camera; an
+    # axis through the camera has none, and any direction bounds its image
+    e = np.column_stack([k.fx * (ax * bz - az * bx), k.fy * (ay * bz - az * by)])
     length = np.hypot(e[:, 0], e[:, 1])
-    footprint = front & (length > 1e-3)
-    length[~footprint] = 1.0
-    e /= length[:, None]
-    # the rectangle: bottom <= du u + dv v <= top along e, (du, dv) = e,
-    # and across it, (du, dv) = (-e_v, e_u)
-    du, dv = np.empty((2, len(index), 2))
-    du[:, 0], du[:, 1], dv[:, 0], dv[:, 1] = e[:, 0], -e[:, 1], e[:, 1], e[:, 0]
-    image = uv[..., :1] * du[:, None] + uv[..., 1:] * dv[:, None]  # (n, 8, 2)
+    e = np.where(length[:, None] > 0.0, e / np.maximum(length, 1e-300)[:, None], (1.0, 0.0))
+    # columns (du, dv) taking (u, v) to along = e.(u, v) and across = (-e_v, e_u).(u, v)
+    turn = np.stack([e, e[:, ::-1] * (-1.0, 1.0)], axis=2)
+    focal, centre = np.array([k.fx, k.fy]), np.array([k.cx, k.cy])
+    uv = points[..., :2] / np.maximum(points[..., 2:], NEAR) * focal + centre
+    # per cylinder the low and high u, v, along and across of the front
+    # part, and x, y of the part behind NEAR; an empty part gives inf, -inf
+    values = np.concatenate([uv, uv @ turn, points[..., :2]], axis=2)
+    keep = np.concatenate([np.repeat(front[..., None], 4, 2), np.repeat(slab[..., None], 2, 2)], 2)
+    low = np.where(keep, values, np.inf).min(axis=1)
+    high = np.where(keep, values, -np.inf).max(axis=1)
+    size = np.array([k.width - 1.0, k.height - 1.0])
+    front_low = np.maximum(np.ceil(low[:, :2] - 1.0), 0.0)
+    front_high = np.minimum(np.floor(high[:, :2] + 1.0), size)
+    slab_low = np.maximum(np.ceil(np.where(
+        low[:, 4:] > 0.0, low[:, 4:] / NEAR * focal + centre - 1.0, -np.inf)), 0.0)
+    slab_high = np.minimum(np.floor(np.where(
+        high[:, 4:] < 0.0, high[:, 4:] / NEAR * focal + centre + 1.0, np.inf)), size)
+    for box_low, box_high in ((front_low, front_high), (slab_low, slab_high)):
+        empty = (box_low > box_high).any(axis=1)
+        box_low[empty], box_high[empty] = np.inf, -np.inf
+    v0 = np.minimum(front_low[:, 1], slab_low[:, 1])
+    v1 = np.maximum(front_high[:, 1], slab_high[:, 1])
+    index = np.flatnonzero(v0 <= v1)
+
+    # the rectangle: bottom <= du u + dv v <= top along e and across it
+    du, dv = turn[index, 0], turn[index, 1]
     du[np.abs(du) < 1e-12] = 1e-12  # moves du u by under 1e-8 px
-    bottom = (image.min(axis=1) - 1.0) / du
-    top = (image.max(axis=1) + 1.0) / du
+    bottom = (low[index, 2:4] - 1.0) / du
+    top = (high[index, 2:4] + 1.0) / du
     # in row v the columns run from min(bottom, top) - slope v to
     # max(bottom, top) - slope v for both directions
     coef = np.concatenate([np.minimum(bottom, top), np.maximum(bottom, top), dv / du,
-                           low, high], axis=1)
-
-    rows = (high[:, 1] - low[:, 1]).astype(np.int64) + 1
+                           front_low[index], front_high[index],
+                           slab_low[index], slab_high[index]], axis=1)
+    rows = (v1[index] - v0[index]).astype(np.int64) + 1
     first_row = np.cumsum(rows) - rows
-    from_a, from_b, to_a, to_b, slope_a, slope_b, u0, v0, u1, _ = np.repeat(coef, rows, axis=0).T
-    row = np.arange(len(v0)) - np.repeat(first_row, rows) + v0
-    lo = np.ceil(np.maximum(np.maximum(from_a - slope_a * row, from_b - slope_b * row), u0))
-    hi = np.floor(np.minimum(np.minimum(to_a - slope_a * row, to_b - slope_b * row), u1))
-    spans = np.maximum(hi - lo + 1.0, 0.0)
-    box_size = rows * (high[:, 0] - low[:, 0] + 1.0)
-    footprint &= (np.add.reduceat(spans, first_row) != 1.0) | (box_size == 1.0)
-    use = np.repeat(footprint, rows)
-    first = np.where(use, lo, u0).astype(np.int64)
-    spans = np.where(use, spans, u1 - u0 + 1.0).astype(np.int64)
+    from_a, from_b, to_a, to_b, slope_a, slope_b, fu0, fv0, fu1, fv1, su0, sv0, su1, sv1 = \
+        np.repeat(coef, rows, axis=0).T
+    row = np.arange(rows.sum()) - np.repeat(first_row - v0[index], rows)
+    with np.errstate(invalid="ignore"):  # an empty front part gives inf - inf
+        lo = np.ceil(np.maximum(np.maximum(from_a - slope_a * row, from_b - slope_b * row), fu0))
+        hi = np.floor(np.minimum(np.minimum(to_a - slope_a * row, to_b - slope_b * row), fu1))
+    in_front = (row >= fv0) & (row <= fv1) & (lo <= hi)
+    in_slab = (row >= sv0) & (row <= sv1)
+    lo = np.minimum(np.where(in_front, lo, np.inf), np.where(in_slab, su0, np.inf))
+    hi = np.maximum(np.where(in_front, hi, -np.inf), np.where(in_slab, su1, -np.inf))
+    cast = in_front | in_slab
+    first = np.where(cast, lo, 0.0).astype(np.int64)
+    spans = np.where(cast, hi - lo + 1.0, 0.0).astype(np.int64)
     return np.repeat(index, rows), row.astype(np.int64), first, spans
 
 
@@ -345,17 +329,15 @@ def render_depth(rig: CameraRig, cylinders, noise: DepthNoise | None = None,
                  rng: np.random.Generator | None = None) -> np.ndarray:
     """Ray-cast depth image; misses are 0, depth is camera-frame z.
 
-    Rays use z=1 direction scaling so the intersection parameter is the
+    The cast runs in the camera frame: the cylinders are moved into it
+    (``geometry.cylinder_table``), and the ray through pixel (u, v) is
+    ((u - cx) / fx, (v - cy) / fy, 1), so the intersection parameter is the
     camera depth directly. Each cylinder is cast only through the pixels
-    of its footprint (``_pixel_spans``): per row of its conservative
-    bounding box, the columns that the image of its oriented bounding box
-    can cover. About half the box pixels are cast at 640x480, and every
-    pixel gets the bits a cast of the whole box gives it. All cylinders go
-    through one ``geometry.cast_rays`` call, in blocks of whole cylinders
-    small enough to keep the temporaries in L2. Rotating a cylinder's rays
-    into the world, like the kernel's products with an axis, stays one
-    BLAS call per cylinder, because a batched product rounds differently;
-    a row of a multi-row product keeps its bits whichever rows share it.
+    of its footprint (``_pixel_spans``): per row, the columns that the
+    image of its oriented bounding box can cover. All cylinders go through
+    one ``geometry.cast_rays`` call, whose elementwise arithmetic gives
+    each pixel the bits that a cast of any other pixel set, the whole box
+    included, gives it.
 
     Optional Gaussian depth noise and dropout touch hit pixels only: one
     ``normal`` and then one ``random`` draw of one value per hit pixel, in
@@ -367,12 +349,9 @@ def render_depth(rig: CameraRig, cylinders, noise: DepthNoise | None = None,
     of the image is zeros.
     """
     k = rig.intrinsics
-    pose = rig.world_pose()
-    cyl, row, first, spans = _pixel_spans(cylinders, pose.inverse(), k)
-    # rays per cylinder, leaving out those whose spans are all empty
-    counts = np.bincount(cyl, weights=spans, minlength=len(cylinders)).astype(np.int64)
-    index = np.flatnonzero(counts)
-    counts = counts[index]
+    table = cylinder_table(cylinders, rig.world_pose().inverse())
+    cyl, row, first, spans = _pixel_spans(table, k)
+    counts = np.bincount(cyl, weights=spans, minlength=len(table)).astype(np.int64)
     cast = spans > 0
     row, first, spans = row[cast], first[cast], spans[cast]
     depth = np.zeros((k.height, k.width))
@@ -382,14 +361,15 @@ def render_depth(rig: CameraRig, cylinders, noise: DepthNoise | None = None,
     # inside it is the whole image's order, so the draws land alike
     v0, v1 = row.min(), row.max() + 1
     u0, u1 = first.min(), (first + spans).max()
-    # flat pixel indices, row-major per cylinder, in the image and the window
+    # each ray's column, and its flat index in the window
     start = np.cumsum(spans) - spans
-    ray = np.arange(start[-1] + spans[-1])
-    pixel = ray + np.repeat(row * k.width + first - start, spans)
-    in_window = ray + np.repeat((row - v0) * (u1 - u0) + first - u0 - start, spans)
-    rays = np.take(_cached_rays(k).reshape(-1, 3), pixel, axis=0)
-    dirs = [rays[e - c:e] @ pose.rotation.T for c, e in zip(counts, np.cumsum(counts))]
-    t = cast_rays(pose.translation, dirs, [cylinders[i] for i in index])
+    col = np.arange(start[-1] + spans[-1]) + np.repeat(first - start, spans)
+    in_window = col + np.repeat((row - v0) * (u1 - u0) - u0, spans)
+    dirs = np.empty((3, len(col)))
+    np.take((np.arange(k.width) - k.cx) / k.fx, col, out=dirs[0])
+    dirs[1] = np.repeat((row - k.cy) / k.fy, spans)
+    dirs[2] = 1.0
+    t = cast_rays(dirs, table, counts)
 
     near = np.full((v1 - v0, u1 - u0), np.inf)
     np.minimum.at(near.reshape(-1), in_window, t)
@@ -416,12 +396,14 @@ def occlusion_mask(camera_pos: np.ndarray, keypoints_world: np.ndarray,
 
     A keypoint is occluded when its sight line from the camera hits a
     cylinder more than 1 cm before it, other than its own parts' surface.
+    The cast runs in world axes with the camera at the origin.
     """
     d = keypoints_world - camera_pos[None, :]
     dist = np.linalg.norm(d, axis=1)
     rays = d / np.maximum(dist, 1e-9)[:, None]
     cyls = list(cylinders_by_part.values()) + list(extra_cylinders)
-    t = cast_rays(camera_pos, [rays] * len(cyls), cyls)
+    table = cylinder_table(cyls, RigidTransform._trusted(np.eye(3), -camera_pos))
+    t = cast_rays(np.tile(rays.T, len(cyls)), table, [len(rays)] * len(cyls))
     blocked = t.reshape(len(cyls), len(rays)) < dist - 0.01
     blocked[:len(cylinders_by_part)] &= ~_OWN_KEYPOINTS[list(cylinders_by_part)]
     return blocked.any(axis=0)

@@ -5,7 +5,8 @@ import pytest
 
 from mvsense import body
 from mvsense.body import KeypartState
-from mvsense.geometry import BehindCamera, Intrinsics, RigidTransform, cast_rays, project
+from mvsense.geometry import BehindCamera, Intrinsics, RigidTransform, cast_rays, cylinder_table
+from mvsense.geometry import project
 from mvsense.geometry import frame_from_axis, normalize, rot_x, rot_y, rot_z
 from mvsense.registration import sample_cylinder_local
 from mvsense.scheduler import P_CAP
@@ -37,8 +38,10 @@ def random_rigid(rng) -> RigidTransform:
 def ray_cylinder_hits_reference(origins, dirs, cyl):
     """Per-cylinder ray/cylinder body that ``geometry.cast_rays`` replaced.
 
-    Kept as the bitwise oracle for the blocked kernel and for the
-    simulator's references: every array operation in its original order.
+    Kept as the oracle for the kernel and for the simulator's references,
+    every array operation in its original order. Its row dots and matrix
+    products round differently from the kernel's elementwise arithmetic,
+    so the two agree on hits and on t within rounding, not bit for bit.
     """
     o = np.atleast_2d(np.asarray(origins, dtype=np.float64)) - cyl.base
     d = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
@@ -82,13 +85,19 @@ def ray_cylinder_hits_reference(origins, dirs, cyl):
     return best
 
 
+def at_origin(origin) -> RigidTransform:
+    """The translation that moves ``origin`` to 0, for ``cylinder_table``."""
+    return RigidTransform(np.eye(3), -np.asarray(origin, dtype=np.float64))
+
+
 def first_hit(origin, direction, cyl):
     """Distance to the nearest hit of one ray, or None on a miss.
 
     ``geometry.cast_rays`` for a single ray; with a unit direction the ray
     parameter is the distance.
     """
-    t = cast_rays(origin, [np.asarray(direction, dtype=np.float64)[None, :]], [cyl])[0]
+    t = cast_rays(np.asarray(direction, dtype=np.float64).reshape(3, 1),
+                  cylinder_table([cyl], at_origin(origin)), [1])[0]
     return float(t) if np.isfinite(t) else None
 
 

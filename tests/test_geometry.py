@@ -9,16 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import first_hit, identity, random_rigid, ray_cylinder_hits_reference
+from conftest import at_origin, first_hit, identity, random_rigid, ray_cylinder_hits_reference
 from mvsense.geometry import (
     RAY_BLOCK,
     BehindCamera,
     Cylinder,
     InvalidDepth,
     RigidTransform,
-    _ray_blocks,
     cast_rays,
     cylinder_clearance,
+    cylinder_table,
     frame_from_axis,
     normalize,
     project,
@@ -288,69 +288,134 @@ def special_dirs(origin, cyl, n, rng):
 COUNTS = [0, 1, 2, 3, 17, 300, RAY_BLOCK - 1, RAY_BLOCK, RAY_BLOCK + 1]
 
 
+def cast(origin, dirs, cylinders):
+    """``cast_rays`` from ``origin``: ``dirs[i]`` (n_i, 3) against ``cylinders[i]``."""
+    return cast_rays(np.concatenate([np.empty((0, 3))] + list(dirs)).T,
+                     cylinder_table(cylinders, at_origin(origin)), [len(d) for d in dirs])
+
+
+def ill_conditioned(origin, dirs, cylinders):
+    """Rays whose hit or miss is decided by rounding: grazing the side (a
+    discriminant within rounding of 0) or meeting it at a cap's rim. Both
+    ``special_dirs`` aims at on purpose."""
+    flags = [np.zeros(0, dtype=bool)]
+    for d, c in zip(dirs, cylinders):
+        o = np.asarray(origin, dtype=np.float64) - c.base
+        od, dd = o @ c.axis, d @ c.axis
+        op, dp = o - od * c.axis, d - np.outer(dd, c.axis)
+        qa = np.einsum("ij,ij->i", dp, dp)
+        qb = 2.0 * dp @ op
+        qc = op @ op - c.radius ** 2
+        disc = qb * qb - 4.0 * qa * qc
+        grazing = (qa > 1e-16) & (np.abs(disc) <= 1e-8 * (qb * qb + 4.0 * np.abs(qa * qc)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            roots = (-qb[:, None] + np.sqrt(np.maximum(disc, 0.0))[:, None] * (-1.0, 1.0)) \
+                / (2.0 * qa[:, None])
+            ax = od + roots * dd[:, None]
+            rim = (np.minimum(np.abs(ax), np.abs(ax - c.height)) <= 1e-8 * c.height).any(axis=1)
+        flags.append(grazing | rim)
+    return np.concatenate(flags)
+
+
+def assert_agrees_with_reference(t, ref, ill):
+    """The same hit or miss, and t within 1e-9 relative, for every ray whose
+    result rounding does not decide."""
+    well = ~ill
+    assert np.array_equal(np.isfinite(t[well]), np.isfinite(ref[well]))
+    hit = well & np.isfinite(ref)
+    assert np.all(np.abs(t[hit] - ref[hit]) <= 1e-9 * ref[hit])
+
+
+def random_cylinders(rng, n, aligned):
+    cylinders = []
+    for k in range(n):
+        if aligned[k]:
+            axis = np.eye(3)[rng.integers(3)] * rng.choice([-1.0, 1.0])
+        else:
+            axis = normalize(rng.normal(size=3))
+        cylinders.append(Cylinder(np.round(rng.normal(size=3), 2), axis,
+                                  rng.uniform(0.1, 2.0), rng.uniform(0.02, 0.6)))
+    return cylinders
+
+
 class TestCastRays:
-    """The blocked kernel against the per-cylinder body it replaced."""
+    """The elementwise kernel against the per-cylinder body it replaced, and
+    its own bitwise contract."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
            counts=st.lists(st.sampled_from(COUNTS), min_size=1, max_size=5),
            aligned=st.lists(st.booleans(), min_size=5, max_size=5),
            inside=st.booleans())
-    def test_matches_per_cylinder_reference_bitwise(self, seed, counts, aligned,
-                                                    inside):
+    def test_matches_per_cylinder_reference(self, seed, counts, aligned, inside):
         rng = np.random.default_rng(seed)
-        cylinders = []
-        for k in range(len(counts)):
-            if aligned[k]:
-                axis = np.eye(3)[rng.integers(3)] * rng.choice([-1.0, 1.0])
-            else:
-                axis = normalize(rng.normal(size=3))
-            cylinders.append(Cylinder(np.round(rng.normal(size=3), 2), axis,
-                                      rng.uniform(0.1, 2.0), rng.uniform(0.02, 0.6)))
+        cylinders = random_cylinders(rng, len(counts), aligned)
         if inside:  # from inside the first cylinder
             c = cylinders[0]
             origin = c.base + c.axis * (0.5 * c.height)
         else:
             origin = np.round(rng.normal(scale=2.0, size=3), 2)
         dirs = [special_dirs(origin, c, n, rng) for c, n in zip(cylinders, counts)]
-        t = cast_rays(origin, dirs, cylinders)
-        assert t.tobytes() == reference_cast(origin, dirs, cylinders).tobytes()
+        t = cast(origin, dirs, cylinders)
+        assert_agrees_with_reference(t, reference_cast(origin, dirs, cylinders),
+                                     ill_conditioned(origin, dirs, cylinders))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           counts=st.lists(st.sampled_from(COUNTS), min_size=1, max_size=4),
+           aligned=st.lists(st.booleans(), min_size=4, max_size=4))
+    def test_any_subset_of_rays_gives_their_rows_bitwise(self, seed, counts, aligned):
+        """Casting a subset of the rays, down to single rays, with any subset
+        of the cylinders, gives exactly those rows of the batched cast."""
+        rng = np.random.default_rng(seed)
+        cylinders = random_cylinders(rng, len(counts), aligned)
+        origin = np.round(rng.normal(scale=2.0, size=3), 2)
+        dirs = [special_dirs(origin, c, n, rng) for c, n in zip(cylinders, counts)]
+        t = cast(origin, dirs, cylinders)
+        keep = [rng.random(len(d)) < rng.uniform() for d in dirs]
+        sub = cast(origin, [d[k] for d, k in zip(dirs, keep)], cylinders)
+        assert sub.tobytes() == t[np.concatenate(keep)].tobytes()
+        owner = np.repeat(np.arange(len(counts)), counts)
+        for i in rng.choice(len(t), min(len(t), 20), replace=False):
+            c = owner[i]
+            ray = dirs[c][i - sum(counts[:c])]
+            assert cast(origin, [ray[None]], [cylinders[c]]).tobytes() == t[i:i + 1].tobytes()
 
     @pytest.mark.parametrize("counts", [
-        [RAY_BLOCK - 1, 2],           # the second cylinder starts a block
+        [RAY_BLOCK - 1, 2],           # the second cylinder's rays span two blocks
         [RAY_BLOCK - 1, 1, 5],        # the first block is exactly full
-        [5, 3 * RAY_BLOCK + 7, 1],    # one cylinder larger than a block
+        [5, 3 * RAY_BLOCK + 7, 1],    # one cylinder over several blocks
         [1, 0, 1, 0],                 # single rays and empty cylinders
         [0, 0],
     ])
     def test_block_boundaries(self, counts, rng):
-        blocks = list(_ray_blocks(counts))
-        assert blocks[0][0] == 0 and blocks[-1][1] == len(counts)
-        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
-        assert all(sum(counts[i:j]) <= RAY_BLOCK or j - i == 1 for i, j in blocks)
         origin = np.array([0.3, -2.5, 0.4])
         cylinders = [Cylinder(rng.normal(scale=0.5, size=3), normalize(rng.normal(size=3)),
                               1.0, 0.4) for _ in counts]
         dirs = [special_dirs(origin, c, n, rng) for c, n in zip(cylinders, counts)]
-        t = cast_rays(origin, dirs, cylinders)
+        t = cast(origin, dirs, cylinders)
         assert len(t) == sum(counts)
-        assert t.tobytes() == reference_cast(origin, dirs, cylinders).tobytes()
+        assert_agrees_with_reference(t, reference_cast(origin, dirs, cylinders),
+                                     ill_conditioned(origin, dirs, cylinders))
+        # each cylinder alone, in one block or fewer, gives the same bits
+        alone = [cast(origin, [d], [c]) for d, c in zip(dirs, cylinders)]
+        assert np.concatenate([np.empty(0)] + alone).tobytes() == t.tobytes()
 
     def test_single_ray_cylinders(self, rng):
-        """One ray per cylinder, aimed at it: the reference's products for a
-        single row go through BLAS ddot, not numpy's own loop."""
+        """One ray per cylinder, aimed at it."""
         origin = np.array([0.25, -1.5, 0.75])
         cylinders = [Cylinder(rng.normal(size=3), normalize(rng.normal(size=3)),
                               rng.uniform(0.2, 1.5), rng.uniform(0.05, 0.5))
                      for _ in range(400)]
         dirs = [c.midpoint[None, :] + rng.normal(scale=c.radius, size=(1, 3)) - origin
                 for c in cylinders]
-        t = cast_rays(origin, dirs, cylinders)
+        t = cast(origin, dirs, cylinders)
         assert np.isfinite(t).sum() > 100
-        assert t.tobytes() == reference_cast(origin, dirs, cylinders).tobytes()
+        assert_agrees_with_reference(t, reference_cast(origin, dirs, cylinders),
+                                     ill_conditioned(origin, dirs, cylinders))
 
     def test_no_cylinders(self):
-        assert cast_rays(np.zeros(3), [], []).shape == (0,)
+        assert cast_rays(np.empty((3, 0)), np.empty((0, 8)), []).shape == (0,)
 
     def test_exact_tangent_and_axis_parallel_rays(self):
         cyl = Cylinder(np.zeros(3), np.array([0.0, 0.0, 1.0]), 1.0, 0.5)
@@ -359,12 +424,23 @@ class TestCastRays:
                          [-1.0, 0.0, 0.5],   # crosses the top cap plane off the disc
                          [0.0, 0.0, 1.0],    # parallel to the axis, outside
                          [-4.0, -1.0, 0.0]])  # through the axis, across it
-        t = cast_rays(origin, [dirs], [cyl])
+        t = cast(origin, [dirs], [cyl])
         ref = ray_cylinder_hits_reference(origin[None, :], dirs, cyl)
-        assert t.tobytes() == ref.tobytes()
         assert t[0] == 2.0 and t[2] == np.inf
-        below = cast_rays(np.array([0.1, 0.0, -1.0]), [dirs[2:3]], [cyl])
+        assert_agrees_with_reference(t, ref, np.array([True, False, False, False]))
+        below = cast(np.array([0.1, 0.0, -1.0]), [dirs[2:3]], [cyl])
         assert below.tolist() == [1.0]  # bottom cap, through a single-ray call
+
+    def test_ray_in_a_cap_plane(self):
+        """A ray in the bottom cap's plane, across the axis, meets the side
+        like the reference's axial test, which counts the plane as inside."""
+        cyl = Cylinder(np.zeros(3), np.array([0.0, 0.0, 1.0]), 1.0, 0.5)
+        origin = np.array([2.0, 0.0, 0.0])
+        dirs = np.array([[-1.0, 0.0, 0.0], [-1.0, 0.2, 0.0]])
+        t = cast(origin, [dirs], [cyl])
+        ref = ray_cylinder_hits_reference(origin[None], dirs, cyl)
+        assert t[0] == 1.5 and np.isfinite(ref[1])
+        assert t[1] == pytest.approx(ref[1], rel=1e-9)
 
 
 class TestSegmentsAndClearance:

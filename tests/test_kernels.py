@@ -1,23 +1,31 @@
 """Hot-kernel benchmarks on frozen, seeded inputs (pytest-benchmark).
 
 Each benchmark times one kernel with a fixed round count, so the suite
-grows by seconds only, and asserts that the timed result is bitwise equal
-to its oracle in ``icp_reference``. Sizes follow the traced workloads: a
-desk-sweep limb cloud averages about 133 points, and ``register_tree``
-caps a cloud at 600.
+grows by seconds only, and checks the timed result against its oracle:
+the ICP kernels bit for bit against ``icp_reference``, and the depth
+render against ``render_reference``'s per-cylinder simulator, with the
+same hit pixels and depths within 1e-9 m. Sizes follow the traced
+workloads: a desk-sweep limb cloud averages about 133 points, and
+``register_tree`` caps a cloud at 600; the renders are the calls that
+short template trials make at 144x112 (desk-sweep) and 640x480
+(hires-fixed).
 
     PYTHONPATH=src python -m pytest tests/test_kernels.py --benchmark-only
 """
+
+import copy
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import icp_reference as ref
-from conftest import rest_dofs, sample_cylinder
-from mvsense import body
+from conftest import hires, rest_dofs, sample_cylinder
+from mvsense import body, harness, scenario, simulator
 from mvsense.body import KeypartState, pose_from_dofs
 from mvsense.geometry import normalize, rot_x, rot_z
 from mvsense.registration import icp_register, nearest_model_search, sample_cylinder_local
+from render_reference import assert_matches_reference, render_depth_reference
 
 ROUNDS = 20
 MODEL_SAMPLES = 128  # the ``model-samples`` default
@@ -74,3 +82,31 @@ def test_nearest_model_search(benchmark):
     ref_idx, ref_dist = ref.nearest_model_search(model)(points)
     assert idx.tobytes() == ref_idx.tobytes()
     assert dist.tobytes() == ref_dist.tobytes()
+
+
+def captured_renders(size):
+    """(rig, cylinders) of every ``render_depth`` call that two frames of
+    each template make at multi-fixed with ``size`` cameras."""
+    calls = []
+    render = simulator.render_depth
+
+    def record(rig, cylinders, noise=None, rng=None):
+        calls.append((copy.deepcopy(rig), list(cylinders)))
+        return render(rig, cylinders, noise, rng)
+
+    with mock.patch.object(simulator, "render_depth", record):
+        for name in sorted(scenario.TEMPLATES):
+            script = scenario.TEMPLATES[name](seed=0, duration=0.2)
+            script.cameras = [hires(cam, *size) for cam in script.cameras]
+            harness.run_trial(script, config="multi-fixed")
+    return calls
+
+
+@pytest.mark.parametrize("size", [(144, 112), (640, 480)])
+def test_render_depth(benchmark, size):
+    frames = captured_renders(size)
+    got = benchmark.pedantic(lambda: [simulator.render_depth(*frame) for frame in frames],
+                             rounds=ROUNDS, iterations=1, warmup_rounds=1)
+    assert len(got) == len(frames) > 0
+    for depth, frame in zip(got, frames):
+        assert_matches_reference(depth, render_depth_reference(*frame))

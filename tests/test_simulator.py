@@ -7,9 +7,18 @@ import numpy as np
 import pytest
 
 from conftest import first_hit, identity, keypoint_flags, ray_cylinder_hits_reference, rest_dofs
+from render_reference import (
+    DEPTH_TOL,
+    assert_matches_reference,
+    bbox_reference,
+    box_of,
+    camera_rays,
+    render_depth_box_reference,
+    render_depth_reference,
+)
 from mvsense import body, harness, scenario
 from mvsense.body import PartDimensions, pose_from_dofs
-from mvsense.geometry import Cylinder, Intrinsics, cast_rays, normalize
+from mvsense.geometry import Cylinder, Intrinsics, cast_rays, cylinder_table, normalize
 from mvsense.keypoints import Observation2D, detect, lift_depth
 from mvsense.simulator import (
     CameraRig,
@@ -18,9 +27,8 @@ from mvsense.simulator import (
     GroundTruthHuman,
     RobotArmProxy,
     Scene,
+    NEAR,
     SyntheticDetector,
-    _cached_rays,
-    _cylinder_pixel_bbox,
     _pixel_spans,
     camera_mount,
     render_depth,
@@ -88,7 +96,8 @@ class TestRenderDepth:
         k = Intrinsics(fx=100.0, fy=100.0, cx=71.5, cy=55.5, width=144, height=112)
         rig = CameraRig("cam", k, identity())
         cyl = Cylinder(np.array([-1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]), 2.0, 0.2)
-        t = cast_rays(np.zeros(3), [_cached_rays(k).reshape(-1, 3)], [cyl])
+        t = cast_rays(camera_rays(k).reshape(-1, 3).T, cylinder_table([cyl], identity()),
+                      [k.width * k.height])
         full = np.where(np.isfinite(t), t, 0.0).reshape(k.height, k.width)
         assert np.count_nonzero(full) == k.width * k.height
         assert render_depth(rig, [cyl]).tobytes() == full.tobytes()
@@ -308,60 +317,8 @@ class TestOracleConsistency:
 
 
 # ---------------------------------------------------------------------------
-# the per-cylinder simulator that the blocked ray cast replaced, kept as the
-# bitwise reference
-
-
-def bbox_reference(cyl, cam_from_world, k):
-    ends = np.stack([cam_from_world.apply(cyl.base), cam_from_world.apply(cyl.top)])
-    z = ends[:, 2]
-    if np.all(z + cyl.radius <= 0.0):  # no point of the cylinder in front
-        return None
-    if np.any(z - cyl.radius <= 0.05):
-        return "full"
-    us = k.fx * ends[:, 0] / z + k.cx
-    vs = k.fy * ends[:, 1] / z + k.cy
-    rad_px = max(k.fx, k.fy) * cyl.radius / max(float(np.min(z - cyl.radius)), 0.05)
-    pad = rad_px + 2.0
-    u0, u1 = int(np.floor(us.min() - pad)), int(np.ceil(us.max() + pad))
-    v0, v1 = int(np.floor(vs.min() - pad)), int(np.ceil(vs.max() + pad))
-    u0, u1 = max(0, u0), min(k.width - 1, u1)
-    v0, v1 = max(0, v0), min(k.height - 1, v1)
-    if u1 < u0 or v1 < v0:
-        return None
-    return (u0, u1, v0, v1)
-
-
-def render_depth_reference(rig, cylinders, noise=None, rng=None):
-    k = rig.intrinsics
-    pose = rig.world_pose()
-    inv = pose.inverse()
-    rays_cam = _cached_rays(k)
-    origin = pose.translation[None, :]
-    depth = np.full((k.height, k.width), np.inf)
-    for cyl in cylinders:
-        bbox = bbox_reference(cyl, inv, k)
-        if bbox is None:
-            continue
-        if bbox == "full":
-            u0, u1, v0, v1 = 0, k.width - 1, 0, k.height - 1
-        else:
-            u0, u1, v0, v1 = bbox
-        sub = rays_cam[v0:v1 + 1, u0:u1 + 1].reshape(-1, 3)
-        t = ray_cylinder_hits_reference(origin, sub @ pose.rotation.T, cyl)
-        view = depth[v0:v1 + 1, u0:u1 + 1]
-        np.minimum(view, t.reshape(v1 - v0 + 1, u1 - u0 + 1), out=view)
-    depth = np.where(np.isfinite(depth), depth, 0.0)
-    if noise is not None and rng is not None:
-        # one normal, then one uniform, per hit pixel in row-major order
-        hit = np.flatnonzero(depth > 0)
-        values = depth.flat[hit]
-        if noise.sigma_d > 0:
-            values = values + rng.normal(0.0, noise.sigma_d, len(hit))
-        if noise.p_drop > 0:
-            values = np.where(rng.random(len(hit)) < noise.p_drop, 0.0, values)
-        depth.flat[hit] = np.where(values > 1e-6, values, 0.0)
-    return depth.astype(np.float64)
+# the per-cylinder simulator that the footprints and the camera-frame kernel
+# replaced (``render_reference``), and its keypoint detector
 
 
 def synthetic_detect_reference(rig, pose, robot_links=(), noise=None, rng=None,
@@ -448,18 +405,17 @@ SIZES = [(144, 112), (640, 480)]
 
 
 class TestMatchesPerCylinderReference:
-    """render_depth and synthetic_detect equal, bit for bit, the per-cylinder
-    simulator they replaced."""
+    """render_depth hits the pixels the per-cylinder simulator it replaced
+    hits, at depths within DEPTH_TOL, so the noise draws land alike;
+    synthetic_detect's observations equal its, bit for bit."""
 
     @pytest.mark.parametrize("size", SIZES)
     def test_render_depth_on_template_frames(self, size):
         for scene, ci, rig, _pose, cyls, _links in template_views(size):
-            want = render_depth_reference(rig, cyls)
-            assert render_depth(rig, cyls).tobytes() == want.tobytes()
+            assert_matches_reference(render_depth(rig, cyls), render_depth_reference(rig, cyls))
             got = render_depth(rig, cyls, scene.depth_noise, scene.rng(0, ci))
             want = render_depth_reference(rig, cyls, scene.depth_noise, scene.rng(0, ci))
-            assert got.dtype == np.float64 and got.flags.c_contiguous
-            assert got.tobytes() == want.tobytes()
+            assert_matches_reference(got, want)
 
     @pytest.mark.parametrize("size", SIZES)
     def test_synthetic_detect_on_template_frames(self, size):
@@ -489,7 +445,7 @@ class TestMatchesPerCylinderReference:
             rig = at_resolution(rig, size)
             got = render_depth(rig, cyls, DepthNoise(), np.random.default_rng(5))
             want = render_depth_reference(rig, cyls, DepthNoise(), np.random.default_rng(5))
-            assert got.tobytes() == want.tobytes()
+            assert_matches_reference(got, want)
             for rng in (None, 6):
                 got = synthetic_detect(rig, pose, [blocker], noise,
                                        rng and np.random.default_rng(rng))
@@ -533,69 +489,24 @@ class TestDepthNoiseRule:
         assert abs(np.mean(errors)) < 4.0 * noise.sigma_d / np.sqrt(len(errors))
 
 
-def render_depth_box_reference(rig, cylinders, noise=None, rng=None):
-    """render_depth as it was before footprints, body verbatim: each
-    cylinder is cast through its whole bounding box (``bbox_reference``
-    in place of the per-cylinder ``_cylinder_pixel_bbox``)."""
-    k = rig.intrinsics
-    pose = rig.world_pose()
-    inv = pose.inverse()
-    rays_cam = _cached_rays(k)
-    boxes, dirs, cast = [], [], []
-    for cyl in cylinders:
-        bbox = bbox_reference(cyl, inv, k)
-        if bbox is None:
-            continue
-        if bbox == "full":
-            bbox = (0, k.width - 1, 0, k.height - 1)
-        u0, u1, v0, v1 = bbox
-        boxes.append((slice(v0, v1 + 1), slice(u0, u1 + 1)))
-        dirs.append(rays_cam[boxes[-1]].reshape(-1, 3) @ pose.rotation.T)
-        cast.append(cyl)
-    t = cast_rays(pose.translation, dirs, cast)
-
-    # every hit lies in the union window of the boxes; row-major order
-    # inside it is the whole image's order, so the draws land alike
-    v0 = min((box[0].start for box in boxes), default=0)
-    v1 = max((box[0].stop for box in boxes), default=0)
-    u0 = min((box[1].start for box in boxes), default=0)
-    u1 = max((box[1].stop for box in boxes), default=0)
-    near = np.full((v1 - v0, u1 - u0), np.inf)
-    start = 0
-    for rows, cols in boxes:
-        view = near[rows.start - v0:rows.stop - v0, cols.start - u0:cols.stop - u0]
-        np.minimum(view, t[start:start + view.size].reshape(view.shape), out=view)
-        start += view.size
-    hit = near < np.inf
-    d = near[hit]
-    if noise is not None and rng is not None:
-        if noise.sigma_d > 0:
-            d += rng.normal(0.0, noise.sigma_d, len(d))
-        if noise.p_drop > 0:
-            d[rng.random(len(d)) < noise.p_drop] = 0.0
-        d[~(d > 1e-6)] = 0.0
-    depth = np.zeros((k.height, k.width))
-    depth[v0:v1, u0:u1][hit] = d
-    return depth
-
-
 def box_masks(rig, cyls):
-    """(len(cyls), H, W) masks of each cylinder's ``_cylinder_pixel_bbox``."""
+    """(len(cyls), H, W) masks of each cylinder's ``bbox_reference`` box."""
     k = rig.intrinsics
     inv = rig.world_pose().inverse()
-    ends = np.array([[inv.apply(c.base), inv.apply(c.top)] for c in cyls]).reshape(-1, 2, 3)
-    visible, low, high = _cylinder_pixel_bbox(ends, np.array([c.radius for c in cyls]), k)
     masks = np.zeros((len(cyls), k.height, k.width), dtype=bool)
-    for i in np.flatnonzero(visible):
-        (u0, v0), (u1, v1) = low[i].astype(int), high[i].astype(int)
-        masks[i, v0:v1 + 1, u0:u1 + 1] = True
+    for i, cyl in enumerate(cyls):
+        box = box_of(cyl, inv, k)
+        if box is not None:
+            u0, u1, v0, v1 = box
+            masks[i, v0:v1 + 1, u0:u1 + 1] = True
     return masks
 
 
 def footprint_masks(rig, cyls):
     """(len(cyls), H, W) masks of the pixels render_depth casts per cylinder."""
     k = rig.intrinsics
-    cyl, row, first, spans = _pixel_spans(cyls, rig.world_pose().inverse(), k)
+    table = cylinder_table(cyls, rig.world_pose().inverse())
+    cyl, row, first, spans = _pixel_spans(table, k)
     masks = np.zeros((len(cyls), k.height, k.width), dtype=bool)
     for c, v, u, n in zip(cyl, row, first, spans):
         masks[c, v, u:u + n] = True
@@ -605,10 +516,10 @@ def footprint_masks(rig, cyls):
 def full_image_hits(rig, cyls):
     """(len(cyls), H, W) masks of the pixels whose ray hits each cylinder."""
     k = rig.intrinsics
-    pose = rig.world_pose()
-    rays = _cached_rays(k).reshape(-1, 3) @ pose.rotation.T
-    t = cast_rays(pose.translation, [rays] * len(cyls), cyls)
-    return np.isfinite(t).reshape(len(cyls), k.height, k.width)
+    table = cylinder_table(cyls, rig.world_pose().inverse())
+    rays = camera_rays(k).reshape(-1, 3).T
+    return np.array([np.isfinite(cast_rays(rays, row[None], [rays.shape[1]]))
+                     for row in table]).reshape(len(cyls), k.height, k.width)
 
 
 def camera_cylinder(rig, base_cam, axis_cam, height, radius):
@@ -694,10 +605,10 @@ class TestPixelBoundingBox:
             hits += int(hit.sum())
         assert hits > 0
 
-    def test_one_pixel_footprint_casts_its_box(self):
+    def test_one_pixel_footprint_casts_one_pixel(self):
         """A tiny cylinder whose footprint holds only the corner pixel (0, 0)
-        is cast through its whole box, a rectangle clipped at that corner;
-        a little further in, through the four pixels of its footprint."""
+        is cast through that pixel alone; a little further in, through the
+        four pixels of its footprint."""
         rig = small_rig()
         k = rig.intrinsics
         cast = []
@@ -705,13 +616,34 @@ class TestPixelBoundingBox:
             base = ((u - k.cx) / k.fx * 3.0, (v - k.cy) / k.fy * 3.0, 3.0)
             cast.append(footprint_masks(rig, [camera_cylinder(rig, base, (1.0, 1.0, 0.0),
                                                                 1e-3, 1e-3)])[0])
-        rows, cols = np.nonzero(cast[0])
-        assert cast[0].sum() > 4 and cast[0][:rows.max() + 1, :cols.max() + 1].all()
+        assert cast[0].sum() == 1 and cast[0][0, 0]
         assert cast[1].sum() == 4 and cast[1][:2, :2].all()
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_near_plane_clips_footprints(self, size):
+        """A cylinder within NEAR of the camera plane is cast through the
+        image of its part in front of NEAR and a bound on the image of its
+        part behind, not through the whole image. In the hard poses most such
+        cylinders cast less than half the image, and pixels hit nearer than
+        NEAR are cast too."""
+        near = halves = near_hits = 0
+        for rig, cyls in hard_views(size):
+            k = rig.intrinsics
+            inv = rig.world_pose().inverse()
+            footprint = footprint_masks(rig, cyls)
+            for cyl, cast in zip(cyls, footprint):
+                if bbox_reference(cyl, inv, k) == "full":
+                    near += 1
+                    halves += cast.sum() < 0.5 * k.width * k.height
+            depth = render_depth(rig, cyls)
+            near_hits += int(((depth > 0) & (depth < NEAR)).sum())
+        assert near_hits > 0
+        assert halves > 0.6 * near
 
 
 class TestMatchesBoxCastReference:
-    """render_depth equals, bit for bit, the whole-box cast it replaced."""
+    """render_depth equals, bit for bit, the whole-box cast through the same
+    kernel, which it replaced."""
 
     @pytest.mark.parametrize("size", SIZES)
     def test_template_frames(self, size):
