@@ -21,11 +21,11 @@ import pytest
 
 import icp_reference as ref
 from conftest import hires, rest_dofs, sample_cylinder
+from render_reference import assert_matches_reference, render_depth_reference
 from mvsense import body, harness, scenario, simulator
 from mvsense.body import KeypartState, pose_from_dofs
 from mvsense.geometry import normalize, rot_x, rot_z
 from mvsense.registration import icp_register, nearest_model_search, sample_cylinder_local
-from render_reference import assert_matches_reference, render_depth_reference
 
 ROUNDS = 20
 MODEL_SAMPLES = 128  # the ``model-samples`` default
