@@ -1,6 +1,6 @@
 """Multi-camera human sensing with a cylinder body model.
 
-Fuses per-camera 2D keypoint observations and depth images into a
+Fuses per-camera 2D keypoint detections and depth images into a
 hierarchically connected tree of keypart cylinders, schedules pan-tilt
 viewpoints toward collision-critical regions, and validates everything
 against a bundled synthetic scene simulator.

@@ -32,13 +32,6 @@ L_ANKLE, R_ANKLE = 15, 16
 
 NUM_KEYPOINTS = 17
 
-KEYPOINT_NAMES = (
-    "nose", "left_eye", "right_eye", "left_ear", "right_ear",
-    "left_shoulder", "right_shoulder", "left_elbow", "right_elbow",
-    "left_wrist", "right_wrist", "left_hip", "right_hip",
-    "left_knee", "right_knee", "left_ankle", "right_ankle",
-)
-
 # keypart indices
 TORSO, HEAD = 0, 1
 L_UPPER_ARM, L_LOWER_ARM = 2, 3
@@ -84,15 +77,9 @@ PART_KEYPOINTS = {
     R_LOWER_LEG: (R_KNEE, R_ANKLE),
 }
 
-# grouped membership (torso / head / whole limbs), used for bookkeeping checks
-PART_GROUP_KEYPOINTS = {
-    "torso": frozenset({L_SHOULDER, R_SHOULDER, L_HIP, R_HIP}),
-    "head": frozenset({NOSE, L_EYE, R_EYE, L_EAR, R_EAR}),
-    "left_arm": frozenset({L_SHOULDER, L_ELBOW, L_WRIST}),
-    "right_arm": frozenset({R_SHOULDER, R_ELBOW, R_WRIST}),
-    "left_leg": frozenset({L_HIP, L_KNEE, L_ANKLE}),
-    "right_leg": frozenset({R_HIP, R_KNEE, R_ANKLE}),
-}
+# PART_KEYPOINT_MASK[part, kp]: the keypoint is on the part
+PART_KEYPOINT_MASK = np.array([[kp in PART_KEYPOINTS[p] for kp in range(NUM_KEYPOINTS)]
+                               for p in range(NUM_KEYPARTS)])
 
 # joint keypoint labelling the edge parent -> child (None: head articulates
 # at the synthetic neck, the shoulder midpoint)

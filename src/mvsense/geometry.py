@@ -62,10 +62,6 @@ class Intrinsics:
             raise ValueError("scalar focal length requires fx == fy")
         return self.fx
 
-    def contains(self, pixel) -> bool:
-        u, v = float(pixel[0]), float(pixel[1])
-        return 0.0 <= u < self.width and 0.0 <= v < self.height
-
 
 @dataclass(frozen=True)
 class RigidTransform:

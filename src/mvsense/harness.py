@@ -1,15 +1,16 @@
 """Trial execution in three pieces: simulator loop, pipeline, scorer.
 
 ``run_trial`` runs the simulator. Per frame it renders each rig's depth
-image, runs the detector contract (``keypoints.detect`` over
-``simulator.SyntheticDetector``) and hands the result to the pipeline as
-a ``FrameInput``; then it steps the scene.
+image, checks the synthetic detector's pixels and confidences
+(``keypoints.detect`` over ``simulator.synthetic_detect``) and hands the
+result to the pipeline as a ``FrameInput``; then it steps the scene.
 
 ``Pipeline.step`` is the paper's per-frame loop and knows nothing of the
-simulator: per camera it updates the presence windows and lifts present
-keypoints through the depth image, then it fuses them across cameras,
-paints masks, extracts keypart clouds, builds, augments and registers
-the cylinder tree, and plans the next camera commands. It fills a
+simulator: per camera it updates one presence window over the 17
+keypoint confidences and the 10 keypart max-confidences and lifts the
+present keypoints through the depth image, then it fuses them across
+cameras, paints masks, extracts keypart clouds, builds, augments and
+registers the cylinder tree, and plans the next camera commands. It fills a
 ``FrameResult`` one stage at a time, so a frame that fails keeps what it
 made before the failure; the failure is logged and the frame predicts
 every part absent.
@@ -48,7 +49,7 @@ class FrameInput:
     frame: int
     t: float
     depth: dict          # rig id -> (H, W) depth image, 0 where invalid
-    observations: dict   # rig id -> the 17 Observation2D, in keypoint order
+    detections: dict     # rig id -> (pixels (17, 2), confidences (17,)), keypoint order
     poses: dict          # rig id -> camera-to-world RigidTransform
     robot_links: list    # robot link cylinders at t
 
@@ -262,11 +263,11 @@ class _Stopwatch:
 class Pipeline:
     """The per-frame perception loop over a fixed set of camera rigs.
 
-    It holds the state that outlives a frame: each rig's keypoint and
-    keypart presence windows, and the scheduler's last estimate and
-    uncertainty per tracked part. ``robot_links_at(t)`` gives the
-    robot's links over the scheduler's horizon; without it (no robot)
-    the cameras are never steered. Steering commands the rigs; the
+    It holds the state that outlives a frame: each rig's presence window
+    over its 17 keypoints and then its 10 keyparts, and the scheduler's
+    last estimate and uncertainty per tracked part. ``robot_links_at(t)``
+    gives the robot's links over the scheduler's horizon; without it (no
+    robot) the cameras are never steered. Steering commands the rigs; the
     caller moves them. Wall-clock stage times add up in ``timings_ms``.
     """
 
@@ -276,13 +277,8 @@ class Pipeline:
         self.robot_links_at = robot_links_at
         self.dt = 1.0 / script.frame_rate
         self.depth_offsets = keypoint_depth_offsets(script.dims)
-
-        def windows(n):
-            return [PresenceWindow(script.window_m, script.window_gamma,
-                                   script.window_alpha) for _ in range(n)]
-
-        self.kp_windows = {rig.rig_id: windows(body.NUM_KEYPOINTS) for rig in rigs}
-        self.part_windows = {rig.rig_id: windows(body.NUM_KEYPARTS) for rig in rigs}
+        self.windows = {rig.rig_id: PresenceWindow(script.window_m, script.window_gamma,
+                                                   script.window_alpha) for rig in rigs}
         self.tracked: dict = {}  # part -> [last estimated cylinder, sigma]
         self.timings_ms: dict = {}
 
@@ -301,32 +297,29 @@ class Pipeline:
         watch = _Stopwatch(self.timings_ms)
         t0 = time.perf_counter()
 
-        # per camera: presence windows, then depth lift of present keypoints
+        # per camera: presence window, then depth lift of present keypoints
         lifted: dict = {}
         seen: dict = {}
         for rig in self.rigs:
-            obs = inp.observations[rig.rig_id]
-            kw = self.kp_windows[rig.rig_id]
-            pw = self.part_windows[rig.rig_id]
-            for o in obs:
-                kw[o.keypoint].update(o.confidence)
-            for j in range(body.NUM_KEYPARTS):
-                pw[j].update(max(obs[k].confidence for k in body.PART_KEYPOINTS[j]))
+            pixels, conf = inp.detections[rig.rig_id]
+            part_conf = np.where(body.PART_KEYPOINT_MASK, conf, -np.inf).max(axis=1)
+            window = self.windows[rig.rig_id]
+            window.update(np.concatenate([conf, part_conf]))
+            present = window.present()
             kp3d = lifted[rig.rig_id] = {}
-            for o in obs:
-                if kw[o.keypoint].present():
-                    try:
-                        p = lift_depth(o, inp.depth[rig.rig_id], script.slice_radius,
-                                       rig.intrinsics)
-                    except NoValidDepth:
-                        continue  # absent for this camera this frame
-                    kp3d[o.keypoint] = p * ((p[2] + self.depth_offsets[o.keypoint]) / p[2])
-            seen[rig.rig_id] = [j for j in range(body.NUM_KEYPARTS) if pw[j].present()]
+            for kp in np.flatnonzero(present[:body.NUM_KEYPOINTS]).tolist():
+                try:
+                    p = lift_depth(pixels[kp], inp.depth[rig.rig_id], script.slice_radius,
+                                   rig.intrinsics)
+                except NoValidDepth:
+                    continue  # absent for this camera this frame
+                kp3d[kp] = p * ((p[2] + self.depth_offsets[kp]) / p[2])
+            seen[rig.rig_id] = np.flatnonzero(present[body.NUM_KEYPOINTS:]).tolist()
         t0 = watch.add("lift", t0)
 
         # fusion barrier: world-frame weighted mean per keypoint
         for kp in range(body.NUM_KEYPOINTS):
-            entries = [(lifted[rig.rig_id][kp], inp.observations[rig.rig_id][kp].confidence,
+            entries = [(lifted[rig.rig_id][kp], inp.detections[rig.rig_id][1][kp],
                         inp.poses[rig.rig_id])
                        for rig in self.rigs if kp in lifted[rig.rig_id]]
             if entries:
@@ -341,7 +334,7 @@ class Pipeline:
                 continue
             depth, pose_cam = inp.depth[rig.rig_id], inp.poses[rig.rig_id]
             anchors = keyparts.project_keypoints_to_mask(
-                result.fused, dict(enumerate(inp.observations[rig.rig_id])),
+                result.fused, inp.detections[rig.rig_id][0],
                 pose_cam, rig.intrinsics, depth, script.slice_radius, parts_here)
             trapezoids = []
             for j in parts_here:
@@ -358,8 +351,7 @@ class Pipeline:
                                         rig.intrinsics.height)
             result.masks[rig.rig_id] = mask
             clouds = keyparts.extract_clouds(
-                mask, depth, pose_cam, rig.intrinsics, inp.robot_links,
-                script.cloud, rig.rig_id)
+                mask, depth, pose_cam, rig.intrinsics, inp.robot_links, script.cloud)
             for cloud in clouds:
                 chunks.setdefault(cloud.part, []).append(cloud.points)
         result.clouds = {p: np.vstack(c) for p, c in chunks.items()}
@@ -401,21 +393,21 @@ def sense(scene: simulator.Scene, pose, props: list, frame: int,
           timings_ms: dict) -> FrameInput:
     """Render and detect every rig of ``scene`` at its current time."""
     watch = _Stopwatch(timings_ms)
-    detector = simulator.SyntheticDetector()
     t = scene.t
     robot_links = scene.robot.links_at(t) if scene.robot else []
     occluders = list(robot_links) + props
-    scene_cyls = pose.cylinders() + occluders
+    parts = pose.cylinders()
+    keypoints = pose.keypoint_array()
     inp = FrameInput(frame, t, {}, {}, {}, robot_links)
     t0 = time.perf_counter()
     for ci, rig in enumerate(scene.rigs):
         inp.depth[rig.rig_id] = simulator.render_depth(
-            rig, scene_cyls, scene.depth_noise, scene.rng(simulator.STREAM_DEPTH, ci))
+            rig, parts + occluders, scene.depth_noise, scene.rng(simulator.STREAM_DEPTH, ci))
         t0 = watch.add("render", t0)
-        image = (rig, pose, occluders, scene.detector_noise,
-                 scene.rng(simulator.STREAM_DETECT, ci), t)
-        inp.observations[rig.rig_id] = detect(image, detector, rig.rig_id, t)
-        inp.poses[rig.rig_id] = rig.world_pose()
+        cam_pose = inp.poses[rig.rig_id] = rig.world_pose()
+        inp.detections[rig.rig_id] = detect(simulator.synthetic_detect(
+            rig.intrinsics, cam_pose, keypoints, parts, occluders, scene.detector_noise,
+            scene.rng(simulator.STREAM_DETECT, ci)))
         t0 = watch.add("detect", t0)
     return inp
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import body
 from .filters import largest_euclidean_cluster, voxel_downsample
 from .geometry import BehindCamera, Intrinsics, RigidTransform, project, reproject_many
-from .keypoints import FusedKeypoint, NoValidDepth, Observation2D, slice_depth
+from .keypoints import FusedKeypoint, NoValidDepth, slice_depth
 
 BACKGROUND = -1
 
@@ -33,10 +33,8 @@ BACKGROUND = -1
 class MaskAnchor:
     """Projected keypoint used to place a trapezoid: pixel + paint depth."""
 
-    keypoint: int
     pixel: np.ndarray
     depth: float
-    fused: bool
 
 
 def base_half_length(focal: float, depth: float, radius: float) -> float:
@@ -167,18 +165,18 @@ class KeypartCloud:
 
     part: int
     points: np.ndarray
-    camera: str = ""
 
 
-def project_keypoints_to_mask(fused: dict, raw: dict, world_from_cam: RigidTransform,
+def project_keypoints_to_mask(fused: dict, pixels: np.ndarray, world_from_cam: RigidTransform,
                               k: Intrinsics, depth_image: np.ndarray,
                               slice_radius: int, parts) -> dict:
     """Anchor pixels and paint depths for every keypoint of the given parts.
 
     Fused keypoints are projected through the camera (their paint depth is
-    the camera-frame z); keypoints absent from fusion fall back to the raw
-    detector pixel with a locally sliced depth. Keypoints that project
-    behind the camera or carry no usable depth are skipped.
+    the camera-frame z); keypoints absent from fusion fall back to the
+    camera's detected pixel (a row of ``pixels``) with a locally sliced
+    depth. Keypoints that project behind the camera or carry no usable
+    depth are skipped.
     """
     anchors: dict = {}
     wanted = set()
@@ -191,15 +189,13 @@ def project_keypoints_to_mask(fused: dict, raw: dict, world_from_cam: RigidTrans
                 pixel, depth = project(fk.position_world, world_from_cam, k)
             except BehindCamera:
                 continue
-            anchors[kp] = MaskAnchor(kp, pixel, depth, True)
-        elif kp in raw:
-            obs: Observation2D = raw[kp]
+            anchors[kp] = MaskAnchor(pixel, depth)
+        else:
             try:
-                depth = slice_depth(obs.pixel, depth_image, slice_radius)
+                depth = slice_depth(pixels[kp], depth_image, slice_radius)
             except NoValidDepth:
                 continue
-            anchors[kp] = MaskAnchor(kp, np.asarray(obs.pixel, dtype=np.float64),
-                                     depth, False)
+            anchors[kp] = MaskAnchor(pixels[kp], depth)
     return anchors
 
 
@@ -313,8 +309,7 @@ class CloudParams:
 
 def extract_clouds(mask: MaskImage, depth_image: np.ndarray,
                    world_from_cam: RigidTransform, k: Intrinsics,
-                   robot_links=(), params: CloudParams = CloudParams(),
-                   camera: str = "") -> list:
+                   robot_links=(), params: CloudParams = CloudParams()) -> list:
     """Per-part world-frame clouds from a painted mask and a depth image.
 
     One pass over all labeled pixels: lift the pixels with valid depth
@@ -372,5 +367,5 @@ def extract_clouds(mask: MaskImage, depth_image: np.ndarray,
                                          params.cluster_min)
         start = stop
         if len(kept):
-            clouds.append(KeypartCloud(int(part), kept, camera))
+            clouds.append(KeypartCloud(int(part), kept))
     return clouds

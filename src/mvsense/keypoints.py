@@ -1,7 +1,8 @@
-"""Per-camera keypoint observations and their multi-camera fusion.
+"""Per-camera keypoint detections and their multi-camera fusion.
 
-Stages, per frame and camera: normalize the detector's 17 (pixel,
-confidence) pairs into observations, track a discounted sliding window of
+A camera's detections are two arrays in keypoint order: 17 pixels
+(17, 2) and their confidences (17,). Stages, per frame and camera: check
+the detector's arrays (``detect``), track a discounted sliding window of
 confidences to decide presence, lift present keypoints to 3D through a
 depth-image slice, and finally fuse all cameras' 3D estimates with
 confidence weights in the world frame.
@@ -30,30 +31,24 @@ class EmptyInput(ValueError):
     """Fusion called with no contributing cameras."""
 
 
-@dataclass(frozen=True)
-class Observation2D:
-    """One keypoint seen by one camera at one timestamp."""
+def detect(output) -> tuple:
+    """Check a detector's output: 17 pixels and their confidences.
 
-    keypoint: int
-    pixel: np.ndarray
-    confidence: float
-    camera: str
-    timestamp: float
-
-
-def detect(image, detector, camera: str = "", timestamp: float = 0.0) -> list:
-    """Run a detector and normalize its output to 17 observations.
-
-    A detector is any object with ``infer(image)`` returning 17
-    (pixel, confidence) pairs in keypoint order. Any other count raises
-    ``DetectorFailure``; detector exceptions propagate as-is.
+    ``output`` is a (pixels, confidences) pair in keypoint order, (17, 2)
+    and (17,); it comes back as float64 arrays. Any other count, a
+    non-finite pixel, or a non-finite or negative confidence raises
+    ``DetectorFailure`` naming the keypoint.
     """
-    output = detector.infer(image)
-    if len(output) != NUM_KEYPOINTS:
-        raise DetectorFailure(f"detector returned {len(output)} keypoints")
-    return [Observation2D(k, np.asarray(pixel, dtype=np.float64), float(conf),
-                          camera, timestamp)
-            for k, (pixel, conf) in enumerate(output)]
+    pixels, confidences = (np.asarray(a, dtype=np.float64) for a in output)
+    if pixels.shape != (NUM_KEYPOINTS, 2) or confidences.shape != (NUM_KEYPOINTS,):
+        raise DetectorFailure(f"detector returned {confidences.size} keypoints "
+                              f"with pixels of shape {pixels.shape}")
+    bad = ~(np.isfinite(pixels).all(axis=1) & np.isfinite(confidences) & (confidences >= 0.0))
+    if bad.any():
+        kp = int(np.argmax(bad))
+        raise DetectorFailure(f"keypoint {kp} has pixel {pixels[kp].tolist()} "
+                              f"and confidence {confidences[kp]}")
+    return pixels, confidences
 
 
 @dataclass
@@ -62,8 +57,10 @@ class PresenceWindow:
 
     The presence score is sum_{m=0..M} gamma^m * c[t_n - m] with m = 0 the
     newest entry; missing history counts as 0, which biases a cold window
-    toward absence. The part-level window uses the same mechanics with the
-    max confidence over the part's keypoints.
+    toward absence. An entry may be an array: the window then scores each
+    row elementwise, with the same arithmetic as one window per row, so
+    one window serves all of a camera's keypoints and keyparts (a part's
+    row holds the max confidence over its keypoints).
     """
 
     m: int = 5
@@ -78,16 +75,16 @@ class PresenceWindow:
             raise ValueError("alpha must be in (0, M)")
         self._buf = deque(self._buf, maxlen=self.m + 1)
 
-    def update(self, confidence: float) -> None:
-        self._buf.append(float(confidence))
+    def update(self, confidence) -> None:
+        self._buf.append(np.array(confidence, dtype=np.float64))
 
-    def score(self) -> float:
+    def score(self):
         total = 0.0
         for m, c in enumerate(reversed(self._buf)):
             total += (self.gamma ** m) * c
         return total
 
-    def present(self) -> bool:
+    def present(self):
         # the sign convention maps an exact-threshold score to absent
         return self.score() > self.alpha
 
@@ -127,11 +124,10 @@ def slice_depth(pixel, depth_image: np.ndarray, radius: int) -> float:
     return float(vals[valid].mean())
 
 
-def lift_depth(obs: Observation2D, depth_image: np.ndarray, radius: int,
+def lift_depth(pixel: np.ndarray, depth_image: np.ndarray, radius: int,
                k: Intrinsics) -> np.ndarray:
-    """3D camera-frame position of an observation via its depth slice."""
-    d = slice_depth(obs.pixel, depth_image, radius)
-    return reproject(obs.pixel, d, k)
+    """3D camera-frame position of a detected pixel via its depth slice."""
+    return reproject(pixel, slice_depth(pixel, depth_image, radius), k)
 
 
 @dataclass(frozen=True)

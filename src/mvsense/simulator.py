@@ -3,13 +3,14 @@
 The scene holds a ground-truth cylinder human on a scripted 24-DOF
 trajectory, a robot arm proxy (a chain of link cylinders on its own
 script), and pan-tilt camera rigs. It renders depth images and tests
-keypoint occlusion with one ray-cylinder kernel, ``geometry.cast_rays``,
-and emits detector-like keypoint observations whose confidences reflect
-occlusion and field of view. A render casts in the camera frame, each
-cylinder only through the pixels of its projected footprint, and depth
-noise is drawn for hit pixels only, so its cost follows the body's size
-in the image, not the pixel count. Everything is deterministic for a
-fixed seed.
+keypoint occlusion with one ray-cylinder kernel, ``geometry.cast_rays``.
+``synthetic_detect`` stands in for the keypoint detector: it returns a
+camera's 17 pixels and confidences as two arrays, the format that
+``keypoints.detect`` checks, with confidences that reflect occlusion and
+field of view. A render casts in the camera frame, each cylinder only
+through the pixels of its projected footprint, and depth noise is drawn
+for hit pixels only, so its cost follows the body's size in the image,
+not the pixel count. Everything is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .geometry import (
     rot_x,
     rot_y,
 )
-from .keypoints import Observation2D
 
 # rng stream labels
 STREAM_DEPTH = 0
@@ -94,6 +94,18 @@ class CameraRig:
         self.tilt += float(np.clip(self.target_tilt - self.tilt, -move, move))
 
 
+def _lerp_waypoints(times: np.ndarray, values: np.ndarray, t: float) -> np.ndarray:
+    """Waypoint values at ``t``, linear between waypoints, held outside them."""
+    if len(times) == 1 or t <= times[0]:
+        return values[0].copy()
+    if t >= times[-1]:
+        return values[-1].copy()
+    i = int(np.searchsorted(times, t, side="right")) - 1
+    t0, t1 = times[i], times[i + 1]
+    w = (t - t0) / (t1 - t0)
+    return (1.0 - w) * values[i] + w * values[i + 1]
+
+
 @dataclass
 class GroundTruthHuman:
     """Scripted human: time-stamped 24-DOF waypoints, linearly interpolated."""
@@ -113,14 +125,7 @@ class GroundTruthHuman:
             raise ValueError("waypoint times must be strictly increasing")
 
     def dofs_at(self, t: float) -> np.ndarray:
-        if len(self.times) == 1 or t <= self.times[0]:
-            return self.dofs[0].copy()
-        if t >= self.times[-1]:
-            return self.dofs[-1].copy()
-        i = int(np.searchsorted(self.times, t, side="right")) - 1
-        t0, t1 = self.times[i], self.times[i + 1]
-        w = (t - t0) / (t1 - t0)
-        return (1.0 - w) * self.dofs[i] + w * self.dofs[i + 1]
+        return _lerp_waypoints(self.times, self.dofs, t)
 
     def pose_at(self, t: float) -> HumanPose:
         return pose_from_dofs(self.dofs_at(t), self.dims)
@@ -140,18 +145,8 @@ class RobotArmProxy:
         if self.joints.ndim != 3 or self.joints.shape[0] != len(self.times):
             raise ValueError("joint waypoints must be (T, J, 3)")
 
-    def joints_at(self, t: float) -> np.ndarray:
-        if len(self.times) == 1 or t <= self.times[0]:
-            return self.joints[0].copy()
-        if t >= self.times[-1]:
-            return self.joints[-1].copy()
-        i = int(np.searchsorted(self.times, t, side="right")) - 1
-        t0, t1 = self.times[i], self.times[i + 1]
-        w = (t - t0) / (t1 - t0)
-        return (1.0 - w) * self.joints[i] + w * self.joints[i + 1]
-
     def links_at(self, t: float) -> list:
-        pts = self.joints_at(t)
+        pts = _lerp_waypoints(self.times, self.joints, t)
         out = []
         for a, b in zip(pts[:-1], pts[1:]):
             if np.linalg.norm(b - a) > 1e-9:
@@ -385,47 +380,40 @@ def render_depth(rig: CameraRig, cylinders, noise: DepthNoise | None = None,
     return depth
 
 
-# _OWN_KEYPOINTS[part, kp]: the keypoint is on the part, whose surface cannot occlude it
-_OWN_KEYPOINTS = np.array([[kp in body.PART_KEYPOINTS[p] for kp in range(body.NUM_KEYPOINTS)]
-                           for p in range(body.NUM_KEYPARTS)])
-
-
 def occlusion_mask(camera_pos: np.ndarray, keypoints_world: np.ndarray,
-                   cylinders_by_part: dict, extra_cylinders=()) -> np.ndarray:
+                   parts, extra_cylinders=()) -> np.ndarray:
     """Occlusion flags for the 17 keypoints, from one ``cast_rays`` call.
 
-    A keypoint is occluded when its sight line from the camera hits a
-    cylinder more than 1 cm before it, other than its own parts' surface.
-    The cast runs in world axes with the camera at the origin.
+    ``parts`` are the ten part cylinders in part order. A keypoint is
+    occluded when its sight line from the camera hits a cylinder more
+    than 1 cm before it, other than its own parts' surface. The cast runs
+    in world axes with the camera at the origin.
     """
     d = keypoints_world - camera_pos[None, :]
     dist = np.linalg.norm(d, axis=1)
     rays = d / np.maximum(dist, 1e-9)[:, None]
-    cyls = list(cylinders_by_part.values()) + list(extra_cylinders)
+    cyls = list(parts) + list(extra_cylinders)
     table = cylinder_table(cyls, RigidTransform._trusted(np.eye(3), -camera_pos))
     t = cast_rays(np.tile(rays.T, len(cyls)), table, [len(rays)] * len(cyls))
     blocked = t.reshape(len(cyls), len(rays)) < dist - 0.01
-    blocked[:len(cylinders_by_part)] &= ~_OWN_KEYPOINTS[list(cylinders_by_part)]
+    blocked[:body.NUM_KEYPARTS] &= ~body.PART_KEYPOINT_MASK
     return blocked.any(axis=0)
 
 
-def synthetic_detect(rig: CameraRig, pose: HumanPose, robot_links=(),
-                     noise: DetectorNoise | None = None,
-                     rng: np.random.Generator | None = None,
-                     timestamp: float = 0.0) -> list:
-    """Detector-contract observations for all 17 keypoints.
+def synthetic_detect(k: Intrinsics, cam_pose: RigidTransform, keypoints: np.ndarray,
+                     parts, occluders=(), noise: DetectorNoise | None = None,
+                     rng: np.random.Generator | None = None) -> tuple:
+    """Detector-contract output for one camera: (pixels, confidences).
 
+    ``cam_pose`` is the camera-to-world pose, ``keypoints`` the (17, 3)
+    world keypoints and ``parts`` the ten part cylinders in part order.
     Confidence is c_hi for a free view, c_hi * c_occ when the sight line
     is blocked, and c_out outside the image. Pixels get Gaussian noise
     and are clamped into the image bounds.
     """
     noise = noise or DetectorNoise()
-    cam_pose = rig.world_pose()
-    k = rig.intrinsics
-    parts = {p: pose.states[p].cylinder() for p in range(body.NUM_KEYPARTS)}
-    targets = pose.keypoint_array()
-    cam_pts = cam_pose.inverse().apply(targets)
-    occluded = occlusion_mask(cam_pose.translation, targets, parts, robot_links)
+    cam_pts = cam_pose.inverse().apply(keypoints)
+    occluded = occlusion_mask(cam_pose.translation, keypoints, parts, occluders)
 
     z = cam_pts[:, 2]
     front = z > 0.05
@@ -436,18 +424,4 @@ def synthetic_detect(rig: CameraRig, pose: HumanPose, robot_links=(),
     conf = np.where(inside, np.where(occluded, noise.c_hi * noise.c_occ, noise.c_hi), noise.c_out)
     if rng is not None and noise.sigma_px > 0:
         pixel = pixel + rng.normal(0.0, noise.sigma_px, pixel.shape)
-    pixel = np.clip(pixel, 0.0, [k.width - 1, k.height - 1])
-    return [Observation2D(kp, pixel[kp], float(conf[kp]), rig.rig_id, timestamp)
-            for kp in range(body.NUM_KEYPOINTS)]
-
-
-class SyntheticDetector:
-    """Detector-interface adapter over ``synthetic_detect``.
-
-    ``infer`` takes a ``(rig, pose, occluders, noise, rng, timestamp)``
-    frame handle, the arguments of ``synthetic_detect``, and returns the
-    17 (pixel, confidence) pairs that ``keypoints.detect`` expects.
-    """
-
-    def infer(self, frame) -> list:
-        return [(o.pixel, o.confidence) for o in synthetic_detect(*frame)]
+    return np.clip(pixel, 0.0, [k.width - 1, k.height - 1]), conf

@@ -10,7 +10,7 @@ from mvsense.geometry import project
 from mvsense.geometry import frame_from_axis, normalize, rot_x, rot_y, rot_z
 from mvsense.registration import sample_cylinder_local
 from mvsense.scheduler import P_CAP
-from mvsense.simulator import occlusion_mask
+from mvsense.simulator import occlusion_mask, synthetic_detect
 
 
 @pytest.fixture
@@ -108,6 +108,18 @@ def sample_cylinder(state: KeypartState, n: int) -> np.ndarray:
     return state.base + local @ frame.T
 
 
+def in_image(k, pixel) -> bool:
+    """The pixel lies in the image of intrinsics ``k``."""
+    u, v = float(pixel[0]), float(pixel[1])
+    return 0.0 <= u < k.width and 0.0 <= v < k.height
+
+
+def detect_view(rig, pose, occluders=(), noise=None, rng=None) -> tuple:
+    """``simulator.synthetic_detect`` for a rig at its current pan and tilt."""
+    return synthetic_detect(rig.intrinsics, rig.world_pose(), pose.keypoint_array(),
+                            pose.cylinders(), occluders, noise, rng)
+
+
 def keypoint_flags(rig, pose, robot_links=()) -> list:
     """'visible', 'occluded' or 'out' per keypoint in one camera.
 
@@ -115,9 +127,8 @@ def keypoint_flags(rig, pose, robot_links=()) -> list:
     behind the camera or outside the image.
     """
     cam_pose = rig.world_pose()
-    parts = {p: pose.states[p].cylinder() for p in range(body.NUM_KEYPARTS)}
     occluded = occlusion_mask(cam_pose.translation, pose.keypoint_array(),
-                              parts, robot_links)
+                              pose.cylinders(), robot_links)
     flags = []
     for kp in range(body.NUM_KEYPOINTS):
         try:
@@ -125,7 +136,7 @@ def keypoint_flags(rig, pose, robot_links=()) -> list:
         except BehindCamera:
             flags.append("out")
             continue
-        if not rig.intrinsics.contains(pixel):
+        if not in_image(rig.intrinsics, pixel):
             flags.append("out")
         else:
             flags.append("occluded" if occluded[kp] else "visible")

@@ -30,7 +30,6 @@ from mvsense.body import (
 from mvsense.geometry import Intrinsics, normalize, rot_x, rot_z
 from mvsense.keypoints import (
     FusedKeypoint,
-    Observation2D,
     PresenceWindow,
     effectiveness_factor,
     fuse,
@@ -142,8 +141,7 @@ def test_criterion_04_reprojection_round_trip():
             pixel = np.array([k.fx * cam_pt[0] / cam_pt[2] + k.cx,
                               k.fy * cam_pt[1] / cam_pt[2] + k.cy])
             try:
-                lifted = lift_depth(Observation2D(kp, pixel, 0.9, "c", 0.0),
-                                    depth, 2, k)
+                lifted = lift_depth(pixel, depth, 2, k)
             except Exception:
                 continue  # N_r = 0: the contract treats this as absent
             world = cam_pose.apply(lifted)

@@ -19,18 +19,10 @@ from mvsense.geometry import frame_from_axis, normalize
 
 
 class TestTables:
-    def test_membership_matches_grouping(self):
-        groups = body.PART_GROUP_KEYPOINTS
-        assert set(body.PART_KEYPOINTS[body.TORSO]) == groups["torso"]
-        assert set(body.PART_KEYPOINTS[body.HEAD]) == groups["head"]
-        assert (set(body.PART_KEYPOINTS[body.L_UPPER_ARM])
-                | set(body.PART_KEYPOINTS[body.L_LOWER_ARM])) == groups["left_arm"]
-        assert (set(body.PART_KEYPOINTS[body.R_UPPER_ARM])
-                | set(body.PART_KEYPOINTS[body.R_LOWER_ARM])) == groups["right_arm"]
-        assert (set(body.PART_KEYPOINTS[body.L_UPPER_LEG])
-                | set(body.PART_KEYPOINTS[body.L_LOWER_LEG])) == groups["left_leg"]
-        assert (set(body.PART_KEYPOINTS[body.R_UPPER_LEG])
-                | set(body.PART_KEYPOINTS[body.R_LOWER_LEG])) == groups["right_leg"]
+    def test_keypoint_mask_matches_membership(self):
+        assert body.PART_KEYPOINT_MASK.shape == (body.NUM_KEYPARTS, body.NUM_KEYPOINTS)
+        for part, kps in body.PART_KEYPOINTS.items():
+            assert np.flatnonzero(body.PART_KEYPOINT_MASK[part]).tolist() == sorted(kps)
 
     def test_parent_map(self):
         assert body.PARENT[body.TORSO] is None

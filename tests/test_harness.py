@@ -7,7 +7,8 @@ import logging
 import numpy as np
 import pytest
 
-from mvsense import body, harness, keyparts, registration, scenario, simulator
+from conftest import detect_view
+from mvsense import body, harness, keyparts, keypoints, registration, scenario, simulator
 from mvsense.cli import main
 from mvsense.keypoints import DetectorFailure
 from mvsense.harness import (
@@ -84,15 +85,13 @@ class TestRunTrial:
     def test_seed_changes_observation_stream(self):
         # binary presence rows may coincide across seeds; the underlying
         # noisy streams must not
-        from mvsense.simulator import synthetic_detect
         streams = []
         for seed in (3, 4):
             scene = build_scene(tiny_script(seed=seed), "single-fixed")
             pose = scene.human.pose_at(0.0)
-            obs = synthetic_detect(scene.rigs[0], pose,
-                                   scene.robot.links_at(0.0),
-                                   scene.detector_noise, scene.rng(1, 0), 0.0)
-            streams.append(np.stack([o.pixel for o in obs]))
+            pixels, _conf = detect_view(scene.rigs[0], pose, scene.robot.links_at(0.0),
+                                        scene.detector_noise, scene.rng(1, 0))
+            streams.append(pixels)
         assert not np.array_equal(streams[0], streams[1])
 
     def test_summary_fields(self):
@@ -175,22 +174,29 @@ class TestRunTrial:
             assert (out / name).read_bytes() == (clean / name).read_bytes()
         assert (clean / f"frame{failing}_tree.json").exists()
 
-    @pytest.mark.parametrize("fault", ["returns 16", "raises"])
+    @pytest.mark.parametrize("fault", ["returns 16", "returns NaN", "raises"])
     def test_detector_fault_fails_that_frame_only(self, monkeypatch, caplog, fault):
-        """A detector that returns 16 keypoints, or raises, at 0.5 s: that
-        frame is logged once and scored all absent, and the trial goes on."""
-        infer = simulator.SyntheticDetector.infer
+        """A detector that returns 16 keypoints, or a NaN pixel, or raises,
+        at 0.5 s: that frame is logged once and scored all absent, and the
+        trial goes on."""
+        synthetic_detect = simulator.synthetic_detect
+        rigs = len(select_cameras(tiny_script(), "multi-fixed"))
+        calls = []
 
-        def faulty(self, frame):
-            pairs = infer(self, frame)
-            if abs(frame[5] - 0.5) > 1e-9:
-                return pairs
+        def faulty(*args):
+            pixels, conf = synthetic_detect(*args)
+            calls.append(None)
+            if len(calls) != 5 * rigs + 1:  # the first rig of frame 5
+                return pixels, conf
             if fault == "raises":
                 raise DetectorFailure("injected")
-            return pairs[:16]
+            if fault == "returns NaN":
+                pixels[3, 1] = np.nan
+                return pixels, conf
+            return pixels[:16], conf[:16]
 
         clean = run_trial(tiny_script(), config="multi-fixed")
-        monkeypatch.setattr(simulator.SyntheticDetector, "infer", faulty)
+        monkeypatch.setattr(simulator, "synthetic_detect", faulty)
         with caplog.at_level(logging.ERROR, logger="mvsense.harness"):
             m = run_trial(tiny_script(), config="multi-fixed")
         errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
@@ -199,6 +205,8 @@ class TestRunTrial:
         assert isinstance(errors[0].exc_info[1], DetectorFailure)
         if fault == "returns 16":
             assert "returned 16 keypoints" in str(errors[0].exc_info[1])
+        if fault == "returns NaN":
+            assert "keypoint 3 has pixel" in str(errors[0].exc_info[1])
         assert m.frames == clean.frames == len(m.rows)
         assert any(clean.rows[5][f"pred_{j}"] for j in range(body.NUM_KEYPARTS))
         assert not any(m.rows[5][f"pred_{j}"] for j in range(body.NUM_KEYPARTS))
@@ -257,6 +265,37 @@ class TestPipeline:
         assert replay.rows == trial.rows
         assert replay.axis_errors_deg == trial.axis_errors_deg
         assert replay.position_errors_m == trial.position_errors_m
+
+
+    def test_one_window_per_rig_scores_like_a_window_per_row(self, monkeypatch):
+        """A rig's window scores its 17 keypoint rows and 10 part rows, each
+        part fed the max confidence of its keypoints, as 27 scalar windows
+        do, bit for bit."""
+        script = tiny_script()
+        frames = []
+        step = harness.Pipeline.step
+
+        def recording_step(self, inp):
+            result = step(self, inp)
+            frames.append((inp.detections, {r: w.score() for r, w in self.windows.items()}))
+            return result
+
+        monkeypatch.setattr(harness.Pipeline, "step", recording_step)
+        run_trial(script, config="multi-fixed", frames=8)
+        rows = body.NUM_KEYPOINTS + body.NUM_KEYPARTS
+        windows = {}
+        for detections, scores in frames:
+            assert set(scores) == set(detections) and len(scores) == 2
+            for rig_id, (_pixels, conf) in detections.items():
+                conf = conf.tolist()
+                row_conf = conf + [max(conf[k] for k in body.PART_KEYPOINTS[j])
+                                   for j in range(body.NUM_KEYPARTS)]
+                ref = windows.setdefault(rig_id, [keypoints.PresenceWindow(
+                    script.window_m, script.window_gamma, script.window_alpha)
+                    for _ in range(rows)])
+                for w, c in zip(ref, row_conf):
+                    w.update(c)
+                assert scores[rig_id].tolist() == [float(w.score()) for w in ref]
 
 
 class TestCompareConfigs:

@@ -2,13 +2,14 @@
 
 Each benchmark times one kernel with a fixed round count, so the suite
 grows by seconds only, and checks the timed result against its oracle:
-the ICP kernels bit for bit against ``icp_reference``, and the depth
-render against ``render_reference``'s per-cylinder simulator, with the
-same hit pixels and depths within 1e-9 m. Sizes follow the traced
-workloads: a desk-sweep limb cloud averages about 133 points, and
-``register_tree`` caps a cloud at 600; the renders are the calls that
-short template trials make at 144x112 (desk-sweep) and 640x480
-(hires-fixed).
+the ICP kernels bit for bit against ``icp_reference``, the depth render
+against ``render_reference``'s per-cylinder simulator, with the same hit
+pixels and depths within 1e-9 m, and mask painting and cloud extraction
+bit for bit against the per-box and full-image references of
+``test_keyparts``. Sizes follow the traced workloads: a desk-sweep limb
+cloud averages about 133 points, and ``register_tree`` caps a cloud at
+600; renders, masks and extractions are the calls that short template
+trials make at 144x112 (desk-sweep) and 640x480 (hires-fixed).
 
     PYTHONPATH=src python -m pytest tests/test_kernels.py --benchmark-only
 """
@@ -22,13 +23,15 @@ import pytest
 import icp_reference as ref
 from conftest import hires, rest_dofs, sample_cylinder
 from render_reference import assert_matches_reference, render_depth_reference
-from mvsense import body, harness, scenario, simulator
+from test_keyparts import paint_masks_reference, quiet_reference, same_clouds, same_mask
+from mvsense import body, harness, keyparts, scenario, simulator
 from mvsense.body import KeypartState, pose_from_dofs
 from mvsense.geometry import normalize, rot_x, rot_z
 from mvsense.registration import icp_register, nearest_model_search, sample_cylinder_local
 
 ROUNDS = 20
 MODEL_SAMPLES = 128  # the ``model-samples`` default
+SIZES = [(144, 112), (640, 480)]
 
 
 def cloud(state: KeypartState, n: int, seed: int) -> np.ndarray:
@@ -84,29 +87,63 @@ def test_nearest_model_search(benchmark):
     assert dist.tobytes() == ref_dist.tobytes()
 
 
-def captured_renders(size):
-    """(rig, cylinders) of every ``render_depth`` call that two frames of
-    each template make at multi-fixed with ``size`` cameras."""
+def captured_calls(module, function, size, duration):
+    """The arguments, copied as passed, of every ``module.function`` call
+    that each template makes in ``duration`` seconds at multi-fixed with
+    ``size`` cameras."""
     calls = []
-    render = simulator.render_depth
+    original = getattr(module, function)
 
-    def record(rig, cylinders, noise=None, rng=None):
-        calls.append((copy.deepcopy(rig), list(cylinders)))
-        return render(rig, cylinders, noise, rng)
+    def record(*args):
+        calls.append(copy.deepcopy(args))
+        return original(*args)
 
-    with mock.patch.object(simulator, "render_depth", record):
+    with mock.patch.object(module, function, record):
         for name in sorted(scenario.TEMPLATES):
-            script = scenario.TEMPLATES[name](seed=0, duration=0.2)
+            script = scenario.TEMPLATES[name](seed=0, duration=duration)
             script.cameras = [hires(cam, *size) for cam in script.cameras]
             harness.run_trial(script, config="multi-fixed")
     return calls
 
 
-@pytest.mark.parametrize("size", [(144, 112), (640, 480)])
+def captured_renders(size):
+    """(rig, cylinders) of every ``render_depth`` call that two frames of
+    each template make at multi-fixed with ``size`` cameras."""
+    return [(rig, cylinders) for rig, cylinders, _noise, _rng
+            in captured_calls(simulator, "render_depth", size, 0.2)]
+
+
+def timed(benchmark, function, calls):
+    return benchmark.pedantic(lambda: [function(*args) for args in calls],
+                              rounds=ROUNDS, iterations=1, warmup_rounds=1)
+
+
+@pytest.mark.parametrize("size", SIZES)
 def test_render_depth(benchmark, size):
     frames = captured_renders(size)
-    got = benchmark.pedantic(lambda: [simulator.render_depth(*frame) for frame in frames],
-                             rounds=ROUNDS, iterations=1, warmup_rounds=1)
+    got = timed(benchmark, simulator.render_depth, frames)
     assert len(got) == len(frames) > 0
     for depth, frame in zip(got, frames):
         assert_matches_reference(depth, render_depth_reference(*frame))
+
+
+# a cold presence window holds every part absent on the first frame, so
+# four frames (0.4 s) paint and extract on three
+@pytest.mark.parametrize("size", SIZES)
+def test_paint_masks(benchmark, size):
+    calls = captured_calls(keyparts, "paint_masks", size, 0.4)
+    got = timed(benchmark, keyparts.paint_masks, calls)
+    assert len(got) == len(calls) > 0
+    assert sum(int((mask.labels != keyparts.BACKGROUND).sum()) for mask in got) > 0
+    for mask, args in zip(got, calls):
+        assert same_mask(mask, paint_masks_reference(*args))
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_extract_clouds(benchmark, size):
+    calls = captured_calls(keyparts, "extract_clouds", size, 0.4)
+    got = timed(benchmark, keyparts.extract_clouds, calls)
+    assert len(got) == len(calls) > 0
+    assert sum(len(cloud.points) for clouds in got for cloud in clouds) > 0
+    for clouds, args in zip(got, calls):
+        assert same_clouds(clouds, quiet_reference(*args))

@@ -22,7 +22,7 @@ from conftest import hires, identity
 from mvsense import body, harness, keyparts, scenario
 from mvsense.filters import largest_euclidean_cluster, voxel_downsample
 from mvsense.geometry import Cylinder, Intrinsics, reproject_many
-from mvsense.keypoints import FusedKeypoint, Observation2D, PresenceWindow
+from mvsense.keypoints import FusedKeypoint, PresenceWindow
 from mvsense.keyparts import (
     BACKGROUND,
     CloudParams,
@@ -126,26 +126,35 @@ class TestTrapezoidGeometry:
         assert d == pytest.approx([1.0, 2.0, 3.0])
 
 
+def detected_pixels(pixel=(40.0, 30.0)):
+    """A camera's 17 detected pixels, all at ``pixel``."""
+    return np.tile(np.asarray(pixel, dtype=np.float64), (body.NUM_KEYPOINTS, 1))
+
+
 class TestProjectKeypointsToMask:
     def test_fused_point_on_optical_axis(self):
         k = k_small()
         fused = {0: FusedKeypoint(0, np.array([0.0, 0.0, 2.0]), 0.9, 1)}
-        depth = np.full((120, 160), 2.0)
-        anchors = project_keypoints_to_mask(
-            fused, {}, identity(), k, depth, 3, [body.HEAD])
-        assert np.allclose(anchors[0].pixel, [k.cx, k.cy], atol=1e-9)
-        assert anchors[0].depth == pytest.approx(2.0)
-        assert anchors[0].fused
-
-    def test_absent_keypoint_falls_back_to_raw_detection(self):
-        k = k_small()
-        raw = {0: Observation2D(0, np.array([40.0, 30.0]), 0.4, "c", 0.0)}
         depth = np.full((120, 160), 1.5)
         anchors = project_keypoints_to_mask(
-            {}, raw, identity(), k, depth, 3, [body.HEAD])
+            fused, detected_pixels(), identity(), k, depth, 3, [body.HEAD])
+        # the fused projection, not the detected pixel and its sliced depth
+        assert np.allclose(anchors[0].pixel, [k.cx, k.cy], atol=1e-9)
+        assert anchors[0].depth == pytest.approx(2.0)
+
+    def test_absent_keypoint_falls_back_to_detected_pixel(self):
+        k = k_small()
+        depth = np.full((120, 160), 1.5)
+        anchors = project_keypoints_to_mask(
+            {}, detected_pixels(), identity(), k, depth, 3, [body.HEAD])
+        assert sorted(anchors) == list(body.PART_KEYPOINTS[body.HEAD])
         assert np.allclose(anchors[0].pixel, [40.0, 30.0])
         assert anchors[0].depth == pytest.approx(1.5)
-        assert not anchors[0].fused
+
+    def test_detected_pixel_without_depth_skipped(self):
+        depth = np.zeros((120, 160))
+        assert project_keypoints_to_mask({}, detected_pixels(), identity(), k_small(),
+                                         depth, 3, [body.HEAD]) == {}
 
     def test_behind_camera_keypoint_skipped(self):
         k = k_small()
@@ -153,7 +162,7 @@ class TestProjectKeypointsToMask:
                  1: FusedKeypoint(1, np.array([0.1, 0.0, 2.0]), 0.9, 1)}
         depth = np.full((120, 160), 1.5)
         anchors = project_keypoints_to_mask(
-            fused, {}, identity(), k, depth, 3, [body.HEAD])
+            fused, detected_pixels(), identity(), k, depth, 3, [body.HEAD])
         assert 0 not in anchors
         assert 1 in anchors  # the keypoint in front still gets its anchor
 
@@ -164,16 +173,16 @@ class TestProjectKeypointsToMask:
         monkeypatch.setattr(keyparts, "project", broken)
         fused = {0: FusedKeypoint(0, np.array([0.0, 0.0, 2.0]), 0.9, 1)}
         with pytest.raises(ZeroDivisionError, match="bug in project"):
-            project_keypoints_to_mask(fused, {}, identity(), k_small(),
+            project_keypoints_to_mask(fused, detected_pixels(), identity(), k_small(),
                                       np.full((120, 160), 1.5), 3, [body.HEAD])
 
     def test_part_endpoints_torso_uses_midpoints(self):
         from mvsense.keyparts import MaskAnchor
         anchors = {
-            body.L_SHOULDER: MaskAnchor(5, np.array([10.0, 10.0]), 2.0, True),
-            body.R_SHOULDER: MaskAnchor(6, np.array([30.0, 10.0]), 2.2, True),
-            body.L_HIP: MaskAnchor(11, np.array([12.0, 60.0]), 2.1, True),
-            body.R_HIP: MaskAnchor(12, np.array([28.0, 60.0]), 2.3, True),
+            body.L_SHOULDER: MaskAnchor(np.array([10.0, 10.0]), 2.0),
+            body.R_SHOULDER: MaskAnchor(np.array([30.0, 10.0]), 2.2),
+            body.L_HIP: MaskAnchor(np.array([12.0, 60.0]), 2.1),
+            body.R_HIP: MaskAnchor(np.array([28.0, 60.0]), 2.3),
         }
         (pu, du), (pl, dl) = part_endpoints(body.TORSO, anchors)
         assert np.allclose(pu, [20.0, 10.0])
@@ -662,7 +671,7 @@ class TestExtractClouds:
 
 
 def extract_clouds_reference(mask, depth_image, world_from_cam, k, robot_links=(),
-                             params=CloudParams(), camera=""):
+                             params=CloudParams()):
     """extract_clouds with the validity test over the whole image, as it was
     before the test moved inside the labeled window, and with the robot,
     voxel and range filters run once per part, as before they ran once per
@@ -699,13 +708,13 @@ def extract_clouds_reference(mask, depth_image, world_from_cam, k, robot_links=(
             pts = pts[(cam_z >= params.range_min) & (cam_z <= params.range_max)]
         pts = largest_euclidean_cluster(pts, params.cluster_radius, params.cluster_min)
         if len(pts):
-            clouds.append(KeypartCloud(int(part), pts, camera))
+            clouds.append(KeypartCloud(int(part), pts))
     return clouds
 
 
 def same_clouds(got, want) -> bool:
-    return ([(c.part, c.camera, c.points.dtype, c.points.shape) for c in got]
-            == [(c.part, c.camera, c.points.dtype, c.points.shape) for c in want]
+    return ([(c.part, c.points.dtype, c.points.shape) for c in got]
+            == [(c.part, c.points.dtype, c.points.shape) for c in want]
             and all(g.points.tobytes() == w.points.tobytes() for g, w in zip(got, want)))
 
 
@@ -774,10 +783,8 @@ class TestExtractMatchesFullImageReference:
         labels = rng.integers(-1, 4, mask.labels[window].shape)  # -1 is BACKGROUND
         mask.labels[window] = labels
         mask.depths[window] = np.where(labels == BACKGROUND, np.inf, paint[window])
-        got = extract_clouds(mask, depth, rig.world_pose(), rig.intrinsics, params=params,
-                             camera="c0")
-        want = quiet_reference(mask, depth, rig.world_pose(), rig.intrinsics,
-                               params=params, camera="c0")
+        got = extract_clouds(mask, depth, rig.world_pose(), rig.intrinsics, params=params)
+        want = quiet_reference(mask, depth, rig.world_pose(), rig.intrinsics, params=params)
         assert same_clouds(got, want)
         assert want or params.cluster_min > 1  # a one-pixel strip may be below 10 points
 

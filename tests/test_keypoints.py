@@ -1,4 +1,4 @@
-"""Keypoint observation pipeline: the detector contract, presence windows,
+"""Keypoint detection pipeline: the detector contract, presence windows,
 depth lifting, and confidence-weighted multi-camera fusion.
 
 Fusion correctness is checked against an independent gradient-descent
@@ -13,7 +13,6 @@ from mvsense.keypoints import (
     DetectorFailure,
     EmptyInput,
     NoValidDepth,
-    Observation2D,
     PresenceWindow,
     detect,
     effectiveness_factor,
@@ -23,32 +22,45 @@ from mvsense.keypoints import (
 )
 
 
-class FakeDetector:
-    def __init__(self, output):
-        self.output = output
-
-    def infer(self, image):
-        if isinstance(self.output, Exception):
-            raise self.output
-        return self.output
+def detections(count=17):
+    return np.zeros((count, 2)), np.full(count, 0.5)
 
 
 class TestDetect:
-    def test_detector_failure_propagates(self):
-        with pytest.raises(DetectorFailure):
-            detect(None, FakeDetector(DetectorFailure("boom")))
-
     @pytest.mark.parametrize("count", [5, 16, 18])
     def test_wrong_count_rejected(self, count):
         with pytest.raises(DetectorFailure, match=f"returned {count} keypoints"):
-            detect(None, FakeDetector([(np.zeros(2), 0.5)] * count))
+            detect(detections(count))
 
-    def test_direct_pairs_pass_through(self):
-        pairs = [((float(k), 2.0 * k), 0.5) for k in range(17)]
-        obs = detect(None, FakeDetector(pairs), camera="c0", timestamp=1.5)
-        assert obs[3].pixel == pytest.approx([3.0, 6.0])
-        assert obs[3].camera == "c0"
-        assert obs[3].timestamp == 1.5
+    def test_pixels_of_the_wrong_shape_rejected(self):
+        with pytest.raises(DetectorFailure, match=r"pixels of shape \(17, 3\)"):
+            detect((np.zeros((17, 3)), np.full(17, 0.5)))
+
+    def test_arrays_pass_through_as_float64(self):
+        pixels = [(k, 2 * k) for k in range(17)]
+        got_pixels, got_conf = detect((pixels, [0.5] * 17))
+        assert got_pixels.dtype == got_conf.dtype == np.float64
+        assert got_pixels[3].tolist() == [3.0, 6.0]
+        assert got_conf.tolist() == [0.5] * 17
+
+    @pytest.mark.parametrize("field, column, value", [
+        ("pixel", 0, np.nan), ("pixel", 1, np.inf), ("pixel", 0, -np.inf),
+        ("confidence", None, np.nan), ("confidence", None, np.inf),
+        ("confidence", None, -0.1),
+    ])
+    def test_bad_value_fails_naming_the_keypoint(self, field, column, value):
+        pixels, conf = detections()
+        if field == "pixel":
+            pixels[7, column] = value
+        else:
+            conf[7] = value
+        with pytest.raises(DetectorFailure, match="keypoint 7 has"):
+            detect((pixels, conf))
+
+    def test_zero_confidence_accepted(self):
+        pixels, conf = detections()
+        conf[:] = 0.0
+        assert detect((pixels, conf))[1].tolist() == [0.0] * 17
 
 
 class TestPresence:
@@ -103,12 +115,28 @@ class TestPresence:
             if before:
                 assert w2.present()
 
+    def test_array_entries_score_each_row_bit_for_bit(self, rng):
+        """One window over 27 rows gives each row the Python-float sum
+        that a window of its own gives it."""
+        history = rng.uniform(0, 1, (9, 27))
+        history[:, ::5] = 0.0
+        w = PresenceWindow(m=5, gamma=0.7, alpha=1.0)
+        for n in range(1, len(history) + 1):
+            w.update(history[n - 1])
+            hand = []
+            for row in history[:n].T.tolist():
+                total = 0.0
+                for m, c in enumerate(reversed(row[-6:])):
+                    total += 0.7 ** m * c
+                hand.append(total)
+            assert w.score().tolist() == hand
+            assert w.present().tolist() == [x > 1.0 for x in hand]
+
 
 class TestLiftDepth:
     def test_constant_plane(self, k_vga):
         depth = np.full((480, 640), 2.0)
-        obs = Observation2D(0, np.array([400.0, 100.0]), 0.9, "c", 0.0)
-        p = lift_depth(obs, depth, 5, k_vga)
+        p = lift_depth(np.array([400.0, 100.0]), depth, 5, k_vga)
         assert p[2] == pytest.approx(2.0)
         assert p[0] == pytest.approx((400 - 320) * 2 / 500)
         assert p[1] == pytest.approx((100 - 240) * 2 / 500)
@@ -117,31 +145,28 @@ class TestLiftDepth:
         # half the disc valid at 2 m, half invalid: oracle = mean of valid only
         depth = np.zeros((480, 640))
         depth[100:106, 395:406] = 2.0  # upper half rows invalid below
-        obs = Observation2D(0, np.array([400.0, 105.0]), 0.9, "c", 0.0)
-        d = slice_depth(obs.pixel, depth, 5)
+        d = slice_depth(np.array([400.0, 105.0]), depth, 5)
         assert d == pytest.approx(2.0)
 
     def test_single_valid_pixel(self, k_vga):
         depth = np.zeros((480, 640))
         depth[105, 400] = 1.5
-        obs = Observation2D(0, np.array([400.0, 105.0]), 0.9, "c", 0.0)
-        p = lift_depth(obs, depth, 5, k_vga)
+        p = lift_depth(np.array([400.0, 105.0]), depth, 5, k_vga)
         assert p[2] == pytest.approx(1.5)
 
     def test_no_valid_depth_raises(self, k_vga):
         depth = np.zeros((480, 640))
-        obs = Observation2D(0, np.array([400.0, 105.0]), 0.9, "c", 0.0)
         with pytest.raises(NoValidDepth):
-            lift_depth(obs, depth, 5, k_vga)
+            lift_depth(np.array([400.0, 105.0]), depth, 5, k_vga)
 
     def test_invariant_to_invalid_count_with_same_valid_mean(self, k_vga, rng):
         base = np.zeros((480, 640))
         base[200:210, 300:310] = 3.0
-        obs = Observation2D(0, np.array([305.0, 205.0]), 0.9, "c", 0.0)
-        d1 = slice_depth(obs.pixel, base, 5)
+        pixel = np.array([305.0, 205.0])
+        d1 = slice_depth(pixel, base, 5)
         fewer = base.copy()
         fewer[200:203, 300:310] = 0.0  # knock out some valid pixels
-        d2 = slice_depth(obs.pixel, fewer, 5)
+        d2 = slice_depth(pixel, fewer, 5)
         assert d1 == pytest.approx(3.0)
         assert d2 == pytest.approx(3.0)
 

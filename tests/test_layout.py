@@ -1,38 +1,49 @@
-"""Package layout: every function, class and method in ``src/mvsense`` has
-a caller inside the package.
+"""Package layout: every function, class, method and module-level constant
+in ``src/mvsense`` has a reader inside the package.
 
 Code that only the tests call belongs in ``tests/`` (as an oracle helper
 in ``conftest.py``) or nowhere. The scan is by name: a definition counts
 as used when some ``Name``, ``Attribute`` or import in the package refers
 to its name. Docstrings and comments are not references, and dunder
-methods are called by the language, not by name.
+methods are called by the language, not by name. A constant is a
+module-level assignment to an UPPER_CASE name (a leading underscore
+allowed); assigning it is not reading it.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import mvsense
 
 PACKAGE = Path(mvsense.__file__).parent
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
 # Helpers waiting for a caller inside the package (the clearance metric).
 ALLOWED = {"cylinder_clearance"}
 
 
-def _definitions_and_references():
-    defined, referenced = {}, set()
+def _scan():
+    """Definitions, module-level constants and the names the package reads."""
+    defined, constants, referenced = {}, {}, set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, ast.AnnAssign) else []
+            for target in targets:
+                if isinstance(target, ast.Name) and CONSTANT.fullmatch(target.id):
+                    constants.setdefault(target.id, f"{path.name}:{node.lineno}")
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined.setdefault(node.name, f"{path.name}:{node.lineno}")
-            elif isinstance(node, ast.Name):
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 referenced.update(alias.name for alias in node.names)
-    return defined, referenced
+    return defined, constants, referenced
 
 
 def _is_dunder(name):
@@ -40,7 +51,7 @@ def _is_dunder(name):
 
 
 def test_every_definition_has_a_caller_in_the_package():
-    defined, referenced = _definitions_and_references()
+    defined, _constants, referenced = _scan()
     unused = sorted(f"{name} ({where})" for name, where in defined.items()
                     if name not in referenced and name not in ALLOWED
                     and not _is_dunder(name))
@@ -48,9 +59,16 @@ def test_every_definition_has_a_caller_in_the_package():
         + ", ".join(unused)
 
 
+def test_every_constant_is_read_in_the_package():
+    _defined, constants, referenced = _scan()
+    unread = sorted(f"{name} ({where})" for name, where in constants.items()
+                    if name not in referenced)
+    assert not unread, "constants in src/mvsense never read there: " + ", ".join(unread)
+
+
 def test_allowlist_names_exist_and_are_unused():
     """An allowlisted name that gained a caller, or went away, leaves the list."""
-    defined, referenced = _definitions_and_references()
+    defined, _constants, referenced = _scan()
     for name in ALLOWED:
         assert name in defined, f"{name} is no longer defined"
         assert name not in referenced, f"{name} has a caller now"

@@ -6,7 +6,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import first_hit, identity, keypoint_flags, ray_cylinder_hits_reference, rest_dofs
+from conftest import (
+    detect_view,
+    first_hit,
+    identity,
+    in_image,
+    keypoint_flags,
+    ray_cylinder_hits_reference,
+    rest_dofs,
+)
 from render_reference import (
     assert_matches_reference,
     bbox_reference,
@@ -18,7 +26,7 @@ from render_reference import (
 from mvsense import body, harness, scenario
 from mvsense.body import PartDimensions, pose_from_dofs
 from mvsense.geometry import Cylinder, Intrinsics, cast_rays, cylinder_table, normalize
-from mvsense.keypoints import Observation2D, detect, lift_depth
+from mvsense.keypoints import detect, lift_depth
 from mvsense.simulator import (
     NEAR,
     CameraRig,
@@ -27,7 +35,6 @@ from mvsense.simulator import (
     GroundTruthHuman,
     RobotArmProxy,
     Scene,
-    SyntheticDetector,
     _pixel_spans,
     camera_mount,
     render_depth,
@@ -171,6 +178,26 @@ class TestScripts:
         human = GroundTruthHuman(np.array([1.0]), rest_dofs()[None, :])
         assert np.allclose(human.dofs_at(-5.0), human.dofs_at(99.0))
 
+    def test_human_and_robot_share_the_waypoint_expression(self, rng):
+        """Both scripts interpolate as (1 - w) a + w b with w = (t - t0) / (t1 - t0),
+        bit for bit, and hold their end values outside the waypoints."""
+        times = np.array([0.0, 0.7, 2.0, 3.1])
+        dofs = rng.uniform(-1.0, 1.0, (4, body.TOTAL_DOF))
+        joints = rng.uniform(-1.0, 1.0, (4, 2, 3))
+        human = GroundTruthHuman(times, dofs)
+        robot = RobotArmProxy(times, joints)
+        for t in (-1.0, 0.0, 0.3, 0.7, 1.234, 2.9, 3.1, 5.0):
+            if t <= times[0] or t >= times[-1]:
+                want_dofs, want_joints = (dofs[0], joints[0]) if t <= times[0] \
+                    else (dofs[-1], joints[-1])
+            else:
+                i = int(np.searchsorted(times, t, side="right")) - 1
+                w = (t - times[i]) / (times[i + 1] - times[i])
+                want_dofs = (1.0 - w) * dofs[i] + w * dofs[i + 1]
+                want_joints = (1.0 - w) * joints[i] + w * joints[i + 1]
+            assert human.dofs_at(t).tobytes() == want_dofs.tobytes()
+            assert robot.links_at(t)[0].base.tobytes() == want_joints[0].tobytes()
+
     def test_robot_links_from_joint_chain(self):
         robot = RobotArmProxy(np.array([0.0]),
                               np.array([[[0, 0, 0], [0, 0, 1], [1, 0, 1]]],
@@ -202,18 +229,17 @@ class TestSyntheticDetect:
 
     def test_visible_keypoint_exact_pixel_and_ceiling_confidence(self):
         rig, pose = self._scene()
-        obs = synthetic_detect(rig, pose, noise=DetectorNoise(sigma_px=0.0))
-        nose = obs[body.NOSE]
+        pixels, conf = detect_view(rig, pose, noise=DetectorNoise(sigma_px=0.0))
         cam = rig.world_pose().inverse().apply(pose.keypoints[body.NOSE])
         expected = [200.0 * cam[0] / cam[2] + 79.5, 200.0 * cam[1] / cam[2] + 59.5]
-        assert nose.pixel == pytest.approx(expected, abs=1e-9)
-        assert nose.confidence == pytest.approx(0.9)
+        assert pixels[body.NOSE] == pytest.approx(expected, abs=1e-9)
+        assert conf[body.NOSE] == pytest.approx(0.9)
 
     def test_out_of_fov_gets_floor_confidence(self):
         rig, pose = self._scene()
         rig.pan = 0.9  # look away
-        obs = synthetic_detect(rig, pose, noise=DetectorNoise(sigma_px=0.0))
-        assert all(o.confidence == pytest.approx(0.05) for o in obs)
+        _pixels, conf = detect_view(rig, pose, noise=DetectorNoise(sigma_px=0.0))
+        assert conf.tolist() == pytest.approx([0.05] * body.NUM_KEYPOINTS)
 
     def test_floor_confidence_drives_window_absent(self):
         from mvsense.keypoints import PresenceWindow
@@ -229,9 +255,8 @@ class TestSyntheticDetect:
         mid = 0.5 * (nose_w + cam_pos)
         axis = np.array([0.0, 0.0, 1.0])
         blocker = Cylinder(mid - axis * 0.5, axis, 1.0, 0.25)
-        obs = synthetic_detect(rig, pose, robot_links=[blocker],
-                               noise=DetectorNoise(sigma_px=0.0))
-        assert obs[body.NOSE].confidence == pytest.approx(0.9 * 0.15)
+        _pixels, conf = detect_view(rig, pose, [blocker], noise=DetectorNoise(sigma_px=0.0))
+        assert conf[body.NOSE] == pytest.approx(0.9 * 0.15)
 
     def test_visibility_flag_agrees_with_depth_z_test(self):
         # thin-limbed human so the rendered surface is at the keypoint depth
@@ -255,19 +280,32 @@ class TestSyntheticDetect:
             z_blocked = rendered > 0 and rendered < cam_pt[2] - 0.05
             assert (flag == "occluded") == z_blocked, (kp, flag, rendered, cam_pt[2])
 
-    def test_detector_contract_returns_the_synthetic_observations(self):
-        """``keypoints.detect`` over the adapter gives ``synthetic_detect``'s
-        observations bit for bit, noise included."""
+    def test_detector_contract_passes_the_synthetic_detections(self):
+        """``keypoints.detect`` passes ``synthetic_detect``'s arrays on bit
+        for bit, noise included."""
         rig, pose = self._scene()
-        noise = DetectorNoise()
-        frame = (rig, pose, [], noise, np.random.default_rng(5), 0.5)
-        obs = detect(frame, SyntheticDetector(), rig.rig_id, 0.5)
-        want = synthetic_detect(rig, pose, [], noise, np.random.default_rng(5), 0.5)
-        assert len(obs) == 17
-        for o, w in zip(obs, want):
-            assert (o.keypoint, o.confidence, o.camera, o.timestamp) == \
-                (w.keypoint, w.confidence, w.camera, w.timestamp)
-            assert np.array_equal(o.pixel, w.pixel)
+        got = detect(detect_view(rig, pose, [], DetectorNoise(), np.random.default_rng(5)))
+        want = detect_view(rig, pose, [], DetectorNoise(), np.random.default_rng(5))
+        assert_same_detections(got, want)
+
+    def test_takes_the_callers_cylinders_and_camera_pose(self):
+        """The occluding parts and the camera pose come from the caller: a
+        blocker handed in as a part occludes, and the pose need not be the
+        rig's own."""
+        rig, pose = self._scene()
+        nose_w = pose.keypoints[body.NOSE]
+        mid = 0.5 * (nose_w + rig.world_pose().translation)
+        axis = np.array([0.0, 0.0, 1.0])
+        parts = pose.cylinders()
+        parts[body.L_LOWER_LEG] = Cylinder(mid - axis * 0.5, axis, 1.0, 0.25)
+        noise = DetectorNoise(sigma_px=0.0)
+        _pixels, conf = synthetic_detect(rig.intrinsics, rig.world_pose(),
+                                         pose.keypoint_array(), parts, (), noise)
+        assert conf[body.NOSE] == pytest.approx(0.9 * 0.15)
+        turned = rig.world_pose(pan=0.9)  # looks away; the rig itself does not
+        _pixels, conf = synthetic_detect(rig.intrinsics, turned, pose.keypoint_array(),
+                                         pose.cylinders(), (), noise)
+        assert conf.tolist() == pytest.approx([0.05] * body.NUM_KEYPOINTS)
 
 
 class TestOracleConsistency:
@@ -287,8 +325,7 @@ class TestOracleConsistency:
             cam_pt = cam_pose.inverse().apply(pose.keypoints[kp])
             pixel = np.array([k.fx * cam_pt[0] / cam_pt[2] + k.cx,
                               k.fy * cam_pt[1] / cam_pt[2] + k.cy])
-            obs = Observation2D(kp, pixel, 0.9, "cam", 0.0)
-            lifted = lift_depth(obs, depth, 2, k)
+            lifted = lift_depth(pixel, depth, 2, k)
             world = cam_pose.apply(lifted)
             assert np.linalg.norm(world - pose.keypoints[kp]) < 0.04
             checked += 1
@@ -305,11 +342,9 @@ class TestOracleConsistency:
                 pose = scene.human.pose_at(scene.t)
                 links = scene.robot.links_at(scene.t)
                 for ci, rig in enumerate(scene.rigs):
-                    obs = synthetic_detect(rig, pose, links,
-                                           scene.detector_noise,
-                                           scene.rng(1, ci), scene.t)
-                    rows.append(np.concatenate(
-                        [np.concatenate([o.pixel, [o.confidence]]) for o in obs]))
+                    pixels, conf = detect_view(rig, pose, links, scene.detector_noise,
+                                               scene.rng(1, ci))
+                    rows.append(np.column_stack([pixels, conf]).ravel())
                 scene.step(0.1)
             streams.append(np.stack(rows))
         assert np.array_equal(streams[0], streams[1])
@@ -320,8 +355,7 @@ class TestOracleConsistency:
 # replaced (``render_reference``), and its keypoint detector
 
 
-def synthetic_detect_reference(rig, pose, robot_links=(), noise=None, rng=None,
-                               timestamp=0.0):
+def synthetic_detect_reference(rig, pose, robot_links=(), noise=None, rng=None):
     noise = noise or DetectorNoise()
     cam_pose = rig.world_pose()
     k = rig.intrinsics
@@ -341,7 +375,7 @@ def synthetic_detect_reference(rig, pose, robot_links=(), noise=None, rng=None,
     for cyl in robot_links:
         t = ray_cylinder_hits_reference(origin, rays, cyl)
         occluded |= np.isfinite(t) & (t < dist - 0.01)
-    obs = []
+    pixels, confidences = [], []
     for kp in range(body.NUM_KEYPOINTS):
         z = cam_pts[kp, 2]
         if z <= 0.05:
@@ -350,7 +384,7 @@ def synthetic_detect_reference(rig, pose, robot_links=(), noise=None, rng=None,
         else:
             pixel = np.array([k.fx * cam_pts[kp, 0] / z + k.cx,
                               k.fy * cam_pts[kp, 1] / z + k.cy])
-            if not k.contains(pixel):
+            if not in_image(k, pixel):
                 conf = noise.c_out
             elif occluded[kp]:
                 conf = noise.c_hi * noise.c_occ
@@ -358,10 +392,10 @@ def synthetic_detect_reference(rig, pose, robot_links=(), noise=None, rng=None,
                 conf = noise.c_hi
         if rng is not None and noise.sigma_px > 0:
             pixel = pixel + rng.normal(0.0, noise.sigma_px, 2)
-        pixel = np.array([float(np.clip(pixel[0], 0.0, k.width - 1)),
-                          float(np.clip(pixel[1], 0.0, k.height - 1))])
-        obs.append(Observation2D(kp, pixel, float(conf), rig.rig_id, timestamp))
-    return obs
+        pixels.append([float(np.clip(pixel[0], 0.0, k.width - 1)),
+                       float(np.clip(pixel[1], 0.0, k.height - 1))])
+        confidences.append(float(conf))
+    return np.array(pixels), np.array(confidences)
 
 
 def at_resolution(rig, size):
@@ -373,13 +407,12 @@ def at_resolution(rig, size):
         k.fx * s, k.fy * s, (w - 1) / 2.0, (h - 1) / 2.0, w, h))
 
 
-def assert_same_observations(got, want):
-    assert len(got) == len(want) == body.NUM_KEYPOINTS
-    for g, w in zip(got, want):
-        assert (g.keypoint, g.confidence, g.camera, g.timestamp) == \
-            (w.keypoint, w.confidence, w.camera, w.timestamp)
-        assert type(g.confidence) is float
-        assert g.pixel.dtype == np.float64 and g.pixel.tobytes() == w.pixel.tobytes()
+def assert_same_detections(got, want):
+    """Equal (pixels, confidences) pairs, shape, dtype and bits."""
+    shapes = [(body.NUM_KEYPOINTS, 2), (body.NUM_KEYPOINTS,)]
+    for g, w, shape in zip(got, want, shapes, strict=True):
+        assert g.shape == w.shape == shape
+        assert g.dtype == w.dtype == np.float64 and g.tobytes() == w.tobytes()
 
 
 def template_views(size, times=(0.0, 1.3, 2.6)):
@@ -406,7 +439,7 @@ SIZES = [(144, 112), (640, 480)]
 class TestMatchesPerCylinderReference:
     """render_depth hits the pixels the per-cylinder simulator it replaced
     hits, at depths within ``render_reference.DEPTH_TOL``, so the noise
-    draws land alike; synthetic_detect's observations equal its, bit for
+    draws land alike; synthetic_detect's detections equal its, bit for
     bit."""
 
     @pytest.mark.parametrize("size", SIZES)
@@ -422,12 +455,12 @@ class TestMatchesPerCylinderReference:
         out_of_image = 0
         for scene, ci, rig, pose, _cyls, links in template_views(size):
             for rng in (None, scene.rng(1, ci)):
-                got = synthetic_detect(rig, pose, links, scene.detector_noise, rng, 0.7)
+                got = detect_view(rig, pose, links, scene.detector_noise, rng)
                 want = synthetic_detect_reference(
                     rig, pose, links, scene.detector_noise,
-                    None if rng is None else scene.rng(1, ci), 0.7)
-                assert_same_observations(got, want)
-            out_of_image += sum(o.confidence == scene.detector_noise.c_out for o in got)
+                    None if rng is None else scene.rng(1, ci))
+                assert_same_detections(got, want)
+            out_of_image += int(np.sum(got[1] == scene.detector_noise.c_out))
         assert out_of_image > 0
 
     @pytest.mark.parametrize("size", SIZES)
@@ -447,12 +480,12 @@ class TestMatchesPerCylinderReference:
             want = render_depth_reference(rig, cyls, DepthNoise(), np.random.default_rng(5))
             assert_matches_reference(got, want)
             for rng in (None, 6):
-                got = synthetic_detect(rig, pose, [blocker], noise,
-                                       rng and np.random.default_rng(rng))
+                got = detect_view(rig, pose, [blocker], noise,
+                                  rng and np.random.default_rng(rng))
                 want = synthetic_detect_reference(rig, pose, [blocker], noise,
                                                   rng and np.random.default_rng(rng))
-                assert_same_observations(got, want)
-                confidences |= {o.confidence for o in want}
+                assert_same_detections(got, want)
+                confidences |= set(want[1].tolist())
             z = rig.world_pose().inverse().apply(pose.keypoint_array())[:, 2]
             behind += int(np.sum(z <= 0.05))
         assert behind > 0
