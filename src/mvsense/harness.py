@@ -63,7 +63,7 @@ class FrameResult:
     """
 
     fused: dict = field(default_factory=dict)   # keypoint -> FusedKeypoint
-    masks: dict = field(default_factory=dict)   # rig id -> PartMask
+    masks: dict = field(default_factory=dict)   # rig id -> keyparts.MaskImage
     clouds: dict = field(default_factory=dict)  # part -> (N, 3) world points
     parts: list = field(default_factory=list)   # parts some camera holds present
     tree: body.BodyTree | None = None
@@ -566,7 +566,7 @@ def compare_configs(script: ScenarioScript, configs=CONFIGS, trials: int = 10,
     tasks = [(scenario.emit(script), config, script.seed + k)
              for config in configs for k in range(trials)]
     if jobs > 1:
-        with get_context("spawn").Pool(jobs) as pool:
+        with get_context("spawn").Pool(min(jobs, len(tasks))) as pool:
             results = pool.map(_trial_task, tasks)
     else:
         results = [_trial_task(t) for t in tasks]

@@ -9,15 +9,18 @@ when some camera has it in view. Observing high-risk parts therefore
 lowers future p_collide, which is what the objective rewards, so the
 planner turns cameras toward the regions of highest collision risk.
 
-Small candidate spaces are searched exhaustively over whole command
-sequences (jointly across cameras); larger ones use a per-step greedy
-joint search, guarded to never score below holding still. Holding the
-current angles is always a candidate and wins ties.
+One search serves both planning modes. It expands joint steps level by
+level, and each partial sequence scores all the options its cameras can
+reach in one step with one broadcast through the objective's per-step
+recurrence. When the joint product over the horizon is small, every
+option is kept and the best whole command sequence (jointly across
+cameras) wins; otherwise each step keeps only its best option, and the
+greedy plan is guarded to never score below holding still. Holding the
+current angles is always the first candidate and wins ties.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,38 +70,34 @@ def collision_probability(clearance, sigma) -> np.ndarray:
     return np.minimum(p, P_CAP)
 
 
-def combine_parts(p_parts: np.ndarray) -> float:
-    """Any-part collision probability assuming part independence."""
-    return float(min(1.0 - np.prod(1.0 - np.asarray(p_parts)), P_CAP))
-
-
 def estimate_collision(part_cylinders: dict, sigmas: dict, robot_links_at,
                        params: SchedulerParams, t0: float = 0.0) -> CollisionEstimate:
     """Clearance and baseline collision probability per planning interval.
 
-    ``robot_links_at(t)`` yields the robot link cylinders at time t; the
-    clearance over interval m is evaluated against the links at both
-    interval endpoints. Keypart poses are held at the current estimate.
+    ``robot_links_at(t)`` yields the robot link cylinders at time t. It
+    is called once per interval endpoint, and the clearance over interval
+    m is the smallest against the links at either of its endpoints.
+    Keypart poses are held at the current estimate.
     """
     parts = sorted(part_cylinders)
-    p = len(parts)
     m1 = params.horizon + 1
     part_base = np.stack([part_cylinders[j].base for j in parts])
     part_top = np.stack([part_cylinders[j].top for j in parts])
     part_r = np.array([part_cylinders[j].radius for j in parts])
+    posed = [list(robot_links_at(t0 + k * params.interval)) for k in range(m1 + 1)]
+    links = [link for at in posed for link in at]
 
-    clearances = np.full((m1, p), 1e9)
-    for m in range(m1):
-        links = list(robot_links_at(t0 + m * params.interval))
-        links += list(robot_links_at(t0 + (m + 1) * params.interval))
-        if not links:
-            continue
+    clearances = np.full((m1, len(parts)), 1e9)
+    if links:
         link_base = np.stack([l.base for l in links])
         link_top = np.stack([l.top for l in links])
         link_r = np.array([l.radius for l in links])
         dist = segment_segment_distance_batch(part_base, part_top, link_base, link_top)
         gap = dist - part_r[:, None] - link_r[None, :]
-        clearances[m] = np.maximum(gap.min(axis=1), 0.0)
+        ends = np.cumsum([0] + [len(at) for at in posed])  # column range per time
+        for m in range(m1):
+            if ends[m + 2] > ends[m]:
+                clearances[m] = np.maximum(gap[:, ends[m]:ends[m + 2]].min(axis=1), 0.0)
     sig = np.array([sigmas[part] for part in parts], dtype=np.float64)
     p_col = collision_probability(clearances, sig[None, :])
     return CollisionEstimate(parts, clearances, sig, p_col)
@@ -176,9 +175,30 @@ def _advance_sigma(sig, quality, params: SchedulerParams):
     return grown + quality * (params.sigma_obs - grown)
 
 
-def _interval_term(clearance_row, sig) -> float:
-    p = collision_probability(clearance_row, sig)
-    return float(np.log(1.0 - combine_parts(p)))
+def _joint_quality(tables, options, n_parts: int) -> np.ndarray:
+    """Best view quality of each part under every joint option.
+
+    ``options[c]`` lists camera c's candidate indices; the result has
+    shape (len(options[0]), ..., len(options[-1]), n_parts).
+    """
+    quality = np.zeros((1,) * len(tables) + (n_parts,))
+    for c, (table, idx) in enumerate(zip(tables, options)):
+        shape = [1] * len(tables) + [n_parts]
+        shape[c] = len(idx)
+        quality = np.maximum(quality, table.vis[idx].reshape(shape))
+    return quality
+
+
+def _step(sig, quality, clearance_row, m: int, params: SchedulerParams):
+    """One interval of the objective for ``quality`` of shape (..., P).
+
+    Returns the advanced sigmas and gamma^m * ln(1 - p_any), where p_any
+    is the capped probability that any part collides, parts independent.
+    """
+    sig2 = _advance_sigma(sig, quality, params)
+    p = collision_probability(clearance_row, sig2)
+    term = (params.gamma ** m) * np.log(1.0 - np.minimum(1.0 - np.prod(1.0 - p, axis=-1), P_CAP))
+    return sig2, term
 
 
 def plan(rigs, estimate: CollisionEstimate, part_positions: dict,
@@ -198,91 +218,61 @@ def plan(rigs, estimate: CollisionEstimate, part_positions: dict,
 
     branching = np.prod([len(t.reachable_from(t.hold)) for t in tables],
                         dtype=np.float64)
-    if branching ** m1 <= params.exhaustive_limit:
-        seq, value = _exhaustive(tables, estimate, params, m1)
-        mode = "exhaustive"
-    else:
-        seq, value = _greedy(tables, estimate, params, m1)
+    exhaustive = branching ** m1 <= params.exhaustive_limit
+    seq, value = _search(tables, estimate, params, m1, exhaustive)
+    if not exhaustive:
         hold_seq = tuple(tuple(t.index[t.hold] for t in tables) for _ in range(m1))
         hold_value = _sequence_value(hold_seq, tables, estimate, params)
         if value <= hold_value:
             seq, value = hold_seq, hold_value
-        mode = "greedy"
 
     commands = {
         rig.rig_id: [tables[c].orientations[step[c]] for step in seq]
         for c, rig in enumerate(rigs)
     }
-    return ViewpointTrajectory(commands, value, mode)
+    return ViewpointTrajectory(commands, value, "exhaustive" if exhaustive else "greedy")
 
 
 def _sequence_value(seq, tables, estimate, params) -> float:
-    sig = estimate.sigmas.copy()
-    total = 0.0
+    n_parts = len(estimate.parts)
+    sig, total = estimate.sigmas, 0.0
     for m, joint in enumerate(seq):
-        quality = np.zeros(len(estimate.parts))
-        for table, idx in zip(tables, joint):
-            quality = np.maximum(quality, table.vis[idx])
-        sig = _advance_sigma(sig, quality, params)
-        total += (params.gamma ** m) * _interval_term(estimate.clearances[m], sig)
+        quality = _joint_quality(tables, [[idx] for idx in joint], n_parts)
+        sig, term = _step(sig, quality.reshape(n_parts), estimate.clearances[m], m, params)
+        total += term
     return float(total)
 
 
-def _exhaustive(tables, estimate, params, m1):
-    """Depth-first search over all rate-feasible joint sequences."""
-    best = {"seq": None, "value": -np.inf}
+def _search(tables, estimate, params, m1, keep_all):
+    """Best joint command sequence and its objective, expanded level by level.
 
-    def recurse(step, current, sig, acc, prefix):
-        if step == m1:
-            # strict improvement keeps the all-hold prefix on ties
-            if acc > best["value"] + 1e-15:
-                best["seq"] = tuple(prefix)
-                best["value"] = acc
-            return
-        options = [t.reachable_from(cur) for t, cur in zip(tables, current)]
-        for joint in itertools.product(*options):
-            quality = np.zeros(len(estimate.parts))
-            for table, idx in zip(tables, joint):
-                quality = np.maximum(quality, table.vis[idx])
-            sig2 = _advance_sigma(sig, quality, params)
-            term = (params.gamma ** step) * _interval_term(
-                estimate.clearances[step], sig2)
-            nxt = tuple(tables[c].orientations[joint[c]] for c in range(len(tables)))
-            recurse(step + 1, nxt, sig2, acc + term, prefix + [joint])
-
-    start = tuple(t.hold for t in tables)
-    recurse(0, start, estimate.sigmas.copy(), 0.0, [])
-    return best["seq"], float(best["value"])
-
-
-def _greedy(tables, estimate, params, m1):
-    """Per-step joint argmax over the candidate product, sigma carried forward.
-
-    The product over cameras is evaluated with one broadcast per step;
-    option index 0 is always "stay", so np.argmax's first-maximum rule
-    makes ties prefer not moving.
+    Each partial sequence scores every joint option its cameras can reach
+    in one step with one broadcast through ``_step``, visiting them in
+    ``np.ndindex`` order. With ``keep_all`` every option is kept, and the
+    first complete sequence that beats all earlier ones wins: the rule of
+    a depth-first search over ``itertools.product``. Otherwise each level
+    keeps only its first argmax. Option 0 of a camera is always "stay",
+    so ties prefer not moving.
     """
-    sig = estimate.sigmas.copy()
-    current = [t.hold for t in tables]
-    seq = []
-    total = 0.0
     n_parts = len(estimate.parts)
+    hold = tuple(t.index[t.hold] for t in tables)
+    level = [((), estimate.sigmas, 0.0)]    # (joint indices so far, sigmas, value)
+    best_seq, best = None, -np.inf
     for m in range(m1):
-        option_idx = [t.reachable_from(cur) for t, cur in zip(tables, current)]
-        quality = np.zeros((1,) * len(tables) + (n_parts,))
-        for c, (table, idx) in enumerate(zip(tables, option_idx)):
-            shape = [1] * len(tables) + [n_parts]
-            shape[c] = len(idx)
-            quality = np.maximum(quality, table.vis[idx].reshape(shape))
-        sig2 = _advance_sigma(sig, quality, params)
-        p = collision_probability(estimate.clearances[m], sig2)
-        p_joint = np.minimum(1.0 - np.prod(1.0 - p, axis=-1), P_CAP)
-        terms = np.log(1.0 - p_joint)
-        flat = int(np.argmax(terms))
-        joint_pos = np.unravel_index(flat, terms.shape)
-        joint = tuple(option_idx[c][joint_pos[c]] for c in range(len(tables)))
-        seq.append(joint)
-        total += (params.gamma ** m) * float(terms[joint_pos])
-        sig = sig2[joint_pos]
-        current = [tables[c].orientations[joint[c]] for c in range(len(tables))]
-    return tuple(seq), float(total)
+        expanded = []
+        for seq, sig, acc in level:
+            last = seq[-1] if seq else hold
+            options = [t.reachable_from(t.orientations[i]) for t, i in zip(tables, last)]
+            sig2, terms = _step(sig, _joint_quality(tables, options, n_parts),
+                                estimate.clearances[m], m, params)
+            picks = np.ndindex(terms.shape) if keep_all else \
+                [np.unravel_index(int(np.argmax(terms)), terms.shape)]
+            for pos in picks:
+                joint = tuple(opt[k] for opt, k in zip(options, pos))
+                value = acc + terms[pos]
+                if m + 1 < m1:
+                    expanded.append((seq + (joint,), sig2[pos], value))
+                elif value > best + 1e-15:  # complete sequences are not stored
+                    best_seq, best = seq + (joint,), value
+        level = expanded
+    return best_seq, float(best)

@@ -1,0 +1,171 @@
+"""The viewpoint search that ``mvsense.scheduler`` replaced, kept as a bitwise oracle.
+
+``estimate_collision`` poses the robot at both endpoints of every
+interval, one distance batch per interval. ``_exhaustive`` is the
+depth-first search over whole joint sequences, ``_greedy`` the per-step
+broadcast argmax, and ``_interval_term``/``combine_parts`` the any-part
+term both used; ``plan`` is the dispatch between them with greedy's hold
+guard. The bodies are the ones from before the two searches became one
+search over one step function. The live code must give the same bits on
+every input.
+"""
+
+import itertools
+
+import numpy as np
+
+from mvsense.geometry import segment_segment_distance_batch
+from mvsense.scheduler import (
+    P_CAP,
+    CollisionEstimate,
+    ViewpointTrajectory,
+    _CameraTable,
+    _advance_sigma,
+    collision_probability,
+)
+
+
+def combine_parts(p_parts: np.ndarray) -> float:
+    """Any-part collision probability assuming part independence."""
+    return float(min(1.0 - np.prod(1.0 - np.asarray(p_parts)), P_CAP))
+
+
+def estimate_collision(part_cylinders: dict, sigmas: dict, robot_links_at,
+                       params, t0: float = 0.0) -> CollisionEstimate:
+    parts = sorted(part_cylinders)
+    p = len(parts)
+    m1 = params.horizon + 1
+    part_base = np.stack([part_cylinders[j].base for j in parts])
+    part_top = np.stack([part_cylinders[j].top for j in parts])
+    part_r = np.array([part_cylinders[j].radius for j in parts])
+
+    clearances = np.full((m1, p), 1e9)
+    for m in range(m1):
+        links = list(robot_links_at(t0 + m * params.interval))
+        links += list(robot_links_at(t0 + (m + 1) * params.interval))
+        if not links:
+            continue
+        link_base = np.stack([l.base for l in links])
+        link_top = np.stack([l.top for l in links])
+        link_r = np.array([l.radius for l in links])
+        dist = segment_segment_distance_batch(part_base, part_top, link_base, link_top)
+        gap = dist - part_r[:, None] - link_r[None, :]
+        clearances[m] = np.maximum(gap.min(axis=1), 0.0)
+    sig = np.array([sigmas[part] for part in parts], dtype=np.float64)
+    p_col = collision_probability(clearances, sig[None, :])
+    return CollisionEstimate(parts, clearances, sig, p_col)
+
+
+def _interval_term(clearance_row, sig) -> float:
+    p = collision_probability(clearance_row, sig)
+    return float(np.log(1.0 - combine_parts(p)))
+
+
+def plan(rigs, estimate: CollisionEstimate, part_positions: dict,
+         params) -> ViewpointTrajectory:
+    m1 = params.horizon + 1
+    hold = {rig.rig_id: [(rig.pan, rig.tilt)] * m1 for rig in rigs}
+    if not estimate.parts or not rigs:
+        return ViewpointTrajectory(hold, 0.0, "hold")
+
+    positions = np.stack([part_positions[p] for p in estimate.parts])
+    tables = [_CameraTable(rig, params, positions) for rig in rigs]
+
+    branching = np.prod([len(t.reachable_from(t.hold)) for t in tables],
+                        dtype=np.float64)
+    if branching ** m1 <= params.exhaustive_limit:
+        seq, value = _exhaustive(tables, estimate, params, m1)
+        mode = "exhaustive"
+    else:
+        seq, value = _greedy(tables, estimate, params, m1)
+        hold_seq = tuple(tuple(t.index[t.hold] for t in tables) for _ in range(m1))
+        hold_value = _sequence_value(hold_seq, tables, estimate, params)
+        if value <= hold_value:
+            seq, value = hold_seq, hold_value
+        mode = "greedy"
+
+    commands = {
+        rig.rig_id: [tables[c].orientations[step[c]] for step in seq]
+        for c, rig in enumerate(rigs)
+    }
+    return ViewpointTrajectory(commands, value, mode)
+
+
+def _sequence_value(seq, tables, estimate, params) -> float:
+    sig = estimate.sigmas.copy()
+    total = 0.0
+    for m, joint in enumerate(seq):
+        quality = np.zeros(len(estimate.parts))
+        for table, idx in zip(tables, joint):
+            quality = np.maximum(quality, table.vis[idx])
+        sig = _advance_sigma(sig, quality, params)
+        total += (params.gamma ** m) * _interval_term(estimate.clearances[m], sig)
+    return float(total)
+
+
+def _exhaustive(tables, estimate, params, m1):
+    """Depth-first search over all rate-feasible joint sequences."""
+    best = {"seq": None, "value": -np.inf}
+
+    def recurse(step, current, sig, acc, prefix):
+        if step == m1:
+            # strict improvement keeps the all-hold prefix on ties
+            if acc > best["value"] + 1e-15:
+                best["seq"] = tuple(prefix)
+                best["value"] = acc
+            return
+        options = [t.reachable_from(cur) for t, cur in zip(tables, current)]
+        for joint in itertools.product(*options):
+            quality = np.zeros(len(estimate.parts))
+            for table, idx in zip(tables, joint):
+                quality = np.maximum(quality, table.vis[idx])
+            sig2 = _advance_sigma(sig, quality, params)
+            term = (params.gamma ** step) * _interval_term(
+                estimate.clearances[step], sig2)
+            nxt = tuple(tables[c].orientations[joint[c]] for c in range(len(tables)))
+            recurse(step + 1, nxt, sig2, acc + term, prefix + [joint])
+
+    start = tuple(t.hold for t in tables)
+    recurse(0, start, estimate.sigmas.copy(), 0.0, [])
+    return best["seq"], float(best["value"])
+
+
+def _greedy(tables, estimate, params, m1):
+    """Per-step joint argmax over the candidate product, sigma carried forward."""
+    sig = estimate.sigmas.copy()
+    current = [t.hold for t in tables]
+    seq = []
+    total = 0.0
+    n_parts = len(estimate.parts)
+    for m in range(m1):
+        option_idx = [t.reachable_from(cur) for t, cur in zip(tables, current)]
+        quality = np.zeros((1,) * len(tables) + (n_parts,))
+        for c, (table, idx) in enumerate(zip(tables, option_idx)):
+            shape = [1] * len(tables) + [n_parts]
+            shape[c] = len(idx)
+            quality = np.maximum(quality, table.vis[idx].reshape(shape))
+        sig2 = _advance_sigma(sig, quality, params)
+        p = collision_probability(estimate.clearances[m], sig2)
+        p_joint = np.minimum(1.0 - np.prod(1.0 - p, axis=-1), P_CAP)
+        terms = np.log(1.0 - p_joint)
+        flat = int(np.argmax(terms))
+        joint_pos = np.unravel_index(flat, terms.shape)
+        joint = tuple(option_idx[c][joint_pos[c]] for c in range(len(tables)))
+        seq.append(joint)
+        total += (params.gamma ** m) * float(terms[joint_pos])
+        sig = sig2[joint_pos]
+        current = [tables[c].orientations[joint[c]] for c in range(len(tables))]
+    return tuple(seq), float(total)
+
+
+def assert_same_estimate(got: CollisionEstimate, want: CollisionEstimate):
+    assert got.parts == want.parts
+    for name in ("clearances", "sigmas", "p_collide"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def assert_same_plan(got: ViewpointTrajectory, want: ViewpointTrajectory):
+    assert got.mode == want.mode
+    assert got.commands == want.commands
+    assert got.objective.hex() == want.objective.hex()

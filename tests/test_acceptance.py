@@ -340,8 +340,8 @@ def test_criterion_09_scheduler():
     sig, p_hats = est.sigmas, []
     for m, (idx,) in enumerate(hold_seq):
         sig = scheduler._advance_sigma(sig, tables[0].vis[idx], params)
-        p_hats.append(scheduler.combine_parts(
-            scheduler.collision_probability(est.clearances[m], sig)))
+        p_hats.append(1.0 - np.prod(
+            1.0 - scheduler.collision_probability(est.clearances[m], sig)))
     assert objective_value(p_hats, params.gamma) == pytest.approx(hold_val, abs=1e-12)
     assert traj.objective == pytest.approx(best, abs=1e-9)
     assert traj.objective >= hold_val - 1e-12

@@ -314,6 +314,32 @@ class TestCompareConfigs:
         for config in scenario.CONFIGS:
             assert serial[config]["accuracies"] == parallel[config]["accuracies"]
 
+    def test_pool_starts_no_more_workers_than_tasks(self, monkeypatch):
+        """One trial per config is four tasks: eight jobs start four workers."""
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, function, tasks):
+                return [function(task) for task in tasks]
+
+        class RecordingContext:
+            Pool = RecordingPool
+
+        monkeypatch.setattr(harness, "get_context", lambda method: RecordingContext())
+        script = tiny_script(duration=0.5)
+        table = compare_configs(script, trials=1, jobs=8)
+        assert sizes == [len(scenario.CONFIGS)]
+        assert table == compare_configs(script, trials=1, jobs=1)
+
     def test_format_comparison_table(self):
         script = tiny_script(duration=1.0)
         table = compare_configs(script, trials=1)

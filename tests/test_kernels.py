@@ -6,10 +6,13 @@ the ICP kernels bit for bit against ``icp_reference``, the depth render
 against ``render_reference``'s per-cylinder simulator, with the same hit
 pixels and depths within 1e-9 m, and mask painting and cloud extraction
 bit for bit against the per-box and full-image references of
-``test_keyparts``. Sizes follow the traced workloads: a desk-sweep limb
-cloud averages about 133 points, and ``register_tree`` caps a cloud at
-600; renders, masks and extractions are the calls that short template
-trials make at 144x112 (desk-sweep) and 640x480 (hires-fixed).
+``test_keyparts``, and the scheduler's collision estimate and plan bit
+for bit against ``scheduler_reference``. Sizes follow the traced
+workloads: a desk-sweep limb cloud averages about 133 points, and
+``register_tree`` caps a cloud at 600; renders, masks and extractions
+are the calls that short template trials make at 144x112 (desk-sweep)
+and 640x480 (hires-fixed), and scheduler calls those of one-second
+template trials at multi-active and 144x112.
 
     PYTHONPATH=src python -m pytest tests/test_kernels.py --benchmark-only
 """
@@ -21,10 +24,11 @@ import numpy as np
 import pytest
 
 import icp_reference as ref
+import scheduler_reference
 from conftest import hires, rest_dofs, sample_cylinder
 from render_reference import assert_matches_reference, render_depth_reference
 from test_keyparts import paint_masks_reference, quiet_reference, same_clouds, same_mask
-from mvsense import body, harness, keyparts, scenario, simulator
+from mvsense import body, harness, keyparts, scenario, scheduler, simulator
 from mvsense.body import KeypartState, pose_from_dofs
 from mvsense.geometry import normalize, rot_x, rot_z
 from mvsense.registration import icp_register, nearest_model_search, sample_cylinder_local
@@ -87,9 +91,9 @@ def test_nearest_model_search(benchmark):
     assert dist.tobytes() == ref_dist.tobytes()
 
 
-def captured_calls(module, function, size, duration):
+def captured_calls(module, function, size, duration, config="multi-fixed"):
     """The arguments, copied as passed, of every ``module.function`` call
-    that each template makes in ``duration`` seconds at multi-fixed with
+    that each template makes in ``duration`` seconds at ``config`` with
     ``size`` cameras."""
     calls = []
     original = getattr(module, function)
@@ -102,7 +106,7 @@ def captured_calls(module, function, size, duration):
         for name in sorted(scenario.TEMPLATES):
             script = scenario.TEMPLATES[name](seed=0, duration=duration)
             script.cameras = [hires(cam, *size) for cam in script.cameras]
-            harness.run_trial(script, config="multi-fixed")
+            harness.run_trial(script, config=config)
     return calls
 
 
@@ -147,3 +151,22 @@ def test_extract_clouds(benchmark, size):
     assert sum(len(cloud.points) for clouds in got for cloud in clouds) > 0
     for clouds, args in zip(got, calls):
         assert same_clouds(clouds, quiet_reference(*args))
+
+
+# the scheduler runs only with steerable cameras; tracking starts once a
+# part is present, so one second of each template yields several plans
+def test_estimate_collision(benchmark):
+    calls = captured_calls(scheduler, "estimate_collision", SIZES[0], 1.0, "multi-active")
+    got = timed(benchmark, scheduler.estimate_collision, calls)
+    assert len(got) == len(calls) > 0
+    for estimate, args in zip(got, calls):
+        scheduler_reference.assert_same_estimate(
+            estimate, scheduler_reference.estimate_collision(*args))
+
+
+def test_plan(benchmark):
+    calls = captured_calls(scheduler, "plan", SIZES[0], 1.0, "multi-active")
+    got = timed(benchmark, scheduler.plan, calls)
+    assert len(got) == len(calls) > 0
+    for traj, args in zip(got, calls):
+        scheduler_reference.assert_same_plan(traj, scheduler_reference.plan(*args))

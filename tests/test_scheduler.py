@@ -1,18 +1,20 @@
 """Viewpoint scheduling: collision surrogate, discounted objective, and
-planning against exhaustive-search oracles on toy grids."""
+planning against exhaustive-search oracles on toy grids and, bit for
+bit, against the replaced search in ``scheduler_reference``."""
 
 import itertools
 
 import numpy as np
 import pytest
 
+import scheduler_reference as reference
 from conftest import objective_value
 from mvsense.geometry import Cylinder, Intrinsics
 from mvsense.scheduler import (
     CollisionEstimate,
     SchedulerParams,
+    _step,
     collision_probability,
-    combine_parts,
     estimate_collision,
     plan,
 )
@@ -57,9 +59,27 @@ class TestCollisionSurrogate:
         p = collision_probability(c, s)
         assert np.all(p >= 0) and np.all(p < 1.0)
 
-    def test_combine_parts_union(self):
-        assert combine_parts(np.array([0.5, 0.5])) == pytest.approx(0.75)
-        assert combine_parts(np.array([0.0, 0.0])) == 0.0
+    def test_step_term_is_the_any_part_union(self):
+        # no growth and no view keep sigma at 0.2; clearance 0.2 * sqrt(2 ln 2)
+        # gives p = 0.5 per part, and a far robot gives p = 0
+        params = SchedulerParams(growth=0.0)
+        sig = np.array([0.2, 0.2])
+        half = 0.2 * np.sqrt(2.0 * np.log(2.0))
+        _sig2, term = _step(sig, np.zeros(2), np.array([half, half]), 0, params)
+        assert 1.0 - np.exp(term) == pytest.approx(0.75)
+        _sig2, term = _step(sig, np.zeros(2), np.array([1e9, 1e9]), 0, params)
+        assert term == 0.0
+
+    def test_step_scores_each_option_row_like_a_single_row(self, rng):
+        params = SchedulerParams()
+        sig, clear = rng.uniform(0.05, 0.8, 4), rng.uniform(0.0, 1.0, 4)
+        quality = rng.uniform(0.0, 1.0, (3, 2, 4))
+        sig2, terms = _step(sig, quality, clear, 2, params)
+        assert sig2.shape == (3, 2, 4) and terms.shape == (3, 2)
+        for pos in np.ndindex(terms.shape):
+            row_sig, row_term = _step(sig, quality[pos], clear, 2, params)
+            assert row_sig.tobytes() == sig2[pos].tobytes()
+            assert row_term.tobytes() == terms[pos].tobytes()
 
     def test_moving_robot_changes_interval_clearances(self):
         def links_at(t):
@@ -229,3 +249,60 @@ class TestPlan:
             assert abs(cmd[0] - prev[0]) <= reach
             assert abs(cmd[1] - prev[1]) <= reach
             prev = cmd
+
+
+def random_problem(rng):
+    """A seeded toy planning problem: 1-2 rigs, a small grid and rate, a
+    horizon of 1-3 and a robot that is missing at some sampled times."""
+    n_rigs = int(rng.integers(1, 3))
+    rigs = []
+    for c in range(n_rigs):
+        rig = toy_rig(pan_range=float(rng.uniform(0.4, 1.2)),
+                      tilt_range=float(rng.uniform(0.2, 0.6)),
+                      rate=float(rng.choice([0.5, 1.5, 10.0])),
+                      fov=float(rng.choice([120.0, 170.0])))
+        rig.rig_id = f"cam{c}"
+        rig.pan = float(rng.uniform(*rig.pan_limits)) if rng.random() < 0.5 else 0.0
+        rigs.append(rig)
+    grid = [(1, 1), (2, 1), (3, 1), (3, 2), (2, 3), (4, 2)]
+    grid_pan, grid_tilt = grid[int(rng.integers(len(grid)))]
+    params = SchedulerParams(horizon=int(rng.integers(1, 4)),
+                             gamma=float(rng.uniform(0.5, 0.95)),
+                             interval=float(rng.choice([0.25, 0.4, 0.5])),
+                             grid_pan=grid_pan, grid_tilt=grid_tilt,
+                             growth=float(rng.uniform(0.0, 1.0)),
+                             sigma_obs=0.02,
+                             sigma_cap=float(rng.choice([0.3, 1.0])),
+                             exhaustive_limit=int(rng.choice([1, 2000, 10 ** 6])))
+    parts = {int(j): vertical(rng.uniform(1.0, 3.0), rng.uniform(-2.0, 2.0),
+                              h=float(rng.uniform(0.3, 1.6)), r=float(rng.uniform(0.03, 0.12)))
+             for j in rng.choice(10, size=int(rng.integers(1, 5)), replace=False)}
+    sigmas = {j: float(rng.uniform(0.02, 0.9)) for j in parts}
+    t0 = float(rng.uniform(0.0, 5.0))
+    links_per_time = [[vertical(rng.uniform(1.0, 3.0), rng.uniform(-2.0, 2.0),
+                         h=float(rng.uniform(0.5, 1.6)), r=0.07)
+                for _ in range(int(rng.integers(0, 3)))]
+               for _ in range(params.horizon + 2)]
+
+    def links_at(t):
+        return links_per_time[int(round((t - t0) / params.interval))]
+
+    positions = {j: c.midpoint for j, c in parts.items()}
+    return rigs, parts, sigmas, links_at, params, t0, positions
+
+
+class TestReference:
+    def test_matches_the_reference_bit_for_bit(self):
+        rng = np.random.default_rng(14)
+        modes = []
+        for _ in range(300):
+            rigs, parts, sigmas, links_at, params, t0, positions = random_problem(rng)
+            est = estimate_collision(parts, sigmas, links_at, params, t0)
+            reference.assert_same_estimate(est, reference.estimate_collision(
+                parts, sigmas, links_at, params, t0))
+            traj = plan(rigs, est, positions, params)
+            reference.assert_same_plan(traj, reference.plan(rigs, est, positions, params))
+            modes.append((traj.mode, len(rigs)))
+        for mode in ("exhaustive", "greedy"):
+            for n_rigs in (1, 2):
+                assert modes.count((mode, n_rigs)) >= 20, (mode, n_rigs)
