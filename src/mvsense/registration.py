@@ -12,10 +12,13 @@ construction. Keypoint-derived poses provide the initial coarse state,
 and supplemented nodes (no cloud exists for them) skip ICP entirely.
 An iteration on a few hundred points costs mostly numpy calls, so it makes
 few: one product per block, one gather per trim, LAPACK's SVD directly.
+The tree walk likewise builds each part's sampled model once per shape
+and strips bleed-over against every settled part in one stacked pass.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,6 +44,18 @@ def sample_cylinder_local(radius: float, height: float, n: int) -> np.ndarray:
     z = height * i / (n - 1)
     ang = i * GOLDEN_ANGLE
     return np.column_stack([radius * np.cos(ang), radius * np.sin(ang), z])
+
+
+@functools.lru_cache(maxsize=128)
+def _cylinder_model(radius: float, height: float, n: int) -> np.ndarray:
+    """``sample_cylinder_local(radius, height, n)``, built once per shape.
+
+    Every call with the same shape returns the same array, made read-only
+    so that no caller can change what the next one reads.
+    """
+    model = sample_cylinder_local(radius, height, n)
+    model.flags.writeable = False
+    return model
 
 
 @dataclass
@@ -72,8 +87,9 @@ def nearest_model_search(model_local: np.ndarray):
     recomputed from the chosen pairs as ``sqrt(dx*dx + dy*dy + dz*dz)``,
     summed in that order, so they carry no cancellation error.
     """
-    weights = np.vstack([-2.0 * model_local.T,
-                         (model_local * model_local).sum(axis=1)])
+    weights = np.empty((4, len(model_local)))
+    np.multiply(model_local.T, -2.0, out=weights[:3])
+    np.multiply(model_local, model_local).sum(axis=1, out=weights[3])
     block = max(1, _BLOCK_ENTRIES // len(model_local))
 
     def search(points: np.ndarray):
@@ -105,14 +121,14 @@ def _trimmed_order(dist: np.ndarray, trim: float) -> tuple[np.ndarray, np.ndarra
     from adjacent body surfaces without losing true correspondences.
     """
     n = len(dist)
-    order = np.argsort(dist, kind="stable")
+    order = dist.argsort(kind="stable")
     ranked = dist.take(order)
     if trim <= 0 or n < 16:
         return order, ranked
     k = n // 2
     median = ranked[k] if n % 2 else (ranked[k - 1] + ranked[k]) / 2.0
     gate = max(3.0 * float(median), 0.02)
-    within = int(np.searchsorted(ranked, gate, side="right"))
+    within = int(ranked.searchsorted(gate, side="right"))
     keep = max(8, min(math.ceil(n * (1.0 - trim)), within))
     return order[:keep], ranked[:keep]
 
@@ -147,28 +163,21 @@ def best_rigid_update(model_pts: np.ndarray, data_pts: np.ndarray):
     return r, dc - r @ mc
 
 
-def best_anchored_rotation(model_pts: np.ndarray, data_pts: np.ndarray,
-                           anchor: np.ndarray) -> np.ndarray:
-    """Closed-form rotation about a fixed anchor point."""
-    h = (model_pts - anchor).T @ (data_pts - anchor)
-    return _svd_rotation(h)
-
-
-def _apply_update(state: KeypartState, r: np.ndarray, t: np.ndarray,
+def _apply_update(state: KeypartState, r: np.ndarray, t: np.ndarray | None,
                   anchor: np.ndarray | None) -> KeypartState:
     """Move a cylinder state by (R, t), discarding spin about its own axis.
 
     The update is reduced to (new base, new axis); attached frames follow
     via the minimal rotation between old and new axis, which keeps torso
-    lateral anchors consistent with the keypoints that defined them.
+    lateral anchors consistent with the keypoints that defined them. With
+    an anchor the base stays on it and ``t`` is not read.
     """
-    new = state.copy()
-    new.base = anchor.copy() if anchor is not None else r @ state.base + t
-    new.axis = normalize(r @ state.axis)
-    if state.frame is not None:
-        spin_free = rotation_between(state.axis, new.axis)
-        new.frame = spin_free @ state.frame
-    return new
+    axis = normalize(r @ state.axis)
+    frame = None if state.frame is None else \
+        rotation_between(state.axis, axis) @ state.frame  # spin-free
+    return KeypartState(state.part,
+                        anchor.copy() if anchor is not None else r @ state.base + t,
+                        axis, state.height, state.radius, frame)
 
 
 def icp_register(model_local: np.ndarray, data_pts: np.ndarray,
@@ -189,7 +198,7 @@ def icp_register(model_local: np.ndarray, data_pts: np.ndarray,
     if len(data_pts) == 0:
         return ICPResult(init.copy(), 0, np.inf, False, "empty cloud")
     span = data_pts.max(axis=0) - data_pts.min(axis=0) if len(data_pts) > 1 else np.zeros(3)
-    if len(data_pts) < 3 or np.linalg.norm(span) < 1e-9:
+    if len(data_pts) < 3 or np.sqrt(span.dot(span)) < 1e-9:  # np.linalg.norm's path
         return ICPResult(init.copy(), 0, np.inf, False, "degenerate cloud")
 
     state = init.copy()
@@ -201,36 +210,44 @@ def icp_register(model_local: np.ndarray, data_pts: np.ndarray,
             return ICPResult(state, 0, np.inf, False, "axial stub cloud")
 
     nearest = nearest_model_search(model_local)
+    # an anchored state's base stays on the anchor, so the cloud is centred
+    # on it once; the search and the cross-covariance both read that copy
+    anchored = anchor is not None
+    centred = data_pts - state.base if anchored else None
 
     def evaluate(s: KeypartState):
-        """Trimmed nearest-model-point pairs (model, data) and their RMS distance."""
+        """Trimmed nearest-model-point pairs, as (frame, model index, data
+        index), and their RMS distance."""
         frame = frame_from_axis(s.axis)
-        idx, dist = nearest((data_pts - s.base) @ frame)
+        idx, dist = nearest((centred if anchored else data_pts - s.base) @ frame)
         order, kept = _trimmed_order(dist, trim)
         kept *= kept
-        m = model_local.take(idx.take(order), axis=0) @ frame.T
-        m += s.base
-        return (m, data_pts.take(order, axis=0),
-                float(np.sqrt(kept.sum() / len(kept))))
+        return (frame, idx.take(order), order), math.sqrt(kept.sum() / len(kept))
 
-    m, d, residual = evaluate(state)
+    def update(s: KeypartState, frame, model_idx, data_idx) -> KeypartState:
+        """The next state from the pairs: a rotation about the anchor, or a
+        free rigid motion."""
+        m = model_local.take(model_idx, axis=0) @ frame.T
+        m += s.base  # the world model points: their rounding is part of the step
+        if anchored:
+            m -= s.base  # centred on the anchor, as the data are
+            return _apply_update(s, _svd_rotation(m.T @ centred.take(data_idx, axis=0)),
+                                 None, s.base)
+        r, t = best_rigid_update(m, data_pts.take(data_idx, axis=0))
+        return _apply_update(s, r, t, None)
+
+    pairs, residual = evaluate(state)
     iterations = 0
     converged = False
     for _ in range(max_iterations):
-        if anchor is not None:
-            r = best_anchored_rotation(m, d, state.base)
-            candidate = _apply_update(state, r, np.zeros(3), state.base)
-        else:
-            r, t = best_rigid_update(m, d)
-            candidate = _apply_update(state, r, t, None)
-
-        cand_m, cand_d, cand_residual = evaluate(candidate)
+        candidate = update(state, *pairs)
+        cand_pairs, cand_residual = evaluate(candidate)
         if cand_residual > residual + 1e-12:
             # reject the step; a rejection within tolerance is a fixed point
             converged = (cand_residual - residual) < tol
             break
         improvement = residual - cand_residual
-        state, m, d, residual = candidate, cand_m, cand_d, cand_residual
+        state, pairs, residual = candidate, cand_pairs, cand_residual
         iterations += 1
         if improvement < tol:
             converged = True
@@ -274,6 +291,24 @@ def _init_state(part: int, tree: BodyTree, dims: PartDimensions,
                         dims.cylinder_height(part), dims.cylinder_radius(part))
 
 
+def _inside_any(cylinders: list, points: np.ndarray, radial_margin: float) -> np.ndarray:
+    """Points inside any of ``cylinders``, each inflated by ``radial_margin``.
+
+    ``Cylinder.contains`` for every cylinder in one stacked pass: each
+    cylinder's slice goes through the same operations, so each mask has
+    the same bits as its own ``contains`` call.
+    """
+    bases = np.stack([c.base for c in cylinders])
+    axes = np.stack([c.axis for c in cylinders])
+    heights = np.array([c.height for c in cylinders])
+    reach = np.array([c.radius + radial_margin for c in cylinders])
+    p = points - bases[:, None, :]
+    ax = np.matmul(p, axes[:, :, None])[:, :, 0]
+    radial2 = np.einsum("cij,cij->ci", p, p) - ax * ax
+    inside = (ax >= 0.0) & (ax <= heights[:, None]) & (radial2 <= (reach * reach)[:, None])
+    return inside.any(axis=0)
+
+
 def register_tree(tree: BodyTree, clouds: dict, fused: dict,
                   dims: PartDimensions | None = None,
                   model_samples: int = 128) -> BodyTree:
@@ -312,15 +347,12 @@ def register_tree(tree: BodyTree, clouds: dict, fused: dict,
                 data = data[:: len(data) // 600 + 1]
             # points explained by already-settled parts are mask bleed-over
             if settled:
-                keep = np.ones(len(data), dtype=bool)
-                for cyl in settled:
-                    keep &= ~cyl.contains(data, radial_margin=0.025)
+                keep = ~_inside_any(settled, data, radial_margin=0.025)
                 if keep.sum() >= 8:
                     data = data[keep]
-            model_local = sample_cylinder_local(state.radius, state.height,
-                                                model_samples)
-            result = icp_register(model_local, data,
-                                  state, anchor)
+            result = icp_register(_cylinder_model(state.radius, state.height,
+                                                  model_samples),
+                                  data, state, anchor)
             node.state = result.state
             node.registered = result.converged or result.iterations > 0
             if result.note:

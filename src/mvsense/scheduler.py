@@ -118,21 +118,35 @@ def _candidate_grid(rig, params: SchedulerParams) -> list:
 QUALITY_CORE = 0.7  # fraction of the half-extent giving a full-quality view
 
 
-def _view_quality_row(rig, orientation, positions: np.ndarray) -> np.ndarray:
-    """Observation quality in [0, 1] per estimated part position.
+def _view_quality(rig, orientations: list, positions: np.ndarray) -> np.ndarray:
+    """Observation quality in [0, 1] per (pan, tilt) and estimated part position.
 
     1 inside the central portion of the image, tapering to 0 at the rim
     and outside. Centered views reset uncertainty fully, grazing views
     only partially, so the planner prefers bringing high-risk parts
     toward the FOV center rather than merely inside the frame.
+
+    Every orientation is posed and projected in one batch, with the bits
+    of ``rig.world_pose(pan, tilt).inverse().apply(positions)`` up to the
+    sign of a zero, which no quality reads: each entry of the gimbal
+    rotation ``rot_y(pan) @ rot_x(tilt)`` has one nonzero product, so it
+    is written out, and the compose, the inverse's translation and the
+    projection are stacked matrix products, one BLAS call of the same
+    shape and layout per orientation as ``RigidTransform`` makes.
     """
-    pose = rig.world_pose(*orientation)
-    cam = pose.inverse().apply(positions)
+    pan, tilt = np.array(orientations, dtype=np.float64).T
+    cp, sp, ct, st = np.cos(pan), np.sin(pan), np.cos(tilt), np.sin(tilt)
+    gimbal = np.stack([cp, sp * st, sp * ct, np.zeros_like(pan), ct, -st,
+                       -sp, cp * st, cp * ct], axis=-1).reshape(-1, 3, 3)
+    mount = rig.mount
+    inverse = np.ascontiguousarray(np.matmul(mount.rotation, gimbal).transpose(0, 2, 1))
+    cam = np.matmul(positions, inverse.transpose(0, 2, 1))
+    cam += np.matmul(-inverse, mount.translation)[:, None, :]
     k = rig.intrinsics
-    z = cam[:, 2]
+    z = cam[..., 2]
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = k.fx * cam[:, 0] / z + k.cx
-        v = k.fy * cam[:, 1] / z + k.cy
+        u = k.fx * cam[..., 0] / z + k.cx
+        v = k.fy * cam[..., 1] / z + k.cy
     du = np.abs(u - (k.width - 1) / 2.0) / (k.width / 2.0)
     dv = np.abs(v - (k.height - 1) / 2.0) / (k.height / 2.0)
     off = np.maximum(du, dv)
@@ -150,9 +164,7 @@ class _CameraTable:
         self.orientations = [self.hold] + [
             o for o in _candidate_grid(rig, params) if o != self.hold
         ]
-        self.vis = np.stack([
-            _view_quality_row(rig, o, positions) for o in self.orientations
-        ])
+        self.vis = _view_quality(rig, self.orientations, positions)
         self.index = {o: i for i, o in enumerate(self.orientations)}
 
     def reachable_from(self, orientation) -> list:

@@ -3,17 +3,25 @@
 ``nearest_model_search``, ``_trimmed_order`` and ``icp_register`` are the
 bodies from before ``|m|^2`` was folded into the correspondence product,
 the kept distances were gathered once per trim and the SVD went to
-LAPACK directly; ``_svd_rotation`` calls ``np.linalg.svd``. The live code
-must give the same bits on every input.
+LAPACK directly; ``_svd_rotation`` calls ``np.linalg.svd``, and
+``_apply_update`` copies the state before it moves it. ``icp_register``
+poses the model pairs of every evaluated state, the rejected last one
+too, and centres the cloud on the anchor at every step.
+``register_tree`` is the tree walk from before each part's sampled model
+was cached and the bleed-over test became one stacked pass: it samples the
+model on every call and strips bleed-over with one ``Cylinder.contains``
+per settled cylinder, and it registers through this file's
+``icp_register``. The live code must give the same bits on every input.
 """
 
 import math
 
 import numpy as np
 
-from mvsense.body import KeypartState
-from mvsense.geometry import _cross, frame_from_axis
-from mvsense.registration import ICPResult, _apply_update
+from mvsense import body
+from mvsense.body import BodyTree, KeypartState, PartDimensions
+from mvsense.geometry import _cross, frame_from_axis, normalize, rotation_between
+from mvsense.registration import ICPResult, _init_state, sample_cylinder_local
 
 _BLOCK_ENTRIES = 65536
 
@@ -83,6 +91,17 @@ def best_anchored_rotation(model_pts: np.ndarray, data_pts: np.ndarray,
     return _svd_rotation(h)
 
 
+def _apply_update(state: KeypartState, r: np.ndarray, t: np.ndarray,
+                  anchor: np.ndarray | None) -> KeypartState:
+    new = state.copy()
+    new.base = anchor.copy() if anchor is not None else r @ state.base + t
+    new.axis = normalize(r @ state.axis)
+    if state.frame is not None:
+        spin_free = rotation_between(state.axis, new.axis)
+        new.frame = spin_free @ state.frame
+    return new
+
+
 def icp_register(model_local: np.ndarray, data_pts: np.ndarray,
                  init: KeypartState, anchor: np.ndarray | None = None,
                  max_iterations: int = 50, tol: float = 1e-6,
@@ -139,6 +158,65 @@ def icp_register(model_local: np.ndarray, data_pts: np.ndarray,
     return ICPResult(state, iterations, float(residual), converged)
 
 
+def register_tree(tree: BodyTree, clouds: dict, fused: dict,
+                  dims: PartDimensions | None = None,
+                  model_samples: int = 128) -> BodyTree:
+    dims = dims or PartDimensions()
+    for k, fk in fused.items():
+        tree.keypoints[k] = np.asarray(fk.position_world, dtype=np.float64)
+
+    settled = []  # confidently registered cylinders, used to strip bleed-over
+    for part in tree.traversal():
+        node = tree.nodes[part]
+        if node.supplemented:
+            node.registered = False  # keypoint-derived state only
+            continue
+
+        anchor = None if part == body.TORSO else body.parent_joint_position(part, tree)
+        state = _init_state(part, tree, dims, anchor)
+        if state is None:
+            node.note = "no keypoint initialization available"
+            node.state = None
+            continue
+        node.state = state
+
+        data = clouds.get(part)
+        if data is None or len(data) == 0:
+            node.registered = False
+            node.note = "empty cloud; keypoint-initialized state kept"
+        else:
+            data = np.asarray(data, dtype=np.float64)
+            if len(data) > 600:  # registration accuracy saturates well below this
+                data = data[:: len(data) // 600 + 1]
+            # points explained by already-settled parts are mask bleed-over
+            if settled:
+                keep = np.ones(len(data), dtype=bool)
+                for cyl in settled:
+                    keep &= ~cyl.contains(data, radial_margin=0.025)
+                if keep.sum() >= 8:
+                    data = data[keep]
+            model_local = sample_cylinder_local(state.radius, state.height,
+                                                model_samples)
+            result = icp_register(model_local, data,
+                                  state, anchor)
+            node.state = result.state
+            node.registered = result.converged or result.iterations > 0
+            if result.note:
+                node.note = result.note
+            if node.registered and result.residual < 0.05:
+                settled.append(node.state.cylinder())
+
+        # propagate the refined pose into the shared keypoint table
+        if part == body.TORSO:
+            tree.keypoints.update(body.torso_anchor_points(node.state, dims))
+        else:
+            distal = body.DISTAL_KEYPOINT.get(part)
+            if distal is not None:
+                tree.keypoints[distal] = node.state.tip
+
+    return body.enforce_joint_constraints(tree)
+
+
 def assert_same_result(got: ICPResult, ref: ICPResult) -> None:
     """Every field of two ICP results, state arrays compared by their bytes."""
     assert got.state.base.tobytes() == ref.state.base.tobytes()
@@ -151,3 +229,25 @@ def assert_same_result(got: ICPResult, ref: ICPResult) -> None:
     assert float(got.residual).hex() == float(ref.residual).hex()
     assert (got.iterations, got.converged, got.note) == \
         (ref.iterations, ref.converged, ref.note)
+
+
+def assert_same_tree(got, want) -> None:
+    """Every node's state (arrays by their bytes), ``registered`` flag and
+    note, and every keypoint, of two registered trees."""
+    assert got.nodes.keys() == want.nodes.keys()
+    for part, node in want.nodes.items():
+        other = got.nodes[part]
+        assert (other.registered, other.note) == (node.registered, node.note), part
+        assert (other.state is None) == (node.state is None), part
+        if node.state is not None:
+            for name in ("base", "axis"):
+                assert getattr(other.state, name).tobytes() == \
+                    getattr(node.state, name).tobytes(), (part, name)
+            assert (other.state.frame is None) == (node.state.frame is None), part
+            if node.state.frame is not None:
+                assert other.state.frame.tobytes() == node.state.frame.tobytes(), part
+            assert (other.state.part, other.state.height, other.state.radius) == \
+                (node.state.part, node.state.height, node.state.radius), part
+    assert got.keypoints.keys() == want.keypoints.keys()
+    for k, point in want.keypoints.items():
+        assert np.asarray(got.keypoints[k]).tobytes() == np.asarray(point).tobytes(), k

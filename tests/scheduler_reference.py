@@ -6,8 +6,11 @@ depth-first search over whole joint sequences, ``_greedy`` the per-step
 broadcast argmax, and ``_interval_term``/``combine_parts`` the any-part
 term both used; ``plan`` is the dispatch between them with greedy's hold
 guard. The bodies are the ones from before the two searches became one
-search over one step function. The live code must give the same bits on
-every input.
+search over one step function. ``_CameraTable`` and ``_view_quality_row``
+build each rig's visibility table one candidate orientation at a time,
+each with its own ``rig.world_pose`` and projection, as before the table
+was built in one batch. The live code must give the same bits on every
+input.
 """
 
 import itertools
@@ -17,12 +20,65 @@ import numpy as np
 from mvsense.geometry import segment_segment_distance_batch
 from mvsense.scheduler import (
     P_CAP,
+    QUALITY_CORE,
     CollisionEstimate,
+    SchedulerParams,
     ViewpointTrajectory,
-    _CameraTable,
     _advance_sigma,
+    _candidate_grid,
     collision_probability,
 )
+
+
+def _view_quality_row(rig, orientation, positions: np.ndarray) -> np.ndarray:
+    """Observation quality in [0, 1] per estimated part position.
+
+    1 inside the central portion of the image, tapering to 0 at the rim
+    and outside. Centered views reset uncertainty fully, grazing views
+    only partially, so the planner prefers bringing high-risk parts
+    toward the FOV center rather than merely inside the frame.
+    """
+    pose = rig.world_pose(*orientation)
+    cam = pose.inverse().apply(positions)
+    k = rig.intrinsics
+    z = cam[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = k.fx * cam[:, 0] / z + k.cx
+        v = k.fy * cam[:, 1] / z + k.cy
+    du = np.abs(u - (k.width - 1) / 2.0) / (k.width / 2.0)
+    dv = np.abs(v - (k.height - 1) / 2.0) / (k.height / 2.0)
+    off = np.maximum(du, dv)
+    q = np.clip((1.0 - off) / (1.0 - QUALITY_CORE), 0.0, 1.0)
+    return np.where(z > 0.05, q, 0.0)
+
+
+class _CameraTable:
+    """Per-camera candidate orientations with cached visibility rows."""
+
+    def __init__(self, rig, params: SchedulerParams, positions: np.ndarray):
+        self.rig = rig
+        self.reach = rig.max_rate * params.interval + 1e-12
+        self.hold = (rig.pan, rig.tilt)
+        self.orientations = [self.hold] + [
+            o for o in _candidate_grid(rig, params) if o != self.hold
+        ]
+        self.vis = np.stack([
+            _view_quality_row(rig, o, positions) for o in self.orientations
+        ])
+        self.index = {o: i for i, o in enumerate(self.orientations)}
+
+    def reachable_from(self, orientation) -> list:
+        """Candidate indices reachable in one step; index of ``orientation`` first."""
+        p0, t0 = orientation
+        out = []
+        for i, (p, t) in enumerate(self.orientations):
+            if abs(p - p0) <= self.reach and abs(t - t0) <= self.reach:
+                out.append(i)
+        cur = self.index.get(orientation)
+        if cur is not None and cur in out:
+            out.remove(cur)
+            out.insert(0, cur)
+        return out
 
 
 def combine_parts(p_parts: np.ndarray) -> float:

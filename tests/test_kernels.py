@@ -6,18 +6,21 @@ the ICP kernels bit for bit against ``icp_reference``, the depth render
 against ``render_reference``'s per-cylinder simulator, with the same hit
 pixels and depths within 1e-9 m, and mask painting and cloud extraction
 bit for bit against the per-box and full-image references of
-``test_keyparts``, and the scheduler's collision estimate and plan bit
-for bit against ``scheduler_reference``. Sizes follow the traced
-workloads: a desk-sweep limb cloud averages about 133 points, and
-``register_tree`` caps a cloud at 600; renders, masks and extractions
-are the calls that short template trials make at 144x112 (desk-sweep)
-and 640x480 (hires-fixed), and scheduler calls those of one-second
-template trials at multi-active and 144x112.
+``test_keyparts``, tree registration bit for bit against
+``icp_reference.register_tree``, and the scheduler's collision estimate
+and plan bit for bit against ``scheduler_reference``. Sizes follow the
+traced workloads: a desk-sweep limb cloud averages about 133 points, and
+``register_tree`` caps a cloud at 600; renders, masks, extractions and
+tree registrations are the calls that short template trials make at
+144x112 (desk-sweep) and 640x480 (hires-fixed), and scheduler calls
+those of one-second template trials at multi-active and 144x112, or at
+single-active for the exhaustive search.
 
     PYTHONPATH=src python -m pytest tests/test_kernels.py --benchmark-only
 """
 
 import copy
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -28,7 +31,7 @@ import scheduler_reference
 from conftest import hires, rest_dofs, sample_cylinder
 from render_reference import assert_matches_reference, render_depth_reference
 from test_keyparts import paint_masks_reference, quiet_reference, same_clouds, same_mask
-from mvsense import body, harness, keyparts, scenario, scheduler, simulator
+from mvsense import body, harness, keyparts, registration, scenario, scheduler, simulator
 from mvsense.body import KeypartState, pose_from_dofs
 from mvsense.geometry import normalize, rot_x, rot_z
 from mvsense.registration import icp_register, nearest_model_search, sample_cylinder_local
@@ -36,6 +39,7 @@ from mvsense.registration import icp_register, nearest_model_search, sample_cyli
 ROUNDS = 20
 MODEL_SAMPLES = 128  # the ``model-samples`` default
 SIZES = [(144, 112), (640, 480)]
+EXHAUSTIVE_PLANS = 6  # replayed plans at single-active, each searched exhaustively
 
 
 def cloud(state: KeypartState, n: int, seed: int) -> np.ndarray:
@@ -153,6 +157,23 @@ def test_extract_clouds(benchmark, size):
         assert same_clouds(clouds, quiet_reference(*args))
 
 
+@pytest.mark.parametrize("size", SIZES)
+def test_register_tree(benchmark, size):
+    calls = captured_calls(registration, "register_tree", size, 0.4)
+
+    def fresh_trees():
+        # register_tree registers the tree it is given in place
+        return ([(copy.deepcopy(tree), *rest) for tree, *rest in calls],), {}
+
+    got = benchmark.pedantic(
+        lambda rounds: [registration.register_tree(*args) for args in rounds],
+        setup=fresh_trees, rounds=ROUNDS, iterations=1, warmup_rounds=1)
+    assert len(got) == len(calls) > 0
+    assert sum(node.registered for tree in got for node in tree.nodes.values()) > 0
+    for tree, (want, *rest) in zip(got, calls):
+        ref.assert_same_tree(tree, ref.register_tree(copy.deepcopy(want), *rest))
+
+
 # the scheduler runs only with steerable cameras; tracking starts once a
 # part is present, so one second of each template yields several plans
 def test_estimate_collision(benchmark):
@@ -169,4 +190,23 @@ def test_plan(benchmark):
     got = timed(benchmark, scheduler.plan, calls)
     assert len(got) == len(calls) > 0
     for traj, args in zip(got, calls):
+        scheduler_reference.assert_same_plan(traj, scheduler_reference.plan(*args))
+
+
+def test_plan_exhaustive(benchmark):
+    """Single-active plans with ``exhaustive-limit`` raised to their joint
+    product, so the search keeps every option."""
+    calls = []
+    for rigs, estimate, positions, params in captured_calls(
+            scheduler, "plan", SIZES[0], 1.0, "single-active")[:EXHAUSTIVE_PLANS]:
+        tables = [scheduler_reference._CameraTable(rig, params, np.stack(
+            [positions[p] for p in estimate.parts])) for rig in rigs]
+        joint = int(np.prod([len(t.reachable_from(t.hold)) for t in tables])) \
+            ** (params.horizon + 1)
+        calls.append((rigs, estimate, positions,
+                      dataclasses.replace(params, exhaustive_limit=joint)))
+    got = timed(benchmark, scheduler.plan, calls)
+    assert len(got) == len(calls) > 0
+    for traj, args in zip(got, calls):
+        assert traj.mode == "exhaustive"
         scheduler_reference.assert_same_plan(traj, scheduler_reference.plan(*args))

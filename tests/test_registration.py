@@ -16,14 +16,13 @@ from scipy.spatial import cKDTree
 
 import icp_reference as ref
 from conftest import rest_dofs, sample_cylinder
-from mvsense import body
+from mvsense import body, registration
 from mvsense.body import KeypartState, augment, build_tree, pose_from_dofs
 from mvsense.geometry import normalize, rot_x, rot_y, rot_z
 from mvsense.registration import (
     _BLOCK_ENTRIES,
     _svd_rotation,
     _trimmed_order,
-    best_anchored_rotation,
     best_rigid_update,
     icp_register,
     nearest_model_search,
@@ -90,7 +89,9 @@ class TestClosedFormUpdates:
         pts = rng.uniform(-1, 1, (100, 3))
         r_true = rot_y(0.3)
         moved = (pts - anchor) @ r_true.T + anchor
-        r = best_anchored_rotation(pts, moved, anchor)
+        # icp_register's anchored step: the SVD of the cross-covariance of
+        # the pairs centred on the anchor
+        r = _svd_rotation((pts - anchor).T @ (moved - anchor))
         assert np.allclose(r, r_true, atol=1e-9)
 
     def test_svd_step_optimality_against_perturbations(self, rng):
@@ -500,3 +501,26 @@ class TestRegisterTree:
             s1, s2 = t1.nodes[p].state, t2.nodes[p].state
             assert np.array_equal(s1.base, s2.base)
             assert np.array_equal(s1.axis, s2.axis)
+
+    def test_model_built_once_per_shape_and_read_only(self, monkeypatch):
+        pose = pose_from_dofs(rest_dofs())
+        kps = dict(enumerate(pose.keypoint_array()))
+        clouds = self._clouds_from_pose(pose, range(10))
+        fused = self._fused_from_pose(pose)
+        models = []
+
+        def spy(model_local, *args):
+            models.append(model_local)
+            return icp_register(model_local, *args)
+
+        monkeypatch.setattr(registration, "icp_register", spy)
+        for _ in range(2):
+            register_tree(augment(build_tree(range(10)), dict(kps)), clouds, fused)
+        first, second = models[:10], models[10:]
+        assert len(first) == len(second) == 10
+        assert all(a is b for a, b in zip(first, second))
+        state = pose.states[body.TORSO]
+        assert np.array_equal(first[body.TORSO],
+                              sample_cylinder_local(state.radius, state.height, 128))
+        with pytest.raises(ValueError):
+            first[body.TORSO][0, 0] = 1.0

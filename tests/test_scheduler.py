@@ -161,9 +161,9 @@ class TestPlan:
         assert traj.mode == "exhaustive"
         final_pan, final_tilt = traj.commands["cam"][-1]
         # the part must sit near the FOV center at the final orientation
-        from mvsense.scheduler import _view_quality_row
-        q = _view_quality_row(rig, (final_pan, final_tilt),
-                              part.midpoint[None, :])
+        from mvsense.scheduler import _view_quality
+        q = _view_quality(rig, [(final_pan, final_tilt)],
+                          part.midpoint[None, :])[0]
         assert q[0] == pytest.approx(1.0)
         # final pan within one grid cell of the part bearing
         bearing = np.arctan2(1.4, 2.0)
