@@ -23,10 +23,6 @@ import numpy as np
 _ORTHO_TOL = 1e-9
 
 
-class BehindCamera(ValueError):
-    """Point has non-positive depth in the camera frame."""
-
-
 class InvalidDepth(ValueError):
     """Depth value is non-positive or non-finite."""
 
@@ -230,22 +226,7 @@ def frame_from_axis(axis: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# projection
-
-
-def project(point_world, pose: RigidTransform, k: Intrinsics):
-    """Project a world point; returns ((u, v), depth).
-
-    ``pose`` is the camera-to-world transform. Raises BehindCamera when the
-    camera-frame z is non-positive.
-    """
-    p_cam = pose.inverse().apply(_as_vec3(point_world))
-    z = p_cam[2]
-    if z <= 0:
-        raise BehindCamera(f"point at camera depth {z:.6f}")
-    u = k.fx * p_cam[0] / z + k.cx
-    v = k.fy * p_cam[1] / z + k.cy
-    return np.array([u, v]), float(z)
+# back-projection
 
 
 def reproject(pixel, depth: float, k: Intrinsics) -> np.ndarray:

@@ -8,9 +8,12 @@ result to the pipeline as a ``FrameInput``; then it steps the scene.
 ``Pipeline.step`` is the paper's per-frame loop and knows nothing of the
 simulator: per camera it updates one presence window over the 17
 keypoint confidences and the 10 keypart max-confidences and lifts the
-present keypoints through the depth image, then it fuses them across
-cameras, paints masks, extracts keypart clouds, builds, augments and
-registers the cylinder tree, and plans the next camera commands. It fills a
+present keypoints through the depth image into one (C, 17, 3) stack.
+One ``fuse`` call turns the stack into the frame's (17, 3) world
+keypoint table, NaN rows unfused; then, per camera, the table's mask
+anchors place the trapezoids that paint masks and extract keypart clouds.
+Last it builds, augments and registers the cylinder tree and plans the
+next camera commands. It fills a
 ``FrameResult`` one stage at a time, so a frame that fails keeps what it
 made before the failure; the failure is logged and the frame predicts
 every part absent.
@@ -62,7 +65,7 @@ class FrameResult:
     registration returned.
     """
 
-    fused: dict = field(default_factory=dict)   # keypoint -> FusedKeypoint
+    fused: np.ndarray | None = None             # (17, 3) world keypoints, NaN rows unfused
     masks: dict = field(default_factory=dict)   # rig id -> keyparts.MaskImage
     clouds: dict = field(default_factory=dict)  # part -> (N, 3) world points
     parts: list = field(default_factory=list)   # parts some camera holds present
@@ -298,32 +301,31 @@ class Pipeline:
         t0 = time.perf_counter()
 
         # per camera: presence window, then depth lift of present keypoints
-        lifted: dict = {}
+        lifts = np.full((len(self.rigs), body.NUM_KEYPOINTS, 3), np.nan)
         seen: dict = {}
-        for rig in self.rigs:
+        for c, rig in enumerate(self.rigs):
             pixels, conf = inp.detections[rig.rig_id]
             part_conf = np.where(body.PART_KEYPOINT_MASK, conf, -np.inf).max(axis=1)
             window = self.windows[rig.rig_id]
             window.update(np.concatenate([conf, part_conf]))
             present = window.present()
-            kp3d = lifted[rig.rig_id] = {}
             for kp in np.flatnonzero(present[:body.NUM_KEYPOINTS]).tolist():
                 try:
-                    p = lift_depth(pixels[kp], inp.depth[rig.rig_id], script.slice_radius,
-                                   rig.intrinsics)
+                    lifts[c, kp] = lift_depth(pixels[kp], inp.depth[rig.rig_id],
+                                              script.slice_radius, rig.intrinsics)
                 except NoValidDepth:
                     continue  # absent for this camera this frame
-                kp3d[kp] = p * ((p[2] + self.depth_offsets[kp]) / p[2])
             seen[rig.rig_id] = np.flatnonzero(present[body.NUM_KEYPOINTS:]).tolist()
+        # push each lift deeper along its ray, from the body surface to the joint
+        z = lifts[..., 2:]
+        lifts *= (z + self.depth_offsets[:, None]) / z
         t0 = watch.add("lift", t0)
 
-        # fusion barrier: world-frame weighted mean per keypoint
-        for kp in range(body.NUM_KEYPOINTS):
-            entries = [(lifted[rig.rig_id][kp], inp.detections[rig.rig_id][1][kp],
-                        inp.poses[rig.rig_id])
-                       for rig in self.rigs if kp in lifted[rig.rig_id]]
-            if entries:
-                result.fused[kp] = fuse(entries, kp)
+        # fusion barrier: world-frame weighted mean per keypoint, NaN rows unfused
+        result.fused, _confidence = fuse(
+            lifts, ~np.isnan(lifts[..., 2]),
+            np.stack([inp.detections[rig.rig_id][1] for rig in self.rigs]),
+            [inp.poses[rig.rig_id] for rig in self.rigs])
         t0 = watch.add("fuse", t0)
 
         # per-camera masks and clouds
@@ -338,12 +340,10 @@ class Pipeline:
                 pose_cam, rig.intrinsics, depth, script.slice_radius, parts_here)
             trapezoids = []
             for j in parts_here:
-                ends = keyparts.part_endpoints(j, anchors)
+                ends = keyparts.part_endpoints(j, *anchors)
                 if ends is None:
                     continue
                 (px_u, d_u), (px_l, d_l) = ends
-                if d_u <= 0 or d_l <= 0:
-                    continue
                 trapezoids.append(keyparts.trapezoid_for_part(
                     j, (px_u, px_l), (d_u, d_l), rig.intrinsics,
                     dims.cylinder_radius(j), script.mask_inflation))
@@ -359,11 +359,11 @@ class Pipeline:
 
         # tree: build from the union of per-camera part presence
         result.parts = sorted({j for parts in seen.values() for j in parts})
-        tree = body.build_tree(result.parts)
-        tree = body.augment(
-            tree, {k: f.position_world for k, f in result.fused.items()}, dims)
-        result.tree = registration.register_tree(tree, result.clouds, result.fused,
-                                                 dims, script.model_samples)
+        rows = np.flatnonzero(~np.isnan(result.fused[:, 0])).tolist()
+        tree = body.augment(body.build_tree(result.parts),
+                            {k: result.fused[k] for k in rows}, dims)
+        result.tree = registration.register_tree(tree, result.clouds, dims,
+                                                 script.model_samples)
         t0 = watch.add("register", t0)
 
         # scheduler bookkeeping and planning

@@ -23,18 +23,10 @@ import numpy as np
 
 from . import body
 from .filters import largest_euclidean_cluster, voxel_downsample
-from .geometry import BehindCamera, Intrinsics, RigidTransform, project, reproject_many
-from .keypoints import FusedKeypoint, NoValidDepth, slice_depth
+from .geometry import Intrinsics, RigidTransform, reproject_many
+from .keypoints import NoValidDepth, slice_depth
 
 BACKGROUND = -1
-
-
-@dataclass(frozen=True)
-class MaskAnchor:
-    """Projected keypoint used to place a trapezoid: pixel + paint depth."""
-
-    pixel: np.ndarray
-    depth: float
 
 
 def base_half_length(focal: float, depth: float, radius: float) -> float:
@@ -167,58 +159,60 @@ class KeypartCloud:
     points: np.ndarray
 
 
-def project_keypoints_to_mask(fused: dict, pixels: np.ndarray, world_from_cam: RigidTransform,
-                              k: Intrinsics, depth_image: np.ndarray,
-                              slice_radius: int, parts) -> dict:
+def project_keypoints_to_mask(fused: np.ndarray, pixels: np.ndarray,
+                              world_from_cam: RigidTransform, k: Intrinsics,
+                              depth_image: np.ndarray, slice_radius: int, parts) -> tuple:
     """Anchor pixels and paint depths for every keypoint of the given parts.
 
-    Fused keypoints are projected through the camera (their paint depth is
-    the camera-frame z); keypoints absent from fusion fall back to the
-    camera's detected pixel (a row of ``pixels``) with a locally sliced
-    depth. Keypoints that project behind the camera or carry no usable
-    depth are skipped.
+    ``fused`` is the frame's (17, 3) world-frame keypoint table. A fused
+    keypoint is projected through the camera, all rows in one stacked
+    product, and its paint depth is the camera-frame z; a keypoint with a
+    NaN row falls back to the camera's detected pixel (a row of
+    ``pixels``) with a locally sliced depth. Returns (17, 2) pixels and
+    (17,) depths, NaN for keypoints of other parts and for keypoints that
+    project behind the camera or carry no usable depth.
     """
-    anchors: dict = {}
-    wanted = set()
-    for j in parts:
-        wanted.update(body.PART_KEYPOINTS[j])
-    for kp in sorted(wanted):
-        fk: FusedKeypoint | None = fused.get(kp)
-        if fk is not None:
-            try:
-                pixel, depth = project(fk.position_world, world_from_cam, k)
-            except BehindCamera:
-                continue
-            anchors[kp] = MaskAnchor(pixel, depth)
-        else:
-            try:
-                depth = slice_depth(pixels[kp], depth_image, slice_radius)
-            except NoValidDepth:
-                continue
-            anchors[kp] = MaskAnchor(pixels[kp], depth)
-    return anchors
+    anchor_px = np.full((body.NUM_KEYPOINTS, 2), np.nan)
+    anchor_depth = np.full(body.NUM_KEYPOINTS, np.nan)
+    wanted = body.PART_KEYPOINT_MASK[list(parts)].any(axis=0)
+    cam_from_world = world_from_cam.inverse()
+    cam = np.matmul(cam_from_world.rotation, fused[..., None])[..., 0] \
+        + cam_from_world.translation
+    z = cam[:, 2]
+    unfused = np.isnan(fused[:, 0])
+    front = wanted & ~unfused & (z > 0)
+    anchor_px[front, 0] = k.fx * cam[front, 0] / z[front] + k.cx
+    anchor_px[front, 1] = k.fy * cam[front, 1] / z[front] + k.cy
+    anchor_depth[front] = z[front]
+    for kp in np.flatnonzero(wanted & unfused).tolist():
+        try:
+            anchor_depth[kp] = slice_depth(pixels[kp], depth_image, slice_radius)
+        except NoValidDepth:
+            continue
+        anchor_px[kp] = pixels[kp]
+    return anchor_px, anchor_depth
 
 
-def _mean_anchor(anchors: dict, kps) -> tuple | None:
-    pts = [anchors[k] for k in kps if k in anchors]
-    if not pts:
+def _mean_anchor(anchor_px: np.ndarray, anchor_depth: np.ndarray, kps) -> tuple | None:
+    kps = [kp for kp in kps if not np.isnan(anchor_depth[kp])]
+    if not kps:
         return None
-    pixel = np.mean([a.pixel for a in pts], axis=0)
-    depth = float(np.mean([a.depth for a in pts]))
-    return pixel, depth
+    return np.mean(anchor_px[kps], axis=0), float(np.mean(anchor_depth[kps]))
 
 
-def part_endpoints(part: int, anchors: dict) -> tuple | None:
-    """(pixel, depth) pair for the proximal and distal base midpoints."""
+def part_endpoints(part: int, anchor_px: np.ndarray, anchor_depth: np.ndarray) -> tuple | None:
+    """(pixel, depth) pair for the proximal and distal base midpoints.
+
+    ``anchor_px`` (17, 2) and ``anchor_depth`` (17,) are a camera's mask
+    anchors, NaN where a keypoint has none.
+    """
     if part == body.TORSO:
-        upper = _mean_anchor(anchors, (body.L_SHOULDER, body.R_SHOULDER))
-        lower = _mean_anchor(anchors, (body.L_HIP, body.R_HIP))
+        ends = (body.L_SHOULDER, body.R_SHOULDER), (body.L_HIP, body.R_HIP)
     elif part == body.HEAD:
-        upper = _mean_anchor(anchors, body.PART_KEYPOINTS[body.HEAD])
-        lower = _mean_anchor(anchors, (body.L_SHOULDER, body.R_SHOULDER))
+        ends = body.PART_KEYPOINTS[body.HEAD], (body.L_SHOULDER, body.R_SHOULDER)
     else:
-        upper = _mean_anchor(anchors, (body.EDGE_KEYPOINT[part],))
-        lower = _mean_anchor(anchors, (body.DISTAL_KEYPOINT[part],))
+        ends = (body.EDGE_KEYPOINT[part],), (body.DISTAL_KEYPOINT[part],)
+    upper, lower = (_mean_anchor(anchor_px, anchor_depth, kps) for kps in ends)
     if upper is None or lower is None:
         return None
     return upper, lower

@@ -3,9 +3,12 @@
 A camera's detections are two arrays in keypoint order: 17 pixels
 (17, 2) and their confidences (17,). Stages, per frame and camera: check
 the detector's arrays (``detect``), track a discounted sliding window of
-confidences to decide presence, lift present keypoints to 3D through a
-depth-image slice, and finally fuse all cameras' 3D estimates with
-confidence weights in the world frame.
+confidences to decide presence, and lift each present keypoint to 3D
+through a depth-image slice (``lift_depth``, one call per keypoint, so a
+keypoint without valid depth raises on its own). Then one ``fuse`` call
+per frame takes every camera's lifts as a (C, 17, 3) stack and returns
+the frame's keypoints as a (17, 3) world-frame table, with NaN rows for
+the keypoints it could not fuse.
 """
 
 from __future__ import annotations
@@ -25,10 +28,6 @@ class DetectorFailure(RuntimeError):
 
 class NoValidDepth(ValueError):
     """No valid depth pixel inside the slice around a keypoint."""
-
-
-class EmptyInput(ValueError):
-    """Fusion called with no contributing cameras."""
 
 
 def detect(output) -> tuple:
@@ -130,37 +129,46 @@ def lift_depth(pixel: np.ndarray, depth_image: np.ndarray, radius: int,
     return reproject(pixel, slice_depth(pixel, depth_image, radius), k)
 
 
-@dataclass(frozen=True)
-class FusedKeypoint:
-    """World-frame keypoint fused across cameras."""
+def effectiveness_factor(n):
+    """Camera-count weighting (1 - e^-N) / (1 + e^-N), in (0, 1) for N >= 1.
 
-    keypoint: int
-    position_world: np.ndarray
-    confidence: float
-    contributing_cameras: int
-
-
-def effectiveness_factor(n: int) -> float:
-    """Camera-count weighting (1 - e^-N) / (1 + e^-N), in (0, 1)."""
-    e = np.exp(-float(n))
-    return float((1.0 - e) / (1.0 + e))
-
-
-def fuse(per_camera, keypoint: int = -1) -> FusedKeypoint:
-    """Confidence-weighted fusion of per-camera 3D keypoint estimates.
-
-    ``per_camera`` holds (position_camera_frame, confidence, cam_to_world)
-    triples. The fused position is the closed-form minimizer of the
-    weighted squared-distance objective over world-frame positions; the
-    fused confidence scales the average confidence by the effectiveness
-    factor of the camera count.
+    ``n`` may be an array of counts; the factor is then elementwise.
     """
-    if not per_camera:
-        raise EmptyInput("no cameras contributed")
-    weights = np.array([c for _, c, _ in per_camera], dtype=np.float64)
-    world = np.stack([t.apply(np.asarray(p, dtype=np.float64))
-                      for p, _, t in per_camera])
-    position = (weights[:, None] * world).sum(axis=0) / weights.sum()
-    n = len(per_camera)
-    conf = effectiveness_factor(n) * float(weights.mean())
-    return FusedKeypoint(keypoint, position, conf, n)
+    e = np.exp(-np.asarray(n, dtype=np.float64))
+    return (1.0 - e) / (1.0 + e)
+
+
+def fuse(lifts: np.ndarray, lifted: np.ndarray, confidences: np.ndarray,
+         poses) -> tuple:
+    """Confidence-weighted fusion of every keypoint across C cameras.
+
+    ``lifts`` (C, 17, 3) holds camera-frame positions, used where the
+    (C, 17) mask ``lifted`` is true; ``confidences`` (C, 17) are their
+    weights and ``poses`` the C camera-to-world transforms. A keypoint's
+    fused position is the closed-form minimizer of the weighted
+    squared-distance objective over world-frame positions, and its fused
+    confidence scales the mean confidence of the cameras that lifted it
+    by the effectiveness factor of their count.
+
+    Returns the (17, 3) world positions and the (17,) fused confidences.
+    A keypoint whose weights sum to 0, because no camera lifted it or
+    every one that did reported confidence 0, is unfused: its row is NaN
+    and its confidence 0.
+
+    Each lift is rotated as a stack of matrix-vector products, which
+    gives the same bits as ``R @ p`` (``P @ R.T`` does not), and cameras
+    that did not lift a keypoint add exact zeros, so a keypoint's result
+    does not depend on the other cameras in the rig.
+    """
+    rotations = np.stack([pose.rotation for pose in poses])
+    translations = np.stack([pose.translation for pose in poses])
+    world = np.matmul(rotations[:, None], lifts[..., None])[..., 0] + translations[:, None]
+    weights = np.where(lifted, confidences, 0.0)
+    weighted = np.where(lifted[..., None], weights[..., None] * world, 0.0)
+    total = weights.sum(axis=0)
+    fused = total > 0.0
+    positions = np.full((lifted.shape[1], 3), np.nan)
+    np.divide(weighted.sum(axis=0), total[:, None], out=positions, where=fused[:, None])
+    counts = lifted.sum(axis=0)
+    mean = np.divide(total, counts, out=np.zeros_like(total), where=counts > 0)
+    return positions, effectiveness_factor(counts) * mean

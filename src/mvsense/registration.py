@@ -309,18 +309,16 @@ def _inside_any(cylinders: list, points: np.ndarray, radial_margin: float) -> np
     return inside.any(axis=0)
 
 
-def register_tree(tree: BodyTree, clouds: dict, fused: dict,
+def register_tree(tree: BodyTree, clouds: dict,
                   dims: PartDimensions | None = None,
                   model_samples: int = 128) -> BodyTree:
     """Register every active part, parents first, constraints maintained.
 
-    ``clouds`` maps part -> (N, 3) merged world points; ``fused`` maps
-    keypoint -> FusedKeypoint (used to refresh the tree's keypoint table).
+    ``clouds`` maps part -> (N, 3) merged world points. The tree's
+    keypoint table, filled by ``body.augment``, seeds each part's state.
     Per-part failures mark the node and never abort the rest of the tree.
     """
     dims = dims or PartDimensions()
-    for k, fk in fused.items():
-        tree.keypoints[k] = np.asarray(fk.position_world, dtype=np.float64)
 
     settled = []  # confidently registered cylinders, used to strip bleed-over
     for part in tree.traversal():

@@ -45,12 +45,15 @@ class SchedulerParams:
 
 @dataclass
 class CollisionEstimate:
-    """Clearances and surrogate collision probabilities per interval/part."""
+    """Clearances and positional uncertainty per interval/part.
+
+    The baseline collision probabilities are
+    ``collision_probability(clearances, sigmas)``.
+    """
 
     parts: list                      # part ids, column order of the matrices
     clearances: np.ndarray           # (M+1, P) min robot distance per interval
     sigmas: np.ndarray               # (P,) current positional uncertainty
-    p_collide: np.ndarray            # (M+1, P) baseline probabilities
 
 
 @dataclass
@@ -98,9 +101,8 @@ def estimate_collision(part_cylinders: dict, sigmas: dict, robot_links_at,
         for m in range(m1):
             if ends[m + 2] > ends[m]:
                 clearances[m] = np.maximum(gap[:, ends[m]:ends[m + 2]].min(axis=1), 0.0)
-    sig = np.array([sigmas[part] for part in parts], dtype=np.float64)
-    p_col = collision_probability(clearances, sig[None, :])
-    return CollisionEstimate(parts, clearances, sig, p_col)
+    return CollisionEstimate(parts, clearances,
+                             np.array([sigmas[part] for part in parts], dtype=np.float64))
 
 
 def _axis_points(lo: float, hi: float, n: int) -> np.ndarray:

@@ -5,9 +5,10 @@ import pytest
 
 from mvsense import body
 from mvsense.body import KeypartState
-from mvsense.geometry import BehindCamera, Intrinsics, RigidTransform, cast_rays, cylinder_table
-from mvsense.geometry import project
+from keypoints_reference import BehindCamera, project
+from mvsense.geometry import Intrinsics, RigidTransform, cast_rays, cylinder_table
 from mvsense.geometry import frame_from_axis, normalize, rot_x, rot_y, rot_z
+from mvsense.keypoints import fuse
 from mvsense.registration import sample_cylinder_local
 from mvsense.scheduler import P_CAP
 from mvsense.simulator import occlusion_mask, synthetic_detect
@@ -33,6 +34,20 @@ def random_rigid(rng) -> RigidTransform:
     r = rot_z(a) @ rot_y(b) @ rot_x(c)
     t = rng.uniform(-2.0, 2.0, 3)
     return RigidTransform(r, t)
+
+
+def fuse_one(entries) -> tuple:
+    """``keypoints.fuse`` of one keypoint seen by every camera of ``entries``.
+
+    ``entries`` holds (position_camera_frame, confidence, cam_to_world)
+    triples, one per camera; returns the world position and the fused
+    confidence.
+    """
+    lifts = np.array([p for p, _c, _t in entries], dtype=np.float64)[:, None]
+    confidences = np.array([[c] for _p, c, _t in entries], dtype=np.float64)
+    positions, fused = fuse(lifts, np.ones(confidences.shape, dtype=bool), confidences,
+                            [t for _p, _c, t in entries])
+    return positions[0], fused[0]
 
 
 def ray_cylinder_hits_reference(origins, dirs, cyl):

@@ -158,12 +158,10 @@ def icp_register(model_local: np.ndarray, data_pts: np.ndarray,
     return ICPResult(state, iterations, float(residual), converged)
 
 
-def register_tree(tree: BodyTree, clouds: dict, fused: dict,
+def register_tree(tree: BodyTree, clouds: dict,
                   dims: PartDimensions | None = None,
                   model_samples: int = 128) -> BodyTree:
     dims = dims or PartDimensions()
-    for k, fk in fused.items():
-        tree.keypoints[k] = np.asarray(fk.position_world, dtype=np.float64)
 
     settled = []  # confidently registered cylinders, used to strip bleed-over
     for part in tree.traversal():

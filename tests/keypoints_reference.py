@@ -1,0 +1,105 @@
+"""Per-keypoint fusion and mask anchoring that ``mvsense`` replaced, kept as oracles.
+
+``fuse`` is the body from before a frame's keypoints were fused in one
+call: it takes one keypoint's (position_camera_frame, confidence,
+cam_to_world) triples and returns its world position, fused confidence
+and camera count; ``assert_same_fusion`` checks a whole frame's fusion
+against it. ``project`` is the one-point projection that
+``geometry`` had, raising ``BehindCamera`` for a point at non-positive
+camera depth. ``project_keypoints_to_mask`` anchors keypoint by keypoint
+from a dict of fused world positions and returns keypoint -> (pixel,
+depth). ``anchor_tables`` turns such a dict into the two arrays the live
+code returns, and ``assert_same_anchors`` compares them by their bytes.
+The live code must give the same bits on every input.
+"""
+
+import numpy as np
+
+from mvsense import body
+from mvsense.keypoints import NoValidDepth, effectiveness_factor, slice_depth
+
+
+class BehindCamera(ValueError):
+    """Point has non-positive depth in the camera frame."""
+
+
+def fuse(per_camera) -> tuple:
+    """(world position, fused confidence, camera count) of one keypoint."""
+    if not per_camera:
+        raise ValueError("no cameras contributed")
+    weights = np.array([c for _, c, _ in per_camera], dtype=np.float64)
+    world = np.stack([t.apply(np.asarray(p, dtype=np.float64))
+                      for p, _, t in per_camera])
+    position = (weights[:, None] * world).sum(axis=0) / weights.sum()
+    n = len(per_camera)
+    conf = effectiveness_factor(n) * float(weights.mean())
+    return position, conf, n
+
+
+def assert_same_fusion(got: tuple, lifts, lifted, confidences, poses) -> None:
+    """``keypoints.fuse``'s (positions, confidences) against this file's
+    ``fuse``, keypoint by keypoint, by their bytes. Where the reference
+    divides 0 by 0 (no weight), the live row must be NaN."""
+    positions, fused = got
+    for kp in range(lifted.shape[1]):
+        entries = [(lifts[c, kp], confidences[c, kp], poses[c])
+                   for c in range(len(poses)) if lifted[c, kp]]
+        if not entries:
+            assert np.isnan(positions[kp]).all() and fused[kp] == 0.0, kp
+            continue
+        with np.errstate(invalid="ignore"):
+            position, confidence, _n = fuse(entries)
+        assert fused[kp].hex() == confidence.hex(), kp
+        if sum(c for _p, c, _t in entries) == 0.0:
+            assert np.isnan(positions[kp]).all(), kp
+        else:
+            assert positions[kp].tobytes() == position.tobytes(), kp
+
+
+def project(point_world, pose, k):
+    """Project a world point; returns ((u, v), depth)."""
+    p_cam = pose.inverse().apply(np.asarray(point_world, dtype=np.float64))
+    z = p_cam[2]
+    if z <= 0:
+        raise BehindCamera(f"point at camera depth {z:.6f}")
+    u = k.fx * p_cam[0] / z + k.cx
+    v = k.fy * p_cam[1] / z + k.cy
+    return np.array([u, v]), float(z)
+
+
+def project_keypoints_to_mask(fused: dict, pixels, world_from_cam, k, depth_image,
+                              slice_radius: int, parts) -> dict:
+    """keypoint -> (pixel, depth) for every keypoint of the given parts."""
+    anchors: dict = {}
+    wanted = set()
+    for j in parts:
+        wanted.update(body.PART_KEYPOINTS[j])
+    for kp in sorted(wanted):
+        position = fused.get(kp)
+        if position is not None:
+            try:
+                anchors[kp] = project(position, world_from_cam, k)
+            except BehindCamera:
+                continue
+        else:
+            try:
+                depth = slice_depth(pixels[kp], depth_image, slice_radius)
+            except NoValidDepth:
+                continue
+            anchors[kp] = (pixels[kp], depth)
+    return anchors
+
+
+def anchor_tables(anchors: dict) -> tuple:
+    """(17, 2) pixels and (17,) depths, NaN where a keypoint has no anchor."""
+    pixels = np.full((body.NUM_KEYPOINTS, 2), np.nan)
+    depths = np.full(body.NUM_KEYPOINTS, np.nan)
+    for kp, (pixel, depth) in anchors.items():
+        pixels[kp], depths[kp] = pixel, depth
+    return pixels, depths
+
+
+def assert_same_anchors(got: tuple, anchors: dict) -> None:
+    want = anchor_tables(anchors)
+    for a, b, name in zip(got, want, ("pixels", "depths")):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name

@@ -108,8 +108,7 @@ def estimate_collision(part_cylinders: dict, sigmas: dict, robot_links_at,
         gap = dist - part_r[:, None] - link_r[None, :]
         clearances[m] = np.maximum(gap.min(axis=1), 0.0)
     sig = np.array([sigmas[part] for part in parts], dtype=np.float64)
-    p_col = collision_probability(clearances, sig[None, :])
-    return CollisionEstimate(parts, clearances, sig, p_col)
+    return CollisionEstimate(parts, clearances, sig)
 
 
 def _interval_term(clearance_row, sig) -> float:
@@ -216,7 +215,7 @@ def _greedy(tables, estimate, params, m1):
 
 def assert_same_estimate(got: CollisionEstimate, want: CollisionEstimate):
     assert got.parts == want.parts
-    for name in ("clearances", "sigmas", "p_collide"):
+    for name in ("clearances", "sigmas"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 

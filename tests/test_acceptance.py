@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    fuse_one,
     is_connected,
     keypoint_flags,
     objective_value,
@@ -29,10 +30,8 @@ from mvsense.body import (
 )
 from mvsense.geometry import Intrinsics, normalize, rot_x, rot_z
 from mvsense.keypoints import (
-    FusedKeypoint,
     PresenceWindow,
     effectiveness_factor,
-    fuse,
     lift_depth,
 )
 from mvsense.keyparts import Trapezoid, base_half_length, paint_masks, BACKGROUND
@@ -73,8 +72,8 @@ def test_criterion_01_fusion_optimality(rng):
 
     worst = 0.0
     for i, entries in enumerate(cases):
-        fk = fuse(entries)
-        worst = max(worst, float(np.linalg.norm(fk.position_world - x[i])))
+        position, _confidence = fuse_one(entries)
+        worst = max(worst, float(np.linalg.norm(position - x[i])))
     elapsed = time.perf_counter() - t0
     assert worst < 1e-6, f"max deviation {worst}"
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
@@ -88,10 +87,10 @@ def test_criterion_02_confidence_update(rng):
         confs = rng.uniform(0.05, 0.95, n)
         entries = [(np.zeros(3), float(c),
                     random_rigid(rng)) for c in confs]
-        fk = fuse(entries)
+        _position, confidence = fuse_one(entries)
         e = np.exp(-float(n))
         direct = (1.0 - e) / (1.0 + e) * (confs.sum() / n)
-        assert abs(fk.confidence - direct) < 1e-12
+        assert abs(confidence - direct) < 1e-12
     factors = [effectiveness_factor(n) for n in range(1, 11)]
     assert all(b > a for a, b in zip(factors, factors[1:]))
     assert all(0.0 < f < 1.0 for f in factors)
@@ -243,13 +242,11 @@ def test_criterion_07_tree_connectivity(rng):
     dofs[8:10] = (-0.4, -0.3)
     dofs[12:14] = (-0.2, 0.45)
     posed = pose_from_dofs(dofs)
-    fused = {k: FusedKeypoint(k, posed.keypoints[k], 0.8, 2)
-             for k in range(body.NUM_KEYPOINTS)}
     clouds = {p: sample_cylinder(posed.states[p], 400)
               + rng.normal(0, 0.003, (400, 3)) for p in range(10)}
     tree = register_tree(augment(build_tree(range(10)),
                                  dict(enumerate(posed.keypoint_array()))),
-                         clouds, fused)
+                         clouds)
     worst_gap = 0.0
     for part, parent in body.PARENT.items():
         if parent is None:

@@ -1,4 +1,7 @@
-"""Projection, rigid-transform, and ray/cylinder geometry tests.
+"""Back-projection, rigid-transform, and ray/cylinder geometry tests.
+
+Back-projection is checked against the one-point projection kept in
+``keypoints_reference``.
 
 The ray/cylinder reference is a sphere-tracing oracle on the finite
 cylinder's signed distance field, independent of the quadratic solve.
@@ -10,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import at_origin, first_hit, identity, random_rigid, ray_cylinder_hits_reference
+from keypoints_reference import project
 from mvsense.geometry import (
     RAY_BLOCK,
-    BehindCamera,
     Cylinder,
     InvalidDepth,
     RigidTransform,
@@ -21,7 +24,6 @@ from mvsense.geometry import (
     cylinder_table,
     frame_from_axis,
     normalize,
-    project,
     reproject,
     rotation_between,
     segment_segment_distance,
@@ -92,10 +94,6 @@ class TestProjection:
                            identity(), k_vga)
         # 500 * 1/2 + 320
         assert pixel == pytest.approx([570.0, 240.0])
-
-    def test_behind_camera_raises(self, k_vga):
-        with pytest.raises(BehindCamera):
-            project(np.array([0.0, 0.0, -1.0]), identity(), k_vga)
 
     def test_reproject_principal_point(self, k_vga):
         p = reproject((320.0, 240.0), 3.5, k_vga)

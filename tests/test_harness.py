@@ -212,6 +212,26 @@ class TestRunTrial:
         assert not any(m.rows[5][f"pred_{j}"] for j in range(body.NUM_KEYPARTS))
         assert m.rows[:5] == clean.rows[:5]
 
+    def test_zero_confidence_keypoints_fail_no_frame(self, monkeypatch, caplog):
+        """A detector that reports confidence 0 from its fifth call on, while
+        the presence windows still hold its keypoints present: fusion has no
+        weight for them, so they are unfused and their masks fall back to
+        the detected pixels, and no frame fails."""
+        synthetic_detect = simulator.synthetic_detect
+        calls = []
+
+        def fading(*args):
+            pixels, conf = synthetic_detect(*args)
+            calls.append(None)
+            return pixels, conf if len(calls) < 5 else np.zeros_like(conf)
+
+        monkeypatch.setattr(simulator, "synthetic_detect", fading)
+        with caplog.at_level(logging.ERROR, logger="mvsense.harness"):
+            m = run_trial(scenario.TEMPLATES["reach-in"](), config="single-fixed", frames=8)
+        assert not [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        # the windows hold parts present for some frames after the fade
+        assert any(m.rows[4][f"pred_{j}"] for j in range(body.NUM_KEYPARTS))
+
     def test_failed_frame_adds_no_pose_error(self, monkeypatch):
         """Frames that fail in the scheduler, after their trees were
         registered, predict every part absent and add no pose error."""

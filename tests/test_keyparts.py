@@ -18,11 +18,12 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from conftest import hires, identity
+import keypoints_reference as ref
+from conftest import hires, identity, random_rigid
 from mvsense import body, harness, keyparts, scenario
 from mvsense.filters import largest_euclidean_cluster, voxel_downsample
 from mvsense.geometry import Cylinder, Intrinsics, reproject_many
-from mvsense.keypoints import FusedKeypoint, PresenceWindow
+from mvsense.keypoints import PresenceWindow
 from mvsense.keyparts import (
     BACKGROUND,
     CloudParams,
@@ -131,67 +132,133 @@ def detected_pixels(pixel=(40.0, 30.0)):
     return np.tile(np.asarray(pixel, dtype=np.float64), (body.NUM_KEYPOINTS, 1))
 
 
+def fused_table(rows: dict):
+    """The (17, 3) world keypoint table with the given rows, NaN elsewhere."""
+    table = np.full((body.NUM_KEYPOINTS, 3), np.nan)
+    for kp, position in rows.items():
+        table[kp] = position
+    return table
+
+
 class TestProjectKeypointsToMask:
     def test_fused_point_on_optical_axis(self):
         k = k_small()
-        fused = {0: FusedKeypoint(0, np.array([0.0, 0.0, 2.0]), 0.9, 1)}
+        fused = fused_table({0: (0.0, 0.0, 2.0)})
         depth = np.full((120, 160), 1.5)
-        anchors = project_keypoints_to_mask(
+        pixels, depths = project_keypoints_to_mask(
             fused, detected_pixels(), identity(), k, depth, 3, [body.HEAD])
         # the fused projection, not the detected pixel and its sliced depth
-        assert np.allclose(anchors[0].pixel, [k.cx, k.cy], atol=1e-9)
-        assert anchors[0].depth == pytest.approx(2.0)
+        assert np.allclose(pixels[0], [k.cx, k.cy], atol=1e-9)
+        assert depths[0] == pytest.approx(2.0)
 
-    def test_absent_keypoint_falls_back_to_detected_pixel(self):
+    def test_unfused_keypoint_falls_back_to_detected_pixel(self):
         k = k_small()
         depth = np.full((120, 160), 1.5)
-        anchors = project_keypoints_to_mask(
-            {}, detected_pixels(), identity(), k, depth, 3, [body.HEAD])
-        assert sorted(anchors) == list(body.PART_KEYPOINTS[body.HEAD])
-        assert np.allclose(anchors[0].pixel, [40.0, 30.0])
-        assert anchors[0].depth == pytest.approx(1.5)
+        pixels, depths = project_keypoints_to_mask(
+            fused_table({}), detected_pixels(), identity(), k, depth, 3, [body.HEAD])
+        assert np.flatnonzero(~np.isnan(depths)).tolist() == \
+            list(body.PART_KEYPOINTS[body.HEAD])
+        assert np.allclose(pixels[0], [40.0, 30.0])
+        assert depths[0] == pytest.approx(1.5)
+        assert np.isnan(pixels[body.L_HIP]).all()  # not a head keypoint
 
     def test_detected_pixel_without_depth_skipped(self):
         depth = np.zeros((120, 160))
-        assert project_keypoints_to_mask({}, detected_pixels(), identity(), k_small(),
-                                         depth, 3, [body.HEAD]) == {}
+        pixels, depths = project_keypoints_to_mask(
+            fused_table({}), detected_pixels(), identity(), k_small(), depth, 3,
+            [body.HEAD])
+        assert np.isnan(pixels).all() and np.isnan(depths).all()
 
     def test_behind_camera_keypoint_skipped(self):
         k = k_small()
-        fused = {0: FusedKeypoint(0, np.array([0.0, 0.0, -1.0]), 0.9, 1),
-                 1: FusedKeypoint(1, np.array([0.1, 0.0, 2.0]), 0.9, 1)}
+        fused = fused_table({0: (0.0, 0.0, -1.0), 1: (0.1, 0.0, 2.0)})
         depth = np.full((120, 160), 1.5)
-        anchors = project_keypoints_to_mask(
+        pixels, depths = project_keypoints_to_mask(
             fused, detected_pixels(), identity(), k, depth, 3, [body.HEAD])
-        assert 0 not in anchors
-        assert 1 in anchors  # the keypoint in front still gets its anchor
+        assert np.isnan(depths[0]) and np.isnan(pixels[0]).all()
+        assert depths[1] == pytest.approx(2.0)  # the keypoint in front keeps its anchor
 
-    def test_other_projection_errors_propagate(self, monkeypatch):
+    def test_other_slice_errors_propagate(self, monkeypatch):
         def broken(*_args):
-            raise ZeroDivisionError("bug in project")
+            raise ZeroDivisionError("bug in slice_depth")
 
-        monkeypatch.setattr(keyparts, "project", broken)
-        fused = {0: FusedKeypoint(0, np.array([0.0, 0.0, 2.0]), 0.9, 1)}
-        with pytest.raises(ZeroDivisionError, match="bug in project"):
-            project_keypoints_to_mask(fused, detected_pixels(), identity(), k_small(),
-                                      np.full((120, 160), 1.5), 3, [body.HEAD])
+        monkeypatch.setattr(keyparts, "slice_depth", broken)
+        with pytest.raises(ZeroDivisionError, match="bug in slice_depth"):
+            project_keypoints_to_mask(fused_table({}), detected_pixels(), identity(),
+                                      k_small(), np.full((120, 160), 1.5), 3, [body.HEAD])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_keypoint_reference_bit_for_bit(self, seed):
+        """Random tables with unfused rows and rows behind the camera, random
+        parts, and depth images with holes that fail some fallbacks."""
+        rng = np.random.default_rng(seed)
+        k = k_small()
+        for _ in range(50):
+            pose = random_rigid(rng)
+            cam = np.column_stack([rng.uniform(-1.0, 1.0, (body.NUM_KEYPOINTS, 2)),
+                                   rng.uniform(-1.0, 4.0, body.NUM_KEYPOINTS)])
+            fused = pose.apply(cam)
+            fused[rng.random(body.NUM_KEYPOINTS) < 0.3] = np.nan
+            pixels = rng.uniform(-5.0, [165.0, 125.0], (body.NUM_KEYPOINTS, 2))
+            depth = rng.uniform(0.5, 4.0, (120, 160))
+            depth[rng.random((120, 160)) < 0.3] = 0.0
+            depth[:, :40] = 0.0
+            parts = sorted(rng.choice(body.NUM_KEYPARTS, rng.integers(0, 11),
+                                      replace=False).tolist())
+            rows = {kp: fused[kp] for kp in range(body.NUM_KEYPOINTS)
+                    if not np.isnan(fused[kp, 0])}
+            ref.assert_same_anchors(
+                project_keypoints_to_mask(fused, pixels, pose, k, depth, 2, parts),
+                ref.project_keypoints_to_mask(rows, pixels, pose, k, depth, 2, parts))
 
     def test_part_endpoints_torso_uses_midpoints(self):
-        from mvsense.keyparts import MaskAnchor
-        anchors = {
-            body.L_SHOULDER: MaskAnchor(np.array([10.0, 10.0]), 2.0),
-            body.R_SHOULDER: MaskAnchor(np.array([30.0, 10.0]), 2.2),
-            body.L_HIP: MaskAnchor(np.array([12.0, 60.0]), 2.1),
-            body.R_HIP: MaskAnchor(np.array([28.0, 60.0]), 2.3),
-        }
-        (pu, du), (pl, dl) = part_endpoints(body.TORSO, anchors)
+        pixels, depths = ref.anchor_tables({
+            body.L_SHOULDER: (np.array([10.0, 10.0]), 2.0),
+            body.R_SHOULDER: (np.array([30.0, 10.0]), 2.2),
+            body.L_HIP: (np.array([12.0, 60.0]), 2.1),
+            body.R_HIP: (np.array([28.0, 60.0]), 2.3),
+        })
+        (pu, du), (pl, dl) = part_endpoints(body.TORSO, pixels, depths)
         assert np.allclose(pu, [20.0, 10.0])
         assert np.allclose(pl, [20.0, 60.0])
         assert du == pytest.approx(2.1)
         assert dl == pytest.approx(2.2)
 
     def test_part_endpoints_missing_side_returns_none(self):
-        assert part_endpoints(body.L_UPPER_ARM, {}) is None
+        assert part_endpoints(body.L_UPPER_ARM, *ref.anchor_tables({})) is None
+
+
+class TestFusionMatchesPerKeypointReference:
+    """Every fuse and anchor call of short template trials equals the
+    per-keypoint reference bit for bit."""
+
+    @pytest.mark.parametrize("config", ["multi-active", "single-fixed"])
+    def test_template_trials(self, config, monkeypatch):
+        calls = {"fuse": 0, "anchors": 0}
+        fuse, anchor = harness.fuse, keyparts.project_keypoints_to_mask
+
+        def fuse_compared(*args):
+            got = fuse(*args)
+            ref.assert_same_fusion(got, *args)
+            calls["fuse"] += 1
+            return got
+
+        def anchor_compared(fused, *rest):
+            got = anchor(fused, *rest)
+            rows = {kp: fused[kp] for kp in range(body.NUM_KEYPOINTS)
+                    if not np.isnan(fused[kp, 0])}
+            ref.assert_same_anchors(got, ref.project_keypoints_to_mask(rows, *rest))
+            calls["anchors"] += 1
+            return got
+
+        monkeypatch.setattr(harness, "fuse", fuse_compared)
+        monkeypatch.setattr(keyparts, "project_keypoints_to_mask", anchor_compared)
+        frames = 0
+        for name in sorted(scenario.TEMPLATES):
+            script = scenario.TEMPLATES[name](seed=3, duration=0.6)
+            frames += harness.run_trial(script, config=config).frames
+        assert calls["fuse"] == frames
+        assert calls["anchors"] > 0
 
 
 def brute_force_labels(trapezoids, width, height):

@@ -8,10 +8,11 @@ minimizer of the weighted squared-distance objective.
 import numpy as np
 import pytest
 
-from conftest import identity, random_rigid
+import keypoints_reference as ref
+from conftest import fuse_one, identity, random_rigid
+from mvsense.body import NUM_KEYPOINTS
 from mvsense.keypoints import (
     DetectorFailure,
-    EmptyInput,
     NoValidDepth,
     PresenceWindow,
     detect,
@@ -191,56 +192,88 @@ def gradient_descent_minimizer(entries, iters=300):
     return x
 
 
+def random_frame(rng, cameras, lift_share=0.7):
+    """A frame's fuse inputs: (C, 17, 3) lifts, (C, 17) lifted mask and
+    confidences, C poses. Unlifted slots hold NaN or junk, which fusion
+    must ignore; about one confidence in eight is 0."""
+    lifts = rng.uniform(-2.0, 2.0, (cameras, NUM_KEYPOINTS, 3))
+    lifted = rng.random((cameras, NUM_KEYPOINTS)) < lift_share
+    lifts[~lifted & (rng.random(lifted.shape) < 0.5)] = np.nan
+    confidences = rng.uniform(0.0, 1.0, (cameras, NUM_KEYPOINTS))
+    confidences[rng.random(confidences.shape) < 0.125] = 0.0
+    return lifts, lifted, confidences, [random_rigid(rng) for _ in range(cameras)]
+
+
 class TestFuse:
     def test_single_camera(self, rng):
         t = random_rigid(rng)
         q = rng.uniform(-1, 1, 3)
-        fk = fuse([(q, 0.8, t)], keypoint=4)
-        assert np.allclose(fk.position_world, t.apply(q), atol=1e-12)
+        position, confidence = fuse_one([(q, 0.8, t)])
+        assert np.allclose(position, t.apply(q), atol=1e-12)
         expected = (1 - np.exp(-1)) / (1 + np.exp(-1)) * 0.8
-        assert fk.confidence == pytest.approx(expected, abs=1e-12)
-        assert fk.confidence == pytest.approx(0.46211715726 * 0.8, abs=1e-9)
-        assert fk.contributing_cameras == 1
+        assert confidence == pytest.approx(expected, abs=1e-12)
+        assert confidence == pytest.approx(0.46211715726 * 0.8, abs=1e-9)
 
     def test_two_equal_cameras_average(self):
         ident = identity()
         a = np.array([1.0, 0.0, 0.0])
         b = np.array([0.0, 1.0, 0.0])
-        fk = fuse([(a, 0.5, ident), (b, 0.5, ident)])
-        assert np.allclose(fk.position_world, (a + b) / 2, atol=1e-12)
+        position, _confidence = fuse_one([(a, 0.5, ident), (b, 0.5, ident)])
+        assert np.allclose(position, (a + b) / 2, atol=1e-12)
 
-    def test_empty_input(self):
-        with pytest.raises(EmptyInput):
-            fuse([])
+    def test_unlifted_keypoint_is_unfused(self, rng):
+        lifts, lifted, confidences, poses = random_frame(rng, 2, lift_share=1.0)
+        lifted[:, 3] = False
+        positions, fused = fuse(lifts, lifted, confidences + 0.1, poses)
+        assert np.isnan(positions[3]).all() and fused[3] == 0.0
+        assert not np.isnan(np.delete(positions, 3, axis=0)).any()
+
+    def test_zero_weight_keypoint_is_unfused(self, rng):
+        """Lifted only by cameras that report confidence 0: a NaN row, not 0/0."""
+        lifts, lifted, confidences, poses = random_frame(rng, 3, lift_share=1.0)
+        confidences[:, 5] = 0.0
+        confidences[:, 6] = (0.0, 0.5, 0.5)
+        with np.errstate(all="raise"):
+            positions, fused = fuse(lifts, lifted, confidences, poses)
+        assert np.isnan(positions[5]).all() and fused[5] == 0.0
+        # a camera of weight 0 beside others leaves the keypoint fused
+        assert np.isfinite(positions[6]).all() and fused[6] > 0.0
+
+    @pytest.mark.parametrize("cameras", [1, 2, 3, 4])
+    def test_matches_per_keypoint_reference_bit_for_bit(self, rng, cameras):
+        for _ in range(40):
+            lifts, lifted, confidences, poses = random_frame(rng, cameras)
+            ref.assert_same_fusion(fuse(lifts, lifted, confidences, poses),
+                                   lifts, lifted, confidences, poses)
 
     def test_matches_numeric_minimizer(self, rng):
         for _ in range(50):
             n = rng.integers(2, 5)
             entries = [(rng.uniform(-1, 1, 3), rng.uniform(0.1, 1.0),
                         random_rigid(rng)) for _ in range(n)]
-            fk = fuse(entries)
+            position, _confidence = fuse_one(entries)
             numeric = gradient_descent_minimizer(entries)
-            assert np.allclose(fk.position_world, numeric, atol=1e-6)
+            assert np.allclose(position, numeric, atol=1e-6)
 
     def test_closed_form_beats_perturbations(self, rng):
         entries = [(rng.uniform(-1, 1, 3), rng.uniform(0.1, 1.0),
                     random_rigid(rng)) for _ in range(3)]
-        fk = fuse(entries)
-        best = fusion_objective(fk.position_world, entries)
+        position, _confidence = fuse_one(entries)
+        best = fusion_objective(position, entries)
         for _ in range(1000):
             delta = rng.uniform(-1, 1, 3)
             delta = delta / np.linalg.norm(delta) * rng.uniform(0, 0.1)
-            assert fusion_objective(fk.position_world + delta, entries) >= best - 1e-12
+            assert fusion_objective(position + delta, entries) >= best - 1e-12
 
     def test_weight_scaling_leaves_position_unchanged(self, rng):
         entries = [(rng.uniform(-1, 1, 3), rng.uniform(0.1, 0.5),
                     random_rigid(rng)) for _ in range(4)]
-        fk1 = fuse(entries)
+        position1, confidence1 = fuse_one(entries)
         lam = 1.7
         scaled = [(p, c * lam, t) for p, c, t in entries]
-        fk2 = fuse(scaled)
-        assert np.allclose(fk1.position_world, fk2.position_world, atol=1e-12)
-        assert fk1.confidence != pytest.approx(fk2.confidence)
+        position2, confidence2 = fuse_one(scaled)
+        assert np.allclose(position1, position2, atol=1e-12)
+        assert confidence1 != pytest.approx(confidence2)
 
     def test_effectiveness_factor_monotone_and_bounded(self):
         values = [effectiveness_factor(n) for n in range(1, 11)]
@@ -252,7 +285,7 @@ class TestFuse:
         prev = 0.0
         for n in range(1, 8):
             entries = [(np.zeros(3), 0.6, ident)] * n
-            fk = fuse(entries)
-            assert 0 < fk.confidence < 1
-            assert fk.confidence > prev
-            prev = fk.confidence
+            _position, confidence = fuse_one(entries)
+            assert 0 < confidence < 1
+            assert confidence > prev
+            prev = confidence

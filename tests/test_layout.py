@@ -1,5 +1,5 @@
-"""Package layout: every function, class, method and module-level constant
-in ``src/mvsense`` has a reader inside the package.
+"""Package layout: every function, class, method, module-level constant
+and dataclass field in ``src/mvsense`` has a reader inside the package.
 
 Code that only the tests call belongs in ``tests/`` (as an oracle helper
 in ``conftest.py``) or nowhere. The scan is by name: a definition counts
@@ -7,7 +7,9 @@ as used when some ``Name``, ``Attribute`` or import in the package refers
 to its name. Docstrings and comments are not references, and dunder
 methods are called by the language, not by name. A constant is a
 module-level assignment to an UPPER_CASE name (a leading underscore
-allowed); assigning it is not reading it.
+allowed); assigning it is not reading it. A dataclass field is read when
+some attribute of that name is loaded; passing it to the constructor or
+assigning it is not reading it.
 """
 
 import ast
@@ -21,6 +23,15 @@ CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
 # Helpers waiting for a caller inside the package (the clearance metric).
 ALLOWED = {"cylinder_clearance"}
+
+# Dataclass fields read outside the package, with the reader.
+ALLOWED_FIELDS = {
+    # perfbench counts the planner's exhaustive searches by it
+    "ViewpointTrajectory.mode",
+    # the plan's score; the per-frame trace of ROADMAP item 2 is to report
+    # what the scheduler chose and why
+    "ViewpointTrajectory.objective",
+}
 
 
 def _scan():
@@ -44,6 +55,27 @@ def _scan():
             elif isinstance(node, ast.ImportFrom):
                 referenced.update(alias.name for alias in node.names)
     return defined, constants, referenced
+
+
+def _is_dataclass(node):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in node.decorator_list)
+
+
+def _fields():
+    """Every dataclass field as Class.field, and the attribute names loaded."""
+    fields, loaded = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                        fields[f"{node.name}.{stmt.target.id}"] = f"{path.name}:{stmt.lineno}"
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    return fields, loaded
 
 
 def _is_dunder(name):
@@ -72,3 +104,18 @@ def test_allowlist_names_exist_and_are_unused():
     for name in ALLOWED:
         assert name in defined, f"{name} is no longer defined"
         assert name not in referenced, f"{name} has a caller now"
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    fields, loaded = _fields()
+    unread = sorted(f"{name} ({where})" for name, where in fields.items()
+                    if name.split(".")[1] not in loaded and name not in ALLOWED_FIELDS)
+    assert not unread, "dataclass fields in src/mvsense never read there: " \
+        + ", ".join(unread)
+
+
+def test_field_allowlist_names_exist_and_are_unread():
+    fields, loaded = _fields()
+    for name in ALLOWED_FIELDS:
+        assert name in fields, f"{name} is no longer a dataclass field"
+        assert name.split(".")[1] not in loaded, f"{name} is read in the package now"

@@ -407,11 +407,6 @@ class TestIcpRegister:
 
 
 class TestRegisterTree:
-    def _fused_from_pose(self, pose):
-        from mvsense.keypoints import FusedKeypoint
-        return {k: FusedKeypoint(k, pose.keypoints[k], 0.8, 2)
-                for k in range(body.NUM_KEYPOINTS)}
-
     def _clouds_from_pose(self, pose, parts, n=400, rng=None):
         clouds = {}
         for p in parts:
@@ -428,7 +423,7 @@ class TestRegisterTree:
         pose = pose_from_dofs(dofs)
         tree = augment(build_tree(range(10)), dict(enumerate(pose.keypoint_array())))
         clouds = self._clouds_from_pose(pose, range(10), rng=rng)
-        tree = register_tree(tree, clouds, self._fused_from_pose(pose))
+        tree = register_tree(tree, clouds)
         for p in range(10):
             st = tree.nodes[p].state
             assert st is not None
@@ -440,7 +435,7 @@ class TestRegisterTree:
         pose = pose_from_dofs(rest_dofs())
         tree = augment(build_tree(range(10)), dict(enumerate(pose.keypoint_array())))
         clouds = self._clouds_from_pose(pose, range(10), rng=rng)
-        tree = register_tree(tree, clouds, self._fused_from_pose(pose))
+        tree = register_tree(tree, clouds)
         for part, parent in body.PARENT.items():
             if parent is None:
                 continue
@@ -455,7 +450,7 @@ class TestRegisterTree:
         tree = augment(build_tree([body.L_UPPER_ARM, body.L_LOWER_ARM]), kps)
         assert tree.nodes[body.TORSO].supplemented
         clouds = self._clouds_from_pose(pose, [body.L_UPPER_ARM, body.L_LOWER_ARM])
-        tree = register_tree(tree, clouds, self._fused_from_pose(pose))
+        tree = register_tree(tree, clouds)
         ua = tree.nodes[body.L_UPPER_ARM]
         assert ua.state is not None
         assert np.linalg.norm(ua.state.base - np.asarray(kps[body.L_SHOULDER])) < 1e-6
@@ -465,7 +460,7 @@ class TestRegisterTree:
         tree = augment(build_tree(range(10)), dict(enumerate(pose.keypoint_array())))
         clouds = self._clouds_from_pose(pose, [p for p in range(10)
                                                if p != body.L_LOWER_LEG])
-        tree = register_tree(tree, clouds, self._fused_from_pose(pose))
+        tree = register_tree(tree, clouds)
         node = tree.nodes[body.L_LOWER_LEG]
         assert node.state is not None
         assert not node.registered
@@ -480,7 +475,7 @@ class TestRegisterTree:
         tree = augment(build_tree([body.TORSO, body.L_LOWER_ARM]), kps)
         clouds = self._clouds_from_pose(pose, [body.TORSO, body.L_LOWER_ARM])
         clouds[body.L_UPPER_ARM] = sample_cylinder(pose.states[body.L_UPPER_ARM], 300)
-        tree = register_tree(tree, clouds, self._fused_from_pose(pose))
+        tree = register_tree(tree, clouds)
         assert tree.nodes[body.L_UPPER_ARM].supplemented
         assert not tree.nodes[body.L_UPPER_ARM].registered
 
@@ -488,12 +483,10 @@ class TestRegisterTree:
         pose = pose_from_dofs(rest_dofs())
         kps = dict(enumerate(pose.keypoint_array()))
         clouds = self._clouds_from_pose(pose, range(10), rng=rng)
-        fused = self._fused_from_pose(pose)
 
         def run():
             tree = augment(build_tree(range(10)), dict(kps))
-            return register_tree(tree, {k: v.copy() for k, v in clouds.items()},
-                                 fused)
+            return register_tree(tree, {k: v.copy() for k, v in clouds.items()})
 
         t1, t2 = run(), run()
         assert t1.traversal() == t2.traversal()
@@ -506,7 +499,6 @@ class TestRegisterTree:
         pose = pose_from_dofs(rest_dofs())
         kps = dict(enumerate(pose.keypoint_array()))
         clouds = self._clouds_from_pose(pose, range(10))
-        fused = self._fused_from_pose(pose)
         models = []
 
         def spy(model_local, *args):
@@ -515,7 +507,7 @@ class TestRegisterTree:
 
         monkeypatch.setattr(registration, "icp_register", spy)
         for _ in range(2):
-            register_tree(augment(build_tree(range(10)), dict(kps)), clouds, fused)
+            register_tree(augment(build_tree(range(10)), dict(kps)), clouds)
         first, second = models[:10], models[10:]
         assert len(first) == len(second) == 10
         assert all(a is b for a, b in zip(first, second))

@@ -39,13 +39,14 @@ class TestCollisionSurrogate:
             {0: vertical(0.0, 0.0)}, {0: 0.05},
             lambda t: [vertical(0.05, 0.0)], SchedulerParams(horizon=1))
         assert est.clearances[0, 0] == 0.0
-        assert est.p_collide[0, 0] == pytest.approx(1.0, abs=1e-9)
+        p = collision_probability(est.clearances, est.sigmas)
+        assert p[0, 0] == pytest.approx(1.0, abs=1e-9)
 
     def test_large_clearance_probability_near_zero(self):
         est = estimate_collision(
             {0: vertical(0.0, 0.0)}, {0: 0.05},
             lambda t: [vertical(5.0, 0.0)], SchedulerParams(horizon=1))
-        assert est.p_collide[0, 0] < 1e-12
+        assert collision_probability(est.clearances, est.sigmas)[0, 0] < 1e-12
 
     def test_doubling_sigma_raises_probability(self):
         c = np.array([0.5])
@@ -142,7 +143,7 @@ class TestPlan:
     def test_no_tracked_parts_holds(self):
         rig = toy_rig()
         params = SchedulerParams()
-        est = CollisionEstimate([], np.zeros((4, 0)), np.zeros(0), np.zeros((4, 0)))
+        est = CollisionEstimate([], np.zeros((4, 0)), np.zeros(0))
         traj = plan([rig], est, {}, params)
         assert traj.mode == "hold"
 
