@@ -11,6 +11,11 @@ A part's pose is its world-frame cylinder (base at the proximal joint,
 axis toward the distal joint). Limb orientation relative to the parent is
 two angles applied intrinsically x-then-y to the parent reference frame;
 spin about a part's own cylinder axis is not modeled.
+
+Keypoint positions are one (17, 3) world table in keypoint order, the
+table ``keypoints.fuse`` returns, with a NaN row for a keypoint not
+known. The tree's supplements and joint constraints and forward
+kinematics read and write its rows.
 """
 
 from __future__ import annotations
@@ -180,10 +185,15 @@ class TreeNode:
 
 @dataclass
 class BodyTree:
-    """Directed keypart tree with presence flags and estimated keypoints."""
+    """Directed keypart tree with presence flags and estimated keypoints.
+
+    ``keypoints`` is the (17, 3) world keypoint table in keypoint order,
+    the one ``keypoints.fuse`` returns: a NaN row is a keypoint not known.
+    """
 
     nodes: dict = field(default_factory=dict)
-    keypoints: dict = field(default_factory=dict)  # keypoint id -> world pos
+    keypoints: np.ndarray = field(
+        default_factory=lambda: np.full((NUM_KEYPOINTS, 3), np.nan))
     excluded: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -209,46 +219,48 @@ def build_tree(present_parts) -> BodyTree:
     return tree
 
 
-def neck_point(keypoints: dict) -> np.ndarray | None:
-    if L_SHOULDER in keypoints and R_SHOULDER in keypoints:
-        return 0.5 * (np.asarray(keypoints[L_SHOULDER]) + np.asarray(keypoints[R_SHOULDER]))
-    return None
+# the torso anchors' rows of a keypoint table (left shoulder, right
+# shoulder, left hip, right hip), as a list for numpy indexing
+TORSO_ROWS = list(PART_KEYPOINTS[TORSO])
 
 
-def fit_torso_state(keypoints: dict, dims: PartDimensions) -> KeypartState | None:
+def neck_point(keypoints: np.ndarray) -> np.ndarray | None:
+    """The shoulder midpoint, or None unless both shoulders are known."""
+    shoulders = keypoints[[L_SHOULDER, R_SHOULDER]]
+    if np.isnan(shoulders[:, 0]).any():
+        return None
+    return 0.5 * (shoulders[0] + shoulders[1])
+
+
+def fit_torso_state(keypoints: np.ndarray, dims: PartDimensions) -> KeypartState | None:
     """Torso pose from its anchor keypoints (5, 6, 11, 12).
 
     With both shoulders and both hips the frame comes from the anchor
     plane: origin at the hip midpoint, up axis along hips->shoulders,
     lateral axis along left->right shoulder projected onto the plane.
     Three anchors reconstruct the fourth by parallelogram symmetry; two
-    same-side anchors fall back to an upright guess. Returns None when
-    fewer than two anchors are known.
+    same-level anchors (both shoulders or both hips) fall back to an
+    upright guess. Returns None for any other pair and for fewer anchors.
     """
-    anchors = {k: np.asarray(keypoints[k], dtype=np.float64)
-               for k in (L_SHOULDER, R_SHOULDER, L_HIP, R_HIP) if k in keypoints}
-    if len(anchors) < 2:
+    a = keypoints[TORSO_ROWS]  # left/right shoulder, left/right hip
+    known = ~np.isnan(a[:, 0])
+    count = int(known.sum())
+    if count < 2:
         return None
 
-    if len(anchors) == 3:
+    if count == 3:
         # parallelogram symmetry: missing = level-mate + side-mate - diagonal
-        missing = next(k for k in (L_SHOULDER, R_SHOULDER, L_HIP, R_HIP) if k not in anchors)
-        level, side, diag = {
-            L_SHOULDER: (R_SHOULDER, L_HIP, R_HIP),
-            R_SHOULDER: (L_SHOULDER, R_HIP, L_HIP),
-            L_HIP: (R_HIP, L_SHOULDER, R_SHOULDER),
-            R_HIP: (L_HIP, R_SHOULDER, L_SHOULDER),
-        }[missing]
-        anchors[missing] = anchors[level] + anchors[side] - anchors[diag]
+        i = int(np.argmin(known))
+        a[i] = a[i ^ 1] + a[i ^ 2] - a[i ^ 3]
 
-    if len(anchors) == 4:
-        sh_mid = 0.5 * (anchors[L_SHOULDER] + anchors[R_SHOULDER])
-        hip_mid = 0.5 * (anchors[L_HIP] + anchors[R_HIP])
+    if count >= 3:
+        sh_mid = 0.5 * (a[0] + a[1])
+        hip_mid = 0.5 * (a[2] + a[3])
         up = sh_mid - hip_mid
         if np.linalg.norm(up) < 1e-6:
             return None
         up = normalize(up)
-        lat = anchors[R_SHOULDER] - anchors[L_SHOULDER]
+        lat = a[1] - a[0]
         lat = lat - (lat @ up) * up
         if np.linalg.norm(lat) < 1e-6:
             return None
@@ -256,15 +268,15 @@ def fit_torso_state(keypoints: dict, dims: PartDimensions) -> KeypartState | Non
         base = hip_mid
     else:
         # two anchors: assume upright, derive what we can
-        if L_SHOULDER in anchors and R_SHOULDER in anchors:
-            sh_mid = 0.5 * (anchors[L_SHOULDER] + anchors[R_SHOULDER])
+        if known[0] and known[1]:
+            sh_mid = 0.5 * (a[0] + a[1])
             up = np.array([0.0, 0.0, 1.0])
-            lat = anchors[R_SHOULDER] - anchors[L_SHOULDER]
+            lat = a[1] - a[0]
             base = sh_mid - up * dims.cylinder_height(TORSO)
-        elif L_HIP in anchors and R_HIP in anchors:
-            hip_mid = 0.5 * (anchors[L_HIP] + anchors[R_HIP])
+        elif known[2] and known[3]:
+            hip_mid = 0.5 * (a[2] + a[3])
             up = np.array([0.0, 0.0, 1.0])
-            lat = anchors[R_HIP] - anchors[L_HIP]
+            lat = a[3] - a[2]
             base = hip_mid
         else:
             return None
@@ -281,27 +293,20 @@ def fit_torso_state(keypoints: dict, dims: PartDimensions) -> KeypartState | Non
     )
 
 
-def torso_anchor_points(state: KeypartState, dims: PartDimensions) -> dict:
-    """Shoulder/hip keypoint positions implied by a torso state."""
-    lat = state.frame[:, 0]
+def torso_anchor_points(state: KeypartState, dims: PartDimensions) -> np.ndarray:
+    """Shoulder/hip keypoint positions implied by a torso state, as the
+    (4, 3) rows of ``TORSO_ROWS``."""
+    half = 0.5 * np.array([-dims.shoulder_width, dims.shoulder_width,
+                           -dims.hip_width, dims.hip_width])
     top = state.tip
-    base = state.base
-    return {
-        L_SHOULDER: top - 0.5 * dims.shoulder_width * lat,
-        R_SHOULDER: top + 0.5 * dims.shoulder_width * lat,
-        L_HIP: base - 0.5 * dims.hip_width * lat,
-        R_HIP: base + 0.5 * dims.hip_width * lat,
-    }
+    return np.array([top, top, state.base, state.base]) + half[:, None] * state.frame[:, 0]
 
 
-def _limb_supplement_state(part: int, keypoints: dict, dims: PartDimensions) -> KeypartState | None:
-    prox = EDGE_KEYPOINT[part]
-    dist = DISTAL_KEYPOINT.get(part)
-    if prox not in keypoints or dist not in keypoints:
-        return None
-    p0 = np.asarray(keypoints[prox], dtype=np.float64)
-    p1 = np.asarray(keypoints[dist], dtype=np.float64)
-    if np.linalg.norm(p1 - p0) < 1e-9:
+def _limb_supplement_state(part: int, keypoints: np.ndarray,
+                           dims: PartDimensions) -> KeypartState | None:
+    p0 = keypoints[EDGE_KEYPOINT[part]].copy()  # the table is written in place later
+    p1 = keypoints[DISTAL_KEYPOINT[part]]
+    if np.isnan(p0[0]) or np.isnan(p1[0]) or np.linalg.norm(p1 - p0) < 1e-9:
         return None
     return KeypartState(
         part, p0, normalize(p1 - p0),
@@ -309,12 +314,13 @@ def _limb_supplement_state(part: int, keypoints: dict, dims: PartDimensions) -> 
     )
 
 
-def head_state_from_keypoints(keypoints: dict, dims: PartDimensions) -> KeypartState | None:
+def head_state_from_keypoints(keypoints: np.ndarray,
+                              dims: PartDimensions) -> KeypartState | None:
     """Head axis from the face-keypoint centroid relative to the neck."""
-    face = [np.asarray(keypoints[k], dtype=np.float64)
-            for k in PART_KEYPOINTS[HEAD] if k in keypoints]
+    face = keypoints[list(PART_KEYPOINTS[HEAD])]
+    face = face[~np.isnan(face[:, 0])]
     neck = neck_point(keypoints)
-    if not face or neck is None:
+    if not len(face) or neck is None:
         return None
     centroid = np.mean(face, axis=0)
     d = centroid - neck
@@ -326,7 +332,8 @@ def head_state_from_keypoints(keypoints: dict, dims: PartDimensions) -> KeypartS
     )
 
 
-def supplement_state(part: int, keypoints: dict, dims: PartDimensions) -> KeypartState | None:
+def supplement_state(part: int, keypoints: np.ndarray,
+                     dims: PartDimensions) -> KeypartState | None:
     """Keypoint-derived state for a node inserted only for connectivity."""
     if part == TORSO:
         return fit_torso_state(keypoints, dims)
@@ -335,90 +342,66 @@ def supplement_state(part: int, keypoints: dict, dims: PartDimensions) -> Keypar
     return _limb_supplement_state(part, keypoints, dims)
 
 
-def augment(tree: BodyTree, fused_keypoints: dict,
-            dims: PartDimensions | None = None) -> BodyTree:
+def augment(tree: BodyTree, keypoints: np.ndarray, dims: PartDimensions) -> BodyTree:
     """Mark the minimal absent ancestors as supplemented so every present
     part connects to the root.
 
-    Supplement states come from the fused keypoints. A present part whose
-    required supplements cannot be localized is excluded from the tree and
+    The tree takes a copy of the (17, 3) fused keypoint table, and the
+    supplement states come from it. A present part whose required
+    supplements cannot be localized is excluded from the tree and
     recorded in ``tree.excluded``.
     """
-    dims = dims or PartDimensions()
-    tree.keypoints.update(
-        {k: np.asarray(v, dtype=np.float64) for k, v in fused_keypoints.items()}
-    )
+    tree.keypoints = np.array(keypoints, dtype=np.float64)
 
-    present = [p for p in range(NUM_KEYPARTS) if tree.nodes[p].present]
-    if not present:
+    # each present part's absent ancestors, root last
+    missing = {}
+    for p in range(NUM_KEYPARTS):
+        if tree.nodes[p].present:
+            missing[p] = []
+            q = PARENT[p]
+            while q is not None:
+                if not tree.nodes[q].present:
+                    missing[p].append(q)
+                q = PARENT[q]
+    if not missing:
         return tree
 
-    needed = set()
-    for p in present:
-        q = PARENT[p]
-        while q is not None:
-            if not tree.nodes[q].present:
-                needed.add(q)
-            q = PARENT[q]
-
     # resolve supplements root-first so dependents can assume ancestors exist
-    states = {}
-    unanchorable = set()
-    for q in sorted(needed):
-        state = supplement_state(q, tree.keypoints, dims)
-        if state is None:
-            unanchorable.add(q)
-        else:
-            states[q] = state
+    states = {q: supplement_state(q, tree.keypoints, dims)
+              for q in sorted({q for chain in missing.values() for q in chain})}
 
-    for p in present:
-        q = PARENT[p]
-        blocked = False
-        while q is not None:
-            if not tree.nodes[q].present and (q in unanchorable):
-                blocked = True
-                break
-            q = PARENT[q]
-        if blocked:
+    for p, chain in missing.items():
+        if any(states[q] is None for q in chain):
             tree.nodes[p].present = False
             tree.nodes[p].note = "excluded: supplement chain unanchorable"
             tree.excluded.append(p)
 
     # keep only supplements still required by surviving parts
-    still_needed = set()
-    for p in range(NUM_KEYPARTS):
-        if tree.nodes[p].present:
-            q = PARENT[p]
-            while q is not None:
-                if not tree.nodes[q].present:
-                    still_needed.add(q)
-                q = PARENT[q]
-    for q in sorted(still_needed):
+    for q in sorted({q for p, chain in missing.items() if tree.nodes[p].present
+                     for q in chain}):
         node = tree.nodes[q]
         node.supplemented = True
         node.state = states[q]
-        if q == TORSO and not all(
-            k in tree.keypoints for k in PART_KEYPOINTS[TORSO]
-        ):
+        if q == TORSO:
             # record the implied anchors so children can articulate
-            tree.keypoints.update(
-                {k: v for k, v in torso_anchor_points(states[q], dims).items()
-                 if k not in tree.keypoints}
-            )
+            anchors = tree.keypoints[TORSO_ROWS]
+            tree.keypoints[TORSO_ROWS] = np.where(
+                np.isnan(anchors[:, :1]), torso_anchor_points(states[q], dims), anchors)
     return tree
 
 
 def parent_joint_position(part: int, tree: BodyTree) -> np.ndarray | None:
-    """World position of the joint where ``part`` attaches to its parent."""
+    """World position of the joint where ``part`` attaches to its parent,
+    a new array (the keypoint table is written in place)."""
     kp = EDGE_KEYPOINT.get(part)
     if kp is None:  # head: synthetic neck
         parent = tree.nodes[TORSO]
         if parent.state is not None:
             return parent.state.tip
         return neck_point(tree.keypoints)
-    if kp in tree.keypoints:
-        return np.asarray(tree.keypoints[kp], dtype=np.float64)
-    return None
+    if np.isnan(tree.keypoints[kp, 0]):
+        return None
+    return tree.keypoints[kp].copy()
 
 
 def enforce_joint_constraints(tree: BodyTree) -> BodyTree:
@@ -435,10 +418,10 @@ def enforce_joint_constraints(tree: BodyTree) -> BodyTree:
         if anchor is None:
             continue
         state = node.state
-        state.base = np.asarray(anchor, dtype=np.float64).copy()
+        state.base = anchor
         kp = EDGE_KEYPOINT.get(part)
         if kp is not None:
-            tree.keypoints[kp] = state.base.copy()
+            tree.keypoints[kp] = state.base
         dist = DISTAL_KEYPOINT.get(part)
         if dist is not None:
             tree.keypoints[dist] = state.tip
@@ -478,23 +461,18 @@ def _head_ref(torso_frame: np.ndarray) -> np.ndarray:
 
 @dataclass
 class HumanPose:
-    """Full-body pose snapshot: per-part states plus keypoint positions."""
+    """Full-body pose snapshot: per-part states plus the (17, 3) keypoint table."""
 
     states: dict
-    keypoints: dict
-    dofs: np.ndarray
+    keypoints: np.ndarray
 
     def cylinders(self) -> list:
         """The part cylinders in part order."""
         return [self.states[p].cylinder() for p in range(NUM_KEYPARTS)]
 
-    def keypoint_array(self) -> np.ndarray:
-        return np.stack([self.keypoints[k] for k in range(NUM_KEYPOINTS)])
 
-
-def pose_from_dofs(dofs, dims: PartDimensions | None = None) -> HumanPose:
+def pose_from_dofs(dofs, dims: PartDimensions) -> HumanPose:
     """Forward kinematics: 24-vector -> world cylinders and 17 keypoints."""
-    dims = dims or PartDimensions()
     d = np.asarray(dofs, dtype=np.float64)
     if d.shape != (TOTAL_DOF,):
         raise ValueError(f"expected {TOTAL_DOF} dof values, got {d.shape}")
@@ -511,7 +489,8 @@ def pose_from_dofs(dofs, dims: PartDimensions | None = None) -> HumanPose:
         )
     }
 
-    keypoints = dict(torso_anchor_points(states[TORSO], dims))
+    keypoints = np.empty((NUM_KEYPOINTS, 3))
+    keypoints[TORSO_ROWS] = torso_anchor_points(states[TORSO], dims)
     neck = states[TORSO].tip
 
     idx = 6
@@ -524,7 +503,7 @@ def pose_from_dofs(dofs, dims: PartDimensions | None = None) -> HumanPose:
             origin = neck
         elif PARENT[part] == TORSO:
             ref = _upper_ref(torso_frame)
-            origin = keypoints[EDGE_KEYPOINT[part]]
+            origin = keypoints[EDGE_KEYPOINT[part]].copy()
         else:
             ref = frames[PARENT[part]]
             origin = states[PARENT[part]].tip
@@ -532,7 +511,7 @@ def pose_from_dofs(dofs, dims: PartDimensions | None = None) -> HumanPose:
         frames[part] = frame
         axis = frame[:, 2]
         states[part] = KeypartState(
-            part, np.asarray(origin, dtype=np.float64), axis,
+            part, origin, axis,
             dims.cylinder_height(part), dims.cylinder_radius(part),
         )
         distal = DISTAL_KEYPOINT.get(part)
@@ -551,4 +530,4 @@ def pose_from_dofs(dofs, dims: PartDimensions | None = None) -> HumanPose:
     keypoints[L_EAR] = c + head.axis * (0.05 * h) - h_lat * r
     keypoints[R_EAR] = c + head.axis * (0.05 * h) + h_lat * r
 
-    return HumanPose(states, keypoints, d.copy())
+    return HumanPose(states, keypoints)

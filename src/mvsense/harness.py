@@ -12,11 +12,11 @@ present keypoints through the depth image into one (C, 17, 3) stack.
 One ``fuse`` call turns the stack into the frame's (17, 3) world
 keypoint table, NaN rows unfused; then, per camera, the table's mask
 anchors place the trapezoids that paint masks and extract keypart clouds.
-Last it builds, augments and registers the cylinder tree and plans the
-next camera commands. It fills a
-``FrameResult`` one stage at a time, so a frame that fails keeps what it
-made before the failure; the failure is logged and the frame predicts
-every part absent.
+Last it builds the cylinder tree, which takes a copy of the table to
+supplement and register from, and plans the next camera commands. It
+fills a ``FrameResult`` one stage at a time, so a frame that fails keeps
+what it made before the failure; the failure is logged and the frame
+predicts every part absent.
 
 ``TrialMetrics.score`` is the only code that reads ground truth.
 Keypart recognition is scored as binary classification: a part truly
@@ -336,7 +336,7 @@ class Pipeline:
                 continue
             depth, pose_cam = inp.depth[rig.rig_id], inp.poses[rig.rig_id]
             anchors = keyparts.project_keypoints_to_mask(
-                result.fused, inp.detections[rig.rig_id][0],
+                result.fused, inp.detections[rig.rig_id],
                 pose_cam, rig.intrinsics, depth, script.slice_radius, parts_here)
             trapezoids = []
             for j in parts_here:
@@ -359,9 +359,7 @@ class Pipeline:
 
         # tree: build from the union of per-camera part presence
         result.parts = sorted({j for parts in seen.values() for j in parts})
-        rows = np.flatnonzero(~np.isnan(result.fused[:, 0])).tolist()
-        tree = body.augment(body.build_tree(result.parts),
-                            {k: result.fused[k] for k in rows}, dims)
+        tree = body.augment(body.build_tree(result.parts), result.fused, dims)
         result.tree = registration.register_tree(tree, result.clouds, dims,
                                                  script.model_samples)
         t0 = watch.add("register", t0)
@@ -397,7 +395,6 @@ def sense(scene: simulator.Scene, pose, props: list, frame: int,
     robot_links = scene.robot.links_at(t) if scene.robot else []
     occluders = list(robot_links) + props
     parts = pose.cylinders()
-    keypoints = pose.keypoint_array()
     inp = FrameInput(frame, t, {}, {}, {}, robot_links)
     t0 = time.perf_counter()
     for ci, rig in enumerate(scene.rigs):
@@ -406,7 +403,7 @@ def sense(scene: simulator.Scene, pose, props: list, frame: int,
         t0 = watch.add("render", t0)
         cam_pose = inp.poses[rig.rig_id] = rig.world_pose()
         inp.detections[rig.rig_id] = detect(simulator.synthetic_detect(
-            rig.intrinsics, cam_pose, keypoints, parts, occluders, scene.detector_noise,
+            rig.intrinsics, cam_pose, pose.keypoints, parts, occluders, scene.detector_noise,
             scene.rng(simulator.STREAM_DETECT, ci)))
         t0 = watch.add("detect", t0)
     return inp

@@ -159,19 +159,22 @@ class KeypartCloud:
     points: np.ndarray
 
 
-def project_keypoints_to_mask(fused: np.ndarray, pixels: np.ndarray,
+def project_keypoints_to_mask(fused: np.ndarray, detection: tuple,
                               world_from_cam: RigidTransform, k: Intrinsics,
                               depth_image: np.ndarray, slice_radius: int, parts) -> tuple:
     """Anchor pixels and paint depths for every keypoint of the given parts.
 
-    ``fused`` is the frame's (17, 3) world-frame keypoint table. A fused
-    keypoint is projected through the camera, all rows in one stacked
-    product, and its paint depth is the camera-frame z; a keypoint with a
-    NaN row falls back to the camera's detected pixel (a row of
-    ``pixels``) with a locally sliced depth. Returns (17, 2) pixels and
-    (17,) depths, NaN for keypoints of other parts and for keypoints that
-    project behind the camera or carry no usable depth.
+    ``fused`` is the frame's (17, 3) world-frame keypoint table and
+    ``detection`` this camera's (17, 2) pixels and (17,) confidences. A
+    fused keypoint is projected through the camera, all rows in one
+    stacked product, and its paint depth is the camera-frame z; a keypoint
+    with a NaN row falls back to the camera's detected pixel with a
+    locally sliced depth, if the camera gave it a confidence above 0.
+    Returns (17, 2) pixels and (17,) depths, NaN for keypoints of other
+    parts and for keypoints that project behind the camera or carry no
+    usable depth.
     """
+    pixels, confidences = detection
     anchor_px = np.full((body.NUM_KEYPOINTS, 2), np.nan)
     anchor_depth = np.full(body.NUM_KEYPOINTS, np.nan)
     wanted = body.PART_KEYPOINT_MASK[list(parts)].any(axis=0)
@@ -184,7 +187,7 @@ def project_keypoints_to_mask(fused: np.ndarray, pixels: np.ndarray,
     anchor_px[front, 0] = k.fx * cam[front, 0] / z[front] + k.cx
     anchor_px[front, 1] = k.fy * cam[front, 1] / z[front] + k.cy
     anchor_depth[front] = z[front]
-    for kp in np.flatnonzero(wanted & unfused).tolist():
+    for kp in np.flatnonzero(wanted & unfused & (confidences > 0.0)).tolist():
         try:
             anchor_depth[kp] = slice_depth(pixels[kp], depth_image, slice_radius)
         except NoValidDepth:

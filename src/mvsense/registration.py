@@ -266,28 +266,28 @@ def _init_state(part: int, tree: BodyTree, dims: PartDimensions,
         if st is None and anchor is not None:
             torso = tree.nodes[body.TORSO].state
             axis = torso.axis if torso is not None else np.array([0.0, 0.0, 1.0])
-            st = KeypartState(part, np.asarray(anchor), axis,
+            st = KeypartState(part, anchor, axis,
                               dims.cylinder_height(part), dims.cylinder_radius(part))
         elif st is not None and anchor is not None:
-            st.base = np.asarray(anchor, dtype=np.float64).copy()
+            st.base = anchor
         return st
     if anchor is None:
         return None
-    distal = body.DISTAL_KEYPOINT[part]
-    if distal in tree.keypoints:
-        d = np.asarray(tree.keypoints[distal], dtype=np.float64) - anchor
+    distal = tree.keypoints[body.DISTAL_KEYPOINT[part]]
+    if not np.isnan(distal[0]):
+        d = distal - anchor
         length = float(np.linalg.norm(d))
         # a grossly wrong segment length means the distal lift was polluted
         h = dims.cylinder_height(part)
         if 0.45 * h <= length <= 1.5 * h:
-            return KeypartState(part, np.asarray(anchor), normalize(d),
+            return KeypartState(part, anchor, normalize(d),
                                 h, dims.cylinder_radius(part))
     # no distal evidence: continue along the parent axis (rest-like)
     parent = tree.nodes[body.PARENT[part]].state
     if parent is None:
         return None
     axis = parent.axis if body.PARENT[part] != body.TORSO else -parent.axis
-    return KeypartState(part, np.asarray(anchor), axis.copy(),
+    return KeypartState(part, anchor, axis.copy(),
                         dims.cylinder_height(part), dims.cylinder_radius(part))
 
 
@@ -309,8 +309,7 @@ def _inside_any(cylinders: list, points: np.ndarray, radial_margin: float) -> np
     return inside.any(axis=0)
 
 
-def register_tree(tree: BodyTree, clouds: dict,
-                  dims: PartDimensions | None = None,
+def register_tree(tree: BodyTree, clouds: dict, dims: PartDimensions,
                   model_samples: int = 128) -> BodyTree:
     """Register every active part, parents first, constraints maintained.
 
@@ -318,8 +317,6 @@ def register_tree(tree: BodyTree, clouds: dict,
     keypoint table, filled by ``body.augment``, seeds each part's state.
     Per-part failures mark the node and never abort the rest of the tree.
     """
-    dims = dims or PartDimensions()
-
     settled = []  # confidently registered cylinders, used to strip bleed-over
     for part in tree.traversal():
         node = tree.nodes[part]
@@ -360,7 +357,7 @@ def register_tree(tree: BodyTree, clouds: dict,
 
         # propagate the refined pose into the shared keypoint table
         if part == body.TORSO:
-            tree.keypoints.update(body.torso_anchor_points(node.state, dims))
+            tree.keypoints[body.TORSO_ROWS] = body.torso_anchor_points(node.state, dims)
         else:
             distal = body.DISTAL_KEYPOINT.get(part)
             if distal is not None:

@@ -157,7 +157,8 @@ def _view_quality(rig, orientations: list, positions: np.ndarray) -> np.ndarray:
 
 
 class _CameraTable:
-    """Per-camera candidate orientations with cached visibility rows."""
+    """Per-camera candidate orientations with cached visibility rows and
+    one-step reachable sets."""
 
     def __init__(self, rig, params: SchedulerParams, positions: np.ndarray):
         self.rig = rig
@@ -168,18 +169,24 @@ class _CameraTable:
         ]
         self.vis = _view_quality(rig, self.orientations, positions)
         self.index = {o: i for i, o in enumerate(self.orientations)}
+        self.reachable = {}
 
     def reachable_from(self, orientation) -> list:
-        """Candidate indices reachable in one step; index of ``orientation`` first."""
-        p0, t0 = orientation
-        out = []
-        for i, (p, t) in enumerate(self.orientations):
-            if abs(p - p0) <= self.reach and abs(t - t0) <= self.reach:
-                out.append(i)
-        cur = self.index.get(orientation)
-        if cur is not None and cur in out:
-            out.remove(cur)
-            out.insert(0, cur)
+        """Candidate indices reachable in one step; index of ``orientation`` first.
+
+        Each orientation's list is built on its first query and reused: a
+        greedy two-rig plan asks ten times, about two orientations in all.
+        """
+        out = self.reachable.get(orientation)
+        if out is None:
+            p0, t0 = orientation
+            out = [i for i, (p, t) in enumerate(self.orientations)
+                   if abs(p - p0) <= self.reach and abs(t - t0) <= self.reach]
+            cur = self.index.get(orientation)
+            if cur is not None and cur in out:
+                out.remove(cur)
+                out.insert(0, cur)
+            self.reachable[orientation] = out
         return out
 
 

@@ -14,6 +14,10 @@ from mvsense.scheduler import P_CAP
 from mvsense.simulator import occlusion_mask, synthetic_detect
 
 
+# the default part dimensions, which the tests pose and register with
+DIMS = body.PartDimensions()
+
+
 @pytest.fixture
 def k_vga():
     return Intrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
@@ -131,7 +135,7 @@ def in_image(k, pixel) -> bool:
 
 def detect_view(rig, pose, occluders=(), noise=None, rng=None) -> tuple:
     """``simulator.synthetic_detect`` for a rig at its current pan and tilt."""
-    return synthetic_detect(rig.intrinsics, rig.world_pose(), pose.keypoint_array(),
+    return synthetic_detect(rig.intrinsics, rig.world_pose(), pose.keypoints,
                             pose.cylinders(), occluders, noise, rng)
 
 
@@ -142,7 +146,7 @@ def keypoint_flags(rig, pose, robot_links=()) -> list:
     behind the camera or outside the image.
     """
     cam_pose = rig.world_pose()
-    occluded = occlusion_mask(cam_pose.translation, pose.keypoint_array(),
+    occluded = occlusion_mask(cam_pose.translation, pose.keypoints,
                               pose.cylinders(), robot_links)
     flags = []
     for kp in range(body.NUM_KEYPOINTS):

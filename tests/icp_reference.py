@@ -11,7 +11,8 @@ too, and centres the cloud on the anchor at every step.
 was cached and the bleed-over test became one stacked pass: it samples the
 model on every call and strips bleed-over with one ``Cylinder.contains``
 per settled cylinder, and it registers through this file's
-``icp_register``. The live code must give the same bits on every input.
+``icp_register``; its keypoint table is the tree's (17, 3) array, as in
+the live code. The live code must give the same bits on every input.
 """
 
 import math
@@ -158,10 +159,8 @@ def icp_register(model_local: np.ndarray, data_pts: np.ndarray,
     return ICPResult(state, iterations, float(residual), converged)
 
 
-def register_tree(tree: BodyTree, clouds: dict,
-                  dims: PartDimensions | None = None,
+def register_tree(tree: BodyTree, clouds: dict, dims: PartDimensions,
                   model_samples: int = 128) -> BodyTree:
-    dims = dims or PartDimensions()
 
     settled = []  # confidently registered cylinders, used to strip bleed-over
     for part in tree.traversal():
@@ -206,7 +205,7 @@ def register_tree(tree: BodyTree, clouds: dict,
 
         # propagate the refined pose into the shared keypoint table
         if part == body.TORSO:
-            tree.keypoints.update(body.torso_anchor_points(node.state, dims))
+            tree.keypoints[body.TORSO_ROWS] = body.torso_anchor_points(node.state, dims)
         else:
             distal = body.DISTAL_KEYPOINT.get(part)
             if distal is not None:
@@ -231,7 +230,8 @@ def assert_same_result(got: ICPResult, ref: ICPResult) -> None:
 
 def assert_same_tree(got, want) -> None:
     """Every node's state (arrays by their bytes), ``registered`` flag and
-    note, and every keypoint, of two registered trees."""
+    note, and the keypoint table, NaN rows included, of two registered
+    trees."""
     assert got.nodes.keys() == want.nodes.keys()
     for part, node in want.nodes.items():
         other = got.nodes[part]
@@ -246,6 +246,4 @@ def assert_same_tree(got, want) -> None:
                 assert other.state.frame.tobytes() == node.state.frame.tobytes(), part
             assert (other.state.part, other.state.height, other.state.radius) == \
                 (node.state.part, node.state.height, node.state.radius), part
-    assert got.keypoints.keys() == want.keypoints.keys()
-    for k, point in want.keypoints.items():
-        assert np.asarray(got.keypoints[k]).tobytes() == np.asarray(point).tobytes(), k
+    assert got.keypoints.tobytes() == want.keypoints.tobytes()

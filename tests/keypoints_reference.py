@@ -7,8 +7,10 @@ and camera count; ``assert_same_fusion`` checks a whole frame's fusion
 against it. ``project`` is the one-point projection that
 ``geometry`` had, raising ``BehindCamera`` for a point at non-positive
 camera depth. ``project_keypoints_to_mask`` anchors keypoint by keypoint
-from a dict of fused world positions and returns keypoint -> (pixel,
-depth). ``anchor_tables`` turns such a dict into the two arrays the live
+from a dict of fused world positions and a camera's (pixels,
+confidences) detection, and returns keypoint -> (pixel, depth); an
+unfused keypoint falls back to its detected pixel only at a confidence
+above 0. ``anchor_tables`` turns such a dict into the two arrays the live
 code returns, and ``assert_same_anchors`` compares them by their bytes.
 The live code must give the same bits on every input.
 """
@@ -67,9 +69,10 @@ def project(point_world, pose, k):
     return np.array([u, v]), float(z)
 
 
-def project_keypoints_to_mask(fused: dict, pixels, world_from_cam, k, depth_image,
+def project_keypoints_to_mask(fused: dict, detection, world_from_cam, k, depth_image,
                               slice_radius: int, parts) -> dict:
     """keypoint -> (pixel, depth) for every keypoint of the given parts."""
+    pixels, confidences = detection
     anchors: dict = {}
     wanted = set()
     for j in parts:
@@ -81,7 +84,7 @@ def project_keypoints_to_mask(fused: dict, pixels, world_from_cam, k, depth_imag
                 anchors[kp] = project(position, world_from_cam, k)
             except BehindCamera:
                 continue
-        else:
+        elif confidences[kp] > 0.0:
             try:
                 depth = slice_depth(pixels[kp], depth_image, slice_radius)
             except NoValidDepth:

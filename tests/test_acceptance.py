@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    DIMS,
     fuse_one,
     is_connected,
     keypoint_flags,
@@ -230,23 +231,23 @@ def test_criterion_06_icp():
 
 def test_criterion_07_tree_connectivity(rng):
     """All 2^10 anchorable subsets connect; registered joints have no gaps."""
-    pose = pose_from_dofs(rest_dofs())
-    kps = dict(enumerate(pose.keypoint_array()))
+    pose = pose_from_dofs(rest_dofs(), DIMS)
+    kps = pose.keypoints
     for bits in itertools.product((0, 1), repeat=10):
         present = [p for p, b in enumerate(bits) if b]
-        tree = augment(build_tree(present), kps)
+        tree = augment(build_tree(present), kps, DIMS)
         assert is_connected(tree)
         assert not tree.excluded  # every part anchorable with full keypoints
 
     dofs = rest_dofs(position=(0.3, -0.2, 0.9), heading=0.4)
     dofs[8:10] = (-0.4, -0.3)
     dofs[12:14] = (-0.2, 0.45)
-    posed = pose_from_dofs(dofs)
+    posed = pose_from_dofs(dofs, DIMS)
     clouds = {p: sample_cylinder(posed.states[p], 400)
               + rng.normal(0, 0.003, (400, 3)) for p in range(10)}
     tree = register_tree(augment(build_tree(range(10)),
-                                 dict(enumerate(posed.keypoint_array()))),
-                         clouds)
+                                 posed.keypoints, DIMS),
+                         clouds, DIMS)
     worst_gap = 0.0
     for part, parent in body.PARENT.items():
         if parent is None:

@@ -6,7 +6,8 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import is_connected, limb_angles, rest_dofs
+import body_reference as ref
+from conftest import DIMS, is_connected, limb_angles, rest_dofs
 from mvsense import body
 from mvsense.body import (
     augment,
@@ -47,19 +48,19 @@ class TestTables:
 
 
 def full_keypoints(heading=0.0):
-    """All 17 keypoints of a standing pose."""
-    return dict(enumerate(pose_from_dofs(rest_dofs(heading=heading)).keypoint_array()))
+    """The (17, 3) keypoint table of a standing pose."""
+    return pose_from_dofs(rest_dofs(heading=heading), DIMS).keypoints
 
 
 class TestBuildAndAugment:
     def test_all_present_is_connected_without_supplements(self):
         tree = build_tree(range(10))
         assert is_connected(tree)
-        tree = augment(tree, full_keypoints())
+        tree = augment(tree, full_keypoints(), DIMS)
         assert sum(n.supplemented for n in tree.nodes.values()) == 0
 
     def test_empty_presence_yields_empty_tree(self):
-        tree = augment(build_tree([]), full_keypoints())
+        tree = augment(build_tree([]), full_keypoints(), DIMS)
         assert tree.traversal() == []
         assert is_connected(tree)
 
@@ -69,18 +70,17 @@ class TestBuildAndAugment:
 
     def test_no_supplement_needed_for_complete_chain(self):
         tree = build_tree([body.TORSO, body.L_UPPER_ARM, body.L_LOWER_ARM])
-        tree = augment(tree, full_keypoints())
+        tree = augment(tree, full_keypoints(), DIMS)
         assert is_connected(tree)
         assert sum(n.supplemented for n in tree.nodes.values()) == 0
 
     def test_supplemented_upper_arm_axis_from_joint_keypoints(self):
         kps = full_keypoints()
         tree = build_tree([body.TORSO, body.L_LOWER_ARM])
-        tree = augment(tree, kps)
+        tree = augment(tree, kps, DIMS)
         node = tree.nodes[body.L_UPPER_ARM]
         assert node.supplemented
-        expected_axis = normalize(np.asarray(kps[body.L_ELBOW])
-                                  - np.asarray(kps[body.L_SHOULDER]))
+        expected_axis = normalize(kps[body.L_ELBOW] - kps[body.L_SHOULDER])
         assert np.allclose(node.state.axis, expected_axis, atol=1e-12)
         assert np.allclose(node.state.base, kps[body.L_SHOULDER], atol=1e-12)
         assert is_connected(tree)
@@ -88,14 +88,14 @@ class TestBuildAndAugment:
     def test_torso_supplemented_as_root_from_anchor_keypoints(self):
         kps = full_keypoints()
         tree = build_tree([body.HEAD, body.R_LOWER_LEG])
-        tree = augment(tree, kps)
+        tree = augment(tree, kps, DIMS)
         assert tree.nodes[body.TORSO].supplemented
         assert tree.nodes[body.R_UPPER_LEG].supplemented
         assert is_connected(tree)
         # root state fitted from keypoints 5, 6, 11, 12
         torso = tree.nodes[body.TORSO].state
-        hip_mid = 0.5 * (np.asarray(kps[body.L_HIP]) + np.asarray(kps[body.R_HIP]))
-        sh_mid = 0.5 * (np.asarray(kps[body.L_SHOULDER]) + np.asarray(kps[body.R_SHOULDER]))
+        hip_mid = 0.5 * (kps[body.L_HIP] + kps[body.R_HIP])
+        sh_mid = 0.5 * (kps[body.L_SHOULDER] + kps[body.R_SHOULDER])
         assert np.allclose(torso.base, hip_mid, atol=1e-9)
         assert np.allclose(torso.axis, normalize(sh_mid - hip_mid), atol=1e-9)
 
@@ -103,9 +103,9 @@ class TestBuildAndAugment:
         # lower arm present, elbow unknown: the upper-arm supplement cannot
         # be localized so the branch is dropped
         kps = full_keypoints()
-        kps.pop(body.L_ELBOW)
+        kps[body.L_ELBOW] = np.nan
         tree = build_tree([body.TORSO, body.L_LOWER_ARM])
-        tree = augment(tree, kps)
+        tree = augment(tree, kps, DIMS)
         assert body.L_LOWER_ARM in tree.excluded
         assert not tree.nodes[body.L_LOWER_ARM].present
         assert is_connected(tree)
@@ -114,13 +114,13 @@ class TestBuildAndAugment:
         kps = full_keypoints()
         for bits in itertools.product((0, 1), repeat=10):
             present = [p for p, b in enumerate(bits) if b]
-            tree = augment(build_tree(present), kps)
+            tree = augment(build_tree(present), kps, DIMS)
             assert is_connected(tree), f"subset {present} not connected"
             active = set(tree.traversal())
             assert set(present) <= active | set(tree.excluded)
 
     def test_traversal_parents_first_and_unique(self):
-        tree = augment(build_tree(range(10)), full_keypoints())
+        tree = augment(build_tree(range(10)), full_keypoints(), DIMS)
         order = tree.traversal()
         assert sorted(order) == sorted(set(order))
         seen = set()
@@ -131,12 +131,111 @@ class TestBuildAndAugment:
             seen.add(p)
 
 
+def random_keypoints(rng):
+    """The keypoint table of a random pose: position, heading, lean and
+    every limb angle drawn at random."""
+    dofs = rng.uniform(-1.2, 1.2, body.TOTAL_DOF)
+    dofs[0:3] = rng.uniform(-1.0, 1.0, 3)
+    dofs[5] = rng.uniform(-np.pi, np.pi)
+    return pose_from_dofs(dofs, DIMS).keypoints
+
+
+def dropped(table, keypoints):
+    """A copy of ``table`` with the rows of ``keypoints`` unknown (NaN)."""
+    out = table.copy()
+    out[list(keypoints)] = np.nan
+    return out
+
+
+def subsets(items):
+    """Every subset of ``items``, as tuples."""
+    return [tuple(x for x, b in zip(items, bits) if b)
+            for bits in itertools.product((0, 1), repeat=len(items))]
+
+
+ALL_PRESENCE = [list(present) for present in subsets(range(body.NUM_KEYPARTS))]
+TORSO_KEYPOINTS = body.PART_KEYPOINTS[body.TORSO]
+
+
+def assert_matches_reference(table, presences=ALL_PRESENCE):
+    """The table path against ``body_reference``'s dict path, bit for bit:
+    the neck, every part's supplement state, the torso anchors implied by
+    a fitted torso, and ``augment`` under each presence set."""
+    before, rows = table.copy(), ref.rows_of(table)
+    want_neck, got_neck = ref.neck_point(rows), body.neck_point(table)
+    assert (got_neck is None) == (want_neck is None)
+    if want_neck is not None:
+        assert got_neck.tobytes() == want_neck.tobytes()
+    for part in range(body.NUM_KEYPARTS):
+        ref.assert_same_state(body.supplement_state(part, table, DIMS),
+                              ref.supplement_state(part, rows, DIMS), part)
+    torso = ref.fit_torso_state(rows, DIMS)
+    if torso is not None:
+        anchors = ref.torso_anchor_points(torso, DIMS)
+        assert body.torso_anchor_points(torso, DIMS).tobytes() == \
+            np.stack([anchors[k] for k in TORSO_KEYPOINTS]).tobytes()
+    for present in presences:
+        got = augment(build_tree(present), table, DIMS)
+        ref.assert_same_augment(got, ref.augment(ref.dict_tree(present), rows, DIMS))
+        assert not np.shares_memory(got.keypoints, table)
+    assert table.tobytes() == before.tobytes()  # the tree writes only its own copy
+
+
+class TestMatchesDictReference:
+    """``neck_point``, the supplement states and ``augment`` on the (17, 3)
+    table give the bits of the dict-keyed oracle in ``body_reference``."""
+
+    @pytest.mark.parametrize("known", subsets(TORSO_KEYPOINTS))
+    def test_every_torso_anchor_subset_under_every_presence(self, known, rng):
+        # 0-4 anchors: every 3-anchor case, both same-level pairs, both
+        # same-side pairs and both diagonals
+        table = random_keypoints(rng)
+        assert_matches_reference(dropped(table, set(TORSO_KEYPOINTS) - set(known)))
+
+    @pytest.mark.parametrize("known", subsets(body.PART_KEYPOINTS[body.HEAD]))
+    def test_partial_faces(self, known, rng):
+        face = set(body.PART_KEYPOINTS[body.HEAD])
+        assert_matches_reference(dropped(random_keypoints(rng), face - set(known)),
+                                 ALL_PRESENCE[::37])
+
+    def test_random_dropped_keypoints(self, rng):
+        for _ in range(300):
+            table = random_keypoints(rng)
+            drop = np.flatnonzero(rng.random(body.NUM_KEYPOINTS) < rng.uniform(0.0, 0.6))
+            picks = rng.choice(len(ALL_PRESENCE), 8, replace=False)
+            assert_matches_reference(dropped(table, drop),
+                                     [ALL_PRESENCE[i] for i in picks])
+
+    def test_coincident_anchors(self, rng):
+        cases = []
+        for drop in ((), (body.R_HIP,), (body.L_HIP, body.R_HIP)):
+            table = dropped(random_keypoints(rng), drop)
+            table[body.R_SHOULDER] = table[body.L_SHOULDER]  # no lateral axis
+            cases.append(table)
+        table = random_keypoints(rng)  # shoulder midpoint on the hip midpoint
+        table[[body.L_HIP, body.R_HIP]] = table[[body.L_SHOULDER, body.R_SHOULDER]]
+        cases.append(table)
+        # shoulders alone, stacked along the upright guess's up axis
+        table = dropped(random_keypoints(rng), (body.L_HIP, body.R_HIP))
+        table[body.R_SHOULDER] = table[body.L_SHOULDER] + [0.0, 0.0, 0.3]
+        cases.append(table)
+        table = random_keypoints(rng)  # the face centroid on the neck
+        table[list(body.PART_KEYPOINTS[body.HEAD])] = body.neck_point(table)
+        cases.append(table)
+        table = random_keypoints(rng)  # elbows on the shoulders, a knee on its ankle
+        table[[body.L_ELBOW, body.R_ELBOW]] = table[[body.L_SHOULDER, body.R_SHOULDER]]
+        table[body.L_KNEE] = table[body.L_ANKLE]
+        cases.append(table)
+        for table in cases:
+            assert_matches_reference(table)
+
+
 class TestJointConstraints:
     def _chain_tree(self):
         kps = full_keypoints()
         tree = augment(build_tree([body.TORSO, body.L_UPPER_ARM, body.L_LOWER_ARM]),
-                       kps)
-        pose = pose_from_dofs(rest_dofs())
+                       kps, DIMS)
+        pose = pose_from_dofs(rest_dofs(), DIMS)
         for p in tree.traversal():
             tree.nodes[p].state = pose.states[p].copy()
         return tree
@@ -187,7 +286,7 @@ class TestJointConstraints:
 
 class TestForwardKinematics:
     def test_rest_pose_is_articulated(self):
-        pose = pose_from_dofs(rest_dofs(position=(0.5, -0.2, 0.9)))
+        pose = pose_from_dofs(rest_dofs(position=(0.5, -0.2, 0.9)), DIMS)
         for part, parent in body.PARENT.items():
             if parent is None:
                 continue
@@ -201,14 +300,14 @@ class TestForwardKinematics:
             assert np.allclose(child.base, joint, atol=1e-9)
 
     def test_keypoints_consistent_with_part_endpoints(self):
-        pose = pose_from_dofs(rest_dofs())
+        pose = pose_from_dofs(rest_dofs(), DIMS)
         for part, distal in body.DISTAL_KEYPOINT.items():
             assert np.allclose(pose.keypoints[distal], pose.states[part].tip,
                                atol=1e-12)
 
     def test_needs_24_values(self):
         with pytest.raises(ValueError):
-            pose_from_dofs(np.zeros(23))
+            pose_from_dofs(np.zeros(23), DIMS)
 
     def test_limb_angle_round_trip(self, rng):
         for _ in range(200):
@@ -220,8 +319,8 @@ class TestForwardKinematics:
             assert np.allclose(limb_frame(ref, tx2, ty2)[:, 2], axis, atol=1e-9)
 
     def test_heading_rotates_pose(self):
-        p0 = pose_from_dofs(rest_dofs(heading=0.0))
-        p1 = pose_from_dofs(rest_dofs(heading=np.pi / 2))
+        p0 = pose_from_dofs(rest_dofs(heading=0.0), DIMS)
+        p1 = pose_from_dofs(rest_dofs(heading=np.pi / 2), DIMS)
         # shoulders swing with the heading, height stays
         assert not np.allclose(p0.keypoints[body.L_SHOULDER],
                                p1.keypoints[body.L_SHOULDER])

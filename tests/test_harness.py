@@ -215,22 +215,33 @@ class TestRunTrial:
     def test_zero_confidence_keypoints_fail_no_frame(self, monkeypatch, caplog):
         """A detector that reports confidence 0 from its fifth call on, while
         the presence windows still hold its keypoints present: fusion has no
-        weight for them, so they are unfused and their masks fall back to
-        the detected pixels, and no frame fails."""
+        weight for them, so they are unfused, no frame fails, and no mask
+        is painted from a pixel the detector gave confidence 0."""
         synthetic_detect = simulator.synthetic_detect
-        calls = []
+        step = harness.Pipeline.step
+        calls, results = [], []
 
         def fading(*args):
             pixels, conf = synthetic_detect(*args)
             calls.append(None)
             return pixels, conf if len(calls) < 5 else np.zeros_like(conf)
 
+        def recorded(pipeline, inp):
+            results.append(step(pipeline, inp))
+            return results[-1]
+
         monkeypatch.setattr(simulator, "synthetic_detect", fading)
+        monkeypatch.setattr(harness.Pipeline, "step", recorded)
         with caplog.at_level(logging.ERROR, logger="mvsense.harness"):
             m = run_trial(scenario.TEMPLATES["reach-in"](), config="single-fixed", frames=8)
         assert not [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
         # the windows hold parts present for some frames after the fade
         assert any(m.rows[4][f"pred_{j}"] for j in range(body.NUM_KEYPARTS))
+        assert any(results[f].clouds for f in range(4))
+        for result in results[4:]:
+            assert not result.clouds
+            assert all((mask.labels == keyparts.BACKGROUND).all()
+                       for mask in result.masks.values())
 
     def test_failed_frame_adds_no_pose_error(self, monkeypatch):
         """Frames that fail in the scheduler, after their trees were

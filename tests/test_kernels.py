@@ -28,7 +28,7 @@ import pytest
 
 import icp_reference as ref
 import scheduler_reference
-from conftest import hires, rest_dofs, sample_cylinder
+from conftest import DIMS, hires, rest_dofs, sample_cylinder
 from render_reference import assert_matches_reference, render_depth_reference
 from test_keyparts import paint_masks_reference, quiet_reference, same_clouds, same_mask
 from mvsense import body, harness, keyparts, registration, scenario, scheduler, simulator
@@ -59,7 +59,8 @@ def limb():
 
 
 def torso():
-    return pose_from_dofs(rest_dofs(position=(0.2, 0.1, 0.9), heading=0.3)).states[body.TORSO]
+    return pose_from_dofs(rest_dofs(position=(0.2, 0.1, 0.9), heading=0.3),
+                          DIMS).states[body.TORSO]
 
 
 @pytest.mark.parametrize("n", [133, 600])

@@ -127,9 +127,11 @@ class TestTrapezoidGeometry:
         assert d == pytest.approx([1.0, 2.0, 3.0])
 
 
-def detected_pixels(pixel=(40.0, 30.0)):
-    """A camera's 17 detected pixels, all at ``pixel``."""
-    return np.tile(np.asarray(pixel, dtype=np.float64), (body.NUM_KEYPOINTS, 1))
+def detection(pixel=(40.0, 30.0), confidence=0.9):
+    """A camera's 17 detected pixels, all at ``pixel``, and their
+    confidences, all ``confidence``."""
+    return (np.tile(np.asarray(pixel, dtype=np.float64), (body.NUM_KEYPOINTS, 1)),
+            np.full(body.NUM_KEYPOINTS, confidence))
 
 
 def fused_table(rows: dict):
@@ -146,7 +148,7 @@ class TestProjectKeypointsToMask:
         fused = fused_table({0: (0.0, 0.0, 2.0)})
         depth = np.full((120, 160), 1.5)
         pixels, depths = project_keypoints_to_mask(
-            fused, detected_pixels(), identity(), k, depth, 3, [body.HEAD])
+            fused, detection(), identity(), k, depth, 3, [body.HEAD])
         # the fused projection, not the detected pixel and its sliced depth
         assert np.allclose(pixels[0], [k.cx, k.cy], atol=1e-9)
         assert depths[0] == pytest.approx(2.0)
@@ -155,17 +157,33 @@ class TestProjectKeypointsToMask:
         k = k_small()
         depth = np.full((120, 160), 1.5)
         pixels, depths = project_keypoints_to_mask(
-            fused_table({}), detected_pixels(), identity(), k, depth, 3, [body.HEAD])
+            fused_table({}), detection(), identity(), k, depth, 3, [body.HEAD])
         assert np.flatnonzero(~np.isnan(depths)).tolist() == \
             list(body.PART_KEYPOINTS[body.HEAD])
         assert np.allclose(pixels[0], [40.0, 30.0])
         assert depths[0] == pytest.approx(1.5)
         assert np.isnan(pixels[body.L_HIP]).all()  # not a head keypoint
 
+    def test_zero_confidence_keypoint_has_no_fallback_anchor(self):
+        """A keypoint this camera reported at confidence 0 gets no anchor
+        from its detected pixel; a fused one still projects."""
+        k = k_small()
+        depth = np.full((120, 160), 1.5)
+        pixels, confidences = detection()
+        confidences[[body.NOSE, body.L_EYE]] = 0.0
+        anchor_px, depths = project_keypoints_to_mask(
+            fused_table({body.L_EYE: (0.0, 0.0, 2.0)}), (pixels, confidences),
+            identity(), k, depth, 3, [body.HEAD])
+        assert np.flatnonzero(~np.isnan(depths)).tolist() == \
+            [body.L_EYE, body.R_EYE, body.L_EAR, body.R_EAR]
+        assert np.isnan(anchor_px[body.NOSE]).all()
+        assert np.allclose(anchor_px[body.L_EYE], [k.cx, k.cy], atol=1e-9)
+        assert depths[body.L_EYE] == pytest.approx(2.0)
+
     def test_detected_pixel_without_depth_skipped(self):
         depth = np.zeros((120, 160))
         pixels, depths = project_keypoints_to_mask(
-            fused_table({}), detected_pixels(), identity(), k_small(), depth, 3,
+            fused_table({}), detection(), identity(), k_small(), depth, 3,
             [body.HEAD])
         assert np.isnan(pixels).all() and np.isnan(depths).all()
 
@@ -174,7 +192,7 @@ class TestProjectKeypointsToMask:
         fused = fused_table({0: (0.0, 0.0, -1.0), 1: (0.1, 0.0, 2.0)})
         depth = np.full((120, 160), 1.5)
         pixels, depths = project_keypoints_to_mask(
-            fused, detected_pixels(), identity(), k, depth, 3, [body.HEAD])
+            fused, detection(), identity(), k, depth, 3, [body.HEAD])
         assert np.isnan(depths[0]) and np.isnan(pixels[0]).all()
         assert depths[1] == pytest.approx(2.0)  # the keypoint in front keeps its anchor
 
@@ -184,13 +202,14 @@ class TestProjectKeypointsToMask:
 
         monkeypatch.setattr(keyparts, "slice_depth", broken)
         with pytest.raises(ZeroDivisionError, match="bug in slice_depth"):
-            project_keypoints_to_mask(fused_table({}), detected_pixels(), identity(),
+            project_keypoints_to_mask(fused_table({}), detection(), identity(),
                                       k_small(), np.full((120, 160), 1.5), 3, [body.HEAD])
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_per_keypoint_reference_bit_for_bit(self, seed):
         """Random tables with unfused rows and rows behind the camera, random
-        parts, and depth images with holes that fail some fallbacks."""
+        confidences with zeros, random parts, and depth images with holes
+        that fail some fallbacks."""
         rng = np.random.default_rng(seed)
         k = k_small()
         for _ in range(50):
@@ -200,6 +219,8 @@ class TestProjectKeypointsToMask:
             fused = pose.apply(cam)
             fused[rng.random(body.NUM_KEYPOINTS) < 0.3] = np.nan
             pixels = rng.uniform(-5.0, [165.0, 125.0], (body.NUM_KEYPOINTS, 2))
+            confidences = np.where(rng.random(body.NUM_KEYPOINTS) < 0.2, 0.0,
+                                   rng.uniform(0.05, 1.0, body.NUM_KEYPOINTS))
             depth = rng.uniform(0.5, 4.0, (120, 160))
             depth[rng.random((120, 160)) < 0.3] = 0.0
             depth[:, :40] = 0.0
@@ -208,8 +229,10 @@ class TestProjectKeypointsToMask:
             rows = {kp: fused[kp] for kp in range(body.NUM_KEYPOINTS)
                     if not np.isnan(fused[kp, 0])}
             ref.assert_same_anchors(
-                project_keypoints_to_mask(fused, pixels, pose, k, depth, 2, parts),
-                ref.project_keypoints_to_mask(rows, pixels, pose, k, depth, 2, parts))
+                project_keypoints_to_mask(fused, (pixels, confidences), pose, k, depth,
+                                          2, parts),
+                ref.project_keypoints_to_mask(rows, (pixels, confidences), pose, k, depth,
+                                              2, parts))
 
     def test_part_endpoints_torso_uses_midpoints(self):
         pixels, depths = ref.anchor_tables({

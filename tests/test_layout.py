@@ -8,8 +8,9 @@ to its name. Docstrings and comments are not references, and dunder
 methods are called by the language, not by name. A constant is a
 module-level assignment to an UPPER_CASE name (a leading underscore
 allowed); assigning it is not reading it. A dataclass field is read when
-some attribute of that name is loaded; passing it to the constructor or
-assigning it is not reading it.
+some attribute of that name is loaded, except that a load from ``self``
+counts only for the class whose method makes it; passing a field to the
+constructor or assigning it is not reading it.
 """
 
 import ast
@@ -63,19 +64,40 @@ def _is_dataclass(node):
                and d.func.id == "dataclass" for d in node.decorator_list)
 
 
+def _self_loads(cls):
+    """Attribute names loaded from ``self`` in the methods of ``cls``,
+    nested classes aside."""
+    names, stack = set(), list(cls.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.ClassDef):
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) \
+                and isinstance(node.value, ast.Name) and node.value.id == "self":
+            names.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
 def _fields():
-    """Every dataclass field as Class.field, and the attribute names loaded."""
-    fields, loaded = {}, set()
+    """Every dataclass field as Class.field, and the fields read: as
+    Class.field for loads from ``self``, by attribute name for the rest."""
+    fields, self_loaded, loaded = {}, set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
-                for stmt in node.body:
-                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                        fields[f"{node.name}.{stmt.target.id}"] = f"{path.name}:{stmt.lineno}"
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            if isinstance(node, ast.ClassDef):
+                self_loaded.update(f"{node.name}.{name}" for name in _self_loads(node))
+                if _is_dataclass(node):
+                    for stmt in node.body:
+                        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                            fields[f"{node.name}.{stmt.target.id}"] = \
+                                f"{path.name}:{stmt.lineno}"
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) \
+                    and not (isinstance(node.value, ast.Name) and node.value.id == "self"):
                 loaded.add(node.attr)
-    return fields, loaded
+    return fields, {name for name in fields
+                    if name in self_loaded or name.split(".")[1] in loaded}
 
 
 def _is_dunder(name):
@@ -107,15 +129,15 @@ def test_allowlist_names_exist_and_are_unused():
 
 
 def test_every_dataclass_field_is_read_in_the_package():
-    fields, loaded = _fields()
+    fields, read = _fields()
     unread = sorted(f"{name} ({where})" for name, where in fields.items()
-                    if name.split(".")[1] not in loaded and name not in ALLOWED_FIELDS)
+                    if name not in read and name not in ALLOWED_FIELDS)
     assert not unread, "dataclass fields in src/mvsense never read there: " \
         + ", ".join(unread)
 
 
 def test_field_allowlist_names_exist_and_are_unread():
-    fields, loaded = _fields()
+    fields, read = _fields()
     for name in ALLOWED_FIELDS:
         assert name in fields, f"{name} is no longer a dataclass field"
-        assert name.split(".")[1] not in loaded, f"{name} is read in the package now"
+        assert name not in read, f"{name} is read in the package now"

@@ -15,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.spatial import cKDTree
 
 import icp_reference as ref
-from conftest import rest_dofs, sample_cylinder
+from conftest import DIMS, rest_dofs, sample_cylinder
 from mvsense import body, registration
 from mvsense.body import KeypartState, augment, build_tree, pose_from_dofs
 from mvsense.geometry import normalize, rot_x, rot_y, rot_z
@@ -292,8 +292,8 @@ class TestMatchesReplacedStep:
                                 normalize(rng.normal(size=3)), 0.3, 0.05)
             anchor, shift = init.base.copy(), np.zeros(3)
         else:  # the torso carries a frame that every update must move
-            init = pose_from_dofs(rest_dofs(heading=rng.uniform(-3, 3))
-                                  ).states[body.TORSO]
+            init = pose_from_dofs(rest_dofs(heading=rng.uniform(-3, 3)),
+                                  DIMS).states[body.TORSO]
             anchor, shift = None, rng.normal(0.0, 0.02, 3)
         assert anchored or init.frame is not None
         block = _BLOCK_ENTRIES // m
@@ -420,10 +420,10 @@ class TestRegisterTree:
         dofs = rest_dofs(position=(0.2, 0.1, 0.9), heading=0.3)
         dofs[8:10] = (-0.3, -0.4)
         dofs[12:14] = (-0.2, 0.5)
-        pose = pose_from_dofs(dofs)
-        tree = augment(build_tree(range(10)), dict(enumerate(pose.keypoint_array())))
+        pose = pose_from_dofs(dofs, DIMS)
+        tree = augment(build_tree(range(10)), pose.keypoints, DIMS)
         clouds = self._clouds_from_pose(pose, range(10), rng=rng)
-        tree = register_tree(tree, clouds)
+        tree = register_tree(tree, clouds, DIMS)
         for p in range(10):
             st = tree.nodes[p].state
             assert st is not None
@@ -432,10 +432,10 @@ class TestRegisterTree:
             assert np.linalg.norm(est_mid - pose.states[p].cylinder().midpoint) < 0.03
 
     def test_joint_gaps_zero_after_registration(self, rng):
-        pose = pose_from_dofs(rest_dofs())
-        tree = augment(build_tree(range(10)), dict(enumerate(pose.keypoint_array())))
+        pose = pose_from_dofs(rest_dofs(), DIMS)
+        tree = augment(build_tree(range(10)), pose.keypoints, DIMS)
         clouds = self._clouds_from_pose(pose, range(10), rng=rng)
-        tree = register_tree(tree, clouds)
+        tree = register_tree(tree, clouds, DIMS)
         for part, parent in body.PARENT.items():
             if parent is None:
                 continue
@@ -445,22 +445,22 @@ class TestRegisterTree:
             assert np.linalg.norm(child.base - joint) < 1e-6
 
     def test_arm_only_visible_articulates_to_supplemented_torso(self):
-        pose = pose_from_dofs(rest_dofs())
-        kps = dict(enumerate(pose.keypoint_array()))
-        tree = augment(build_tree([body.L_UPPER_ARM, body.L_LOWER_ARM]), kps)
+        pose = pose_from_dofs(rest_dofs(), DIMS)
+        kps = pose.keypoints
+        tree = augment(build_tree([body.L_UPPER_ARM, body.L_LOWER_ARM]), kps, DIMS)
         assert tree.nodes[body.TORSO].supplemented
         clouds = self._clouds_from_pose(pose, [body.L_UPPER_ARM, body.L_LOWER_ARM])
-        tree = register_tree(tree, clouds)
+        tree = register_tree(tree, clouds, DIMS)
         ua = tree.nodes[body.L_UPPER_ARM]
         assert ua.state is not None
         assert np.linalg.norm(ua.state.base - np.asarray(kps[body.L_SHOULDER])) < 1e-6
 
     def test_empty_leg_cloud_keeps_keypoint_state_with_flag(self):
-        pose = pose_from_dofs(rest_dofs())
-        tree = augment(build_tree(range(10)), dict(enumerate(pose.keypoint_array())))
+        pose = pose_from_dofs(rest_dofs(), DIMS)
+        tree = augment(build_tree(range(10)), pose.keypoints, DIMS)
         clouds = self._clouds_from_pose(pose, [p for p in range(10)
                                                if p != body.L_LOWER_LEG])
-        tree = register_tree(tree, clouds)
+        tree = register_tree(tree, clouds, DIMS)
         node = tree.nodes[body.L_LOWER_LEG]
         assert node.state is not None
         assert not node.registered
@@ -470,23 +470,23 @@ class TestRegisterTree:
         assert axis_angle_deg(node.state.axis, expected) < 1.0
 
     def test_supplemented_parts_skip_icp(self):
-        pose = pose_from_dofs(rest_dofs())
-        kps = dict(enumerate(pose.keypoint_array()))
-        tree = augment(build_tree([body.TORSO, body.L_LOWER_ARM]), kps)
+        pose = pose_from_dofs(rest_dofs(), DIMS)
+        kps = pose.keypoints
+        tree = augment(build_tree([body.TORSO, body.L_LOWER_ARM]), kps, DIMS)
         clouds = self._clouds_from_pose(pose, [body.TORSO, body.L_LOWER_ARM])
         clouds[body.L_UPPER_ARM] = sample_cylinder(pose.states[body.L_UPPER_ARM], 300)
-        tree = register_tree(tree, clouds)
+        tree = register_tree(tree, clouds, DIMS)
         assert tree.nodes[body.L_UPPER_ARM].supplemented
         assert not tree.nodes[body.L_UPPER_ARM].registered
 
     def test_hierarchical_determinism(self, rng):
-        pose = pose_from_dofs(rest_dofs())
-        kps = dict(enumerate(pose.keypoint_array()))
+        pose = pose_from_dofs(rest_dofs(), DIMS)
+        kps = pose.keypoints
         clouds = self._clouds_from_pose(pose, range(10), rng=rng)
 
         def run():
-            tree = augment(build_tree(range(10)), dict(kps))
-            return register_tree(tree, {k: v.copy() for k, v in clouds.items()})
+            tree = augment(build_tree(range(10)), kps, DIMS)
+            return register_tree(tree, {k: v.copy() for k, v in clouds.items()}, DIMS)
 
         t1, t2 = run(), run()
         assert t1.traversal() == t2.traversal()
@@ -496,8 +496,8 @@ class TestRegisterTree:
             assert np.array_equal(s1.axis, s2.axis)
 
     def test_model_built_once_per_shape_and_read_only(self, monkeypatch):
-        pose = pose_from_dofs(rest_dofs())
-        kps = dict(enumerate(pose.keypoint_array()))
+        pose = pose_from_dofs(rest_dofs(), DIMS)
+        kps = pose.keypoints
         clouds = self._clouds_from_pose(pose, range(10))
         models = []
 
@@ -507,7 +507,7 @@ class TestRegisterTree:
 
         monkeypatch.setattr(registration, "icp_register", spy)
         for _ in range(2):
-            register_tree(augment(build_tree(range(10)), dict(kps)), clouds)
+            register_tree(augment(build_tree(range(10)), kps, DIMS), clouds, DIMS)
         first, second = models[:10], models[10:]
         assert len(first) == len(second) == 10
         assert all(a is b for a, b in zip(first, second))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    DIMS,
     detect_view,
     first_hit,
     identity,
@@ -223,7 +224,7 @@ class TestScripts:
 class TestSyntheticDetect:
     def _scene(self):
         dofs = rest_dofs(position=(2.5, 0.0, 0.9), heading=np.pi / 2)
-        pose = pose_from_dofs(dofs)
+        pose = pose_from_dofs(dofs, DIMS)
         rig = small_rig(pos=(0.0, 0.0, 1.2), yaw=0.0, pitch=0.0)
         return rig, pose
 
@@ -300,10 +301,10 @@ class TestSyntheticDetect:
         parts[body.L_LOWER_LEG] = Cylinder(mid - axis * 0.5, axis, 1.0, 0.25)
         noise = DetectorNoise(sigma_px=0.0)
         _pixels, conf = synthetic_detect(rig.intrinsics, rig.world_pose(),
-                                         pose.keypoint_array(), parts, (), noise)
+                                         pose.keypoints, parts, (), noise)
         assert conf[body.NOSE] == pytest.approx(0.9 * 0.15)
         turned = rig.world_pose(pan=0.9)  # looks away; the rig itself does not
-        _pixels, conf = synthetic_detect(rig.intrinsics, turned, pose.keypoint_array(),
+        _pixels, conf = synthetic_detect(rig.intrinsics, turned, pose.keypoints,
                                          pose.cylinders(), (), noise)
         assert conf.tolist() == pytest.approx([0.05] * body.NUM_KEYPOINTS)
 
@@ -359,7 +360,7 @@ def synthetic_detect_reference(rig, pose, robot_links=(), noise=None, rng=None):
     noise = noise or DetectorNoise()
     cam_pose = rig.world_pose()
     k = rig.intrinsics
-    targets = pose.keypoint_array()
+    targets = pose.keypoints
     cam_pts = cam_pose.inverse().apply(targets)
     # occlusion, one pass per cylinder
     n = len(targets)
@@ -467,7 +468,7 @@ class TestMatchesPerCylinderReference:
     def test_camera_inside_the_body_and_occluders(self, size):
         """Keypoints behind the camera, outside the image and occluded; the
         camera sits inside the torso cylinder."""
-        pose = pose_from_dofs(rest_dofs(position=(2.5, 0.0, 0.9), heading=np.pi / 2))
+        pose = pose_from_dofs(rest_dofs(position=(2.5, 0.0, 0.9), heading=np.pi / 2), DIMS)
         blocker = Cylinder(np.array([1.2, 0.05, 0.0]), np.array([0.0, 0.0, 1.0]), 2.0, 0.1)
         cyls = [pose.states[p].cylinder() for p in range(body.NUM_KEYPARTS)] + [blocker]
         noise = DetectorNoise()
@@ -486,7 +487,7 @@ class TestMatchesPerCylinderReference:
                                                   rng and np.random.default_rng(rng))
                 assert_same_detections(got, want)
                 confidences |= set(want[1].tolist())
-            z = rig.world_pose().inverse().apply(pose.keypoint_array())[:, 2]
+            z = rig.world_pose().inverse().apply(pose.keypoints)[:, 2]
             behind += int(np.sum(z <= 0.05))
         assert behind > 0
         assert confidences == {noise.c_hi, noise.c_hi * noise.c_occ, noise.c_out}
@@ -599,7 +600,7 @@ def hard_views(size):
     """(rig, cylinders) pairs: random cylinders in hard poses, and a camera
     inside the torso of a template body."""
     rng = np.random.default_rng(11)
-    pose = pose_from_dofs(rest_dofs(position=(2.5, 0.0, 0.9), heading=np.pi / 2))
+    pose = pose_from_dofs(rest_dofs(position=(2.5, 0.0, 0.9), heading=np.pi / 2), DIMS)
     body_cyls = [pose.states[p].cylinder() for p in range(body.NUM_KEYPARTS)]
     torso = pose.states[body.TORSO].cylinder()
     for yaw, pitch in ((0.0, 0.0), (0.7, -0.3), (-1.2, 0.5)):
