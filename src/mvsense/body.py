@@ -334,11 +334,12 @@ def head_state_from_keypoints(keypoints: np.ndarray,
 
 def supplement_state(part: int, keypoints: np.ndarray,
                      dims: PartDimensions) -> KeypartState | None:
-    """Keypoint-derived state for a node inserted only for connectivity."""
+    """Keypoint-derived state for a node inserted only for connectivity.
+
+    Only a parent is ever supplemented: the torso or an upper limb.
+    """
     if part == TORSO:
         return fit_torso_state(keypoints, dims)
-    if part == HEAD:
-        return head_state_from_keypoints(keypoints, dims)
     return _limb_supplement_state(part, keypoints, dims)
 
 

@@ -142,13 +142,25 @@ class Cylinder:
     def midpoint(self) -> np.ndarray:
         return self.base + self.axis * (0.5 * self.height)
 
-    def contains(self, points: np.ndarray, radial_margin: float = 0.0) -> np.ndarray:
-        """Boolean mask of points inside the (optionally inflated) cylinder."""
-        p = np.atleast_2d(np.asarray(points, dtype=np.float64)) - self.base
-        ax = p @ self.axis
-        radial2 = np.einsum("ij,ij->i", p, p) - ax * ax
-        r = self.radius + radial_margin
-        return (ax >= 0.0) & (ax <= self.height) & (radial2 <= r * r)
+
+def inside_any(cylinders, points: np.ndarray, reach) -> np.ndarray:
+    """(N,) mask of ``points`` inside any of ``cylinders``, in one stacked pass.
+
+    A point is inside a cylinder when it lies between the end caps and
+    within ``reach[c]`` of the axis, so ``reach`` may inflate each
+    cylinder's radius by its own margin. Each cylinder's slice goes
+    through the same operations, so its test has the same bits whatever
+    other cylinders share the call.
+    """
+    bases = np.stack([c.base for c in cylinders])
+    axes = np.stack([c.axis for c in cylinders])
+    heights = np.array([c.height for c in cylinders])
+    reach = np.asarray(reach, dtype=np.float64)
+    p = points - bases[:, None, :]
+    ax = np.matmul(p, axes[:, :, None])[:, :, 0]
+    radial2 = np.einsum("cij,cij->ci", p, p) - ax * ax
+    inside = (ax >= 0.0) & (ax <= heights[:, None]) & (radial2 <= (reach * reach)[:, None])
+    return inside.any(axis=0)
 
 
 def rot_x(a: float) -> np.ndarray:

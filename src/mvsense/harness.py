@@ -234,12 +234,9 @@ def keypoint_depth_offsets(dims: body.PartDimensions) -> np.ndarray:
     features and need no correction. The lifted point is pushed deeper
     along its camera ray by this offset before fusion.
     """
-    off = np.zeros(body.NUM_KEYPOINTS)
-    for kp in range(body.NUM_KEYPOINTS):
-        parts = [p for p, kps in body.PART_KEYPOINTS.items() if kp in kps]
-        if kp in body.PART_KEYPOINTS[body.HEAD]:
-            continue
-        off[kp] = min(dims.cylinder_radius(p) for p in parts)
+    radii = np.array(dims.radius, dtype=np.float64)[:, None]
+    off = np.where(body.PART_KEYPOINT_MASK, radii, np.inf).min(axis=0)
+    off[list(body.PART_KEYPOINTS[body.HEAD])] = 0.0
     return off
 
 
@@ -335,18 +332,9 @@ class Pipeline:
             if not parts_here:
                 continue
             depth, pose_cam = inp.depth[rig.rig_id], inp.poses[rig.rig_id]
-            anchors = keyparts.project_keypoints_to_mask(
-                result.fused, inp.detections[rig.rig_id],
-                pose_cam, rig.intrinsics, depth, script.slice_radius, parts_here)
-            trapezoids = []
-            for j in parts_here:
-                ends = keyparts.part_endpoints(j, *anchors)
-                if ends is None:
-                    continue
-                (px_u, d_u), (px_l, d_l) = ends
-                trapezoids.append(keyparts.trapezoid_for_part(
-                    j, (px_u, px_l), (d_u, d_l), rig.intrinsics,
-                    dims.cylinder_radius(j), script.mask_inflation))
+            trapezoids = keyparts.project_keypoints_to_mask(
+                result.fused, inp.detections[rig.rig_id], pose_cam, rig.intrinsics,
+                depth, script.slice_radius, parts_here, dims.radius, script.mask_inflation)
             mask = keyparts.paint_masks(trapezoids, rig.intrinsics.width,
                                         rig.intrinsics.height)
             result.masks[rig.rig_id] = mask
@@ -560,8 +548,8 @@ def compare_configs(script: ScenarioScript, configs=CONFIGS, trials: int = 10,
         raise scenario.ConfigError(f"need at least 1, got {trials}", field_name="trials")
     if jobs < 1:
         raise scenario.ConfigError(f"need at least 1, got {jobs}", field_name="jobs")
-    tasks = [(scenario.emit(script), config, script.seed + k)
-             for config in configs for k in range(trials)]
+    text = scenario.emit(script)
+    tasks = [(text, config, script.seed + k) for config in configs for k in range(trials)]
     if jobs > 1:
         with get_context("spawn").Pool(min(jobs, len(tasks))) as pool:
             results = pool.map(_trial_task, tasks)

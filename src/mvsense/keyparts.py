@@ -2,7 +2,8 @@
 
 A keypart visible to a camera is enveloped in the image by an isosceles
 trapezoid: bases perpendicular to the projected axis, base half-lengths
-proportional to focal_length * radius / depth. Trapezoids are painted
+proportional to focal_length * radius / depth. One call places a camera's
+trapezoids straight from the frame's fused keypoint table. They are painted
 far-to-near so nearer parts own contested pixels, then each labeled
 depth pixel is lifted to a world point and the per-part clouds are
 cleaned (robot-envelope removal, voxel/range/cluster filters).
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import body
 from .filters import largest_euclidean_cluster, voxel_downsample
-from .geometry import Intrinsics, RigidTransform, reproject_many
+from .geometry import Intrinsics, RigidTransform, inside_any, reproject_many
 from .keypoints import NoValidDepth, slice_depth
 
 BACKGROUND = -1
@@ -159,20 +160,37 @@ class KeypartCloud:
     points: np.ndarray
 
 
+# (proximal, distal) keypoints whose anchors average into each part's base
+# midpoints: the torso runs shoulders to hips, the head face to shoulders,
+# a limb its edge keypoint to its distal one
+PART_ENDS = {
+    body.TORSO: ((body.L_SHOULDER, body.R_SHOULDER), (body.L_HIP, body.R_HIP)),
+    body.HEAD: (body.PART_KEYPOINTS[body.HEAD], (body.L_SHOULDER, body.R_SHOULDER)),
+    **{part: ((body.EDGE_KEYPOINT[part],), (distal,))
+       for part, distal in body.DISTAL_KEYPOINT.items()},
+}
+
+
 def project_keypoints_to_mask(fused: np.ndarray, detection: tuple,
                               world_from_cam: RigidTransform, k: Intrinsics,
-                              depth_image: np.ndarray, slice_radius: int, parts) -> tuple:
-    """Anchor pixels and paint depths for every keypoint of the given parts.
+                              depth_image: np.ndarray, slice_radius: int, parts,
+                              radii, inflation: float) -> list:
+    """The camera's trapezoids of the given parts, in ``parts`` order.
 
     ``fused`` is the frame's (17, 3) world-frame keypoint table and
-    ``detection`` this camera's (17, 2) pixels and (17,) confidences. A
-    fused keypoint is projected through the camera, all rows in one
-    stacked product, and its paint depth is the camera-frame z; a keypoint
-    with a NaN row falls back to the camera's detected pixel with a
-    locally sliced depth, if the camera gave it a confidence above 0.
-    Returns (17, 2) pixels and (17,) depths, NaN for keypoints of other
-    parts and for keypoints that project behind the camera or carry no
-    usable depth.
+    ``detection`` this camera's (17, 2) pixels and (17,) confidences. Each
+    keypoint of the parts gets a mask anchor: a fused keypoint is projected
+    through the camera, all rows in one stacked product, and its paint
+    depth is the camera-frame z; a keypoint with a NaN row falls back to
+    the camera's detected pixel with a locally sliced depth, if the camera
+    gave it a confidence above 0. A keypoint that projects behind the
+    camera or carries no usable depth has no anchor.
+
+    A part's base midpoints and paint depths are the mean anchors of its
+    two ``PART_ENDS``; a part with an end that has no anchor gets no
+    trapezoid. Half-lengths follow focal * radius / depth with the part's
+    radius from ``radii``, widened by ``inflation`` because the
+    first-order width slightly undercuts a close silhouette.
     """
     pixels, confidences = detection
     anchor_px = np.full((body.NUM_KEYPOINTS, 2), np.nan)
@@ -193,51 +211,24 @@ def project_keypoints_to_mask(fused: np.ndarray, detection: tuple,
         except NoValidDepth:
             continue
         anchor_px[kp] = pixels[kp]
-    return anchor_px, anchor_depth
 
-
-def _mean_anchor(anchor_px: np.ndarray, anchor_depth: np.ndarray, kps) -> tuple | None:
-    kps = [kp for kp in kps if not np.isnan(anchor_depth[kp])]
-    if not kps:
-        return None
-    return np.mean(anchor_px[kps], axis=0), float(np.mean(anchor_depth[kps]))
-
-
-def part_endpoints(part: int, anchor_px: np.ndarray, anchor_depth: np.ndarray) -> tuple | None:
-    """(pixel, depth) pair for the proximal and distal base midpoints.
-
-    ``anchor_px`` (17, 2) and ``anchor_depth`` (17,) are a camera's mask
-    anchors, NaN where a keypoint has none.
-    """
-    if part == body.TORSO:
-        ends = (body.L_SHOULDER, body.R_SHOULDER), (body.L_HIP, body.R_HIP)
-    elif part == body.HEAD:
-        ends = body.PART_KEYPOINTS[body.HEAD], (body.L_SHOULDER, body.R_SHOULDER)
-    else:
-        ends = (body.EDGE_KEYPOINT[part],), (body.DISTAL_KEYPOINT[part],)
-    upper, lower = (_mean_anchor(anchor_px, anchor_depth, kps) for kps in ends)
-    if upper is None or lower is None:
-        return None
-    return upper, lower
-
-
-def trapezoid_for_part(part: int, endpoints_px, depths, k: Intrinsics,
-                       radius: float, inflation: float = 1.2) -> Trapezoid:
-    """Trapezoid enveloping a cylinder of ``radius`` between two endpoints.
-
-    Half-lengths follow focal * radius / depth, widened by ``inflation``
-    because the first-order width slightly undercuts a close silhouette.
-    """
-    d_up, d_lo = float(depths[0]), float(depths[1])
-    return Trapezoid(
-        part,
-        np.asarray(endpoints_px[0], dtype=np.float64),
-        np.asarray(endpoints_px[1], dtype=np.float64),
-        base_half_length(k.focal, d_up, radius) * inflation,
-        base_half_length(k.focal, d_lo, radius) * inflation,
-        d_up,
-        d_lo,
-    )
+    trapezoids = []
+    for part in parts:
+        ends = []
+        for kps in PART_ENDS[part]:
+            kps = [kp for kp in kps if not np.isnan(anchor_depth[kp])]
+            if not kps:
+                break
+            ends.append((np.mean(anchor_px[kps], axis=0), float(np.mean(anchor_depth[kps]))))
+        if len(ends) < 2:
+            continue
+        (mid_upper, d_upper), (mid_lower, d_lower) = ends
+        trapezoids.append(Trapezoid(
+            part, mid_upper, mid_lower,
+            base_half_length(k.focal, d_upper, radii[part]) * inflation,
+            base_half_length(k.focal, d_lower, radii[part]) * inflation,
+            d_upper, d_lower))
+    return trapezoids
 
 
 def paint_masks(trapezoids, width: int, height: int) -> MaskImage:
@@ -345,11 +336,10 @@ def extract_clouds(mask: MaskImage, depth_image: np.ndarray,
     pts = world_from_cam.apply(cam_pts)
 
     if robot_links:
-        keep = np.ones(len(pts), dtype=bool)
-        for link in robot_links:
-            margin = link.radius * (params.robot_margin_scale - 1.0)
-            keep &= ~link.contains(pts, radial_margin=margin)
-        pts, labels = _rows_where(keep, pts, labels)
+        # radius plus a (scale - 1) margin, not radius * scale: they round differently
+        reach = [link.radius + link.radius * (params.robot_margin_scale - 1.0)
+                 for link in robot_links]
+        pts, labels = _rows_where(~inside_any(robot_links, pts, reach), pts, labels)
 
     pts, labels = voxel_downsample(pts, labels, params.voxel)
     if len(pts):

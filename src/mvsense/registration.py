@@ -27,7 +27,7 @@ from scipy.linalg.lapack import dgesdd
 
 from . import body
 from .body import BodyTree, KeypartState, PartDimensions
-from .geometry import _cross, frame_from_axis, normalize, rotation_between
+from .geometry import _cross, frame_from_axis, inside_any, normalize, rotation_between
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
@@ -291,24 +291,6 @@ def _init_state(part: int, tree: BodyTree, dims: PartDimensions,
                         dims.cylinder_height(part), dims.cylinder_radius(part))
 
 
-def _inside_any(cylinders: list, points: np.ndarray, radial_margin: float) -> np.ndarray:
-    """Points inside any of ``cylinders``, each inflated by ``radial_margin``.
-
-    ``Cylinder.contains`` for every cylinder in one stacked pass: each
-    cylinder's slice goes through the same operations, so each mask has
-    the same bits as its own ``contains`` call.
-    """
-    bases = np.stack([c.base for c in cylinders])
-    axes = np.stack([c.axis for c in cylinders])
-    heights = np.array([c.height for c in cylinders])
-    reach = np.array([c.radius + radial_margin for c in cylinders])
-    p = points - bases[:, None, :]
-    ax = np.matmul(p, axes[:, :, None])[:, :, 0]
-    radial2 = np.einsum("cij,cij->ci", p, p) - ax * ax
-    inside = (ax >= 0.0) & (ax <= heights[:, None]) & (radial2 <= (reach * reach)[:, None])
-    return inside.any(axis=0)
-
-
 def register_tree(tree: BodyTree, clouds: dict, dims: PartDimensions,
                   model_samples: int = 128) -> BodyTree:
     """Register every active part, parents first, constraints maintained.
@@ -342,7 +324,7 @@ def register_tree(tree: BodyTree, clouds: dict, dims: PartDimensions,
                 data = data[:: len(data) // 600 + 1]
             # points explained by already-settled parts are mask bleed-over
             if settled:
-                keep = ~_inside_any(settled, data, radial_margin=0.025)
+                keep = ~inside_any(settled, data, [c.radius + 0.025 for c in settled])
                 if keep.sum() >= 8:
                     data = data[keep]
             result = icp_register(_cylinder_model(state.radius, state.height,

@@ -9,10 +9,12 @@ poses the model pairs of every evaluated state, the rejected last one
 too, and centres the cloud on the anchor at every step.
 ``register_tree`` is the tree walk from before each part's sampled model
 was cached and the bleed-over test became one stacked pass: it samples the
-model on every call and strips bleed-over with one ``Cylinder.contains``
-per settled cylinder, and it registers through this file's
-``icp_register``; its keypoint table is the tree's (17, 3) array, as in
-the live code. The live code must give the same bits on every input.
+model on every call and strips bleed-over with one ``contains`` per
+settled cylinder, and it registers through this file's ``icp_register``;
+its keypoint table is the tree's (17, 3) array, as in the live code.
+``contains`` is the per-cylinder point test that ``geometry.Cylinder``
+had before ``geometry.inside_any`` became the one containment test. The
+live code must give the same bits on every input.
 """
 
 import math
@@ -159,6 +161,15 @@ def icp_register(model_local: np.ndarray, data_pts: np.ndarray,
     return ICPResult(state, iterations, float(residual), converged)
 
 
+def contains(cylinder, points: np.ndarray, radial_margin: float = 0.0) -> np.ndarray:
+    """Boolean mask of points inside the cylinder inflated by ``radial_margin``."""
+    p = np.atleast_2d(np.asarray(points, dtype=np.float64)) - cylinder.base
+    ax = p @ cylinder.axis
+    radial2 = np.einsum("ij,ij->i", p, p) - ax * ax
+    r = cylinder.radius + radial_margin
+    return (ax >= 0.0) & (ax <= cylinder.height) & (radial2 <= r * r)
+
+
 def register_tree(tree: BodyTree, clouds: dict, dims: PartDimensions,
                   model_samples: int = 128) -> BodyTree:
 
@@ -189,7 +200,7 @@ def register_tree(tree: BodyTree, clouds: dict, dims: PartDimensions,
             if settled:
                 keep = np.ones(len(data), dtype=bool)
                 for cyl in settled:
-                    keep &= ~cyl.contains(data, radial_margin=0.025)
+                    keep &= ~contains(cyl, data, radial_margin=0.025)
                 if keep.sum() >= 8:
                     data = data[keep]
             model_local = sample_cylinder_local(state.radius, state.height,

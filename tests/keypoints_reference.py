@@ -10,14 +10,20 @@ camera depth. ``project_keypoints_to_mask`` anchors keypoint by keypoint
 from a dict of fused world positions and a camera's (pixels,
 confidences) detection, and returns keypoint -> (pixel, depth); an
 unfused keypoint falls back to its detected pixel only at a confidence
-above 0. ``anchor_tables`` turns such a dict into the two arrays the live
-code returns, and ``assert_same_anchors`` compares them by their bytes.
-The live code must give the same bits on every input.
+above 0. ``anchor_tables`` turns such a dict into (17, 2) pixels and
+(17,) depths. ``_mean_anchor``, ``part_endpoints`` and
+``trapezoid_for_part`` are the per-part steps that placed a camera's
+trapezoids from those tables before ``keyparts.project_keypoints_to_mask``
+built them itself; ``trapezoids`` chains the four steps as the pipeline
+did, and ``assert_same_trapezoids`` compares two trapezoid lists field
+by field by their bytes. The live code must give the same bits on every
+input.
 """
 
 import numpy as np
 
 from mvsense import body
+from mvsense.keyparts import Trapezoid, base_half_length
 from mvsense.keypoints import NoValidDepth, effectiveness_factor, slice_depth
 
 
@@ -102,7 +108,72 @@ def anchor_tables(anchors: dict) -> tuple:
     return pixels, depths
 
 
-def assert_same_anchors(got: tuple, anchors: dict) -> None:
-    want = anchor_tables(anchors)
-    for a, b, name in zip(got, want, ("pixels", "depths")):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+def _mean_anchor(anchor_px: np.ndarray, anchor_depth: np.ndarray, kps) -> tuple | None:
+    kps = [kp for kp in kps if not np.isnan(anchor_depth[kp])]
+    if not kps:
+        return None
+    return np.mean(anchor_px[kps], axis=0), float(np.mean(anchor_depth[kps]))
+
+
+def part_endpoints(part: int, anchor_px: np.ndarray, anchor_depth: np.ndarray) -> tuple | None:
+    """(pixel, depth) pair for the proximal and distal base midpoints."""
+    if part == body.TORSO:
+        ends = (body.L_SHOULDER, body.R_SHOULDER), (body.L_HIP, body.R_HIP)
+    elif part == body.HEAD:
+        ends = body.PART_KEYPOINTS[body.HEAD], (body.L_SHOULDER, body.R_SHOULDER)
+    else:
+        ends = (body.EDGE_KEYPOINT[part],), (body.DISTAL_KEYPOINT[part],)
+    upper, lower = (_mean_anchor(anchor_px, anchor_depth, kps) for kps in ends)
+    if upper is None or lower is None:
+        return None
+    return upper, lower
+
+
+def trapezoid_for_part(part: int, endpoints_px, depths, k, radius: float,
+                       inflation: float = 1.2) -> Trapezoid:
+    """Trapezoid enveloping a cylinder of ``radius`` between two endpoints."""
+    d_up, d_lo = float(depths[0]), float(depths[1])
+    return Trapezoid(
+        part,
+        np.asarray(endpoints_px[0], dtype=np.float64),
+        np.asarray(endpoints_px[1], dtype=np.float64),
+        base_half_length(k.focal, d_up, radius) * inflation,
+        base_half_length(k.focal, d_lo, radius) * inflation,
+        d_up,
+        d_lo,
+    )
+
+
+def trapezoids(fused: dict, detection, world_from_cam, k, depth_image, slice_radius: int,
+               parts, radii, inflation: float) -> list:
+    """A camera's trapezoids: anchors, then per part its endpoints and trapezoid."""
+    anchors = anchor_tables(project_keypoints_to_mask(
+        fused, detection, world_from_cam, k, depth_image, slice_radius, parts))
+    out = []
+    for j in parts:
+        ends = part_endpoints(j, *anchors)
+        if ends is None:
+            continue
+        (px_u, d_u), (px_l, d_l) = ends
+        out.append(trapezoid_for_part(j, (px_u, px_l), (d_u, d_l), k, radii[j], inflation))
+    return out
+
+
+TRAPEZOID_ARRAYS = ("mid_upper", "mid_lower")
+TRAPEZOID_FLOATS = ("len_upper", "len_lower", "paint_depth_upper", "paint_depth_lower")
+
+
+def assert_same_trapezoids(got: list, want: list) -> None:
+    """Same parts in the same order, every field of every trapezoid with
+    the same type and bytes."""
+    assert [t.part for t in got] == [t.part for t in want]
+    for a, b in zip(got, want):
+        assert type(a.part) is type(b.part), a.part
+        for name in TRAPEZOID_ARRAYS:
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), \
+                (a.part, name)
+        for name in TRAPEZOID_FLOATS:
+            x, y = getattr(a, name), getattr(b, name)
+            assert type(x) is type(y) and np.float64(x).tobytes() == np.float64(y).tobytes(), \
+                (a.part, name)

@@ -39,6 +39,10 @@ class TestTables:
         assert body.NUM_KEYPARTS == 10
         assert body.NUM_KEYPOINTS == 17
 
+    def test_only_parents_are_supplementable(self):
+        assert SUPPLEMENTABLE == [body.TORSO, body.L_UPPER_ARM, body.R_UPPER_ARM,
+                                  body.L_UPPER_LEG, body.R_UPPER_LEG]
+
     def test_dof_accounting_totals_24(self):
         assert sum(body.PART_DOF.values()) == 24
         assert body.PART_DOF[body.TORSO] == 6
@@ -155,18 +159,23 @@ def subsets(items):
 
 ALL_PRESENCE = [list(present) for present in subsets(range(body.NUM_KEYPARTS))]
 TORSO_KEYPOINTS = body.PART_KEYPOINTS[body.TORSO]
+# the parts ``augment`` can supplement: every parent, the torso and the upper limbs
+SUPPLEMENTABLE = sorted({p for p in body.PARENT.values() if p is not None})
 
 
 def assert_matches_reference(table, presences=ALL_PRESENCE):
     """The table path against ``body_reference``'s dict path, bit for bit:
-    the neck, every part's supplement state, the torso anchors implied by
-    a fitted torso, and ``augment`` under each presence set."""
+    the neck, the head's keypoint state, the supplement state of every part
+    ``augment`` can supplement, the torso anchors implied by a fitted
+    torso, and ``augment`` under each presence set."""
     before, rows = table.copy(), ref.rows_of(table)
     want_neck, got_neck = ref.neck_point(rows), body.neck_point(table)
     assert (got_neck is None) == (want_neck is None)
     if want_neck is not None:
         assert got_neck.tobytes() == want_neck.tobytes()
-    for part in range(body.NUM_KEYPARTS):
+    ref.assert_same_state(body.head_state_from_keypoints(table, DIMS),
+                          ref.head_state_from_keypoints(rows, DIMS), body.HEAD)
+    for part in SUPPLEMENTABLE:
         ref.assert_same_state(body.supplement_state(part, table, DIMS),
                               ref.supplement_state(part, rows, DIMS), part)
     torso = ref.fit_torso_state(rows, DIMS)
@@ -177,6 +186,7 @@ def assert_matches_reference(table, presences=ALL_PRESENCE):
     for present in presences:
         got = augment(build_tree(present), table, DIMS)
         ref.assert_same_augment(got, ref.augment(ref.dict_tree(present), rows, DIMS))
+        assert {p for p, n in got.nodes.items() if n.supplemented} <= set(SUPPLEMENTABLE)
         assert not np.shares_memory(got.keypoints, table)
     assert table.tobytes() == before.tobytes()  # the tree writes only its own copy
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import at_origin, first_hit, identity, random_rigid, ray_cylinder_hits_reference
+import icp_reference as icp_ref
 from keypoints_reference import project
 from mvsense.geometry import (
     RAY_BLOCK,
@@ -23,6 +24,7 @@ from mvsense.geometry import (
     cylinder_clearance,
     cylinder_table,
     frame_from_axis,
+    inside_any,
     normalize,
     reproject,
     rotation_between,
@@ -167,11 +169,61 @@ class TestCylinder:
         assert c.height == pytest.approx(2.0)
         assert c.axis == pytest.approx([0, 0, 1])
 
-    def test_contains(self):
-        c = Cylinder(np.zeros(3), np.array([0.0, 0.0, 1.0]), 1.0, 0.5)
-        inside = c.contains(np.array([[0.1, 0.0, 0.5], [0.9, 0.0, 0.5],
-                                      [0.0, 0.0, 1.5]]))
+
+UP = np.array([0.0, 0.0, 1.0])
+
+
+class TestInsideAny:
+    def test_one_cylinder(self):
+        c = Cylinder(np.zeros(3), UP, 1.0, 0.5)
+        inside = inside_any([c], np.array([[0.1, 0.0, 0.5], [0.9, 0.0, 0.5],
+                                           [0.0, 0.0, 1.5]]), [c.radius])
         assert inside.tolist() == [True, False, False]
+
+    def test_caps_and_surface_are_inside(self):
+        c = Cylinder(np.zeros(3), UP, 1.0, 0.5)
+        pts = np.array([[0.5, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -0.5, 0.5],
+                        [0.0, 0.0, -1e-9], [0.0, 0.0, 1.0 + 1e-9]])
+        assert inside_any([c], pts, [c.radius]).tolist() == [True, True, True, False, False]
+
+    def test_each_cylinder_has_its_own_reach(self):
+        a = Cylinder(np.zeros(3), UP, 1.0, 0.1)
+        b = Cylinder(np.array([1.0, 0.0, 0.0]), UP, 1.0, 0.1)
+        pts = np.array([[x, 0.0, 0.5] for x in (-0.05, 0.15, 0.25, 0.75, 0.85, 1.25)])
+        assert inside_any([a, b], pts, [0.1, 0.3]).tolist() == \
+            [True, False, False, True, True, True]
+        assert inside_any([a, b], pts, [0.3, 0.1]).tolist() == \
+            [True, True, True, False, False, False]
+        assert inside_any([b, a], pts, [0.1, 0.3]).tolist() == \
+            [True, True, True, False, False, False]
+
+    def test_no_points(self):
+        c = Cylinder(np.zeros(3), UP, 1.0, 0.5)
+        got = inside_any([c, c], np.empty((0, 3)), [0.5, 0.6])
+        assert got.shape == (0,) and got.dtype == bool
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_cylinder_reference(self, seed):
+        """Random cylinders, each with its own margin, against the union of
+        one per-cylinder test each; points are drawn around the cylinders and
+        on their inflated surfaces."""
+        rng = np.random.default_rng(seed)
+        for _ in range(30):
+            cylinders = [Cylinder(rng.uniform(-0.5, 0.5, 3), normalize(rng.normal(size=3)),
+                                  rng.uniform(0.1, 0.6), rng.uniform(0.02, 0.15))
+                         for _ in range(rng.integers(1, 7))]
+            margins = rng.uniform(0.0, 0.05, len(cylinders))
+            pts = rng.uniform(-1.0, 1.0, (int(rng.integers(1, 400)), 3))
+            for c, m in zip(cylinders, margins):  # on the inflated wall
+                t = rng.uniform(-0.05, 1.05, 20) * c.height
+                side = normalize(np.cross(c.axis, rng.normal(size=3)))
+                pts = np.vstack([pts, c.base + t[:, None] * c.axis + (c.radius + m) * side])
+            want = np.zeros(len(pts), dtype=bool)
+            for c, m in zip(cylinders, margins):
+                want |= icp_ref.contains(c, pts, radial_margin=m)
+            got = inside_any(cylinders, pts, [c.radius + m for c, m in zip(cylinders, margins)])
+            assert got.tolist() == want.tolist()
+            assert want.any() and not want.all()
 
 
 class TestRayCylinder:

@@ -54,6 +54,24 @@ class TestSceneBuilding:
             assert off[kp] == 0.0
         assert off[body.L_WRIST] > 0.0
 
+    @pytest.mark.parametrize("radius", [
+        body.PartDimensions().radius,
+        (0.05, 0.12, 0.2, 0.04, 0.03, 0.09, 0.05, 0.11, 0.08, 0.02),
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10),
+    ])
+    def test_depth_offsets_match_per_keypoint_loop(self, radius):
+        """Each keypoint's smallest radius over the parts it lies on, 0 on
+        the face, as the per-keypoint loop computed it."""
+        dims = body.PartDimensions(radius=radius)
+        want = np.zeros(body.NUM_KEYPOINTS)
+        for kp in range(body.NUM_KEYPOINTS):
+            if kp in body.PART_KEYPOINTS[body.HEAD]:
+                continue
+            want[kp] = min(dims.cylinder_radius(p) for p, kps in body.PART_KEYPOINTS.items()
+                           if kp in kps)
+        got = keypoint_depth_offsets(dims)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
 
 class TestRunTrial:
     def test_zero_duration_empty_metrics_success(self):
@@ -370,6 +388,29 @@ class TestCompareConfigs:
         table = compare_configs(script, trials=1, jobs=8)
         assert sizes == [len(scenario.CONFIGS)]
         assert table == compare_configs(script, trials=1, jobs=1)
+
+    def test_script_emitted_once_per_call(self, monkeypatch):
+        emitted, tasks = [], []
+        emit = scenario.emit
+
+        def counted(script):
+            emitted.append(script.name)
+            return emit(script)
+
+        def stub(task):
+            tasks.append(task)
+            return task[1], task[2], 0.5, 0.5
+
+        monkeypatch.setattr(scenario, "emit", counted)
+        monkeypatch.setattr(harness, "_trial_task", stub)
+        script = tiny_script()
+        table = compare_configs(script, trials=3)
+        assert emitted == [script.name]
+        assert len(tasks) == 3 * len(scenario.CONFIGS)
+        assert {text for text, _config, _seed in tasks} == {emit(script)}
+        assert [(config, seed) for _text, config, seed in tasks] == \
+            [(c, script.seed + k) for c in scenario.CONFIGS for k in range(3)]
+        assert all(stats["accuracies"] == [0.5] * 3 for stats in table.values())
 
     def test_format_comparison_table(self):
         script = tiny_script(duration=1.0)

@@ -2,8 +2,9 @@
 
 Painting semantics are verified against a per-pixel brute-force oracle:
 the label of a pixel must be the covering trapezoid with the smallest
-mean paint depth, whatever the input order. Painting, the label-keyed
-voxel filter and extraction are also checked bit for bit against the
+mean paint depth, whatever the input order. Trapezoid placement is
+checked bit for bit against the per-part steps in ``keypoints_reference``,
+and painting, the label-keyed voxel filter and extraction against the
 bodies they replaced, kept here as oracles.
 """
 
@@ -18,6 +19,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
+import icp_reference
 import keypoints_reference as ref
 from conftest import hires, identity, random_rigid
 from mvsense import body, harness, keyparts, scenario
@@ -33,9 +35,7 @@ from mvsense.keyparts import (
     base_half_length,
     extract_clouds,
     paint_masks,
-    part_endpoints,
     project_keypoints_to_mask,
-    trapezoid_for_part,
 )
 
 
@@ -74,6 +74,40 @@ class TestPartPresence:
         assert w.present() == (expected > 1.0)
 
 
+RADII = body.PartDimensions().radius
+
+
+def detection(pixel=(40.0, 30.0), confidence=0.9):
+    """A camera's 17 detected pixels, all at ``pixel``, and their
+    confidences, all ``confidence``."""
+    return (np.tile(np.asarray(pixel, dtype=np.float64), (body.NUM_KEYPOINTS, 1)),
+            np.full(body.NUM_KEYPOINTS, confidence))
+
+
+def fused_table(rows: dict):
+    """The (17, 3) world keypoint table with the given rows, NaN elsewhere."""
+    table = np.full((body.NUM_KEYPOINTS, 3), np.nan)
+    for kp, position in rows.items():
+        table[kp] = position
+    return table
+
+
+def at_pixel(u, v, depth):
+    """The point that ``k_small`` at the identity pose sees at pixel (u, v)
+    and ``depth``."""
+    k = k_small()
+    return ((u - k.cx) * depth / k.fx, (v - k.cy) * depth / k.fy, depth)
+
+
+def camera_trapezoids(fused, parts, det=None, depth=None, inflation=1.2):
+    """``project_keypoints_to_mask`` for ``k_small`` at the identity pose,
+    by default over a flat 1.5 m depth image with every keypoint detected
+    at (40, 30)."""
+    return project_keypoints_to_mask(
+        fused, detection() if det is None else det, identity(), k_small(),
+        np.full((120, 160), 1.5) if depth is None else depth, 3, parts, RADII, inflation)
+
+
 class TestTrapezoidGeometry:
     def test_base_half_length_value(self):
         assert base_half_length(500.0, 2.0, 0.1) == pytest.approx(25.0)
@@ -93,13 +127,15 @@ class TestTrapezoidGeometry:
         with pytest.raises(ValueError):
             base_half_length(400.0, 0.0, 0.05)
         with pytest.raises(ValueError):
-            trapezoid_for_part(2, ((0, 0), (10, 10)), (-1.0, 2.0), k_small(), 0.05)
+            base_half_length(400.0, -1.0, 0.05)
 
     def test_equal_depths_give_rectangle(self):
-        tz = trapezoid_for_part(2, ((10.0, 10.0), (10.0, 50.0)), (2.0, 2.0),
-                                k_small(), 0.05, inflation=1.0)
+        fused = fused_table({body.L_SHOULDER: at_pixel(10.0, 10.0, 2.0),
+                             body.L_ELBOW: at_pixel(10.0, 50.0, 2.0)})
+        [tz] = camera_trapezoids(fused, [body.L_UPPER_ARM], inflation=1.0)
         corners = tz.corners()
         assert tz.len_upper == pytest.approx(tz.len_lower)
+        assert tz.len_upper == pytest.approx(base_half_length(200.0, 2.0, 0.05))
         # opposite sides parallel and equal: a parallelogram (rectangle here)
         assert np.allclose(corners[1] - corners[0], corners[2] - corners[3],
                            atol=1e-12)
@@ -114,12 +150,13 @@ class TestTrapezoidGeometry:
         assert abs(np.dot(axis, base_l)) < 1e-9
 
     def test_inflation_scales_half_lengths(self):
-        tz1 = trapezoid_for_part(2, ((10, 10), (10, 50)), (2.0, 1.0), k_small(),
-                                 0.05, inflation=1.0)
-        tz2 = trapezoid_for_part(2, ((10, 10), (10, 50)), (2.0, 1.0), k_small(),
-                                 0.05, inflation=1.2)
+        fused = fused_table({body.L_SHOULDER: at_pixel(10.0, 10.0, 2.0),
+                             body.L_ELBOW: at_pixel(10.0, 50.0, 1.0)})
+        [tz1] = camera_trapezoids(fused, [body.L_UPPER_ARM], inflation=1.0)
+        [tz2] = camera_trapezoids(fused, [body.L_UPPER_ARM], inflation=1.2)
         assert tz2.len_upper == pytest.approx(tz1.len_upper * 1.2)
         assert tz2.len_lower == pytest.approx(tz1.len_lower * 1.2)
+        assert tz1.len_lower == pytest.approx(2.0 * tz1.len_upper)  # half the depth
 
     def test_depth_interpolates_along_axis(self):
         tz = make_trapezoid(1, (10.0, 0.0), (10.0, 40.0), 4.0, 4.0, 1.0, 3.0)
@@ -127,74 +164,76 @@ class TestTrapezoidGeometry:
         assert d == pytest.approx([1.0, 2.0, 3.0])
 
 
-def detection(pixel=(40.0, 30.0), confidence=0.9):
-    """A camera's 17 detected pixels, all at ``pixel``, and their
-    confidences, all ``confidence``."""
-    return (np.tile(np.asarray(pixel, dtype=np.float64), (body.NUM_KEYPOINTS, 1)),
-            np.full(body.NUM_KEYPOINTS, confidence))
-
-
-def fused_table(rows: dict):
-    """The (17, 3) world keypoint table with the given rows, NaN elsewhere."""
-    table = np.full((body.NUM_KEYPOINTS, 3), np.nan)
-    for kp, position in rows.items():
-        table[kp] = position
-    return table
-
-
 class TestProjectKeypointsToMask:
-    def test_fused_point_on_optical_axis(self):
+    def test_fused_and_unfused_ends(self):
+        """A fused keypoint projects through the camera at its camera-frame
+        depth; an unfused one falls back to its detected pixel and sliced
+        depth."""
         k = k_small()
-        fused = fused_table({0: (0.0, 0.0, 2.0)})
-        depth = np.full((120, 160), 1.5)
-        pixels, depths = project_keypoints_to_mask(
-            fused, detection(), identity(), k, depth, 3, [body.HEAD])
-        # the fused projection, not the detected pixel and its sliced depth
-        assert np.allclose(pixels[0], [k.cx, k.cy], atol=1e-9)
-        assert depths[0] == pytest.approx(2.0)
+        [tz] = camera_trapezoids(fused_table({body.L_SHOULDER: (0.0, 0.0, 2.0)}),
+                                 [body.L_UPPER_ARM])
+        assert tz.part == body.L_UPPER_ARM
+        assert np.allclose(tz.mid_upper, [k.cx, k.cy], atol=1e-9)
+        assert tz.paint_depth_upper == pytest.approx(2.0)
+        assert np.allclose(tz.mid_lower, [40.0, 30.0])
+        assert tz.paint_depth_lower == pytest.approx(1.5)
+        assert tz.len_upper == pytest.approx(base_half_length(k.focal, 2.0, 0.05) * 1.2)
+        assert tz.len_lower == pytest.approx(base_half_length(k.focal, 1.5, 0.05) * 1.2)
 
-    def test_unfused_keypoint_falls_back_to_detected_pixel(self):
-        k = k_small()
-        depth = np.full((120, 160), 1.5)
-        pixels, depths = project_keypoints_to_mask(
-            fused_table({}), detection(), identity(), k, depth, 3, [body.HEAD])
-        assert np.flatnonzero(~np.isnan(depths)).tolist() == \
-            list(body.PART_KEYPOINTS[body.HEAD])
-        assert np.allclose(pixels[0], [40.0, 30.0])
-        assert depths[0] == pytest.approx(1.5)
-        assert np.isnan(pixels[body.L_HIP]).all()  # not a head keypoint
+    def test_torso_and_head_ends_are_mean_anchors(self):
+        fused = fused_table({
+            body.L_SHOULDER: at_pixel(10.0, 10.0, 2.0),
+            body.R_SHOULDER: at_pixel(30.0, 10.0, 2.2),
+            body.L_HIP: at_pixel(12.0, 60.0, 2.1),
+            body.R_HIP: at_pixel(28.0, 60.0, 2.3),
+        })
+        torso, head = camera_trapezoids(fused, [body.TORSO, body.HEAD])
+        assert (torso.part, head.part) == (body.TORSO, body.HEAD)  # in ``parts`` order
+        assert np.allclose(torso.mid_upper, [20.0, 10.0])
+        assert np.allclose(torso.mid_lower, [20.0, 60.0])
+        assert torso.paint_depth_upper == pytest.approx(2.1)
+        assert torso.paint_depth_lower == pytest.approx(2.2)
+        assert torso.len_upper == pytest.approx(base_half_length(200.0, 2.1, 0.15) * 1.2)
+        # the five unfused face keypoints fall back to their detected pixel
+        assert np.allclose(head.mid_upper, [40.0, 30.0])
+        assert head.paint_depth_upper == pytest.approx(1.5)
+        assert np.allclose(head.mid_lower, [20.0, 10.0])
+        assert head.paint_depth_lower == pytest.approx(2.1)
+        assert head.len_upper == pytest.approx(base_half_length(200.0, 1.5, 0.10) * 1.2)
 
     def test_zero_confidence_keypoint_has_no_fallback_anchor(self):
         """A keypoint this camera reported at confidence 0 gets no anchor
-        from its detected pixel; a fused one still projects."""
+        from its detected pixel, so a part with no other anchor at that end
+        gets no trapezoid; a fused one still projects."""
         k = k_small()
-        depth = np.full((120, 160), 1.5)
         pixels, confidences = detection()
-        confidences[[body.NOSE, body.L_EYE]] = 0.0
-        anchor_px, depths = project_keypoints_to_mask(
-            fused_table({body.L_EYE: (0.0, 0.0, 2.0)}), (pixels, confidences),
-            identity(), k, depth, 3, [body.HEAD])
-        assert np.flatnonzero(~np.isnan(depths)).tolist() == \
-            [body.L_EYE, body.R_EYE, body.L_EAR, body.R_EAR]
-        assert np.isnan(anchor_px[body.NOSE]).all()
-        assert np.allclose(anchor_px[body.L_EYE], [k.cx, k.cy], atol=1e-9)
-        assert depths[body.L_EYE] == pytest.approx(2.0)
+        confidences[[body.L_ELBOW, body.R_ELBOW, body.NOSE]] = 0.0
+        pixels[[body.L_EYE, body.R_EYE, body.L_EAR, body.R_EAR]] = [[20.0, 10.0]] * 4
+        fused = fused_table({body.R_ELBOW: (0.0, 0.0, 2.0)})
+        got = camera_trapezoids(fused, [body.TORSO, body.HEAD, body.L_UPPER_ARM,
+                                        body.R_UPPER_ARM], (pixels, confidences))
+        assert [tz.part for tz in got] == [body.TORSO, body.HEAD, body.R_UPPER_ARM]
+        assert np.allclose(got[1].mid_upper, [20.0, 10.0])  # the nose is left out
+        assert np.allclose(got[2].mid_lower, [k.cx, k.cy], atol=1e-9)
+        assert got[2].paint_depth_lower == pytest.approx(2.0)
 
     def test_detected_pixel_without_depth_skipped(self):
-        depth = np.zeros((120, 160))
-        pixels, depths = project_keypoints_to_mask(
-            fused_table({}), detection(), identity(), k_small(), depth, 3,
-            [body.HEAD])
-        assert np.isnan(pixels).all() and np.isnan(depths).all()
+        assert camera_trapezoids(fused_table({}), list(range(body.NUM_KEYPARTS)),
+                                 depth=np.zeros((120, 160))) == []
 
     def test_behind_camera_keypoint_skipped(self):
-        k = k_small()
-        fused = fused_table({0: (0.0, 0.0, -1.0), 1: (0.1, 0.0, 2.0)})
-        depth = np.full((120, 160), 1.5)
-        pixels, depths = project_keypoints_to_mask(
-            fused, detection(), identity(), k, depth, 3, [body.HEAD])
-        assert np.isnan(depths[0]) and np.isnan(pixels[0]).all()
-        assert depths[1] == pytest.approx(2.0)  # the keypoint in front keeps its anchor
+        fused = fused_table({body.L_SHOULDER: (0.0, 0.0, -1.0),
+                             body.R_SHOULDER: at_pixel(30.0, 10.0, 2.0),
+                             body.L_ELBOW: (0.1, 0.0, -2.0)})
+        torso, upper_arm = camera_trapezoids(fused, [body.TORSO, body.R_UPPER_ARM])
+        # the keypoint in front is the torso's whole upper end
+        assert (torso.part, upper_arm.part) == (body.TORSO, body.R_UPPER_ARM)
+        assert np.allclose(torso.mid_upper, [30.0, 10.0])
+        assert torso.paint_depth_upper == pytest.approx(2.0)
+        assert camera_trapezoids(fused, [body.L_UPPER_ARM]) == []
+
+    def test_no_parts(self):
+        assert camera_trapezoids(fused_table({0: (0.0, 0.0, 2.0)}), []) == []
 
     def test_other_slice_errors_propagate(self, monkeypatch):
         def broken(*_args):
@@ -202,16 +241,17 @@ class TestProjectKeypointsToMask:
 
         monkeypatch.setattr(keyparts, "slice_depth", broken)
         with pytest.raises(ZeroDivisionError, match="bug in slice_depth"):
-            project_keypoints_to_mask(fused_table({}), detection(), identity(),
-                                      k_small(), np.full((120, 160), 1.5), 3, [body.HEAD])
+            camera_trapezoids(fused_table({}), [body.HEAD])
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_matches_per_keypoint_reference_bit_for_bit(self, seed):
+    def test_matches_per_part_reference_bit_for_bit(self, seed):
         """Random tables with unfused rows and rows behind the camera, random
-        confidences with zeros, random parts, and depth images with holes
-        that fail some fallbacks."""
+        confidences with zeros, random parts, radii and inflation, and depth
+        images with holes that fail some fallbacks, against the anchors,
+        endpoints and trapezoids the per-keypoint reference composes."""
         rng = np.random.default_rng(seed)
         k = k_small()
+        built = 0
         for _ in range(50):
             pose = random_rigid(rng)
             cam = np.column_stack([rng.uniform(-1.0, 1.0, (body.NUM_KEYPOINTS, 2)),
@@ -226,29 +266,16 @@ class TestProjectKeypointsToMask:
             depth[:, :40] = 0.0
             parts = sorted(rng.choice(body.NUM_KEYPARTS, rng.integers(0, 11),
                                       replace=False).tolist())
+            radii = tuple(rng.uniform(0.02, 0.2, body.NUM_KEYPARTS).tolist())
+            inflation = float(rng.uniform(1.0, 1.5))
             rows = {kp: fused[kp] for kp in range(body.NUM_KEYPOINTS)
                     if not np.isnan(fused[kp, 0])}
-            ref.assert_same_anchors(
-                project_keypoints_to_mask(fused, (pixels, confidences), pose, k, depth,
-                                          2, parts),
-                ref.project_keypoints_to_mask(rows, (pixels, confidences), pose, k, depth,
-                                              2, parts))
-
-    def test_part_endpoints_torso_uses_midpoints(self):
-        pixels, depths = ref.anchor_tables({
-            body.L_SHOULDER: (np.array([10.0, 10.0]), 2.0),
-            body.R_SHOULDER: (np.array([30.0, 10.0]), 2.2),
-            body.L_HIP: (np.array([12.0, 60.0]), 2.1),
-            body.R_HIP: (np.array([28.0, 60.0]), 2.3),
-        })
-        (pu, du), (pl, dl) = part_endpoints(body.TORSO, pixels, depths)
-        assert np.allclose(pu, [20.0, 10.0])
-        assert np.allclose(pl, [20.0, 60.0])
-        assert du == pytest.approx(2.1)
-        assert dl == pytest.approx(2.2)
-
-    def test_part_endpoints_missing_side_returns_none(self):
-        assert part_endpoints(body.L_UPPER_ARM, *ref.anchor_tables({})) is None
+            got = project_keypoints_to_mask(fused, (pixels, confidences), pose, k, depth,
+                                            2, parts, radii, inflation)
+            ref.assert_same_trapezoids(got, ref.trapezoids(
+                rows, (pixels, confidences), pose, k, depth, 2, parts, radii, inflation))
+            built += len(got)
+        assert built > 0
 
 
 class TestFusionMatchesPerKeypointReference:
@@ -257,7 +284,7 @@ class TestFusionMatchesPerKeypointReference:
 
     @pytest.mark.parametrize("config", ["multi-active", "single-fixed"])
     def test_template_trials(self, config, monkeypatch):
-        calls = {"fuse": 0, "anchors": 0}
+        calls = {"fuse": 0, "anchors": 0, "trapezoids": 0}
         fuse, anchor = harness.fuse, keyparts.project_keypoints_to_mask
 
         def fuse_compared(*args):
@@ -270,8 +297,9 @@ class TestFusionMatchesPerKeypointReference:
             got = anchor(fused, *rest)
             rows = {kp: fused[kp] for kp in range(body.NUM_KEYPOINTS)
                     if not np.isnan(fused[kp, 0])}
-            ref.assert_same_anchors(got, ref.project_keypoints_to_mask(rows, *rest))
+            ref.assert_same_trapezoids(got, ref.trapezoids(rows, *rest))
             calls["anchors"] += 1
+            calls["trapezoids"] += len(got)
             return got
 
         monkeypatch.setattr(harness, "fuse", fuse_compared)
@@ -281,7 +309,7 @@ class TestFusionMatchesPerKeypointReference:
             script = scenario.TEMPLATES[name](seed=3, duration=0.6)
             frames += harness.run_trial(script, config=config).frames
         assert calls["fuse"] == frames
-        assert calls["anchors"] > 0
+        assert calls["trapezoids"] > calls["anchors"] > 0
 
 
 def brute_force_labels(trapezoids, width, height):
@@ -703,8 +731,8 @@ class TestExtractClouds:
                                  params=CloudParams(cluster_min=5))
         n_free = len(free[0].points)
         n_blocked = len(blocked[0].points) if blocked else 0
-        inside = link.contains(free[0].points,
-                               radial_margin=link.radius * 0.1).sum()
+        inside = icp_reference.contains(link, free[0].points,
+                                        radial_margin=link.radius * 0.1).sum()
         assert n_blocked <= n_free - inside * 0.8
         assert inside > 0
 
@@ -789,7 +817,7 @@ def extract_clouds_reference(mask, depth_image, world_from_cam, k, robot_links=(
             keep = np.ones(len(pts), dtype=bool)
             for link in robot_links:
                 margin = link.radius * (params.robot_margin_scale - 1.0)
-                keep &= ~link.contains(pts, radial_margin=margin)
+                keep &= ~icp_reference.contains(link, pts, radial_margin=margin)
             pts = pts[keep]
 
         pts = voxel_downsample_reference(pts, params.voxel)
