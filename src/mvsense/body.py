@@ -8,14 +8,14 @@ other part hangs off it parent-before-child:
     upper segment -> its lower segment (3, 5, 7, 9)
 
 A part's pose is its world-frame cylinder (base at the proximal joint,
-axis toward the distal joint). Limb orientation relative to the parent is
-two angles applied intrinsically x-then-y to the parent reference frame;
-spin about a part's own cylinder axis is not modeled.
+axis toward the distal joint); spin about a part's own cylinder axis is
+not modeled.
 
 Keypoint positions are one (17, 3) world table in keypoint order, the
 table ``keypoints.fuse`` returns, with a NaN row for a keypoint not
-known. The tree's supplements and joint constraints and forward
-kinematics read and write its rows.
+known. The tree's supplements and joint constraints read and write its
+rows. Posing the model from joint angles is ground truth, not
+perception: that forward kinematics lives in ``simulator``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Cylinder, normalize, rot_x, rot_y, rot_z
+from .geometry import Cylinder, normalize
 
 # COCO keypoint indices
 NOSE, L_EYE, R_EYE, L_EAR, R_EAR = 0, 1, 2, 3, 4
@@ -108,13 +108,6 @@ DISTAL_KEYPOINT = {
     R_UPPER_LEG: R_KNEE, R_LOWER_LEG: R_ANKLE,
 }
 
-# degrees of freedom per part: torso is free, everything else rotates
-# about its proximal joint with spin discarded
-PART_DOF = {p: 6 if p == TORSO else 2 for p in range(NUM_KEYPARTS)}
-
-TOTAL_DOF = sum(PART_DOF.values())  # 24
-
-
 @dataclass(frozen=True)
 class PartDimensions:
     """Cylinder radius/height per keypart plus torso anchor widths.
@@ -127,12 +120,6 @@ class PartDimensions:
     height: tuple = (0.55, 0.24, 0.30, 0.28, 0.30, 0.28, 0.42, 0.42, 0.42, 0.42)
     shoulder_width: float = 0.36
     hip_width: float = 0.26
-
-    def cylinder_radius(self, part: int) -> float:
-        return self.radius[part]
-
-    def cylinder_height(self, part: int) -> float:
-        return self.height[part]
 
 
 @dataclass
@@ -272,7 +259,7 @@ def fit_torso_state(keypoints: np.ndarray, dims: PartDimensions) -> KeypartState
             sh_mid = 0.5 * (a[0] + a[1])
             up = np.array([0.0, 0.0, 1.0])
             lat = a[1] - a[0]
-            base = sh_mid - up * dims.cylinder_height(TORSO)
+            base = sh_mid - up * dims.height[TORSO]
         elif known[2] and known[3]:
             hip_mid = 0.5 * (a[2] + a[3])
             up = np.array([0.0, 0.0, 1.0])
@@ -289,7 +276,7 @@ def fit_torso_state(keypoints: np.ndarray, dims: PartDimensions) -> KeypartState
     frame = np.column_stack([lat, up, fwd])
     return KeypartState(
         TORSO, base, up,
-        dims.cylinder_height(TORSO), dims.cylinder_radius(TORSO), frame,
+        dims.height[TORSO], dims.radius[TORSO], frame,
     )
 
 
@@ -310,7 +297,7 @@ def _limb_supplement_state(part: int, keypoints: np.ndarray,
         return None
     return KeypartState(
         part, p0, normalize(p1 - p0),
-        dims.cylinder_height(part), dims.cylinder_radius(part),
+        dims.height[part], dims.radius[part],
     )
 
 
@@ -328,7 +315,7 @@ def head_state_from_keypoints(keypoints: np.ndarray,
         return None
     return KeypartState(
         HEAD, neck, normalize(d),
-        dims.cylinder_height(HEAD), dims.cylinder_radius(HEAD),
+        dims.height[HEAD], dims.radius[HEAD],
     )
 
 
@@ -428,107 +415,3 @@ def enforce_joint_constraints(tree: BodyTree) -> BodyTree:
             tree.keypoints[dist] = state.tip
     return tree
 
-
-# ---------------------------------------------------------------------------
-# forward kinematics for the 24-DOF parameterization
-
-# identity torso frame: lateral +x, up +z, forward -y (standing upright)
-_TORSO_FRAME0 = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
-
-# DOF vector layout: torso(6), head(2), then (upper, lower) x (L arm, R arm,
-# L leg, R leg), 2 angles each
-DOF_LAYOUT = (
-    (TORSO, 6), (HEAD, 2),
-    (L_UPPER_ARM, 2), (L_LOWER_ARM, 2),
-    (R_UPPER_ARM, 2), (R_LOWER_ARM, 2),
-    (L_UPPER_LEG, 2), (L_LOWER_LEG, 2),
-    (R_UPPER_LEG, 2), (R_LOWER_LEG, 2),
-)
-
-
-def limb_frame(ref_frame: np.ndarray, theta_x: float, theta_y: float) -> np.ndarray:
-    return ref_frame @ rot_x(theta_x) @ rot_y(theta_y)
-
-
-def _upper_ref(torso_frame: np.ndarray) -> np.ndarray:
-    # rest direction straight down (-up axis of the torso frame)
-    return torso_frame @ rot_x(np.pi / 2.0)
-
-
-def _head_ref(torso_frame: np.ndarray) -> np.ndarray:
-    # rest direction straight up
-    return torso_frame @ rot_x(-np.pi / 2.0)
-
-
-@dataclass
-class HumanPose:
-    """Full-body pose snapshot: per-part states plus the (17, 3) keypoint table."""
-
-    states: dict
-    keypoints: np.ndarray
-
-    def cylinders(self) -> list:
-        """The part cylinders in part order."""
-        return [self.states[p].cylinder() for p in range(NUM_KEYPARTS)]
-
-
-def pose_from_dofs(dofs, dims: PartDimensions) -> HumanPose:
-    """Forward kinematics: 24-vector -> world cylinders and 17 keypoints."""
-    d = np.asarray(dofs, dtype=np.float64)
-    if d.shape != (TOTAL_DOF,):
-        raise ValueError(f"expected {TOTAL_DOF} dof values, got {d.shape}")
-
-    px, py, pz, tx, ty, tz = d[:6]
-    torso_frame = rot_z(tz) @ rot_y(ty) @ rot_x(tx) @ _TORSO_FRAME0
-    base = np.array([px, py, pz])
-    up = torso_frame[:, 1]
-    states = {
-        TORSO: KeypartState(
-            TORSO, base, up,
-            dims.cylinder_height(TORSO), dims.cylinder_radius(TORSO),
-            torso_frame,
-        )
-    }
-
-    keypoints = np.empty((NUM_KEYPOINTS, 3))
-    keypoints[TORSO_ROWS] = torso_anchor_points(states[TORSO], dims)
-    neck = states[TORSO].tip
-
-    idx = 6
-    frames = {}
-    for part, _n in DOF_LAYOUT[1:]:
-        ax, ay = d[idx], d[idx + 1]
-        idx += 2
-        if part == HEAD:
-            ref = _head_ref(torso_frame)
-            origin = neck
-        elif PARENT[part] == TORSO:
-            ref = _upper_ref(torso_frame)
-            origin = keypoints[EDGE_KEYPOINT[part]].copy()
-        else:
-            ref = frames[PARENT[part]]
-            origin = states[PARENT[part]].tip
-        frame = limb_frame(ref, ax, ay)
-        frames[part] = frame
-        axis = frame[:, 2]
-        states[part] = KeypartState(
-            part, origin, axis,
-            dims.cylinder_height(part), dims.cylinder_radius(part),
-        )
-        distal = DISTAL_KEYPOINT.get(part)
-        if distal is not None:
-            keypoints[distal] = states[part].tip
-
-    # face keypoints on the head cylinder
-    head = states[HEAD]
-    h_fwd = frames[HEAD][:, 1] * -1.0  # forward = -y of the head frame
-    h_lat = frames[HEAD][:, 0]
-    r, h = head.radius, head.height
-    c = head.base + head.axis * (0.62 * h)
-    keypoints[NOSE] = c + h_fwd * r
-    keypoints[L_EYE] = c + head.axis * (0.12 * h) + h_fwd * (0.85 * r) - h_lat * (0.4 * r)
-    keypoints[R_EYE] = c + head.axis * (0.12 * h) + h_fwd * (0.85 * r) + h_lat * (0.4 * r)
-    keypoints[L_EAR] = c + head.axis * (0.05 * h) - h_lat * r
-    keypoints[R_EAR] = c + head.axis * (0.05 * h) + h_lat * r
-
-    return HumanPose(states, keypoints)

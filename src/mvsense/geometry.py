@@ -23,10 +23,6 @@ import numpy as np
 _ORTHO_TOL = 1e-9
 
 
-class InvalidDepth(ValueError):
-    """Depth value is non-positive or non-finite."""
-
-
 def _as_vec3(x) -> np.ndarray:
     v = np.asarray(x, dtype=np.float64)
     if v.shape != (3,):
@@ -178,6 +174,18 @@ def rot_z(a: float) -> np.ndarray:
     return np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]], dtype=np.float64)
 
 
+def pan_tilt_rotation(pan, tilt) -> np.ndarray:
+    """The gimbal rotation ``rot_y(pan) @ rot_x(tilt)``, shape (..., 3, 3)
+    for ``pan`` and ``tilt`` of one shape (...).
+
+    Each entry of the product has one nonzero term, so it is written out:
+    the product's bits up to the sign of a zero.
+    """
+    cp, sp, ct, st = np.cos(pan), np.sin(pan), np.cos(tilt), np.sin(tilt)
+    return np.stack([cp, sp * st, sp * ct, np.zeros_like(cp), ct, -st,
+                     -sp, cp * st, cp * ct], axis=-1).reshape(np.shape(cp) + (3, 3))
+
+
 def normalize(v: np.ndarray) -> np.ndarray:
     """Unit vector along the 3-vector ``v``.
 
@@ -241,23 +249,18 @@ def frame_from_axis(axis: np.ndarray) -> np.ndarray:
 # back-projection
 
 
-def reproject(pixel, depth: float, k: Intrinsics) -> np.ndarray:
-    """Back-project a pixel with known depth to the camera frame (Kinv route)."""
-    if not np.isfinite(depth) or depth <= 0:
-        raise InvalidDepth(f"depth {depth!r}")
-    u, v = float(pixel[0]), float(pixel[1])
-    return np.array(
-        [depth * (u - k.cx) / k.fx, depth * (v - k.cy) / k.fy, depth]
-    )
+def reproject(pixels, depths, k: Intrinsics) -> np.ndarray:
+    """Back-project pixels (..., 2) with known depths (...) to camera-frame
+    points (..., 3): one pixel with a scalar depth, or (N, 2) with (N,).
 
-
-def reproject_many(pixels: np.ndarray, depths: np.ndarray, k: Intrinsics) -> np.ndarray:
-    """Vectorized back-projection of (N, 2) pixels with (N,) depths."""
+    The arithmetic is elementwise, so a pixel's point has the same bits
+    whichever pixels share the call.
+    """
     pixels = np.asarray(pixels, dtype=np.float64)
     depths = np.asarray(depths, dtype=np.float64)
-    x = depths * (pixels[:, 0] - k.cx) / k.fx
-    y = depths * (pixels[:, 1] - k.cy) / k.fy
-    return np.column_stack([x, y, depths])
+    x = depths * (pixels[..., 0] - k.cx) / k.fx
+    y = depths * (pixels[..., 1] - k.cy) / k.fy
+    return np.stack([x, y, depths], axis=-1)
 
 
 # ---------------------------------------------------------------------------

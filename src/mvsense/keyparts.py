@@ -24,7 +24,7 @@ import numpy as np
 
 from . import body
 from .filters import largest_euclidean_cluster, voxel_downsample
-from .geometry import Intrinsics, RigidTransform, inside_any, reproject_many
+from .geometry import Intrinsics, RigidTransform, inside_any, reproject
 from .keypoints import NoValidDepth, slice_depth
 
 BACKGROUND = -1
@@ -332,7 +332,7 @@ def extract_clouds(mask: MaskImage, depth_image: np.ndarray,
         return clouds
     labels = np.take(mask.labels, in_window)
     parts = np.unique(labels)
-    cam_pts = reproject_many(np.column_stack([us, vs]).astype(np.float64), depths, k)
+    cam_pts = reproject(np.column_stack([us, vs]), depths, k)
     pts = world_from_cam.apply(cam_pts)
 
     if robot_links:

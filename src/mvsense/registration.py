@@ -267,7 +267,7 @@ def _init_state(part: int, tree: BodyTree, dims: PartDimensions,
             torso = tree.nodes[body.TORSO].state
             axis = torso.axis if torso is not None else np.array([0.0, 0.0, 1.0])
             st = KeypartState(part, anchor, axis,
-                              dims.cylinder_height(part), dims.cylinder_radius(part))
+                              dims.height[part], dims.radius[part])
         elif st is not None and anchor is not None:
             st.base = anchor
         return st
@@ -278,17 +278,17 @@ def _init_state(part: int, tree: BodyTree, dims: PartDimensions,
         d = distal - anchor
         length = float(np.linalg.norm(d))
         # a grossly wrong segment length means the distal lift was polluted
-        h = dims.cylinder_height(part)
+        h = dims.height[part]
         if 0.45 * h <= length <= 1.5 * h:
             return KeypartState(part, anchor, normalize(d),
-                                h, dims.cylinder_radius(part))
+                                h, dims.radius[part])
     # no distal evidence: continue along the parent axis (rest-like)
     parent = tree.nodes[body.PARENT[part]].state
     if parent is None:
         return None
     axis = parent.axis if body.PARENT[part] != body.TORSO else -parent.axis
     return KeypartState(part, anchor, axis.copy(),
-                        dims.cylinder_height(part), dims.cylinder_radius(part))
+                        dims.height[part], dims.radius[part])
 
 
 def register_tree(tree: BodyTree, clouds: dict, dims: PartDimensions,

@@ -27,7 +27,7 @@ from . import body
 from .body import PartDimensions
 from .keyparts import CloudParams
 from .scheduler import SchedulerParams
-from .simulator import DepthNoise, DetectorNoise
+from .simulator import TOTAL_DOF, DepthNoise, DetectorNoise
 
 FORMAT_NAME = "mvsense-scenario"
 FORMAT_VERSION = 1
@@ -187,8 +187,8 @@ class ScenarioScript:
                 need(wps[i][0] > wps[i - 1][0],
                      "waypoint times must be strictly increasing", fld, i)
         for i, (_t, dof) in enumerate(self.human_waypoints):
-            need(len(dof) == body.TOTAL_DOF,
-                 f"human waypoint needs {body.TOTAL_DOF} dof values", "human-waypoint", i)
+            need(len(dof) == TOTAL_DOF,
+                 f"human waypoint needs {TOTAL_DOF} dof values", "human-waypoint", i)
         joint_counts = [len(j) for _t, j in self.robot_waypoints]
         for i, n in enumerate(joint_counts):
             need(n == joint_counts[0], "robot waypoints must agree on joint count",
@@ -240,7 +240,7 @@ INT = _Kind(int, "an integer")
 NUMBER = _Kind(_finite, "a finite number")
 YES_NO = _Kind({"yes": True, "no": False}.__getitem__, "yes or no")
 VEC3 = _Kind(_vector(3), "3 comma-separated numbers", _fmt_vec)
-DOF = _Kind(_vector(body.TOTAL_DOF), f"{body.TOTAL_DOF} comma-separated numbers",
+DOF = _Kind(_vector(TOTAL_DOF), f"{TOTAL_DOF} comma-separated numbers",
             _fmt_vec)
 JOINTS = _Kind(lambda tok: tuple(map(_vector(3), tok.split(";"))),
                "x,y,z joints separated by ';'", lambda js: ";".join(map(_fmt_vec, js)))
@@ -468,7 +468,7 @@ def emit(script: ScenarioScript) -> str:
 
 def _standing_dofs(x, y, heading, reach_l=0.0, reach_r=0.0, sway=0.0):
     """Convenience 24-dof builder: stand at (x, y), optional forward reaches."""
-    d = np.zeros(body.TOTAL_DOF)
+    d = np.zeros(TOTAL_DOF)
     d[0:3] = (x, y, 0.9)
     d[5] = heading
     d[3] = sway  # torso lean about x
@@ -480,22 +480,29 @@ def _standing_dofs(x, y, heading, reach_l=0.0, reach_r=0.0, sway=0.0):
     return tuple(float(v) for v in d)
 
 
-def _pick_place_robot(duration, period=4.0):
-    """Repetitive pick-and-place sweep for a 3-link arm at the origin."""
+def _arm_sweep(duration, step, until, angles, lifts, elbow, wrist, rise):
+    """A 3-link arm at the origin cycling through ``angles`` and ``lifts``,
+    one waypoint every ``step`` s until ``until`` s past ``duration``: the
+    elbow ``elbow`` m off the vertical axis, the wrist ``wrist`` m off it
+    and ``rise`` m higher."""
     base = (0.0, 0.0, 0.45)
     wps = []
     t = 0.0
     k = 0
-    while t <= duration + period:
-        phase = k % 4
-        ang = (-0.5, 0.0, 0.5, 0.0)[phase]
-        lift = (0.75, 1.15, 0.75, 1.15)[phase]
-        elbow = (0.45 * np.cos(ang), 0.45 * np.sin(ang), lift)
-        wrist = (0.95 * np.cos(ang), 0.95 * np.sin(ang), lift + 0.15)
-        wps.append((round(t, 6), (base, tuple(map(float, elbow)), tuple(map(float, wrist)))))
-        t += period / 2.0
+    while t <= duration + until:
+        ang, lift = angles[k % len(angles)], lifts[k % len(lifts)]
+        e = (elbow * np.cos(ang), elbow * np.sin(ang), lift)
+        w = (wrist * np.cos(ang), wrist * np.sin(ang), lift + rise)
+        wps.append((round(t, 6), (base, tuple(map(float, e)), tuple(map(float, w)))))
+        t += step
         k += 1
     return wps
+
+
+def _pick_place_robot(duration):
+    """Repetitive pick-and-place sweep, a 4 s period."""
+    return _arm_sweep(duration, 2.0, 4.0, (-0.5, 0.0, 0.5, 0.0), (0.75, 1.15, 0.75, 1.15),
+                      0.45, 0.95, 0.15)
 
 
 def _aim_at(pos, target):
@@ -562,19 +569,8 @@ def scene_reach_in(seed: int = 0, duration: float = 12.0) -> ScenarioScript:
     script = ScenarioScript(name="reach-in", seed=seed, duration=duration)
     script.cameras = _bench_cameras()
     # wider, faster sweeps that cross the front camera's sight line
-    base = (0.0, 0.0, 0.45)
-    wps = []
-    t = 0.0
-    k = 0
-    while t <= duration + 2.0:
-        ang = (-0.9, -0.2, 0.6, 1.2, 0.4, -0.3)[k % 6]
-        lift = (1.0, 1.35, 1.1, 0.9, 1.3, 1.05)[k % 6]
-        elbow = (0.5 * np.cos(ang), 0.5 * np.sin(ang), lift)
-        wrist = (1.05 * np.cos(ang), 1.05 * np.sin(ang), lift + 0.1)
-        wps.append((round(t, 6), (base, tuple(map(float, elbow)), tuple(map(float, wrist)))))
-        t += 1.4
-        k += 1
-    script.robot_waypoints = wps
+    script.robot_waypoints = _arm_sweep(duration, 1.4, 2.0, (-0.9, -0.2, 0.6, 1.2, 0.4, -0.3),
+                                        (1.0, 1.35, 1.1, 0.9, 1.3, 1.05), 0.5, 1.05, 0.1)
     hps = []
     t = 0.0
     k = 0

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import segment_segment_distance_batch
+from .geometry import pan_tilt_rotation, segment_segment_distance_batch
 
 P_CAP = 1.0 - 1e-9
 
@@ -129,17 +129,13 @@ def _view_quality(rig, orientations: list, positions: np.ndarray) -> np.ndarray:
     toward the FOV center rather than merely inside the frame.
 
     Every orientation is posed and projected in one batch, with the bits
-    of ``rig.world_pose(pan, tilt).inverse().apply(positions)`` up to the
-    sign of a zero, which no quality reads: each entry of the gimbal
-    rotation ``rot_y(pan) @ rot_x(tilt)`` has one nonzero product, so it
-    is written out, and the compose, the inverse's translation and the
-    projection are stacked matrix products, one BLAS call of the same
-    shape and layout per orientation as ``RigidTransform`` makes.
+    of ``rig.world_pose().inverse().apply(positions)`` for the rig turned
+    to it: both take the gimbal from ``pan_tilt_rotation``, and the
+    compose, the inverse's translation and the projection are stacked
+    matrix products, one BLAS call of the same shape and layout per
+    orientation as ``RigidTransform`` makes.
     """
-    pan, tilt = np.array(orientations, dtype=np.float64).T
-    cp, sp, ct, st = np.cos(pan), np.sin(pan), np.cos(tilt), np.sin(tilt)
-    gimbal = np.stack([cp, sp * st, sp * ct, np.zeros_like(pan), ct, -st,
-                       -sp, cp * st, cp * ct], axis=-1).reshape(-1, 3, 3)
+    gimbal = pan_tilt_rotation(*np.array(orientations, dtype=np.float64).T)
     mount = rig.mount
     inverse = np.ascontiguousarray(np.matmul(mount.rotation, gimbal).transpose(0, 2, 1))
     cam = np.matmul(positions, inverse.transpose(0, 2, 1))

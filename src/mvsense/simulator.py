@@ -2,8 +2,11 @@
 
 The scene holds a ground-truth cylinder human on a scripted 24-DOF
 trajectory, a robot arm proxy (a chain of link cylinders on its own
-script), and pan-tilt camera rigs. It renders depth images and tests
-keypoint occlusion with one ray-cylinder kernel, ``geometry.cast_rays``.
+script), and pan-tilt camera rigs. The forward kinematics that poses
+the human lives here, ``pose_from_dofs``: six dofs place the torso, and
+each other part turns about its proximal joint by two angles, in part
+order. The scene renders depth images and tests keypoint occlusion with
+one ray-cylinder kernel, ``geometry.cast_rays``.
 ``synthetic_detect`` stands in for the keypoint detector: it returns a
 camera's 17 pixels and confidences as two arrays, the format that
 ``keypoints.detect`` checks, with confidences that reflect occlusion and
@@ -20,15 +23,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import body
-from .body import HumanPose, PartDimensions, pose_from_dofs
+from .body import KeypartState, PartDimensions, torso_anchor_points
 from .geometry import (
     Cylinder,
     Intrinsics,
     RigidTransform,
     cast_rays,
     cylinder_table,
+    pan_tilt_rotation,
     rot_x,
     rot_y,
+    rot_z,
 )
 
 # rng stream labels
@@ -76,11 +81,9 @@ class CameraRig:
         self.target_pan = self.pan
         self.target_tilt = self.tilt
 
-    def world_pose(self, pan: float | None = None, tilt: float | None = None) -> RigidTransform:
+    def world_pose(self) -> RigidTransform:
         """Camera-to-world pose: mount, then pan about local y, tilt about local x."""
-        p = self.pan if pan is None else pan
-        t = self.tilt if tilt is None else tilt
-        gimbal = RigidTransform._trusted(rot_y(p) @ rot_x(t), np.zeros(3))
+        gimbal = RigidTransform._trusted(pan_tilt_rotation(self.pan, self.tilt), np.zeros(3))
         return self.mount.compose(gimbal)
 
     def command(self, pan: float, tilt: float) -> None:
@@ -106,6 +109,86 @@ def _lerp_waypoints(times: np.ndarray, values: np.ndarray, t: float) -> np.ndarr
     return (1.0 - w) * values[i] + w * values[i + 1]
 
 
+# ---------------------------------------------------------------------------
+# forward kinematics: the ground-truth pose from 24 joint angles
+
+# the dof vector: the torso's position and its x, y, z angles, then two
+# angles for each other part in part order, part p's at 2p + 4 and 2p + 5
+TOTAL_DOF = 6 + 2 * (body.NUM_KEYPARTS - 1)
+
+# identity torso frame: lateral +x, up +z, forward -y (standing upright)
+_TORSO_FRAME0 = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+
+
+def limb_frame(ref_frame: np.ndarray, theta_x: float, theta_y: float) -> np.ndarray:
+    """A part's frame: its reference frame turned intrinsically x, then y."""
+    return ref_frame @ rot_x(theta_x) @ rot_y(theta_y)
+
+
+@dataclass
+class HumanPose:
+    """Full-body pose snapshot: per-part states plus the (17, 3) keypoint table."""
+
+    states: dict
+    keypoints: np.ndarray
+
+    def cylinders(self) -> list:
+        """The part cylinders in part order."""
+        return [self.states[p].cylinder() for p in range(body.NUM_KEYPARTS)]
+
+
+def pose_from_dofs(dofs, dims: PartDimensions) -> HumanPose:
+    """Forward kinematics: 24-vector -> world cylinders and 17 keypoints.
+
+    A part's axis is the z of ``limb_frame`` of its two angles and a
+    reference frame: the torso frame turned straight up for the head and
+    straight down for an upper limb, the parent's frame for a lower limb.
+    """
+    d = np.asarray(dofs, dtype=np.float64)
+    if d.shape != (TOTAL_DOF,):
+        raise ValueError(f"expected {TOTAL_DOF} dof values, got {d.shape}")
+
+    px, py, pz, tx, ty, tz = d[:6]
+    torso_frame = rot_z(tz) @ rot_y(ty) @ rot_x(tx) @ _TORSO_FRAME0
+    torso = KeypartState(body.TORSO, np.array([px, py, pz]), torso_frame[:, 1],
+                         dims.height[body.TORSO], dims.radius[body.TORSO], torso_frame)
+    states = {body.TORSO: torso}
+    keypoints = np.empty((body.NUM_KEYPOINTS, 3))
+    keypoints[body.TORSO_ROWS] = torso_anchor_points(torso, dims)
+    head_ref = torso_frame @ rot_x(-np.pi / 2.0)
+    upper_ref = torso_frame @ rot_x(np.pi / 2.0)
+
+    frames = {}
+    for part in range(1, body.NUM_KEYPARTS):
+        parent = body.PARENT[part]
+        if part == body.HEAD:
+            ref, origin = head_ref, torso.tip
+        elif parent == body.TORSO:
+            ref, origin = upper_ref, keypoints[body.EDGE_KEYPOINT[part]].copy()
+        else:
+            ref, origin = frames[parent], states[parent].tip
+        frame = frames[part] = limb_frame(ref, d[2 * part + 4], d[2 * part + 5])
+        states[part] = KeypartState(part, origin, frame[:, 2],
+                                    dims.height[part], dims.radius[part])
+        distal = body.DISTAL_KEYPOINT.get(part)
+        if distal is not None:
+            keypoints[distal] = states[part].tip
+
+    # face keypoints on the head cylinder
+    head = states[body.HEAD]
+    h_fwd = frames[body.HEAD][:, 1] * -1.0  # forward = -y of the head frame
+    h_lat = frames[body.HEAD][:, 0]
+    r, h = head.radius, head.height
+    c = head.base + head.axis * (0.62 * h)
+    keypoints[body.NOSE] = c + h_fwd * r
+    keypoints[body.L_EYE] = c + head.axis * (0.12 * h) + h_fwd * (0.85 * r) - h_lat * (0.4 * r)
+    keypoints[body.R_EYE] = c + head.axis * (0.12 * h) + h_fwd * (0.85 * r) + h_lat * (0.4 * r)
+    keypoints[body.L_EAR] = c + head.axis * (0.05 * h) - h_lat * r
+    keypoints[body.R_EAR] = c + head.axis * (0.05 * h) + h_lat * r
+
+    return HumanPose(states, keypoints)
+
+
 @dataclass
 class GroundTruthHuman:
     """Scripted human: time-stamped 24-DOF waypoints, linearly interpolated."""
@@ -117,7 +200,7 @@ class GroundTruthHuman:
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=np.float64)
         self.dofs = np.asarray(self.dofs, dtype=np.float64)
-        if self.dofs.shape != (len(self.times), body.TOTAL_DOF):
+        if self.dofs.shape != (len(self.times), TOTAL_DOF):
             raise ValueError("dof waypoints must be (T, 24)")
         if len(self.times) == 0:
             raise ValueError("need at least one waypoint")

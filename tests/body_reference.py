@@ -12,6 +12,12 @@ change. ``dict_tree`` builds a tree whose keypoint table is such a dict,
 compares a live tree with an oracle tree: node flags and notes, states
 by their bytes, ``excluded`` and every keypoint, NaN rows included. The
 live code must give the same bits on every input.
+
+``pose_from_dofs`` is the forward kinematics from before it moved into
+``mvsense.simulator``: it walks ``DOF_LAYOUT``, a table of (part, dof
+count) pairs, and takes each limb's reference frame from ``_upper_ref``,
+``_head_ref`` or its parent. It returns the states and the keypoint
+table, which must match the live ones bit for bit.
 """
 
 import numpy as np
@@ -21,20 +27,26 @@ from mvsense.body import (
     DISTAL_KEYPOINT,
     EDGE_KEYPOINT,
     HEAD,
+    L_EAR,
+    L_EYE,
     L_HIP,
     L_SHOULDER,
+    NOSE,
     NUM_KEYPARTS,
     NUM_KEYPOINTS,
     PARENT,
     PART_KEYPOINTS,
+    R_EAR,
+    R_EYE,
     R_HIP,
     R_SHOULDER,
     TORSO,
+    TORSO_ROWS,
     BodyTree,
     KeypartState,
     PartDimensions,
 )
-from mvsense.geometry import normalize
+from mvsense.geometry import normalize, rot_x, rot_y, rot_z
 
 
 def dict_tree(present_parts) -> BodyTree:
@@ -91,7 +103,7 @@ def fit_torso_state(keypoints: dict, dims: PartDimensions) -> KeypartState | Non
             sh_mid = 0.5 * (anchors[L_SHOULDER] + anchors[R_SHOULDER])
             up = np.array([0.0, 0.0, 1.0])
             lat = anchors[R_SHOULDER] - anchors[L_SHOULDER]
-            base = sh_mid - up * dims.cylinder_height(TORSO)
+            base = sh_mid - up * dims.height[TORSO]
         elif L_HIP in anchors and R_HIP in anchors:
             hip_mid = 0.5 * (anchors[L_HIP] + anchors[R_HIP])
             up = np.array([0.0, 0.0, 1.0])
@@ -108,7 +120,7 @@ def fit_torso_state(keypoints: dict, dims: PartDimensions) -> KeypartState | Non
     frame = np.column_stack([lat, up, fwd])
     return KeypartState(
         TORSO, base, up,
-        dims.cylinder_height(TORSO), dims.cylinder_radius(TORSO), frame,
+        dims.height[TORSO], dims.radius[TORSO], frame,
     )
 
 
@@ -135,7 +147,7 @@ def _limb_supplement_state(part: int, keypoints: dict, dims: PartDimensions) -> 
         return None
     return KeypartState(
         part, p0, normalize(p1 - p0),
-        dims.cylinder_height(part), dims.cylinder_radius(part),
+        dims.height[part], dims.radius[part],
     )
 
 
@@ -151,7 +163,7 @@ def head_state_from_keypoints(keypoints: dict, dims: PartDimensions) -> KeypartS
         return None
     return KeypartState(
         HEAD, neck, normalize(d),
-        dims.cylinder_height(HEAD), dims.cylinder_radius(HEAD),
+        dims.height[HEAD], dims.radius[HEAD],
     )
 
 
@@ -259,3 +271,95 @@ def assert_same_augment(got: BodyTree, want: BodyTree) -> None:
             (node.present, node.supplemented, node.registered, node.note), part
         assert_same_state(other.state, node.state, part)
     assert_same_table(got.keypoints, want.keypoints)
+
+
+# identity torso frame: lateral +x, up +z, forward -y (standing upright)
+_TORSO_FRAME0 = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+
+# DOF vector layout: torso(6), head(2), then (upper, lower) x (L arm, R arm,
+# L leg, R leg), 2 angles each
+DOF_LAYOUT = (
+    (TORSO, 6), (HEAD, 2),
+    (body.L_UPPER_ARM, 2), (body.L_LOWER_ARM, 2),
+    (body.R_UPPER_ARM, 2), (body.R_LOWER_ARM, 2),
+    (body.L_UPPER_LEG, 2), (body.L_LOWER_LEG, 2),
+    (body.R_UPPER_LEG, 2), (body.R_LOWER_LEG, 2),
+)
+
+TOTAL_DOF = sum(n for _part, n in DOF_LAYOUT)
+
+
+def limb_frame(ref_frame: np.ndarray, theta_x: float, theta_y: float) -> np.ndarray:
+    return ref_frame @ rot_x(theta_x) @ rot_y(theta_y)
+
+
+def _upper_ref(torso_frame: np.ndarray) -> np.ndarray:
+    # rest direction straight down (-up axis of the torso frame)
+    return torso_frame @ rot_x(np.pi / 2.0)
+
+
+def _head_ref(torso_frame: np.ndarray) -> np.ndarray:
+    # rest direction straight up
+    return torso_frame @ rot_x(-np.pi / 2.0)
+
+
+def pose_from_dofs(dofs, dims: PartDimensions) -> tuple:
+    """Forward kinematics: 24-vector -> (part states, (17, 3) keypoints)."""
+    d = np.asarray(dofs, dtype=np.float64)
+    if d.shape != (TOTAL_DOF,):
+        raise ValueError(f"expected {TOTAL_DOF} dof values, got {d.shape}")
+
+    px, py, pz, tx, ty, tz = d[:6]
+    torso_frame = rot_z(tz) @ rot_y(ty) @ rot_x(tx) @ _TORSO_FRAME0
+    base = np.array([px, py, pz])
+    up = torso_frame[:, 1]
+    states = {
+        TORSO: KeypartState(
+            TORSO, base, up,
+            dims.height[TORSO], dims.radius[TORSO],
+            torso_frame,
+        )
+    }
+
+    keypoints = np.empty((NUM_KEYPOINTS, 3))
+    keypoints[TORSO_ROWS] = body.torso_anchor_points(states[TORSO], dims)
+    neck = states[TORSO].tip
+
+    idx = 6
+    frames = {}
+    for part, _n in DOF_LAYOUT[1:]:
+        ax, ay = d[idx], d[idx + 1]
+        idx += 2
+        if part == HEAD:
+            ref = _head_ref(torso_frame)
+            origin = neck
+        elif PARENT[part] == TORSO:
+            ref = _upper_ref(torso_frame)
+            origin = keypoints[EDGE_KEYPOINT[part]].copy()
+        else:
+            ref = frames[PARENT[part]]
+            origin = states[PARENT[part]].tip
+        frame = limb_frame(ref, ax, ay)
+        frames[part] = frame
+        axis = frame[:, 2]
+        states[part] = KeypartState(
+            part, origin, axis,
+            dims.height[part], dims.radius[part],
+        )
+        distal = DISTAL_KEYPOINT.get(part)
+        if distal is not None:
+            keypoints[distal] = states[part].tip
+
+    # face keypoints on the head cylinder
+    head = states[HEAD]
+    h_fwd = frames[HEAD][:, 1] * -1.0  # forward = -y of the head frame
+    h_lat = frames[HEAD][:, 0]
+    r, h = head.radius, head.height
+    c = head.base + head.axis * (0.62 * h)
+    keypoints[NOSE] = c + h_fwd * r
+    keypoints[L_EYE] = c + head.axis * (0.12 * h) + h_fwd * (0.85 * r) - h_lat * (0.4 * r)
+    keypoints[R_EYE] = c + head.axis * (0.12 * h) + h_fwd * (0.85 * r) + h_lat * (0.4 * r)
+    keypoints[L_EAR] = c + head.axis * (0.05 * h) - h_lat * r
+    keypoints[R_EAR] = c + head.axis * (0.05 * h) + h_lat * r
+
+    return states, keypoints

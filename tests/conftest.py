@@ -11,7 +11,7 @@ from mvsense.geometry import frame_from_axis, normalize, rot_x, rot_y, rot_z
 from mvsense.keypoints import fuse
 from mvsense.registration import sample_cylinder_local
 from mvsense.scheduler import P_CAP
-from mvsense.simulator import occlusion_mask, synthetic_detect
+from mvsense.simulator import TOTAL_DOF, occlusion_mask, synthetic_detect
 
 
 # the default part dimensions, which the tests pose and register with
@@ -172,14 +172,14 @@ def hires(cam, width=640, height=480):
 
 def rest_dofs(position=(0.0, 0.0, 0.0), heading: float = 0.0) -> np.ndarray:
     """Neutral standing pose at a world position with a yaw heading."""
-    d = np.zeros(body.TOTAL_DOF)
+    d = np.zeros(TOTAL_DOF)
     d[0:3] = position
     d[5] = heading
     return d
 
 
 def limb_angles(ref_frame: np.ndarray, axis: np.ndarray) -> tuple:
-    """The (theta_x, theta_y) whose ``body.limb_frame`` has z along ``axis``.
+    """The (theta_x, theta_y) whose ``simulator.limb_frame`` has z along ``axis``.
 
     The inverse of the limb parameterization for axes in the reference
     hemisphere.

@@ -8,8 +8,9 @@ term both used; ``plan`` is the dispatch between them with greedy's hold
 guard. The bodies are the ones from before the two searches became one
 search over one step function. ``_CameraTable`` and ``_view_quality_row``
 build each rig's visibility table one candidate orientation at a time,
-each with its own ``rig.world_pose`` and projection, as before the table
-was built in one batch. The live code must give the same bits on every
+each with its own pose, the mount composed with ``rot_y(pan) @
+rot_x(tilt)``, and projection, as before the table was built in one
+batch. The live code must give the same bits on every
 input.
 """
 
@@ -17,7 +18,7 @@ import itertools
 
 import numpy as np
 
-from mvsense.geometry import segment_segment_distance_batch
+from mvsense.geometry import RigidTransform, rot_x, rot_y, segment_segment_distance_batch
 from mvsense.scheduler import (
     P_CAP,
     QUALITY_CORE,
@@ -38,7 +39,8 @@ def _view_quality_row(rig, orientation, positions: np.ndarray) -> np.ndarray:
     only partially, so the planner prefers bringing high-risk parts
     toward the FOV center rather than merely inside the frame.
     """
-    pose = rig.world_pose(*orientation)
+    pan, tilt = orientation
+    pose = rig.mount.compose(RigidTransform(rot_y(pan) @ rot_x(tilt), np.zeros(3)))
     cam = pose.inverse().apply(positions)
     k = rig.intrinsics
     z = cam[:, 2]

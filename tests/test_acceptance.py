@@ -27,7 +27,6 @@ from mvsense.body import (
     PartDimensions,
     augment,
     build_tree,
-    pose_from_dofs,
 )
 from mvsense.geometry import Intrinsics, normalize, rot_x, rot_z
 from mvsense.keypoints import (
@@ -37,7 +36,7 @@ from mvsense.keypoints import (
 )
 from mvsense.keyparts import Trapezoid, base_half_length, paint_masks, BACKGROUND
 from mvsense.registration import icp_register, register_tree, sample_cylinder_local
-from mvsense.simulator import render_depth
+from mvsense.simulator import pose_from_dofs, render_depth
 
 
 def ok(n, text):

@@ -1,5 +1,5 @@
 """Body model tests: keypart tables, tree connectivity, supplementation,
-joint constraints, and the 24-DOF forward kinematics."""
+joint constraints, and the simulator's 24-DOF forward kinematics."""
 
 import itertools
 
@@ -8,15 +8,14 @@ import pytest
 
 import body_reference as ref
 from conftest import DIMS, is_connected, limb_angles, rest_dofs
-from mvsense import body
+from mvsense import body, scenario, simulator
 from mvsense.body import (
     augment,
     build_tree,
     enforce_joint_constraints,
-    limb_frame,
-    pose_from_dofs,
 )
 from mvsense.geometry import frame_from_axis, normalize
+from mvsense.simulator import limb_frame, pose_from_dofs
 
 
 class TestTables:
@@ -44,11 +43,7 @@ class TestTables:
                                   body.L_UPPER_LEG, body.R_UPPER_LEG]
 
     def test_dof_accounting_totals_24(self):
-        assert sum(body.PART_DOF.values()) == 24
-        assert body.PART_DOF[body.TORSO] == 6
-        assert body.PART_DOF[body.HEAD] == 2
-        for p in range(2, 10):
-            assert body.PART_DOF[p] == 2
+        assert simulator.TOTAL_DOF == 24
 
 
 def full_keypoints(heading=0.0):
@@ -138,7 +133,7 @@ class TestBuildAndAugment:
 def random_keypoints(rng):
     """The keypoint table of a random pose: position, heading, lean and
     every limb angle drawn at random."""
-    dofs = rng.uniform(-1.2, 1.2, body.TOTAL_DOF)
+    dofs = rng.uniform(-1.2, 1.2, simulator.TOTAL_DOF)
     dofs[0:3] = rng.uniform(-1.0, 1.0, 3)
     dofs[5] = rng.uniform(-np.pi, np.pi)
     return pose_from_dofs(dofs, DIMS).keypoints
@@ -336,3 +331,32 @@ class TestForwardKinematics:
                                p1.keypoints[body.L_SHOULDER])
         assert p0.keypoints[body.L_SHOULDER][2] == pytest.approx(
             p1.keypoints[body.L_SHOULDER][2])
+
+
+class TestForwardKinematicsOracle:
+    """``simulator.pose_from_dofs`` against the ``DOF_LAYOUT`` walk it
+    replaced: every state's base, axis and frame and the keypoint table,
+    bit for bit."""
+
+    @staticmethod
+    def assert_same_pose(dofs):
+        pose = pose_from_dofs(dofs, DIMS)
+        states, keypoints = ref.pose_from_dofs(dofs, DIMS)
+        assert sorted(pose.states) == sorted(states) == list(range(body.NUM_KEYPARTS))
+        for part, state in states.items():
+            ref.assert_same_state(pose.states[part], state, part)
+        assert pose.keypoints.tobytes() == keypoints.tobytes()
+
+    def test_rest_pose(self):
+        self.assert_same_pose(rest_dofs())
+
+    def test_every_template_waypoint(self):
+        for make in scenario.TEMPLATES.values():
+            for _t, dofs in make(seed=0).human_waypoints:
+                self.assert_same_pose(dofs)
+
+    def test_random_dofs(self, rng):
+        for _ in range(300):
+            dofs = rng.uniform(-np.pi, np.pi, simulator.TOTAL_DOF)
+            dofs[0:3] = rng.uniform(-2.0, 2.0, 3)
+            self.assert_same_pose(dofs)

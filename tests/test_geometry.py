@@ -18,7 +18,6 @@ from keypoints_reference import project
 from mvsense.geometry import (
     RAY_BLOCK,
     Cylinder,
-    InvalidDepth,
     RigidTransform,
     cast_rays,
     cylinder_clearance,
@@ -26,7 +25,10 @@ from mvsense.geometry import (
     frame_from_axis,
     inside_any,
     normalize,
+    pan_tilt_rotation,
     reproject,
+    rot_x,
+    rot_y,
     rotation_between,
     segment_segment_distance,
     segment_segment_distance_batch,
@@ -105,10 +107,13 @@ class TestProjection:
         p = reproject((320.0 + 500.0, 240.0), 1.0, k_vga)
         assert p == pytest.approx([1.0, 0.0, 1.0])
 
-    def test_reproject_rejects_bad_depth(self, k_vga):
-        for bad in (0.0, -1.0, np.nan, np.inf):
-            with pytest.raises(InvalidDepth):
-                reproject((10.0, 10.0), bad, k_vga)
+    def test_reproject_many_pixels_matches_one_at_a_time(self, k_vga, rng):
+        pixels = rng.uniform(0.0, 640.0, (50, 2))
+        depths = rng.uniform(0.1, 10.0, 50)
+        got = reproject(pixels, depths, k_vga)
+        assert got.shape == (50, 3)
+        for row, pixel, depth in zip(got, pixels, depths):
+            assert row.tobytes() == reproject(pixel, float(depth), k_vga).tobytes()
 
     def test_round_trip_identity(self, k_vga, rng):
         pose = identity()
@@ -157,6 +162,20 @@ class TestRigidTransform:
     def test_rotation_orthonormal_within_tolerance(self, rng):
         a = random_rigid(rng)
         assert np.abs(a.rotation.T @ a.rotation - np.eye(3)).max() < 1e-9
+
+
+class TestPanTiltRotation:
+    def test_equals_the_product_of_axis_rotations(self, rng):
+        """One pair of angles or a stack of them; ``==`` holds -0.0 and 0.0
+        equal, the one way the written-out entries may differ."""
+        pan = np.concatenate([rng.uniform(-np.pi, np.pi, 200), [0.0, 0.0, np.pi / 2]])
+        tilt = np.concatenate([rng.uniform(-np.pi, np.pi, 200), [0.0, -0.3, 0.0]])
+        stacked = pan_tilt_rotation(pan, tilt)
+        assert stacked.shape == (len(pan), 3, 3)
+        for p, t, row in zip(pan.tolist(), tilt.tolist(), stacked):
+            want = rot_y(p) @ rot_x(t)
+            assert (pan_tilt_rotation(p, t) == want).all()
+            assert (row == want).all()
 
 
 class TestCylinder:

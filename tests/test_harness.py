@@ -67,7 +67,7 @@ class TestSceneBuilding:
         for kp in range(body.NUM_KEYPOINTS):
             if kp in body.PART_KEYPOINTS[body.HEAD]:
                 continue
-            want[kp] = min(dims.cylinder_radius(p) for p, kps in body.PART_KEYPOINTS.items()
+            want[kp] = min(dims.radius[p] for p, kps in body.PART_KEYPOINTS.items()
                            if kp in kps)
         got = keypoint_depth_offsets(dims)
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())

@@ -32,9 +32,10 @@ from conftest import DIMS, hires, rest_dofs, sample_cylinder
 from render_reference import assert_matches_reference, render_depth_reference
 from test_keyparts import paint_masks_reference, quiet_reference, same_clouds, same_mask
 from mvsense import body, harness, keyparts, registration, scenario, scheduler, simulator
-from mvsense.body import KeypartState, pose_from_dofs
+from mvsense.body import KeypartState
 from mvsense.geometry import normalize, rot_x, rot_z
 from mvsense.registration import icp_register, nearest_model_search, sample_cylinder_local
+from mvsense.simulator import pose_from_dofs
 
 ROUNDS = 20
 MODEL_SAMPLES = 128  # the ``model-samples`` default

@@ -24,7 +24,7 @@ import keypoints_reference as ref
 from conftest import hires, identity, random_rigid
 from mvsense import body, harness, keyparts, scenario
 from mvsense.filters import largest_euclidean_cluster, voxel_downsample
-from mvsense.geometry import Cylinder, Intrinsics, reproject_many
+from mvsense.geometry import Cylinder, Intrinsics, reproject
 from mvsense.keypoints import PresenceWindow
 from mvsense.keyparts import (
     BACKGROUND,
@@ -806,7 +806,7 @@ def extract_clouds_reference(mask, depth_image, world_from_cam, k, robot_links=(
     vs, us = np.nonzero(valid)
     labels = mask.labels[vs, us]
     depths = depth_image[vs, us].astype(np.float64)
-    cam_pts = reproject_many(np.column_stack([us, vs]).astype(np.float64), depths, k)
+    cam_pts = reproject(np.column_stack([us, vs]).astype(np.float64), depths, k)
     world_pts = world_from_cam.apply(cam_pts)
 
     cam_from_world = world_from_cam.inverse()

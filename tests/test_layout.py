@@ -2,7 +2,10 @@
 and dataclass field in ``src/mvsense`` has a reader inside the package.
 
 Code that only the tests call belongs in ``tests/`` (as an oracle helper
-in ``conftest.py``) or nowhere. The scan is by name: a definition counts
+in ``conftest.py``) or nowhere. Perception, the modules a deployed
+system runs each frame, stands apart from the simulator and the trial
+code around it: it imports none of them and defines nothing that only
+the simulator reads. The scan is by name: a definition counts
 as used when some ``Name``, ``Attribute`` or import in the package refers
 to its name. Docstrings and comments are not references, and dunder
 methods are called by the language, not by name. A constant is a
@@ -34,6 +37,11 @@ ALLOWED_FIELDS = {
     "ViewpointTrajectory.objective",
 }
 
+# the perception modules, and the simulation, trial and command-line
+# modules they must not depend on
+PERCEPTION = ("body", "keypoints", "keyparts", "filters", "registration", "scheduler")
+OUTSIDE = ("simulator", "harness", "scenario", "cli")
+
 
 def _scan():
     """Definitions, module-level constants and the names the package reads."""
@@ -56,6 +64,35 @@ def _scan():
             elif isinstance(node, ast.ImportFrom):
                 referenced.update(alias.name for alias in node.names)
     return defined, constants, referenced
+
+
+def _modules():
+    """Per module: its parsed tree and the names it reads."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+        out[path.stem] = tree, names
+    return out
+
+
+def _imported_modules(tree):
+    """The package modules a module imports, relatively or by the package name."""
+    dotted = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            dotted += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["mvsense" if node.level else "", node.module]))
+            dotted += [f"{module}.{alias.name}" for alias in node.names]
+    return {name.split(".")[1] for name in dotted if name.startswith("mvsense.")}
 
 
 def _is_dataclass(node):
@@ -141,3 +178,28 @@ def test_field_allowlist_names_exist_and_are_unread():
     for name in ALLOWED_FIELDS:
         assert name in fields, f"{name} is no longer a dataclass field"
         assert name not in read, f"{name} is read in the package now"
+
+
+def test_perception_imports_no_simulation_or_trial_module():
+    modules = _modules()
+    wrong = sorted(f"{name} imports {other}" for name in PERCEPTION
+                   for other in _imported_modules(modules[name][0]) & set(OUTSIDE))
+    assert not wrong, "perception depends on the simulator or trial code: " + ", ".join(wrong)
+
+
+def test_perception_defines_nothing_only_the_simulator_reads():
+    modules = _modules()
+    only = []
+    for name in PERCEPTION:
+        for node in modules[name][0].body:
+            targets = [node.name] if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else \
+                [t.id for t in (node.targets if isinstance(node, ast.Assign) else
+                                [node.target] if isinstance(node, ast.AnnAssign) else [])
+                 if isinstance(t, ast.Name) and CONSTANT.fullmatch(t.id)]
+            for target in targets:
+                readers = {other for other, (_tree, names) in modules.items()
+                           if target in names}
+                if readers == {"simulator"}:
+                    only.append(f"{name}.{target}")
+    assert not only, "perception code only the simulator reads: " + ", ".join(only)

@@ -17,7 +17,7 @@ from scipy.spatial import cKDTree
 import icp_reference as ref
 from conftest import DIMS, rest_dofs, sample_cylinder
 from mvsense import body, registration
-from mvsense.body import KeypartState, augment, build_tree, pose_from_dofs
+from mvsense.body import KeypartState, augment, build_tree
 from mvsense.geometry import normalize, rot_x, rot_y, rot_z
 from mvsense.registration import (
     _BLOCK_ENTRIES,
@@ -29,6 +29,7 @@ from mvsense.registration import (
     register_tree,
     sample_cylinder_local,
 )
+from mvsense.simulator import pose_from_dofs
 
 
 def axis_angle_deg(a, b):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvsense import body
+from mvsense import simulator
 from mvsense.scenario import (
     DIRECTIVES,
     CameraSpec,
@@ -268,7 +268,7 @@ def off_default_scripts(draw):
     (row,) = DIRECTIVES["robot"].rows(script)
     script.robot_radius = nudge(draw, row[0])
     script.human_waypoints = [
-        (t, tuple(draw(st.lists(finite(), min_size=body.TOTAL_DOF, max_size=body.TOTAL_DOF))))
+        (t, tuple(draw(st.lists(finite(), min_size=simulator.TOTAL_DOF, max_size=simulator.TOTAL_DOF))))
         for t in times(draw)]
     script.validate()
     return script

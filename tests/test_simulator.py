@@ -25,11 +25,12 @@ from render_reference import (
     render_depth_reference,
 )
 from mvsense import body, harness, scenario
-from mvsense.body import PartDimensions, pose_from_dofs
+from mvsense.body import PartDimensions
 from mvsense.geometry import Cylinder, Intrinsics, cast_rays, cylinder_table, normalize
 from mvsense.keypoints import detect, lift_depth
 from mvsense.simulator import (
     NEAR,
+    TOTAL_DOF,
     CameraRig,
     DepthNoise,
     DetectorNoise,
@@ -38,6 +39,7 @@ from mvsense.simulator import (
     Scene,
     _pixel_spans,
     camera_mount,
+    pose_from_dofs,
     render_depth,
     synthetic_detect,
 )
@@ -183,7 +185,7 @@ class TestScripts:
         """Both scripts interpolate as (1 - w) a + w b with w = (t - t0) / (t1 - t0),
         bit for bit, and hold their end values outside the waypoints."""
         times = np.array([0.0, 0.7, 2.0, 3.1])
-        dofs = rng.uniform(-1.0, 1.0, (4, body.TOTAL_DOF))
+        dofs = rng.uniform(-1.0, 1.0, (4, TOTAL_DOF))
         joints = rng.uniform(-1.0, 1.0, (4, 2, 3))
         human = GroundTruthHuman(times, dofs)
         robot = RobotArmProxy(times, joints)
@@ -303,7 +305,7 @@ class TestSyntheticDetect:
         _pixels, conf = synthetic_detect(rig.intrinsics, rig.world_pose(),
                                          pose.keypoints, parts, (), noise)
         assert conf[body.NOSE] == pytest.approx(0.9 * 0.15)
-        turned = rig.world_pose(pan=0.9)  # looks away; the rig itself does not
+        turned = dataclasses.replace(rig, pan=0.9).world_pose()  # a copy looks away
         _pixels, conf = synthetic_detect(rig.intrinsics, turned, pose.keypoints,
                                          pose.cylinders(), (), noise)
         assert conf.tolist() == pytest.approx([0.05] * body.NUM_KEYPOINTS)
