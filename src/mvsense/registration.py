@@ -1,19 +1,22 @@
-"""Cylinder-model ICP executed in hierarchical tree order.
+"""Cylinder-model registration executed in hierarchical tree order.
 
-Each keypart cylinder is registered to its extracted cloud by iterating
-nearest-neighbor correspondences (every data point to its closest model
-point) and a closed-form SVD update. The model is small (``model-samples``,
-128 by default) and changes with every call, so correspondences come from
-a blocked matrix product against all model points rather than from a
-spatial index built per call. The torso refines with a free rigid
-update; every child part is anchored at its parent joint, so its update
-is a pure rotation about that anchor and articulation is preserved by
-construction. Keypoint-derived poses provide the initial coarse state,
-and supplemented nodes (no cloud exists for them) skip ICP entirely.
-An iteration on a few hundred points costs mostly numpy calls, so it makes
-few: one product per block, one gather per trim, LAPACK's SVD directly.
-The tree walk likewise builds each part's sampled model once per shape
-and strips bleed-over against every settled part in one stacked pass.
+The torso is registered to its cloud by free ICP: every data point is
+paired with its nearest model point and a closed-form SVD update moves
+the cylinder. The model is small (``model-samples``, 128 by default), so
+correspondences come from a blocked matrix product against all model
+points rather than from a spatial index built per call.
+
+Every other part hangs off a parent joint, so its pose is a rotation of
+its axis about that anchor; spin about its own axis cannot be observed
+and is not solved for. Below the torso the tree has two levels (head,
+upper arms and thighs; then forearms and shins), and given their anchors
+a level's parts are independent. ``register_level`` fits all of them in
+one Gauss-Newton solve on the exact distance to each finite cylinder
+surface: the points of the level are stacked with a part index, each
+part's 2x2 normal equations come from ``np.bincount``, and one
+accept/converge mask iterates the level. Keypoint-derived poses provide
+the initial coarse state, and supplemented nodes (no cloud exists for
+them) skip registration entirely.
 """
 
 from __future__ import annotations
@@ -56,6 +59,13 @@ def _cylinder_model(radius: float, height: float, n: int) -> np.ndarray:
     model = sample_cylinder_local(radius, height, n)
     model.flags.writeable = False
     return model
+
+
+# Every registration's iteration cap, convergence tolerance on the trimmed
+# RMS (m) and trimmed fraction.
+MAX_ITERATIONS = 50
+TOL = 1e-6
+TRIM = 0.1
 
 
 @dataclass
@@ -163,78 +173,66 @@ def best_rigid_update(model_pts: np.ndarray, data_pts: np.ndarray):
     return r, dc - r @ mc
 
 
-def _apply_update(state: KeypartState, r: np.ndarray, t: np.ndarray | None,
-                  anchor: np.ndarray | None) -> KeypartState:
+def _apply_update(state: KeypartState, r: np.ndarray, t: np.ndarray) -> KeypartState:
     """Move a cylinder state by (R, t), discarding spin about its own axis.
 
     The update is reduced to (new base, new axis); attached frames follow
     via the minimal rotation between old and new axis, which keeps torso
-    lateral anchors consistent with the keypoints that defined them. With
-    an anchor the base stays on it and ``t`` is not read.
+    lateral anchors consistent with the keypoints that defined them.
     """
     axis = normalize(r @ state.axis)
     frame = None if state.frame is None else \
         rotation_between(state.axis, axis) @ state.frame  # spin-free
-    return KeypartState(state.part,
-                        anchor.copy() if anchor is not None else r @ state.base + t,
-                        axis, state.height, state.radius, frame)
+    return KeypartState(state.part, r @ state.base + t, axis, state.height,
+                        state.radius, frame)
+
+
+def _skip_note(data_pts: np.ndarray) -> str:
+    """Why a cloud cannot be registered at all, or ``""``."""
+    if len(data_pts) == 0:
+        return "empty cloud"
+    span = data_pts.max(axis=0) - data_pts.min(axis=0) if len(data_pts) > 1 else np.zeros(3)
+    if len(data_pts) < 3 or np.sqrt(span.dot(span)) < 1e-9:  # np.linalg.norm's path
+        return "degenerate cloud"
+    return ""
 
 
 def icp_register(model_local: np.ndarray, data_pts: np.ndarray,
-                 init: KeypartState, anchor: np.ndarray | None = None,
-                 max_iterations: int = 50, tol: float = 1e-6,
-                 trim: float = 0.1) -> ICPResult:
-    """Register a keypart cylinder to a data cloud.
+                 init: KeypartState, max_iterations: int = MAX_ITERATIONS,
+                 tol: float = TOL, trim: float = TRIM) -> ICPResult:
+    """Register a free keypart cylinder (the torso) to a data cloud.
 
     ``model_local`` holds canonical samples (axis +z, base at origin).
     Each iteration moves the data into the evolving state's cylinder frame
     and pairs every data point with its nearest model point
-    (``nearest_model_search``: exhaustive, lowest model index on a tie).
-    With an anchor the update is rotation-about-anchor only. Iterations
-    that fail to reduce the mean residual are rejected and terminate the
-    loop, so the residual is non-increasing across accepted iterations.
+    (``nearest_model_search``: exhaustive, lowest model index on a tie);
+    a closed-form rigid update follows. Iterations that fail to reduce the
+    mean residual are rejected and terminate the loop, so the residual is
+    non-increasing across accepted iterations.
     """
     data_pts = np.asarray(data_pts, dtype=np.float64)
-    if len(data_pts) == 0:
-        return ICPResult(init.copy(), 0, np.inf, False, "empty cloud")
-    span = data_pts.max(axis=0) - data_pts.min(axis=0) if len(data_pts) > 1 else np.zeros(3)
-    if len(data_pts) < 3 or np.sqrt(span.dot(span)) < 1e-9:  # np.linalg.norm's path
-        return ICPResult(init.copy(), 0, np.inf, False, "degenerate cloud")
+    note = _skip_note(data_pts)
+    if note:
+        return ICPResult(init.copy(), 0, np.inf, False, note)
 
     state = init.copy()
-    if anchor is not None:
-        state.base = np.asarray(anchor, dtype=np.float64).copy()
-        # a stub covering a small axial fraction cannot fix a rotation
-        axial = data_pts @ state.axis
-        if float(axial.max() - axial.min()) < 0.3 * state.height:
-            return ICPResult(state, 0, np.inf, False, "axial stub cloud")
-
     nearest = nearest_model_search(model_local)
-    # an anchored state's base stays on the anchor, so the cloud is centred
-    # on it once; the search and the cross-covariance both read that copy
-    anchored = anchor is not None
-    centred = data_pts - state.base if anchored else None
 
     def evaluate(s: KeypartState):
         """Trimmed nearest-model-point pairs, as (frame, model index, data
         index), and their RMS distance."""
         frame = frame_from_axis(s.axis)
-        idx, dist = nearest((centred if anchored else data_pts - s.base) @ frame)
+        idx, dist = nearest((data_pts - s.base) @ frame)
         order, kept = _trimmed_order(dist, trim)
         kept *= kept
         return (frame, idx.take(order), order), math.sqrt(kept.sum() / len(kept))
 
     def update(s: KeypartState, frame, model_idx, data_idx) -> KeypartState:
-        """The next state from the pairs: a rotation about the anchor, or a
-        free rigid motion."""
+        """The next state from the pairs: a free rigid motion."""
         m = model_local.take(model_idx, axis=0) @ frame.T
-        m += s.base  # the world model points: their rounding is part of the step
-        if anchored:
-            m -= s.base  # centred on the anchor, as the data are
-            return _apply_update(s, _svd_rotation(m.T @ centred.take(data_idx, axis=0)),
-                                 None, s.base)
+        m += s.base
         r, t = best_rigid_update(m, data_pts.take(data_idx, axis=0))
-        return _apply_update(s, r, t, None)
+        return _apply_update(s, r, t)
 
     pairs, residual = evaluate(state)
     iterations = 0
@@ -254,6 +252,194 @@ def icp_register(model_local: np.ndarray, data_pts: np.ndarray,
             break
 
     return ICPResult(state, iterations, float(residual), converged)
+
+
+def _tangent_basis(axes: np.ndarray) -> np.ndarray:
+    """(L, 3, 3) frames with rows (e1, e2, axis) for (L, 3) unit axes.
+
+    e1 and e2 span the plane across each axis and come from the branchless
+    orthonormal basis of Duff et al. (2017), elementwise.
+    """
+    x, y, z = axes.T
+    sign = np.copysign(1.0, z)
+    c = -1.0 / (sign + z)
+    d = x * y * c
+    frames = np.empty((len(axes), 3, 3))
+    frames[:, 0, 0] = 1.0 + sign * x * x * c
+    frames[:, 0, 1] = sign * d
+    frames[:, 0, 2] = -sign * x
+    frames[:, 1, 0] = d
+    frames[:, 1, 1] = sign + y * y * c
+    frames[:, 1, 2] = -y
+    frames[:, 2] = axes
+    return frames
+
+
+class _Stack:
+    """The centred points of a level's parts still iterating, stacked.
+
+    ``points`` is (3, n), part after part; ``part`` gives each point's row
+    in the live parts, ``start`` and ``count`` each part's slice.
+    """
+
+    def __init__(self, centred: list, heights: np.ndarray, radii: np.ndarray):
+        self.count = np.array([c.shape[1] for c in centred])
+        self.start = np.zeros(len(centred), dtype=np.intp)
+        np.cumsum(self.count[:-1], out=self.start[1:])
+        self.points = np.concatenate(centred, axis=1)
+        self.part = np.repeat(np.arange(len(centred)), self.count)
+        self.height = heights.take(self.part)
+        self.radius = radii.take(self.part)
+        self.rank = np.arange(len(self.part)) - self.start.take(self.part)
+
+    def evaluate(self, axes: np.ndarray, trim: float):
+        """Per live part at ``axes``: the trimmed RMS distance to its
+        cylinder's lateral surface, its frame and its Gauss-Newton normal
+        equations ``(a11, a12, a22, b1, b2)`` in that frame's (e1, e2)."""
+        frames = _tangent_basis(axes)
+        n = len(axes)
+        # (e1, e2, axis) . p for every point, components summed in order
+        prod = frames.reshape(n, 9).T.take(self.part, axis=1).reshape(3, 3, -1)
+        prod *= self.points
+        g1, g2, s = prod[:, 0] + prod[:, 1] + prod[:, 2]
+        r = np.sqrt(g1 * g1 + g2 * g2)
+        f1 = r - self.radius                            # radial gap
+        f2 = s - np.minimum(np.maximum(s, 0.0), self.height)  # beyond an end
+        dist = np.sqrt(f1 * f1 + f2 * f2)
+        kept = self._trimmed(dist, trim)
+        square = np.where(kept, dist * dist, 0.0)
+        rms = np.sqrt(np.bincount(self.part, square, n) / np.bincount(self.part, kept, n))
+        # d(f1)/d(delta) = -(s / r) g, d(f2)/d(delta) = g beyond an end
+        c1 = -s / np.maximum(r, 1e-12)
+        w = np.where(kept, c1 * c1 + (f2 != 0.0), 0.0)
+        q = np.where(kept, c1 * f1 + f2, 0.0)
+        wg1 = w * g1
+        normal = (np.bincount(self.part, wg1 * g1, n), np.bincount(self.part, wg1 * g2, n),
+                  np.bincount(self.part, w * g2 * g2, n), np.bincount(self.part, q * g1, n),
+                  np.bincount(self.part, q * g2, n))
+        return rms, frames, normal
+
+    def _trimmed(self, dist: np.ndarray, trim: float) -> np.ndarray:
+        """(n,) mask of the points ``_trimmed_order`` keeps, part by part."""
+        order = np.lexsort((dist, self.part))  # each part's slice, nearest first
+        ranked = dist.take(order)
+        count = self.count
+        keep = count.astype(np.float64)
+        if trim > 0:
+            mid = self.start + count // 2
+            median = np.where(count % 2 == 1, ranked.take(mid),
+                              (ranked.take(mid - 1) + ranked.take(mid)) / 2.0)
+            gate = np.maximum(3.0 * median, 0.02)
+            within = np.bincount(self.part, ranked <= gate.take(self.part), len(count))
+            trimmed = np.maximum(8, np.minimum(np.ceil(count * (1.0 - trim)), within))
+            keep = np.where(count < 16, keep, trimmed)
+        kept = np.empty(len(dist), dtype=bool)
+        kept[order] = self.rank < keep.take(self.part)
+        return kept
+
+
+# Levenberg-Marquardt damping of a retried step, in units of the part's
+# mean curvature (a11 + a22) / 2: it shortens the Gauss-Newton step by
+# about a tenth and turns it toward the gradient.
+DAMPING = 0.1
+
+
+def register_level(inits: list, clouds: list, max_iterations: int, tol: float,
+                   trim: float) -> list:
+    """Rotate each anchored part of one tree level onto its cloud, in one solve.
+
+    Each ``inits[i]`` is a frameless part state whose base is its anchor,
+    and ``clouds[i]`` its (N, 3) world points. A part's residual is the
+    distance from each point to the cylinder's lateral surface: the radial
+    gap to radius rho and, past either end, the axial overshoot beyond
+    [0, h]. The unknown is a rotation of the axis about the anchor, two
+    angles across it; the axis moves to ``normalize(axis + d1 e1 + d2 e2)``.
+
+    Every round, each live part takes a Gauss-Newton step from its trimmed
+    points (``_trimmed_order``'s rule, part by part). A step is accepted
+    when its trimmed RMS does not rise, and the part has converged once
+    the RMS falls by less than ``tol``. A rejected step that rose by less
+    than ``tol`` is a fixed point: the part has converged. Otherwise the
+    part retries the step, damped (Levenberg-Marquardt, ``DAMPING``), once
+    in the solve: the next rejected step stops it unconverged.
+    ``max_iterations`` bounds the rounds, and ``ICPResult.iterations``
+    counts accepted steps.
+    Empty, degenerate and axial-stub clouds are not fitted; their result
+    carries the note and the initial state.
+    """
+    results = [None] * len(inits)
+    fit, centred = [], []
+    for i, (init, data) in enumerate(zip(inits, clouds)):
+        data = np.asarray(data, dtype=np.float64)
+        note = _skip_note(data)
+        if not note:
+            # a stub covering a small axial fraction cannot fix a rotation
+            axial = data @ init.axis
+            if float(axial.max() - axial.min()) < 0.3 * init.height:
+                note = "axial stub cloud"
+        if note:
+            results[i] = ICPResult(init.copy(), 0, np.inf, False, note)
+        else:
+            fit.append(i)
+            centred.append((data - init.base).T)
+    if not fit:
+        return results
+
+    heights = np.array([inits[i].height for i in fit])
+    radii = np.array([inits[i].radius for i in fit])
+    axes = np.array([inits[i].axis for i in fit], dtype=np.float64)
+    count = len(fit)
+    iterations = np.zeros(count, dtype=np.intp)
+    converged = np.zeros(count, dtype=bool)
+    live = np.ones(count, dtype=bool)
+    damped = np.zeros(count, dtype=bool)  # the next step is the retry
+    retried = np.zeros(count, dtype=bool)
+    stack = _Stack(centred, heights, radii)
+    residual, frames, normal = stack.evaluate(axes, trim)
+    normal = np.array(normal)  # (5, parts)
+    rows = np.arange(count)  # the live parts, in stack order
+    for _ in range(max_iterations):
+        a11, a12, a22, b1, b2 = normal[:, rows]
+        lam = np.where(damped[rows], DAMPING * 0.5 * (a11 + a22), 0.0)
+        a11 = a11 + lam
+        a22 = a22 + lam
+        with np.errstate(divide="ignore", invalid="ignore"):
+            det = a11 * a22 - a12 * a12
+            d1 = (a12 * b2 - a22 * b1) / det
+            d2 = (a12 * b1 - a11 * b2) / det
+        f = frames[rows]
+        step = axes[rows] + d1[:, None] * f[:, 0] + d2[:, None] * f[:, 1]
+        norm = np.sqrt(step[:, 0] * step[:, 0] + step[:, 1] * step[:, 1]
+                       + step[:, 2] * step[:, 2])
+        candidate = step / norm[:, None]
+        cand_residual, cand_frames, cand_normal = stack.evaluate(candidate, trim)
+        rise = cand_residual - residual[rows]
+        accept = rise <= 1e-12  # a NaN step is rejected
+        moved = rows[accept]
+        axes[moved] = candidate[accept]
+        residual[moved] = cand_residual[accept]
+        frames[moved] = cand_frames[accept]
+        normal[:, moved] = np.array(cand_normal)[:, accept]
+        iterations[moved] += 1
+        # accepted: done below tolerance; rejected: a fixed point within it
+        done = np.where(accept, -rise < tol, rise < tol)
+        converged[rows] = done
+        damped[rows] = ~accept & ~done & ~retried[rows]
+        done |= ~accept & retried[rows]
+        retried[rows] |= damped[rows]
+        if done.any():
+            live[rows[done]] = False
+            rows = np.flatnonzero(live)
+            if not len(rows):
+                break
+            stack = _Stack([centred[j] for j in rows], heights[rows], radii[rows])
+    for j, i in enumerate(fit):
+        init = inits[i]
+        results[i] = ICPResult(
+            KeypartState(init.part, init.base.copy(), axes[j].copy(), init.height,
+                         init.radius),
+            int(iterations[j]), float(residual[j]), bool(converged[j]))
+    return results
 
 
 def _init_state(part: int, tree: BodyTree, dims: PartDimensions,
@@ -291,45 +477,65 @@ def _init_state(part: int, tree: BodyTree, dims: PartDimensions,
                         dims.height[part], dims.radius[part])
 
 
+# The tree's levels, each a tuple of parts in part order: the torso, the
+# parts hanging off it, and the parts hanging off those.
+LEVELS = ((body.TORSO,),
+          tuple(p for p, q in body.PARENT.items() if q == body.TORSO),
+          tuple(p for p, q in body.PARENT.items() if q not in (None, body.TORSO)))
+
 def register_tree(tree: BodyTree, clouds: dict, dims: PartDimensions,
                   model_samples: int = 128) -> BodyTree:
-    """Register every active part, parents first, constraints maintained.
+    """Register every active part, level by level, constraints maintained.
 
     ``clouds`` maps part -> (N, 3) merged world points. The tree's
     keypoint table, filled by ``body.augment``, seeds each part's state.
+    The torso takes free ICP on its sampled model; each level below it
+    takes one ``register_level`` solve. Points inside a part confidently
+    registered in an earlier level are bleed-over and are stripped first.
     Per-part failures mark the node and never abort the rest of the tree.
     """
     settled = []  # confidently registered cylinders, used to strip bleed-over
-    for part in tree.traversal():
-        node = tree.nodes[part]
-        if node.supplemented:
-            node.registered = False  # keypoint-derived state only
-            continue
-
-        anchor = None if part == body.TORSO else body.parent_joint_position(part, tree)
-        state = _init_state(part, tree, dims, anchor)
-        if state is None:
-            node.note = "no keypoint initialization available"
-            node.state = None
-            continue
-        node.state = state
-
-        data = clouds.get(part)
-        if data is None or len(data) == 0:
-            node.registered = False
-            node.note = "empty cloud; keypoint-initialized state kept"
-        else:
-            data = np.asarray(data, dtype=np.float64)
-            if len(data) > 600:  # registration accuracy saturates well below this
-                data = data[:: len(data) // 600 + 1]
-            # points explained by already-settled parts are mask bleed-over
+    for level in LEVELS:
+        parts, inits, data = [], [], []  # the parts this level fits
+        posed = []  # the parts given a state
+        for part in level:
+            node = tree.nodes[part]
+            if not node.active:
+                continue
+            if node.supplemented:
+                node.registered = False  # keypoint-derived state only
+                continue
+            anchor = None if part == body.TORSO else body.parent_joint_position(part, tree)
+            state = _init_state(part, tree, dims, anchor)
+            node.state = state
+            if state is None:
+                node.note = "no keypoint initialization available"
+                continue
+            posed.append(part)
+            cloud = clouds.get(part)
+            if cloud is None or len(cloud) == 0:
+                node.registered = False
+                node.note = "empty cloud; keypoint-initialized state kept"
+                continue
+            cloud = np.asarray(cloud, dtype=np.float64)
+            if len(cloud) > 600:  # registration accuracy saturates well below this
+                cloud = cloud[:: len(cloud) // 600 + 1]
+            # points explained by parts settled in earlier levels are bleed-over
             if settled:
-                keep = ~inside_any(settled, data, [c.radius + 0.025 for c in settled])
+                keep = ~inside_any(settled, cloud, [c.radius + 0.025 for c in settled])
                 if keep.sum() >= 8:
-                    data = data[keep]
-            result = icp_register(_cylinder_model(state.radius, state.height,
-                                                  model_samples),
-                                  data, state, anchor)
+                    cloud = cloud[keep]
+            parts.append(part)
+            inits.append(state)
+            data.append(cloud)
+
+        if level == LEVELS[0]:  # the torso
+            results = [icp_register(_cylinder_model(s.radius, s.height, model_samples), d, s)
+                       for s, d in zip(inits, data)]
+        else:
+            results = register_level(inits, data, MAX_ITERATIONS, TOL, TRIM)
+        for part, result in zip(parts, results):
+            node = tree.nodes[part]
             node.state = result.state
             node.registered = result.converged or result.iterations > 0
             if result.note:
@@ -337,12 +543,12 @@ def register_tree(tree: BodyTree, clouds: dict, dims: PartDimensions,
             if node.registered and result.residual < 0.05:
                 settled.append(node.state.cylinder())
 
-        # propagate the refined pose into the shared keypoint table
-        if part == body.TORSO:
-            tree.keypoints[body.TORSO_ROWS] = body.torso_anchor_points(node.state, dims)
-        else:
-            distal = body.DISTAL_KEYPOINT.get(part)
-            if distal is not None:
-                tree.keypoints[distal] = node.state.tip
+        # propagate the refined poses into the shared keypoint table
+        for part in posed:
+            state = tree.nodes[part].state
+            if part == body.TORSO:
+                tree.keypoints[body.TORSO_ROWS] = body.torso_anchor_points(state, dims)
+            elif part in body.DISTAL_KEYPOINT:
+                tree.keypoints[body.DISTAL_KEYPOINT[part]] = state.tip
 
     return body.enforce_joint_constraints(tree)

@@ -1,4 +1,4 @@
-"""The ICP step that ``mvsense.registration`` replaced, kept as a bitwise oracle.
+"""The registration steps that ``mvsense.registration`` replaced, kept as bitwise oracles.
 
 ``nearest_model_search``, ``_trimmed_order`` and ``icp_register`` are the
 bodies from before ``|m|^2`` was folded into the correspondence product,
@@ -6,15 +6,22 @@ the kept distances were gathered once per trim and the SVD went to
 LAPACK directly; ``_svd_rotation`` calls ``np.linalg.svd``, and
 ``_apply_update`` copies the state before it moves it. ``icp_register``
 poses the model pairs of every evaluated state, the rejected last one
-too, and centres the cloud on the anchor at every step.
-``register_tree`` is the tree walk from before each part's sampled model
-was cached and the bleed-over test became one stacked pass: it samples the
-model on every call and strips bleed-over with one ``contains`` per
-settled cylinder, and it registers through this file's ``icp_register``;
-its keypoint table is the tree's (17, 3) array, as in the live code.
-``contains`` is the per-cylinder point test that ``geometry.Cylinder``
-had before ``geometry.inside_any`` became the one containment test. The
-live code must give the same bits on every input.
+too. It is the free fit the torso takes.
+
+``register_level`` is the anchored level solve as a loop over the parts,
+one part at a time: the same Gauss-Newton step on the analytic cylinder,
+with each part's trim from ``registration._trimmed_order`` and each sum
+taken one term after another in point order, as ``np.bincount`` adds.
+
+``register_tree`` is the level walk from before each part's sampled model
+was cached and the bleed-over test became one stacked pass: it samples
+the torso's model on every call and strips bleed-over with one
+``contains`` per settled cylinder, and it registers through this file's
+``icp_register`` and ``register_level``; its keypoint table is the
+tree's (17, 3) array, as in the live code. ``contains`` is the
+per-cylinder point test that ``geometry.Cylinder`` had before
+``geometry.inside_any`` became the one containment test. The live code
+must give the same bits on every input.
 """
 
 import math
@@ -24,7 +31,17 @@ import numpy as np
 from mvsense import body
 from mvsense.body import BodyTree, KeypartState, PartDimensions
 from mvsense.geometry import _cross, frame_from_axis, normalize, rotation_between
-from mvsense.registration import ICPResult, _init_state, sample_cylinder_local
+from mvsense.registration import (
+    DAMPING,
+    LEVELS,
+    MAX_ITERATIONS,
+    TOL,
+    TRIM,
+    ICPResult,
+    _init_state,
+    _trimmed_order as live_trimmed_order,
+    sample_cylinder_local,
+)
 
 _BLOCK_ENTRIES = 65536
 
@@ -88,16 +105,9 @@ def best_rigid_update(model_pts: np.ndarray, data_pts: np.ndarray):
     return r, dc - r @ mc
 
 
-def best_anchored_rotation(model_pts: np.ndarray, data_pts: np.ndarray,
-                           anchor: np.ndarray) -> np.ndarray:
-    h = (model_pts - anchor).T @ (data_pts - anchor)
-    return _svd_rotation(h)
-
-
-def _apply_update(state: KeypartState, r: np.ndarray, t: np.ndarray,
-                  anchor: np.ndarray | None) -> KeypartState:
+def _apply_update(state: KeypartState, r: np.ndarray, t: np.ndarray) -> KeypartState:
     new = state.copy()
-    new.base = anchor.copy() if anchor is not None else r @ state.base + t
+    new.base = r @ state.base + t
     new.axis = normalize(r @ state.axis)
     if state.frame is not None:
         spin_free = rotation_between(state.axis, new.axis)
@@ -106,9 +116,8 @@ def _apply_update(state: KeypartState, r: np.ndarray, t: np.ndarray,
 
 
 def icp_register(model_local: np.ndarray, data_pts: np.ndarray,
-                 init: KeypartState, anchor: np.ndarray | None = None,
-                 max_iterations: int = 50, tol: float = 1e-6,
-                 trim: float = 0.1) -> ICPResult:
+                 init: KeypartState, max_iterations: int = MAX_ITERATIONS,
+                 tol: float = TOL, trim: float = TRIM) -> ICPResult:
     data_pts = np.asarray(data_pts, dtype=np.float64)
     if len(data_pts) == 0:
         return ICPResult(init.copy(), 0, np.inf, False, "empty cloud")
@@ -117,13 +126,6 @@ def icp_register(model_local: np.ndarray, data_pts: np.ndarray,
         return ICPResult(init.copy(), 0, np.inf, False, "degenerate cloud")
 
     state = init.copy()
-    if anchor is not None:
-        state.base = np.asarray(anchor, dtype=np.float64).copy()
-        # a stub covering a small axial fraction cannot fix a rotation
-        axial = data_pts @ state.axis
-        if float(axial.max() - axial.min()) < 0.3 * state.height:
-            return ICPResult(state, 0, np.inf, False, "axial stub cloud")
-
     nearest = nearest_model_search(model_local)
 
     def evaluate(s: KeypartState):
@@ -139,12 +141,8 @@ def icp_register(model_local: np.ndarray, data_pts: np.ndarray,
     iterations = 0
     converged = False
     for _ in range(max_iterations):
-        if anchor is not None:
-            r = best_anchored_rotation(m, d, state.base)
-            candidate = _apply_update(state, r, np.zeros(3), state.base)
-        else:
-            r, t = best_rigid_update(m, d)
-            candidate = _apply_update(state, r, t, None)
+        r, t = best_rigid_update(m, d)
+        candidate = _apply_update(state, r, t)
 
         cand_m, cand_d, cand_residual = evaluate(candidate)
         if cand_residual > residual + 1e-12:
@@ -161,6 +159,110 @@ def icp_register(model_local: np.ndarray, data_pts: np.ndarray,
     return ICPResult(state, iterations, float(residual), converged)
 
 
+def sequential_sum(values: np.ndarray) -> float:
+    """The sum of ``values`` added one after another from 0.0, in order."""
+    total = 0.0
+    for v in values.tolist():
+        total += v
+    return total
+
+
+def tangent_basis(axis: np.ndarray):
+    """(e1, e2) across a unit axis, Duff et al.'s branchless basis."""
+    x, y, z = axis
+    sign = np.copysign(1.0, z)
+    c = -1.0 / (sign + z)
+    d = x * y * c
+    return (np.array([1.0 + sign * x * x * c, sign * d, -sign * x]),
+            np.array([d, sign + y * y * c, -y]))
+
+
+def evaluate_part(y: np.ndarray, axis: np.ndarray, height: float, radius: float,
+                  trim: float):
+    """A part's trimmed RMS distance to its lateral surface at ``axis``,
+    the tangent basis there and the normal equations in it; ``y`` is the
+    (3, n) cloud centred on the anchor."""
+    e1, e2 = tangent_basis(axis)
+    g1 = e1[0] * y[0] + e1[1] * y[1] + e1[2] * y[2]
+    g2 = e2[0] * y[0] + e2[1] * y[1] + e2[2] * y[2]
+    s = axis[0] * y[0] + axis[1] * y[1] + axis[2] * y[2]
+    r = np.sqrt(g1 * g1 + g2 * g2)
+    f1 = r - radius
+    f2 = s - np.minimum(np.maximum(s, 0.0), height)
+    dist = np.sqrt(f1 * f1 + f2 * f2)
+    order, _ranked = live_trimmed_order(dist, trim)
+    kept = np.zeros(len(dist), dtype=bool)
+    kept[order] = True
+    rms = np.sqrt(sequential_sum(np.where(kept, dist * dist, 0.0)) / len(order))
+    c1 = -s / np.maximum(r, 1e-12)
+    w = np.where(kept, c1 * c1 + (f2 != 0.0), 0.0)
+    q = np.where(kept, c1 * f1 + f2, 0.0)
+    normal = (sequential_sum(w * g1 * g1), sequential_sum(w * g1 * g2),
+              sequential_sum(w * g2 * g2), sequential_sum(q * g1),
+              sequential_sum(q * g2))
+    return rms, (e1, e2), normal
+
+
+def register_part(init: KeypartState, data_pts: np.ndarray, max_iterations: int,
+                  tol: float, trim: float) -> ICPResult:
+    """One anchored part on its own, by the level solve's rules."""
+    data_pts = np.asarray(data_pts, dtype=np.float64)
+    if len(data_pts) == 0:
+        return ICPResult(init.copy(), 0, np.inf, False, "empty cloud")
+    span = data_pts.max(axis=0) - data_pts.min(axis=0) if len(data_pts) > 1 else np.zeros(3)
+    if len(data_pts) < 3 or np.linalg.norm(span) < 1e-9:
+        return ICPResult(init.copy(), 0, np.inf, False, "degenerate cloud")
+    # a stub covering a small axial fraction cannot fix a rotation
+    axial = data_pts @ init.axis
+    if float(axial.max() - axial.min()) < 0.3 * init.height:
+        return ICPResult(init.copy(), 0, np.inf, False, "axial stub cloud")
+
+    y = (data_pts - init.base).T
+    axis = np.array(init.axis, dtype=np.float64)
+    residual, (e1, e2), normal = evaluate_part(y, axis, init.height, init.radius, trim)
+    iterations = 0
+    converged = False
+    damped = retried = False
+    for _ in range(max_iterations):
+        a11, a12, a22, b1, b2 = normal
+        lam = DAMPING * 0.5 * (a11 + a22) if damped else 0.0
+        a11 = a11 + lam
+        a22 = a22 + lam
+        with np.errstate(divide="ignore", invalid="ignore"):
+            det = np.float64(a11) * a22 - a12 * a12
+            d1 = (a12 * b2 - a22 * b1) / det
+            d2 = (a12 * b1 - a11 * b2) / det
+        step = axis + d1 * e1 + d2 * e2
+        norm = np.sqrt(step[0] * step[0] + step[1] * step[1] + step[2] * step[2])
+        candidate = step / norm
+        cand_residual, cand_basis, cand_normal = evaluate_part(
+            y, candidate, init.height, init.radius, trim)
+        rise = cand_residual - residual
+        if rise <= 1e-12:
+            axis, residual, (e1, e2), normal = candidate, cand_residual, cand_basis, cand_normal
+            iterations += 1
+            damped = False
+            if -rise < tol:
+                converged = True
+                break
+        elif rise < tol:
+            converged = True  # a rejection within tolerance is a fixed point
+            break
+        elif retried:
+            break
+        else:
+            damped = retried = True
+    return ICPResult(KeypartState(init.part, init.base.copy(), axis, init.height,
+                                  init.radius),
+                     iterations, float(residual), converged)
+
+
+def register_level(inits: list, clouds: list, max_iterations: int, tol: float,
+                   trim: float) -> list:
+    return [register_part(init, data, max_iterations, tol, trim)
+            for init, data in zip(inits, clouds)]
+
+
 def contains(cylinder, points: np.ndarray, radial_margin: float = 0.0) -> np.ndarray:
     """Boolean mask of points inside the cylinder inflated by ``radial_margin``."""
     p = np.atleast_2d(np.asarray(points, dtype=np.float64)) - cylinder.base
@@ -174,39 +276,49 @@ def register_tree(tree: BodyTree, clouds: dict, dims: PartDimensions,
                   model_samples: int = 128) -> BodyTree:
 
     settled = []  # confidently registered cylinders, used to strip bleed-over
-    for part in tree.traversal():
-        node = tree.nodes[part]
-        if node.supplemented:
-            node.registered = False  # keypoint-derived state only
-            continue
-
-        anchor = None if part == body.TORSO else body.parent_joint_position(part, tree)
-        state = _init_state(part, tree, dims, anchor)
-        if state is None:
-            node.note = "no keypoint initialization available"
-            node.state = None
-            continue
-        node.state = state
-
-        data = clouds.get(part)
-        if data is None or len(data) == 0:
-            node.registered = False
-            node.note = "empty cloud; keypoint-initialized state kept"
-        else:
+    for level in LEVELS:
+        fits = []  # (part, init, cloud) of the parts this level registers
+        posed = []
+        for part in level:
+            node = tree.nodes[part]
+            if not node.active:
+                continue
+            if node.supplemented:
+                node.registered = False  # keypoint-derived state only
+                continue
+            anchor = None if part == body.TORSO else body.parent_joint_position(part, tree)
+            state = _init_state(part, tree, dims, anchor)
+            if state is None:
+                node.note = "no keypoint initialization available"
+                node.state = None
+                continue
+            node.state = state
+            posed.append(part)
+            data = clouds.get(part)
+            if data is None or len(data) == 0:
+                node.registered = False
+                node.note = "empty cloud; keypoint-initialized state kept"
+                continue
             data = np.asarray(data, dtype=np.float64)
             if len(data) > 600:  # registration accuracy saturates well below this
                 data = data[:: len(data) // 600 + 1]
-            # points explained by already-settled parts are mask bleed-over
+            # points explained by parts settled in earlier levels are bleed-over
             if settled:
                 keep = np.ones(len(data), dtype=bool)
                 for cyl in settled:
                     keep &= ~contains(cyl, data, radial_margin=0.025)
                 if keep.sum() >= 8:
                     data = data[keep]
-            model_local = sample_cylinder_local(state.radius, state.height,
-                                                model_samples)
-            result = icp_register(model_local, data,
-                                  state, anchor)
+            fits.append((part, state, data))
+
+        for part, state, data in fits:
+            if part == body.TORSO:
+                model_local = sample_cylinder_local(state.radius, state.height,
+                                                    model_samples)
+                result = icp_register(model_local, data, state)
+            else:
+                result = register_part(state, data, MAX_ITERATIONS, TOL, TRIM)
+            node = tree.nodes[part]
             node.state = result.state
             node.registered = result.converged or result.iterations > 0
             if result.note:
@@ -214,13 +326,15 @@ def register_tree(tree: BodyTree, clouds: dict, dims: PartDimensions,
             if node.registered and result.residual < 0.05:
                 settled.append(node.state.cylinder())
 
-        # propagate the refined pose into the shared keypoint table
-        if part == body.TORSO:
-            tree.keypoints[body.TORSO_ROWS] = body.torso_anchor_points(node.state, dims)
-        else:
-            distal = body.DISTAL_KEYPOINT.get(part)
-            if distal is not None:
-                tree.keypoints[distal] = node.state.tip
+        # propagate the refined poses into the shared keypoint table
+        for part in posed:
+            state = tree.nodes[part].state
+            if part == body.TORSO:
+                tree.keypoints[body.TORSO_ROWS] = body.torso_anchor_points(state, dims)
+            else:
+                distal = body.DISTAL_KEYPOINT.get(part)
+                if distal is not None:
+                    tree.keypoints[distal] = state.tip
 
     return body.enforce_joint_constraints(tree)
 

@@ -35,7 +35,15 @@ from mvsense.keypoints import (
     lift_depth,
 )
 from mvsense.keyparts import Trapezoid, base_half_length, paint_masks, BACKGROUND
-from mvsense.registration import icp_register, register_tree, sample_cylinder_local
+from mvsense.registration import (
+    MAX_ITERATIONS,
+    TOL,
+    TRIM,
+    icp_register,
+    register_level,
+    register_tree,
+    sample_cylinder_local,
+)
 from mvsense.simulator import pose_from_dofs, render_depth
 
 
@@ -186,7 +194,11 @@ def test_criterion_05_mask_semantics(rng):
 
 
 def test_criterion_06_icp():
-    """Known-transform recovery, noisy Monte-Carlo, and runtime bound."""
+    """Known-transform recovery, noisy Monte-Carlo, and runtime bound.
+
+    The free fit (the torso's) recovers a rigid motion on the sampled
+    model; an anchored part goes through the level solve.
+    """
     radius, height = 0.05, 0.3
     model = sample_cylinder_local(radius, height, 160)
     init = KeypartState(2, np.zeros(3), np.array([0.0, 0.0, 1.0]), height, radius)
@@ -196,7 +208,7 @@ def test_criterion_06_icp():
     moved = KeypartState(2, np.array([0.02, -0.01, 0.015]),
                          normalize(r_true @ init.axis), height, radius)
     data = sample_cylinder(moved, len(model))
-    res = icp_register(model, data, init, anchor=None)
+    res = icp_register(model, data, init)
     rot_err = np.degrees(np.arccos(np.clip(np.dot(res.state.axis, moved.axis),
                                            -1, 1)))
     trans_err = np.linalg.norm(res.state.base - moved.base)
@@ -211,7 +223,7 @@ def test_criterion_06_icp():
         noisy_state = KeypartState(2, init.base, axis, height, radius)
         pts = sample_cylinder(noisy_state, 600)
         pts = pts + local_rng.normal(0.0, 0.005, pts.shape)
-        out = icp_register(model, pts, init, anchor=init.base)
+        out = register_level([init], [pts], MAX_ITERATIONS, TOL, TRIM)[0]
         err = np.degrees(np.arccos(np.clip(np.dot(out.state.axis, axis), -1, 1)))
         if err < 2.0:
             success += 1
@@ -219,9 +231,9 @@ def test_criterion_06_icp():
 
     # runtime at 2000 data points
     big = sample_cylinder(moved, 2000)
-    icp_register(model, big, init, anchor=None)  # warm numpy paths
+    icp_register(model, big, init)  # warm numpy paths
     t0 = time.perf_counter()
-    icp_register(model, big, init, anchor=None)
+    icp_register(model, big, init)
     elapsed = time.perf_counter() - t0
     assert elapsed < 0.05, f"{elapsed * 1000:.1f} ms"
     ok(6, f"ICP: {rot_err:.3f} deg / {trans_err * 1000:.2f} mm noiseless, "

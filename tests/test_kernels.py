@@ -2,16 +2,17 @@
 
 Each benchmark times one kernel with a fixed round count, so the suite
 grows by seconds only, and checks the timed result against its oracle:
-the ICP kernels bit for bit against ``icp_reference``, the depth render
+the ICP kernels and the anchored level solve bit for bit against
+``icp_reference``, the depth render
 against ``render_reference``'s per-cylinder simulator, with the same hit
 pixels and depths within 1e-9 m, and mask painting and cloud extraction
 bit for bit against the per-box and full-image references of
 ``test_keyparts``, tree registration bit for bit against
 ``icp_reference.register_tree``, and the scheduler's collision estimate
 and plan bit for bit against ``scheduler_reference``. Sizes follow the
-traced workloads: a desk-sweep limb cloud averages about 133 points, and
-``register_tree`` caps a cloud at 600; renders, masks, extractions and
-tree registrations are the calls that short template trials make at
+traced workloads: ``register_tree`` caps a cloud at 600; level solves,
+renders, masks, extractions and tree registrations are the calls that
+short template trials make at
 144x112 (desk-sweep) and 640x480 (hires-fixed), and scheduler calls
 those of one-second template trials at multi-active and 144x112, or at
 single-active for the exhaustive search.
@@ -62,17 +63,6 @@ def limb():
 def torso():
     return pose_from_dofs(rest_dofs(position=(0.2, 0.1, 0.9), heading=0.3),
                           DIMS).states[body.TORSO]
-
-
-@pytest.mark.parametrize("n", [133, 600])
-def test_icp_register_anchored(benchmark, n):
-    init = limb()
-    model = sample_cylinder_local(init.radius, init.height, MODEL_SAMPLES)
-    data = cloud(init, n, seed=n)
-    got = benchmark.pedantic(icp_register, args=(model, data, init, init.base),
-                             rounds=ROUNDS, iterations=1, warmup_rounds=1)
-    assert got.iterations > 1
-    ref.assert_same_result(got, ref.icp_register(model, data, init, init.base))
 
 
 def test_icp_register_free(benchmark):
@@ -157,6 +147,17 @@ def test_extract_clouds(benchmark, size):
     assert sum(len(cloud.points) for clouds in got for cloud in clouds) > 0
     for clouds, args in zip(got, calls):
         assert same_clouds(clouds, quiet_reference(*args))
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_register_level(benchmark, size):
+    calls = captured_calls(registration, "register_level", size, 0.4)
+    got = timed(benchmark, registration.register_level, calls)
+    assert len(got) == len(calls) > 0
+    assert sum(result.iterations for results in got for result in results) > len(calls)
+    for results, (inits, clouds, *rest) in zip(got, calls):
+        for result, want in zip(results, ref.register_level(inits, clouds, *rest)):
+            ref.assert_same_result(result, want)
 
 
 @pytest.mark.parametrize("size", SIZES)

@@ -1,11 +1,14 @@
-"""Cylinder ICP and hierarchical tree registration.
+"""Cylinder ICP, the anchored level solve and hierarchical tree registration.
 
 Known-transform recovery uses synthetic clouds generated from the model
 itself; the SVD-step optimality check compares the closed-form update
-against random rigid perturbations at fixed correspondences.
+against random rigid perturbations at fixed correspondences. The level
+solve is checked bit for bit against ``icp_reference``'s per-part loop.
 """
 
+import copy
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,9 +19,9 @@ from scipy.spatial import cKDTree
 
 import icp_reference as ref
 from conftest import DIMS, rest_dofs, sample_cylinder
-from mvsense import body, registration
+from mvsense import body, harness, registration, scenario
 from mvsense.body import KeypartState, augment, build_tree
-from mvsense.geometry import normalize, rot_x, rot_y, rot_z
+from mvsense.geometry import inside_any, normalize, rot_x, rot_y, rot_z
 from mvsense.registration import (
     _BLOCK_ENTRIES,
     _svd_rotation,
@@ -26,6 +29,7 @@ from mvsense.registration import (
     best_rigid_update,
     icp_register,
     nearest_model_search,
+    register_level,
     register_tree,
     sample_cylinder_local,
 )
@@ -90,8 +94,7 @@ class TestClosedFormUpdates:
         pts = rng.uniform(-1, 1, (100, 3))
         r_true = rot_y(0.3)
         moved = (pts - anchor) @ r_true.T + anchor
-        # icp_register's anchored step: the SVD of the cross-covariance of
-        # the pairs centred on the anchor
+        # the SVD of the cross-covariance of pairs centred on a fixed point
         r = _svd_rotation((pts - anchor).T @ (moved - anchor))
         assert np.allclose(r, r_true, atol=1e-9)
 
@@ -283,32 +286,124 @@ class TestMatchesReplacedStep:
         assert dist.tobytes() == ref_dist.tobytes()
 
     @settings(max_examples=60, deadline=None)
-    @given(m=st.sampled_from([8, 128, 160, 600]), anchored=st.booleans(),
+    @given(m=st.sampled_from([8, 128, 160, 600]),
            trim=st.sampled_from([0.0, 0.1, 0.9]), seed=st.integers(0, 2**32 - 1),
            tilt=st.floats(-20.0, 20.0), data=st.data())
-    def test_icp_register(self, m, anchored, trim, seed, tilt, data):
+    def test_icp_register(self, m, trim, seed, tilt, data):
         rng = np.random.default_rng(seed)
-        if anchored:
-            init = KeypartState(body.L_UPPER_ARM, rng.normal(size=3),
-                                normalize(rng.normal(size=3)), 0.3, 0.05)
-            anchor, shift = init.base.copy(), np.zeros(3)
-        else:  # the torso carries a frame that every update must move
-            init = pose_from_dofs(rest_dofs(heading=rng.uniform(-3, 3)),
-                                  DIMS).states[body.TORSO]
-            anchor, shift = None, rng.normal(0.0, 0.02, 3)
-        assert anchored or init.frame is not None
+        # the torso carries a frame that every update must move
+        init = pose_from_dofs(rest_dofs(heading=rng.uniform(-3, 3)),
+                              DIMS).states[body.TORSO]
+        assert init.frame is not None
         block = _BLOCK_ENTRIES // m
         # below the trim's 16-point floor up to just past three blocks
         n = data.draw(st.one_of(st.integers(3, 20), st.integers(3, 3 * block + 1),
                                 st.just(3 * block + 1)), label="n")
-        pts = noisy_cylinder_cloud(init, n, rng, tilt, shift, 0.004)
+        pts = noisy_cylinder_cloud(init, n, rng, tilt, rng.normal(0.0, 0.02, 3), 0.004)
         model = sample_cylinder_local(init.radius, init.height, m)
-        got = icp_register(model, pts, init, anchor, trim=trim)
-        ref.assert_same_result(got, ref.icp_register(model, pts, init, anchor,
-                                                     trim=trim))
+        got = icp_register(model, pts, init, trim=trim)
+        ref.assert_same_result(got, ref.icp_register(model, pts, init, trim=trim))
+
+
+def random_limb(rng, part=body.L_UPPER_ARM):
+    return KeypartState(part, rng.normal(size=3), normalize(rng.normal(size=3)),
+                        rng.uniform(0.2, 0.45), rng.uniform(0.04, 0.1))
+
+
+def level_results(inits, clouds, max_iterations=registration.MAX_ITERATIONS,
+                  trim=registration.TRIM):
+    """The level solve and the per-part reference on the same level,
+    checked equal field by field, bit for bit; returns the solve's."""
+    got = register_level(inits, clouds, max_iterations, registration.TOL, trim)
+    want = ref.register_level(copy.deepcopy(inits), clouds, max_iterations,
+                              registration.TOL, trim)
+    assert len(got) == len(want) == len(inits)
+    for g, w in zip(got, want):
+        ref.assert_same_result(g, w)
+    return got
+
+
+class TestRegisterLevel:
+    """The batched level solve against ``icp_reference``'s per-part loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           sizes=st.lists(st.sampled_from([8, 15, 16, 600]), min_size=1, max_size=5),
+           odd=st.sampled_from(["", "stub", "degenerate"]),
+           max_iterations=st.sampled_from([1, 2, 50]),
+           trim=st.sampled_from([0.0, 0.1, 0.9]))
+    def test_random_levels(self, seed, sizes, odd, max_iterations, trim):
+        rng = np.random.default_rng(seed)
+        inits, clouds = [], []
+        for n in sizes:
+            init = random_limb(rng)
+            inits.append(init)
+            clouds.append(noisy_cylinder_cloud(init, n, rng, rng.uniform(-30.0, 30.0),
+                                               np.zeros(3), 0.004))
+        if odd == "stub":  # a cloud over a fifth of the length
+            init = random_limb(rng)
+            axial = init.base + np.outer(rng.uniform(0.0, 0.2 * init.height, 40), init.axis)
+            inits.append(init)
+            clouds.append(axial + rng.normal(0.0, 0.004, (40, 3)))
+        elif odd == "degenerate":
+            inits.append(random_limb(rng))
+            clouds.append(np.tile(rng.normal(size=3), (12, 1)))
+        got = level_results(inits, clouds, max_iterations, trim)
+        if odd:
+            assert got[-1].note == ("axial stub cloud" if odd == "stub"
+                                    else "degenerate cloud")
+
+    def test_converged_at_one_beside_the_cap(self, rng):
+        exact = KeypartState(body.L_UPPER_ARM, np.zeros(3), np.array([0.0, 0.0, 1.0]),
+                             0.3, 0.05)
+        far = KeypartState(body.R_UPPER_LEG, np.array([0.3, 0.0, 0.0]),
+                           np.array([0.0, 0.0, -1.0]), 0.42, 0.07)
+        far_cloud = noisy_cylinder_cloud(far, 600, rng, 35.0, np.zeros(3), 0.004)
+        got = level_results([exact, far], [sample_cylinder(exact, 16), far_cloud],
+                            max_iterations=3)
+        assert (got[0].iterations, got[0].converged) == (1, True)
+        assert (got[1].iterations, got[1].converged) == (3, False)
+
+    def test_empty_cloud(self, rng):
+        init = random_limb(rng)
+        got = level_results([init, init], [np.zeros((0, 3)), sample_cylinder(init, 40)])
+        assert got[0].note == "empty cloud" and not got[0].converged
+        assert np.array_equal(got[0].state.axis, init.axis)
+        assert got[1].converged
+
+    def test_every_level_of_template_trials(self):
+        """Every level solve that 0.6 s of each template makes, at each
+        configuration."""
+        calls = []
+        solve = registration.register_level
+
+        def record(*args):
+            calls.append(copy.deepcopy(args))
+            return solve(*args)
+
+        with mock.patch.object(registration, "register_level", record):
+            for name in sorted(scenario.TEMPLATES):
+                for config in ("multi-active", "single-fixed"):
+                    harness.run_trial(scenario.TEMPLATES[name](seed=0, duration=0.6),
+                                      config=config)
+        assert len(calls) > 10
+        assert sum(len(args[0]) for args in calls) > 2 * len(calls)
+        for inits, clouds, *rest in calls:
+            got = register_level(inits, clouds, *rest)
+            want = ref.register_level(copy.deepcopy(inits), clouds, *rest)
+            for g, w in zip(got, want):
+                ref.assert_same_result(g, w)
+
+
+def level(init, data, max_iterations=registration.MAX_ITERATIONS):
+    """The level solve of one anchored part."""
+    return register_level([init], [data], max_iterations, registration.TOL,
+                          registration.TRIM)[0]
 
 
 class TestIcpRegister:
+    """The free fit on the sampled model, and the anchored level solve."""
+
     def _make(self, radius=0.05, height=0.3):
         st = KeypartState(2, np.zeros(3), np.array([0.0, 0.0, 1.0]), height, radius)
         model = sample_cylinder_local(radius, height, 160)
@@ -317,7 +412,7 @@ class TestIcpRegister:
     def test_identity_on_exact_data(self):
         st, model = self._make()
         data = sample_cylinder(st, len(model))  # the posed model set itself
-        res = icp_register(model, data, st, anchor=st.base)
+        res = level(st, data)
         assert res.converged
         assert axis_angle_deg(res.state.axis, st.axis) < 1e-6
         assert res.residual < 1e-9
@@ -329,7 +424,7 @@ class TestIcpRegister:
         data_state = KeypartState(2, anchor, normalize(r_true @ st.axis),
                                   st.height, st.radius)
         data = sample_cylinder(data_state, len(model))
-        res = icp_register(model, data, st, anchor=anchor)
+        res = level(st, data)
         assert axis_angle_deg(res.state.axis, data_state.axis) < 0.5
         assert res.residual < 1e-4
 
@@ -343,7 +438,7 @@ class TestIcpRegister:
             data_state = KeypartState(2, anchor, axis, st.height, st.radius)
             data = sample_cylinder(data_state, 600)
             data = data + rng.normal(0, 0.005, data.shape)
-            res = icp_register(model, data, st, anchor=anchor)
+            res = level(st, data)
             if axis_angle_deg(res.state.axis, axis) < 2.0:
                 ok += 1
         assert ok >= 95
@@ -362,6 +457,14 @@ class TestIcpRegister:
         assert not res.converged
         assert "degenerate" in res.note
 
+    def test_axial_stub_cloud_keeps_init(self):
+        st, _model = self._make()
+        stub = sample_cylinder(st, 200)
+        stub = stub[stub[:, 2] < 0.25 * st.height]
+        res = level(st, stub)
+        assert (res.iterations, res.converged, res.note) == (0, False, "axial stub cloud")
+        assert np.array_equal(res.state.axis, st.axis)
+
     def test_residual_monotone_over_accepted_iterations(self, rng):
         # instrument by re-running with increasing iteration caps
         st, model = self._make()
@@ -370,8 +473,7 @@ class TestIcpRegister:
         data = sample_cylinder(data_state, 500) + rng.normal(0, 0.002, (500, 3))
         residuals = []
         for cap in range(1, 12):
-            res = icp_register(model, data, st, anchor=st.base,
-                               max_iterations=cap)
+            res = level(st, data, max_iterations=cap)
             residuals.append(res.residual)
         for a, b in zip(residuals, residuals[1:]):
             assert b <= a + 1e-12
@@ -383,7 +485,7 @@ class TestIcpRegister:
         moved = KeypartState(0, st.base + t_true, normalize(r_true @ st.axis),
                              st.height, st.radius)
         data = sample_cylinder(moved, len(model))
-        res = icp_register(model, data, st, anchor=None)
+        res = icp_register(model, data, st)
         assert axis_angle_deg(res.state.axis, moved.axis) < 0.5
         assert np.linalg.norm(res.state.base - moved.base) < 1e-3
 
@@ -392,16 +494,16 @@ class TestIcpRegister:
         axis = normalize(rot_x(np.radians(9.0)) @ st.axis)
         data = sample_cylinder(
             KeypartState(2, st.base, axis, st.height, st.radius), 2000)
-        icp_register(model, data, st, anchor=st.base)  # warm caches
+        level(st, data)  # warm caches
         t0 = time.perf_counter()
-        icp_register(model, data, st, anchor=st.base)
+        level(st, data)
         assert time.perf_counter() - t0 < 0.05
 
     def test_deterministic(self, rng):
         st, model = self._make()
         data = sample_cylinder(st, 400) + rng.normal(0, 0.004, (400, 3))
-        r1 = icp_register(model, data, st, anchor=st.base)
-        r2 = icp_register(model, data, st, anchor=st.base)
+        r1 = level(st, data)
+        r2 = level(st, data)
         assert np.array_equal(r1.state.axis, r2.state.axis)
         assert r1.residual == r2.residual
         assert r1.iterations == r2.iterations
@@ -496,24 +598,55 @@ class TestRegisterTree:
             assert np.array_equal(s1.base, s2.base)
             assert np.array_equal(s1.axis, s2.axis)
 
-    def test_model_built_once_per_shape_and_read_only(self, monkeypatch):
+    def test_torso_alone_on_the_sampled_model_built_once(self, monkeypatch):
         pose = pose_from_dofs(rest_dofs(), DIMS)
         kps = pose.keypoints
         clouds = self._clouds_from_pose(pose, range(10))
-        models = []
+        models, levels = [], []
 
-        def spy(model_local, *args):
+        def spy(model_local, data, init):
             models.append(model_local)
-            return icp_register(model_local, *args)
+            assert init.part == body.TORSO
+            return icp_register(model_local, data, init)
+
+        def level_spy(inits, *args):
+            levels.append([s.part for s in inits])
+            return register_level(inits, *args)
 
         monkeypatch.setattr(registration, "icp_register", spy)
+        monkeypatch.setattr(registration, "register_level", level_spy)
         for _ in range(2):
             register_tree(augment(build_tree(range(10)), kps, DIMS), clouds, DIMS)
-        first, second = models[:10], models[10:]
-        assert len(first) == len(second) == 10
-        assert all(a is b for a, b in zip(first, second))
+        assert len(models) == 2 and models[0] is models[1]
+        assert levels == [[1, 2, 4, 6, 8], [3, 5, 7, 9]] * 2
         state = pose.states[body.TORSO]
-        assert np.array_equal(first[body.TORSO],
+        assert np.array_equal(models[0],
                               sample_cylinder_local(state.radius, state.height, 128))
         with pytest.raises(ValueError):
-            first[body.TORSO][0, 0] = 1.0
+            models[0][0, 0] = 1.0
+
+    def test_siblings_strip_only_against_earlier_levels(self, monkeypatch):
+        """A level-1 cloud loses only what the torso explains, though it
+        holds points of the settled head, its sibling; a shin one level
+        down loses the head's points too."""
+        pose = pose_from_dofs(rest_dofs(), DIMS)
+        clouds = self._clouds_from_pose(pose, range(10))
+        head_points = sample_cylinder(pose.states[body.HEAD], 50)
+        for part in (body.L_UPPER_LEG, body.L_LOWER_LEG):
+            clouds[part] = np.vstack([clouds[part], head_points])
+        seen = {}
+
+        def level_spy(inits, data, *args):
+            seen.update({s.part: d for s, d in zip(inits, data)})
+            return register_level(inits, data, *args)
+
+        monkeypatch.setattr(registration, "register_level", level_spy)
+        tree = register_tree(augment(build_tree(range(10)), pose.keypoints, DIMS),
+                             clouds, DIMS)
+        assert tree.nodes[body.HEAD].registered
+        torso = tree.nodes[body.TORSO].state.cylinder()
+        thigh = clouds[body.L_UPPER_LEG]
+        expected = thigh[~inside_any([torso], thigh, [torso.radius + 0.025])]
+        assert np.array_equal(seen[body.L_UPPER_LEG], expected)
+        assert len(seen[body.L_UPPER_LEG]) > len(thigh) - 50
+        assert len(seen[body.L_LOWER_LEG]) <= len(clouds[body.L_LOWER_LEG]) - 50
