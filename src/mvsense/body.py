@@ -240,37 +240,26 @@ def fit_torso_state(keypoints: np.ndarray, dims: PartDimensions) -> KeypartState
         i = int(np.argmin(known))
         a[i] = a[i ^ 1] + a[i ^ 2] - a[i ^ 3]
 
+    # each case gives the up axis (upright from two anchors), the raw
+    # lateral direction and the base
     if count >= 3:
-        sh_mid = 0.5 * (a[0] + a[1])
         hip_mid = 0.5 * (a[2] + a[3])
-        up = sh_mid - hip_mid
+        up = 0.5 * (a[0] + a[1]) - hip_mid
         if np.linalg.norm(up) < 1e-6:
             return None
-        up = normalize(up)
-        lat = a[1] - a[0]
-        lat = lat - (lat @ up) * up
-        if np.linalg.norm(lat) < 1e-6:
-            return None
-        lat = normalize(lat)
-        base = hip_mid
+        up, lat, base = normalize(up), a[1] - a[0], hip_mid
+    elif known[0] and known[1]:
+        up = np.array([0.0, 0.0, 1.0])
+        lat, base = a[1] - a[0], 0.5 * (a[0] + a[1]) - up * dims.height[TORSO]
+    elif known[2] and known[3]:
+        up = np.array([0.0, 0.0, 1.0])
+        lat, base = a[3] - a[2], 0.5 * (a[2] + a[3])
     else:
-        # two anchors: assume upright, derive what we can
-        if known[0] and known[1]:
-            sh_mid = 0.5 * (a[0] + a[1])
-            up = np.array([0.0, 0.0, 1.0])
-            lat = a[1] - a[0]
-            base = sh_mid - up * dims.height[TORSO]
-        elif known[2] and known[3]:
-            hip_mid = 0.5 * (a[2] + a[3])
-            up = np.array([0.0, 0.0, 1.0])
-            lat = a[3] - a[2]
-            base = hip_mid
-        else:
-            return None
-        lat = lat - (lat @ up) * up
-        if np.linalg.norm(lat) < 1e-6:
-            return None
-        lat = normalize(lat)
+        return None
+    lat = lat - (lat @ up) * up
+    if np.linalg.norm(lat) < 1e-6:
+        return None
+    lat = normalize(lat)
 
     fwd = np.cross(lat, up)
     frame = np.column_stack([lat, up, fwd])

@@ -90,6 +90,7 @@ class TrialMetrics:
     fn: int = 0
     per_part_correct: list = field(default_factory=lambda: [0] * body.NUM_KEYPARTS)
     axis_errors_deg: list = field(default_factory=list)
+    axis_error_parts: list = field(default_factory=list)  # each error's part
     position_errors_m: list = field(default_factory=list)
     rows: list = field(default_factory=list)
     timings_ms: dict = field(default_factory=dict)
@@ -130,6 +131,7 @@ class TrialMetrics:
                 gt_cyl = pose.states[j].cylinder()
                 cosang = float(np.clip(np.dot(gt_cyl.axis, est.axis), -1.0, 1.0))
                 self.axis_errors_deg.append(float(np.degrees(np.arccos(cosang))))
+                self.axis_error_parts.append(j)
                 est_mid = est.base + est.axis * (0.5 * est.height)
                 self.position_errors_m.append(float(np.linalg.norm(gt_cyl.midpoint - est_mid)))
 
@@ -150,6 +152,9 @@ class TrialMetrics:
         self.rows.append(row)
 
     def summary(self) -> dict:
+        by_part = {name: [] for name in body.KEYPART_NAMES}
+        for j, error in zip(self.axis_error_parts, self.axis_errors_deg):
+            by_part[body.KEYPART_NAMES[j]].append(error)
         return {
             "name": self.name,
             "config": self.config,
@@ -172,6 +177,10 @@ class TrialMetrics:
             "mean_position_error_m": (float(np.mean(self.position_errors_m))
                                       if self.position_errors_m else None),
             "pose_samples": len(self.axis_errors_deg),
+            "pose_error_by_part": {
+                name: {"mean_axis_error_deg": float(np.mean(e)) if e else None,
+                       "samples": len(e)}
+                for name, e in by_part.items()},
         }
 
 

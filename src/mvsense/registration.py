@@ -14,9 +14,12 @@ a level's parts are independent. ``register_level`` fits all of them in
 one Gauss-Newton solve on the exact distance to each finite cylinder
 surface: the points of the level are stacked with a part index, each
 part's 2x2 normal equations come from ``np.bincount``, and one
-accept/converge mask iterates the level. Keypoint-derived poses provide
-the initial coarse state, and supplemented nodes (no cloud exists for
-them) skip registration entirely.
+accept/converge mask iterates the level. Before a level is fitted, the
+points of each cloud inside a part settled in an earlier level are
+stripped as bleed-over, however few remain; the solvers' skip rules
+(empty, degenerate, axial stub) alone decide that a cloud cannot be
+fitted. Keypoint-derived poses provide the initial coarse state, and
+supplemented nodes (no cloud exists for them) skip registration entirely.
 """
 
 from __future__ import annotations
@@ -487,17 +490,19 @@ def register_tree(tree: BodyTree, clouds: dict, dims: PartDimensions,
                   model_samples: int = 128) -> BodyTree:
     """Register every active part, level by level, constraints maintained.
 
-    ``clouds`` maps part -> (N, 3) merged world points. The tree's
-    keypoint table, filled by ``body.augment``, seeds each part's state.
-    The torso takes free ICP on its sampled model; each level below it
-    takes one ``register_level`` solve. Points inside a part confidently
-    registered in an earlier level are bleed-over and are stripped first.
-    Per-part failures mark the node and never abort the rest of the tree.
+    ``clouds`` maps part -> (N, 3) merged world points, empty when absent.
+    The tree's keypoint table, filled by ``body.augment``, seeds each
+    part's state. The torso takes free ICP on its sampled model; each
+    level below it takes one ``register_level`` solve. Points inside a part
+    confidently registered in an earlier level are bleed-over and are
+    always stripped first, however few remain; the solvers' notes alone
+    mark a cloud that cannot be fitted, and its part keeps its
+    keypoint-initialized state. Per-part failures mark the node and never
+    abort the rest of the tree.
     """
     settled = []  # confidently registered cylinders, used to strip bleed-over
     for level in LEVELS:
-        parts, inits, data = [], [], []  # the parts this level fits
-        posed = []  # the parts given a state
+        parts, inits, data = [], [], []  # the posed parts of this level
         for part in level:
             node = tree.nodes[part]
             if not node.active:
@@ -511,20 +516,12 @@ def register_tree(tree: BodyTree, clouds: dict, dims: PartDimensions,
             if state is None:
                 node.note = "no keypoint initialization available"
                 continue
-            posed.append(part)
-            cloud = clouds.get(part)
-            if cloud is None or len(cloud) == 0:
-                node.registered = False
-                node.note = "empty cloud; keypoint-initialized state kept"
-                continue
-            cloud = np.asarray(cloud, dtype=np.float64)
+            cloud = np.asarray(clouds.get(part, np.empty((0, 3))), dtype=np.float64)
             if len(cloud) > 600:  # registration accuracy saturates well below this
                 cloud = cloud[:: len(cloud) // 600 + 1]
             # points explained by parts settled in earlier levels are bleed-over
             if settled:
-                keep = ~inside_any(settled, cloud, [c.radius + 0.025 for c in settled])
-                if keep.sum() >= 8:
-                    cloud = cloud[keep]
+                cloud = cloud[~inside_any(settled, cloud, [c.radius + 0.025 for c in settled])]
             parts.append(part)
             inits.append(state)
             data.append(cloud)
@@ -544,7 +541,7 @@ def register_tree(tree: BodyTree, clouds: dict, dims: PartDimensions,
                 settled.append(node.state.cylinder())
 
         # propagate the refined poses into the shared keypoint table
-        for part in posed:
+        for part in parts:
             state = tree.nodes[part].state
             if part == body.TORSO:
                 tree.keypoints[body.TORSO_ROWS] = body.torso_anchor_points(state, dims)

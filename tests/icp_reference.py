@@ -278,7 +278,6 @@ def register_tree(tree: BodyTree, clouds: dict, dims: PartDimensions,
     settled = []  # confidently registered cylinders, used to strip bleed-over
     for level in LEVELS:
         fits = []  # (part, init, cloud) of the parts this level registers
-        posed = []
         for part in level:
             node = tree.nodes[part]
             if not node.active:
@@ -293,23 +292,15 @@ def register_tree(tree: BodyTree, clouds: dict, dims: PartDimensions,
                 node.state = None
                 continue
             node.state = state
-            posed.append(part)
-            data = clouds.get(part)
-            if data is None or len(data) == 0:
-                node.registered = False
-                node.note = "empty cloud; keypoint-initialized state kept"
-                continue
-            data = np.asarray(data, dtype=np.float64)
+            data = np.asarray(clouds.get(part, np.empty((0, 3))), dtype=np.float64)
             if len(data) > 600:  # registration accuracy saturates well below this
                 data = data[:: len(data) // 600 + 1]
-            # points explained by parts settled in earlier levels are bleed-over
-            if settled:
-                keep = np.ones(len(data), dtype=bool)
-                for cyl in settled:
-                    keep &= ~contains(cyl, data, radial_margin=0.025)
-                if keep.sum() >= 8:
-                    data = data[keep]
-            fits.append((part, state, data))
+            # points explained by parts settled in earlier levels are bleed-over,
+            # stripped however few remain
+            keep = np.ones(len(data), dtype=bool)
+            for cyl in settled:
+                keep &= ~contains(cyl, data, radial_margin=0.025)
+            fits.append((part, state, data[keep]))
 
         for part, state, data in fits:
             if part == body.TORSO:
@@ -327,7 +318,7 @@ def register_tree(tree: BodyTree, clouds: dict, dims: PartDimensions,
                 settled.append(node.state.cylinder())
 
         # propagate the refined poses into the shared keypoint table
-        for part in posed:
+        for part, _state, _data in fits:
             state = tree.nodes[part].state
             if part == body.TORSO:
                 tree.keypoints[body.TORSO_ROWS] = body.torso_anchor_points(state, dims)

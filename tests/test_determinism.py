@@ -8,15 +8,17 @@ registration computes, down to the last bit of a mean error, shows up
 here. A change that alters behaviour on purpose must say so and update
 these digests with the accuracy table before and after.
 
-The summaries were last re-recorded when every part below the torso
-moved from anchored ICP on the sampled model to the level solve on the
-analytic cylinder (``registration.register_level``), and siblings of one
-level stopped stripping bleed-over against each other: the mean pose
-errors changed, and every ``_frames.csv`` kept its digest, so presence,
-accuracy and recall did not move in these trials. (Before that, they
-were re-recorded when ``geometry.cast_rays`` became an elementwise kernel
-cast in the camera frame, which moved the mean pose errors in their 13th
-significant digit.)
+The summaries were last re-recorded for two reasons at once. First,
+``registration.register_tree`` now strips bleed-over from a part's cloud
+however few points remain, where it used to keep the whole cloud when
+fewer than 8 would be left, so parts were fitted to their parents'
+surfaces. With that change alone, the four assembly and reach-in
+summaries at 144x112 changed their mean pose errors, and every
+``_frames.csv`` and both 640x480 trials kept their digests. Second, each
+summary gained ``pose_error_by_part``, each keypart's mean axis error and
+sample count. Presence, accuracy and recall did not move. (Before that,
+they were re-recorded when every part below the torso moved to the level
+solve on the analytic cylinder, ``registration.register_level``.)
 
 The 144x112 renders each fit in one block of ``geometry.cast_rays``, so
 two more trials run at multi-fixed with 640x480 cameras, where every
@@ -37,38 +39,38 @@ GOLDEN = {
     "assembly_multi-active_0_frames.csv":
         "bdf2451a09f6f816c157936d5ab1f534c53fc1c5cb019965e333610f1f662496",
     "assembly_multi-active_0_summary.json":
-        "d8428a4804fb95e79241480208cd3a2bc21cf93c4028bd78b4d0d293fcd65ce3",
+        "3895b4e764d4e92d64aa2ed2169ffe43436c8231db7804c1dfb817b83eee839b",
     "assembly_single-fixed_0_frames.csv":
         "fedf02ce9e2e63a75cb210284d0adb9f5be1f2f9eab4ea5dc05c7d92fa8b26e6",
     "assembly_single-fixed_0_summary.json":
-        "92b6387bb7fded17d103fe97c06cf35f86fcf4ee32899e20c864257a977e1f66",
+        "6006a9f8dcc1da1bfa82bdfd174c83e8ec812ec6d4292910015697e680d29e44",
     "enter-exit_multi-active_0_frames.csv":
         "c8efd13522621bd5bc190794e97808ff627d470f5a3874293b7809f546f1839e",
     "enter-exit_multi-active_0_summary.json":
-        "af6926908bb511918f3322cf594a922c0eaac811d8ca8b95b5287864c71ce3d3",
+        "2d6541b871208cb951b6cd8cc149ab1d04ce88783387b91b414bea2662695821",
     "enter-exit_single-fixed_0_frames.csv":
         "c8efd13522621bd5bc190794e97808ff627d470f5a3874293b7809f546f1839e",
     "enter-exit_single-fixed_0_summary.json":
-        "58d40b9dca058ce8c4a3c199d182c12bcd28b75b0d73d1044e727b9714633845",
+        "05eb2480f3065153a4b21375841792f6a724c654155326fa546f6edff4cfba2b",
     "reach-in_multi-active_0_frames.csv":
         "d54586760e862739ddb6aa1cdb25d16644c683bba85a0c02566d94d7863a6230",
     "reach-in_multi-active_0_summary.json":
-        "e3b70804d8d842590fe41063930ec4fc5364ae3d4f4087bc72a60e5f8ba724f9",
+        "2258fe1be0f232e0030fea98634af2a14ce9cc1d2178acc89d9f2d026f4d4592",
     "reach-in_single-fixed_0_frames.csv":
         "773887f1ceacc1b81794e5829a97ae179ab0ae0e149288354da000c1c0023190",
     "reach-in_single-fixed_0_summary.json":
-        "57a7d26f81825fb6da1612a53848f92b06f4345f1ef152f44b29c77024508593",
+        "91dcb05de5e49529c5f3ad8dfd5ab8a28587ccc19dff70fe0b98fc8dd3781013",
 }
 
 HIRES_GOLDEN = {
     "assembly_multi-fixed_0_frames.csv":
         "8011b6212a9334019f565d8e7234ff0d2293ffeb66147a4333aa8a354f145bb3",
     "assembly_multi-fixed_0_summary.json":
-        "a0ef2eb7300e9098a06dddd4db5592f6d563cf5019b7385a6e4c5dc1f382a46b",
+        "5e99526c6336627928195c0924b5bfadc52cf57289c71e28cde57c5f9f26dd5f",
     "reach-in_multi-fixed_0_frames.csv":
         "49c8fef410cc5a02620a6f18a0d93a58922f874c449fee2a8f93a17ec0d72cf7",
     "reach-in_multi-fixed_0_summary.json":
-        "36ee11fda7e9438253dc307fb5eca8eef593f261c979ddc664b8d93705b2babc",
+        "090215703524375668ba0dc24362bbcdc70fe28765ac1e69264edc82e4f88476",
 }
 
 

@@ -120,6 +120,39 @@ class TestRunTrial:
             assert key in s
         assert len(s["per_part_accuracy"]) == 10
 
+    def test_pose_error_by_part(self, monkeypatch):
+        """Each axis error is recorded with its part, the parts a frame
+        predicts present that are truly present and posed, in part order;
+        the summary gives each part's mean and sample count by name."""
+        scored = []
+        score = harness.TrialMetrics.score
+
+        def recording_score(self, frame, t, result, pose, lo, hi):
+            score(self, frame, t, result, pose, lo, hi)
+            present = gt_part_presence(pose, lo, hi)
+            scored.extend([] if result.failed else [
+                j for j in result.parts
+                if present[j] and result.tree.nodes[j].state is not None])
+
+        monkeypatch.setattr(harness.TrialMetrics, "score", recording_score)
+        m = run_trial(tiny_script(), config="multi-fixed")
+        assert scored and m.axis_error_parts == scored
+        s = m.summary()
+        by_part = s["pose_error_by_part"]
+        assert list(by_part) == list(body.KEYPART_NAMES)
+        for j, name in enumerate(body.KEYPART_NAMES):
+            errors = [e for e, p in zip(m.axis_errors_deg, scored) if p == j]
+            assert by_part[name] == {
+                "mean_axis_error_deg": float(np.mean(errors)) if errors else None,
+                "samples": len(errors)}
+        assert sum(v["samples"] for v in by_part.values()) == s["pose_samples"]
+
+    def test_pose_error_by_part_without_samples(self):
+        s = harness.TrialMetrics("empty", "multi-fixed", 0, 0).summary()
+        assert s["pose_error_by_part"] == {
+            name: {"mean_axis_error_deg": None, "samples": 0}
+            for name in body.KEYPART_NAMES}
+
     def test_dump_frame_writes_artifacts(self, tmp_path):
         script = tiny_script()
         run_trial(script, config="multi-fixed", frames=2, out_dir=tmp_path,

@@ -634,19 +634,68 @@ class TestRegisterTree:
         head_points = sample_cylinder(pose.states[body.HEAD], 50)
         for part in (body.L_UPPER_LEG, body.L_LOWER_LEG):
             clouds[part] = np.vstack([clouds[part], head_points])
+        tree, seen = self._register_spying(monkeypatch, pose, clouds)
+        assert tree.nodes[body.HEAD].registered
+        torso = tree.nodes[body.TORSO].state.cylinder()
+        thigh = clouds[body.L_UPPER_LEG]
+        expected = thigh[~inside_any([torso], thigh, [torso.radius + 0.025])]
+        assert np.array_equal(seen[body.L_UPPER_LEG][1], expected)
+        assert len(seen[body.L_UPPER_LEG][1]) > len(thigh) - 50
+        assert len(seen[body.L_LOWER_LEG][1]) <= len(clouds[body.L_LOWER_LEG]) - 50
+
+    @staticmethod
+    def _arm_in_torso(pose, kept: int):
+        """Clouds of every part, the left upper arm's replaced by points deep
+        inside the torso plus ``kept`` points of the arm's outer side,
+        spread along it."""
+        clouds = {p: sample_cylinder(pose.states[p], 400) for p in range(10)}
+        torso = pose.states[body.TORSO]
+        core = KeypartState(body.TORSO, torso.base + 0.1 * torso.height * torso.axis,
+                            torso.axis, 0.8 * torso.height, 0.5 * torso.radius)
+        arm = clouds[body.L_UPPER_ARM]
+        outer = arm[~inside_any([torso.cylinder()], arm, [torso.radius + 0.06])]
+        outer = outer[np.argsort(outer @ pose.states[body.L_UPPER_ARM].axis)]
+        picks = np.linspace(0, len(outer) - 1, kept).astype(int)
+        clouds[body.L_UPPER_ARM] = np.vstack([sample_cylinder(core, 200), outer[picks]])
+        return clouds, outer[picks]
+
+    def _register_spying(self, monkeypatch, pose, clouds):
+        """Register the whole tree; returns it and, per part, the init and
+        cloud that its level solve was given."""
         seen = {}
 
         def level_spy(inits, data, *args):
-            seen.update({s.part: d for s, d in zip(inits, data)})
+            seen.update({s.part: (s, d) for s, d in zip(inits, data)})
             return register_level(inits, data, *args)
 
         monkeypatch.setattr(registration, "register_level", level_spy)
         tree = register_tree(augment(build_tree(range(10)), pose.keypoints, DIMS),
                              clouds, DIMS)
-        assert tree.nodes[body.HEAD].registered
-        torso = tree.nodes[body.TORSO].state.cylinder()
-        thigh = clouds[body.L_UPPER_LEG]
-        expected = thigh[~inside_any([torso], thigh, [torso.radius + 0.025])]
-        assert np.array_equal(seen[body.L_UPPER_LEG], expected)
-        assert len(seen[body.L_UPPER_LEG]) > len(thigh) - 50
-        assert len(seen[body.L_LOWER_LEG]) <= len(clouds[body.L_LOWER_LEG]) - 50
+        return tree, seen
+
+    def test_bleed_over_stripped_however_few_points_remain(self, monkeypatch):
+        """A cloud that lies inside the settled torso but for five points
+        is fitted on those five alone, not on the torso's points."""
+        pose = pose_from_dofs(rest_dofs(), DIMS)
+        clouds, remainder = self._arm_in_torso(pose, 5)
+        tree, seen = self._register_spying(monkeypatch, pose, clouds)
+        _init, data = seen[body.L_UPPER_ARM]
+        assert np.array_equal(data, remainder)
+        assert tree.nodes[body.L_UPPER_ARM].registered
+
+    @pytest.mark.parametrize("cloud", ["inside the torso", "absent"])
+    def test_empty_cloud_keeps_keypoint_state(self, monkeypatch, cloud):
+        """A part left with no points after stripping, or given none, goes
+        to the level solve with an empty cloud, and keeps its
+        keypoint-initialized state, unregistered, with the solver's note."""
+        pose = pose_from_dofs(rest_dofs(), DIMS)
+        clouds, _ = self._arm_in_torso(pose, 0)
+        if cloud == "absent":
+            del clouds[body.L_UPPER_ARM]
+        tree, seen = self._register_spying(monkeypatch, pose, clouds)
+        init, data = seen[body.L_UPPER_ARM]
+        assert data.shape == (0, 3)
+        node = tree.nodes[body.L_UPPER_ARM]
+        assert (node.registered, node.note) == (False, "empty cloud")
+        assert node.state.axis.tobytes() == init.axis.tobytes()
+        assert node.state.base.tobytes() == init.base.tobytes()
