@@ -7,11 +7,12 @@ the ICP kernels and the anchored level solve bit for bit against
 against ``render_reference``'s per-cylinder simulator, with the same hit
 pixels and depths within 1e-9 m, and mask painting and cloud extraction
 bit for bit against the per-box and full-image references of
-``test_keyparts``, tree registration bit for bit against
-``icp_reference.register_tree``, and the scheduler's collision estimate
-and plan bit for bit against ``scheduler_reference``. Sizes follow the
-traced workloads: ``register_tree`` caps a cloud at 600; level solves,
-renders, masks, extractions and tree registrations are the calls that
+``test_keyparts`` (the full-image one tests the lift stride at every
+pixel, so at 640x480 both lift the same pixels), tree registration bit
+for bit against ``icp_reference.register_tree``, and the scheduler's
+collision estimate and plan bit for bit against ``scheduler_reference``.
+Sizes follow the traced workloads: ``register_tree`` caps a cloud at
+600; level solves, renders, masks, extractions and tree registrations are the calls that
 short template trials make at
 144x112 (desk-sweep) and 640x480 (hires-fixed), and scheduler calls
 those of one-second template trials at multi-active and 144x112, or at
