@@ -128,7 +128,7 @@ class TrialMetrics:
                 est = result.tree.nodes[j].state
                 if not present[j] or est is None:
                     continue
-                gt_cyl = pose.states[j].cylinder()
+                gt_cyl = pose.cylinders[j]
                 cosang = float(np.clip(np.dot(gt_cyl.axis, est.axis), -1.0, 1.0))
                 self.axis_errors_deg.append(float(np.degrees(np.arccos(cosang))))
                 self.axis_error_parts.append(j)
@@ -254,7 +254,7 @@ def gt_part_presence(pose, workspace_min, workspace_max) -> list:
     hi = np.asarray(workspace_max)
     out = []
     for part in range(body.NUM_KEYPARTS):
-        mid = pose.states[part].cylinder().midpoint
+        mid = pose.cylinders[part].midpoint
         out.append(bool(np.all(mid >= lo) & np.all(mid <= hi)))
     return out
 
@@ -391,7 +391,7 @@ def sense(scene: simulator.Scene, pose, props: list, frame: int,
     t = scene.t
     robot_links = scene.robot.links_at(t) if scene.robot else []
     occluders = list(robot_links) + props
-    parts = pose.cylinders()
+    parts = pose.cylinders
     inp = FrameInput(frame, t, {}, {}, {}, robot_links)
     t0 = time.perf_counter()
     for ci, rig in enumerate(scene.rigs):

@@ -12,11 +12,29 @@ and is not solved for. Below the torso the tree has two levels (head,
 upper arms and thighs; then forearms and shins), and given their anchors
 a level's parts are independent. ``register_level`` fits all of them in
 one Gauss-Newton solve on the exact distance to each finite cylinder
-surface: the points of the level are stacked with a part index, each
-part's 2x2 normal equations come from ``np.bincount``, and one
-accept/converge mask iterates the level. Before a level is fitted, the
-points of each cloud inside a part settled in an earlier level are
-stripped as bleed-over, however few remain; the solvers' skip rules
+surface: the points of the level are stacked with a part index, and
+each part's 2x2 normal equations come from one ``np.bincount``. The
+per-part scalars are Python floats: the 2x2 solve, the damping, the step
+and its normalization, the accept/converge/retry bookkeeping, the
+tangent frames and each part's trim gate. A level holds at most five
+parts, so numpy's per-call cost would outweigh the arithmetic.
+
+Floats keep every bit of the elementwise array code they replace.
+Python's ``+ - * /``, ``math.sqrt`` and ``math.copysign`` are the same
+correctly rounded IEEE-754 double operations that numpy's ufuncs apply,
+so a value keeps its bits as long as the order of operations is kept. A
+division by zero goes to numpy for its +-inf or NaN (``_divide``), and a
+``max`` that may meet NaN takes it as its first argument, which is where
+Python's ``max`` keeps it, as ``np.maximum`` does. Products that numpy
+hands to BLAS stay on arrays (``@``, ``.dot``, ``np.linalg.norm``,
+``dgesdd``): with OpenBLAS 0.3.31's Haswell kernels, ``v.dot(v)`` of a
+random 3-vector differed from ``(x*x + y*y) + z*z`` in 21% of 300k cases,
+and a 3x3 ``@`` 3-vector from the plain sums in 70% of 20k. That is why
+the torso's ICP, built on such products, stays on arrays.
+
+Before a level is fitted, the points of each cloud inside a part settled
+in an earlier level are stripped as bleed-over, in one test over the
+level's clouds, however few remain; the solvers' skip rules
 (empty, degenerate, axial stub) alone decide that a cloud cannot be
 fitted. Keypoint-derived poses provide the initial coarse state, and
 supplemented nodes (no cloud exists for them) skip registration entirely.
@@ -25,6 +43,7 @@ supplemented nodes (no cloud exists for them) skip registration entirely.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -257,25 +276,33 @@ def icp_register(model_local: np.ndarray, data_pts: np.ndarray,
     return ICPResult(state, iterations, float(residual), converged)
 
 
-def _tangent_basis(axes: np.ndarray) -> np.ndarray:
-    """(L, 3, 3) frames with rows (e1, e2, axis) for (L, 3) unit axes.
+def _tangent_frame(axis) -> list:
+    """The rows (e1, e2, axis) of the frame at a unit ``axis``, as nine floats.
 
-    e1 and e2 span the plane across each axis and come from the branchless
-    orthonormal basis of Duff et al. (2017), elementwise.
+    e1 and e2 span the plane across the axis and come from the branchless
+    orthonormal basis of Duff et al. (2017). ``sign + z`` is never zero,
+    since ``sign`` carries the sign of ``z``.
     """
-    x, y, z = axes.T
-    sign = np.copysign(1.0, z)
+    x, y, z = axis
+    sign = math.copysign(1.0, z)
     c = -1.0 / (sign + z)
     d = x * y * c
-    frames = np.empty((len(axes), 3, 3))
-    frames[:, 0, 0] = 1.0 + sign * x * x * c
-    frames[:, 0, 1] = sign * d
-    frames[:, 0, 2] = -sign * x
-    frames[:, 1, 0] = d
-    frames[:, 1, 1] = sign + y * y * c
-    frames[:, 1, 2] = -y
-    frames[:, 2] = axes
-    return frames
+    return [1.0 + sign * x * x * c, sign * d, -sign * x,
+            d, sign + y * y * c, -y,
+            x, y, z]
+
+
+def _divide(a: float, b: float) -> float:
+    """``a / b``, with numpy's ±inf or NaN where ``b`` is zero."""
+    if b:
+        return a / b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.divide(a, b))
+
+
+# The per-part sums one ``np.bincount`` call takes in ``_Stack.evaluate``:
+# the kept squared distances, the kept count and the normal equations.
+_SUMS = 7
 
 
 class _Stack:
@@ -285,24 +312,28 @@ class _Stack:
     in the live parts, ``start`` and ``count`` each part's slice.
     """
 
-    def __init__(self, centred: list, heights: np.ndarray, radii: np.ndarray):
-        self.count = np.array([c.shape[1] for c in centred])
-        self.start = np.zeros(len(centred), dtype=np.intp)
-        np.cumsum(self.count[:-1], out=self.start[1:])
+    def __init__(self, centred: list, heights: list, radii: list):
+        self.count = [c.shape[1] for c in centred]
+        self.start = [0, *itertools.accumulate(self.count[:-1])]
         self.points = np.concatenate(centred, axis=1)
-        self.part = np.repeat(np.arange(len(centred)), self.count)
-        self.height = heights.take(self.part)
-        self.radius = radii.take(self.part)
-        self.rank = np.arange(len(self.part)) - self.start.take(self.part)
+        self.part = np.arange(len(centred)).repeat(self.count)
+        self.height = np.array(heights).take(self.part)
+        self.radius = np.array(radii).take(self.part)
+        self.rank = np.arange(len(self.part)) - np.array(self.start).take(self.part)
+        # each of the _SUMS rows of point terms into its own bins
+        self.bins = (self.part + len(centred) * np.arange(_SUMS)[:, None]).ravel()
+        # the two ranks around each part's median, the same one for an odd count
+        self.middle = [i for n, s in zip(self.count, self.start)
+                       for i in (s + (n - 1) // 2, s + n // 2)]
 
-    def evaluate(self, axes: np.ndarray, trim: float):
-        """Per live part at ``axes``: the trimmed RMS distance to its
-        cylinder's lateral surface, its frame and its Gauss-Newton normal
-        equations ``(a11, a12, a22, b1, b2)`` in that frame's (e1, e2)."""
-        frames = _tangent_basis(axes)
-        n = len(axes)
+    def evaluate(self, frames: list, trim: float) -> tuple:
+        """Per live part: the trimmed RMS distance to its cylinder's lateral
+        surface and the Gauss-Newton normal equations ``(a11, a12, a22, b1,
+        b2)`` in the (e1, e2) of its frame, ``frames[j]`` from
+        ``_tangent_frame``; floats, in stack order."""
+        n = len(frames)
         # (e1, e2, axis) . p for every point, components summed in order
-        prod = frames.reshape(n, 9).T.take(self.part, axis=1).reshape(3, 3, -1)
+        prod = np.array(frames).T.take(self.part, axis=1).reshape(3, 3, -1)
         prod *= self.points
         g1, g2, s = prod[:, 0] + prod[:, 1] + prod[:, 2]
         r = np.sqrt(g1 * g1 + g2 * g2)
@@ -310,34 +341,37 @@ class _Stack:
         f2 = s - np.minimum(np.maximum(s, 0.0), self.height)  # beyond an end
         dist = np.sqrt(f1 * f1 + f2 * f2)
         kept = self._trimmed(dist, trim)
-        square = np.where(kept, dist * dist, 0.0)
-        rms = np.sqrt(np.bincount(self.part, square, n) / np.bincount(self.part, kept, n))
         # d(f1)/d(delta) = -(s / r) g, d(f2)/d(delta) = g beyond an end
         c1 = -s / np.maximum(r, 1e-12)
         w = np.where(kept, c1 * c1 + (f2 != 0.0), 0.0)
         q = np.where(kept, c1 * f1 + f2, 0.0)
         wg1 = w * g1
-        normal = (np.bincount(self.part, wg1 * g1, n), np.bincount(self.part, wg1 * g2, n),
-                  np.bincount(self.part, w * g2 * g2, n), np.bincount(self.part, q * g1, n),
-                  np.bincount(self.part, q * g2, n))
-        return rms, frames, normal
+        terms = np.array([np.where(kept, dist * dist, 0.0), kept, wg1 * g1, wg1 * g2,
+                          w * g2 * g2, q * g1, q * g2])
+        # one bin per (sum, part), each added in point order as its own
+        # bincount would add it
+        sums = np.bincount(self.bins, terms.ravel(), _SUMS * n).reshape(_SUMS, n)
+        square, kept_count, *normal = sums.tolist()
+        # a part keeps at least 3 points (``_skip_note``), so no count is 0
+        rms = [math.sqrt(sq / k) for sq, k in zip(square, kept_count)]
+        return rms, list(zip(*normal))
 
     def _trimmed(self, dist: np.ndarray, trim: float) -> np.ndarray:
         """(n,) mask of the points ``_trimmed_order`` keeps, part by part."""
         order = np.lexsort((dist, self.part))  # each part's slice, nearest first
         ranked = dist.take(order)
-        count = self.count
-        keep = count.astype(np.float64)
+        keep = self.count
         if trim > 0:
-            mid = self.start + count // 2
-            median = np.where(count % 2 == 1, ranked.take(mid),
-                              (ranked.take(mid - 1) + ranked.take(mid)) / 2.0)
-            gate = np.maximum(3.0 * median, 0.02)
-            within = np.bincount(self.part, ranked <= gate.take(self.part), len(count))
-            trimmed = np.maximum(8, np.minimum(np.ceil(count * (1.0 - trim)), within))
-            keep = np.where(count < 16, keep, trimmed)
+            middle = ranked.take(self.middle).tolist()
+            # max keeps a NaN gate only as its first argument, as np.maximum would
+            gate = [max(3.0 * (a if n % 2 else (a + b) / 2.0), 0.02)
+                    for n, a, b in zip(self.count, middle[::2], middle[1::2])]
+            within = np.bincount(self.part, ranked <= np.array(gate).take(self.part),
+                                 len(gate)).tolist()
+            keep = [n if n < 16 else max(8, min(math.ceil(n * (1.0 - trim)), inside))
+                    for n, inside in zip(self.count, within)]
         kept = np.empty(len(dist), dtype=bool)
-        kept[order] = self.rank < keep.take(self.part)
+        kept[order] = self.rank < np.array(keep).take(self.part)
         return kept
 
 
@@ -388,60 +422,64 @@ def register_level(inits: list, clouds: list, max_iterations: int, tol: float,
     if not fit:
         return results
 
-    heights = np.array([inits[i].height for i in fit])
-    radii = np.array([inits[i].radius for i in fit])
-    axes = np.array([inits[i].axis for i in fit], dtype=np.float64)
+    heights = [inits[i].height for i in fit]
+    radii = [inits[i].radius for i in fit]
+    axes = [np.asarray(inits[i].axis, dtype=np.float64).tolist() for i in fit]
+    frames = [_tangent_frame(axis) for axis in axes]
     count = len(fit)
-    iterations = np.zeros(count, dtype=np.intp)
-    converged = np.zeros(count, dtype=bool)
-    live = np.ones(count, dtype=bool)
-    damped = np.zeros(count, dtype=bool)  # the next step is the retry
-    retried = np.zeros(count, dtype=bool)
+    iterations = [0] * count
+    converged = [False] * count
+    damped = [False] * count  # the next step is the retry
+    retried = [False] * count
     stack = _Stack(centred, heights, radii)
-    residual, frames, normal = stack.evaluate(axes, trim)
-    normal = np.array(normal)  # (5, parts)
-    rows = np.arange(count)  # the live parts, in stack order
+    residual, normal = stack.evaluate(frames, trim)
+    rows = list(range(count))  # the live parts, in stack order
     for _ in range(max_iterations):
-        a11, a12, a22, b1, b2 = normal[:, rows]
-        lam = np.where(damped[rows], DAMPING * 0.5 * (a11 + a22), 0.0)
-        a11 = a11 + lam
-        a22 = a22 + lam
-        with np.errstate(divide="ignore", invalid="ignore"):
+        candidates = []
+        for j in rows:
+            a11, a12, a22, b1, b2 = normal[j]
+            lam = DAMPING * 0.5 * (a11 + a22) if damped[j] else 0.0
+            a11 = a11 + lam  # even for lam = 0.0, which turns -0.0 into 0.0
+            a22 = a22 + lam
             det = a11 * a22 - a12 * a12
-            d1 = (a12 * b2 - a22 * b1) / det
-            d2 = (a12 * b1 - a11 * b2) / det
-        f = frames[rows]
-        step = axes[rows] + d1[:, None] * f[:, 0] + d2[:, None] * f[:, 1]
-        norm = np.sqrt(step[:, 0] * step[:, 0] + step[:, 1] * step[:, 1]
-                       + step[:, 2] * step[:, 2])
-        candidate = step / norm[:, None]
-        cand_residual, cand_frames, cand_normal = stack.evaluate(candidate, trim)
-        rise = cand_residual - residual[rows]
-        accept = rise <= 1e-12  # a NaN step is rejected
-        moved = rows[accept]
-        axes[moved] = candidate[accept]
-        residual[moved] = cand_residual[accept]
-        frames[moved] = cand_frames[accept]
-        normal[:, moved] = np.array(cand_normal)[:, accept]
-        iterations[moved] += 1
-        # accepted: done below tolerance; rejected: a fixed point within it
-        done = np.where(accept, -rise < tol, rise < tol)
-        converged[rows] = done
-        damped[rows] = ~accept & ~done & ~retried[rows]
-        done |= ~accept & retried[rows]
-        retried[rows] |= damped[rows]
-        if done.any():
-            live[rows[done]] = False
-            rows = np.flatnonzero(live)
-            if not len(rows):
+            d1 = _divide(a12 * b2 - a22 * b1, det)
+            d2 = _divide(a12 * b1 - a11 * b2, det)
+            x, y, z = axes[j]
+            e = frames[j]
+            x = x + d1 * e[0] + d2 * e[3]
+            y = y + d1 * e[1] + d2 * e[4]
+            z = z + d1 * e[2] + d2 * e[5]
+            norm = math.sqrt(x * x + y * y + z * z)
+            candidates.append([_divide(x, norm), _divide(y, norm), _divide(z, norm)])
+        cand_frames = [_tangent_frame(axis) for axis in candidates]
+        cand_residual, cand_normal = stack.evaluate(cand_frames, trim)
+        live = []
+        for k, j in enumerate(rows):
+            rise = cand_residual[k] - residual[j]
+            accept = rise <= 1e-12  # a NaN step is rejected
+            if accept:
+                axes[j], frames[j] = candidates[k], cand_frames[k]
+                residual[j], normal[j] = cand_residual[k], cand_normal[k]
+                iterations[j] += 1
+            # accepted: done below tolerance; rejected: a fixed point within it
+            converged[j] = -rise < tol if accept else rise < tol
+            # any other rejected step is retried, damped, once in the solve
+            damped[j] = not (accept or converged[j] or retried[j])
+            retried[j] = retried[j] or damped[j]
+            if accept and not converged[j] or damped[j]:
+                live.append(j)
+        if live != rows:
+            rows = live
+            if not rows:
                 break
-            stack = _Stack([centred[j] for j in rows], heights[rows], radii[rows])
+            stack = _Stack([centred[j] for j in rows], [heights[j] for j in rows],
+                           [radii[j] for j in rows])
     for j, i in enumerate(fit):
         init = inits[i]
         results[i] = ICPResult(
-            KeypartState(init.part, init.base.copy(), axes[j].copy(), init.height,
+            KeypartState(init.part, init.base.copy(), np.array(axes[j]), init.height,
                          init.radius),
-            int(iterations[j]), float(residual[j]), bool(converged[j]))
+            iterations[j], residual[j], converged[j])
     return results
 
 
@@ -519,12 +557,16 @@ def register_tree(tree: BodyTree, clouds: dict, dims: PartDimensions,
             cloud = np.asarray(clouds.get(part, np.empty((0, 3))), dtype=np.float64)
             if len(cloud) > 600:  # registration accuracy saturates well below this
                 cloud = cloud[:: len(cloud) // 600 + 1]
-            # points explained by parts settled in earlier levels are bleed-over
-            if settled:
-                cloud = cloud[~inside_any(settled, cloud, [c.radius + 0.025 for c in settled])]
             parts.append(part)
             inits.append(state)
             data.append(cloud)
+        # points explained by parts settled in earlier levels are bleed-over,
+        # found for the whole level in one pass
+        if settled and data:
+            inside = inside_any(settled, np.concatenate(data),
+                                [c.radius + 0.025 for c in settled])
+            bounds = np.cumsum([len(cloud) for cloud in data[:-1]])
+            data = [cloud[~bleed] for cloud, bleed in zip(data, np.split(inside, bounds))]
 
         if level == LEVELS[0]:  # the torso
             results = [icp_register(_cylinder_model(s.radius, s.height, model_samples), d, s)

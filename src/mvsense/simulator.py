@@ -127,14 +127,18 @@ def limb_frame(ref_frame: np.ndarray, theta_x: float, theta_y: float) -> np.ndar
 
 @dataclass
 class HumanPose:
-    """Full-body pose snapshot: per-part states plus the (17, 3) keypoint table."""
+    """Full-body pose snapshot: per-part states plus the (17, 3) keypoint table.
+
+    ``cylinders`` holds the part cylinders in part order, built once: the
+    render, the detector and the scorer all read them.
+    """
 
     states: dict
     keypoints: np.ndarray
+    cylinders: list = field(init=False)
 
-    def cylinders(self) -> list:
-        """The part cylinders in part order."""
-        return [self.states[p].cylinder() for p in range(body.NUM_KEYPARTS)]
+    def __post_init__(self):
+        self.cylinders = [self.states[p].cylinder() for p in range(body.NUM_KEYPARTS)]
 
 
 def pose_from_dofs(dofs, dims: PartDimensions) -> HumanPose:

@@ -136,7 +136,7 @@ def in_image(k, pixel) -> bool:
 def detect_view(rig, pose, occluders=(), noise=None, rng=None) -> tuple:
     """``simulator.synthetic_detect`` for a rig at its current pan and tilt."""
     return synthetic_detect(rig.intrinsics, rig.world_pose(), pose.keypoints,
-                            pose.cylinders(), occluders, noise, rng)
+                            pose.cylinders, occluders, noise, rng)
 
 
 def keypoint_flags(rig, pose, robot_links=()) -> list:
@@ -147,7 +147,7 @@ def keypoint_flags(rig, pose, robot_links=()) -> list:
     """
     cam_pose = rig.world_pose()
     occluded = occlusion_mask(cam_pose.translation, pose.keypoints,
-                              pose.cylinders(), robot_links)
+                              pose.cylinders, robot_links)
     flags = []
     for kp in range(body.NUM_KEYPOINTS):
         try:

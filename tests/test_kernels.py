@@ -3,20 +3,22 @@
 Each benchmark times one kernel with a fixed round count, so the suite
 grows by seconds only, and checks the timed result against its oracle:
 the ICP kernels and the anchored level solve bit for bit against
-``icp_reference``, the depth render
-against ``render_reference``'s per-cylinder simulator, with the same hit
-pixels and depths within 1e-9 m, and mask painting and cloud extraction
-bit for bit against the per-box and full-image references of
-``test_keyparts`` (the full-image one tests the lift stride at every
-pixel, so at 640x480 both lift the same pixels), tree registration bit
-for bit against ``icp_reference.register_tree``, and the scheduler's
-collision estimate and plan bit for bit against ``scheduler_reference``.
-Sizes follow the traced workloads: ``register_tree`` caps a cloud at
-600; level solves, renders, masks, extractions and tree registrations are the calls that
-short template trials make at
-144x112 (desk-sweep) and 640x480 (hires-fixed), and scheduler calls
-those of one-second template trials at multi-active and 144x112, or at
-single-active for the exhaustive search.
+``icp_reference``; the depth render against ``render_reference``'s
+per-cylinder simulator, with the same hit pixels and depths within
+1e-9 m; a camera's trapezoids bit for bit against
+``keypoints_reference``'s per-keypoint anchors and per-part steps; mask
+painting and cloud extraction bit for bit against the per-box and
+full-image references of ``test_keyparts`` (the full-image one tests the
+lift stride at every pixel, so at 640x480 both lift the same pixels);
+tree registration bit for bit against ``icp_reference.register_tree``;
+and the scheduler's collision estimate and plan bit for bit against
+``scheduler_reference``. Sizes follow the traced workloads:
+``register_tree`` caps a cloud at 600; level solves, renders,
+trapezoids, masks, extractions and tree registrations are the calls that
+short template trials make at 144x112 (desk-sweep) and 640x480
+(hires-fixed), and scheduler calls those of one-second template trials
+at multi-active and 144x112, or at single-active for the exhaustive
+search.
 
     PYTHONPATH=src python -m pytest tests/test_kernels.py --benchmark-only
 """
@@ -29,6 +31,7 @@ import numpy as np
 import pytest
 
 import icp_reference as ref
+import keypoints_reference
 import scheduler_reference
 from conftest import DIMS, hires, rest_dofs, sample_cylinder
 from render_reference import assert_matches_reference, render_depth_reference
@@ -130,6 +133,18 @@ def test_render_depth(benchmark, size):
 
 # a cold presence window holds every part absent on the first frame, so
 # four frames (0.4 s) paint and extract on three
+@pytest.mark.parametrize("size", SIZES)
+def test_project_keypoints_to_mask(benchmark, size):
+    calls = captured_calls(keyparts, "project_keypoints_to_mask", size, 0.4)
+    got = timed(benchmark, keyparts.project_keypoints_to_mask, calls)
+    assert len(got) == len(calls) > 0
+    assert sum(len(trapezoids) for trapezoids in got) > 0
+    for trapezoids, (fused, *rest) in zip(got, calls):
+        rows = {kp: fused[kp] for kp in range(body.NUM_KEYPOINTS) if not np.isnan(fused[kp, 0])}
+        keypoints_reference.assert_same_trapezoids(
+            trapezoids, keypoints_reference.trapezoids(rows, *rest))
+
+
 @pytest.mark.parametrize("size", SIZES)
 def test_paint_masks(benchmark, size):
     calls = captured_calls(keyparts, "paint_masks", size, 0.4)

@@ -135,7 +135,7 @@ class TestTrapezoidGeometry:
         fused = fused_table({body.L_SHOULDER: at_pixel(10.0, 10.0, 2.0),
                              body.L_ELBOW: at_pixel(10.0, 50.0, 2.0)})
         [tz] = camera_trapezoids(fused, [body.L_UPPER_ARM], inflation=1.0)
-        corners = tz.corners()
+        corners = tz.corners
         assert tz.len_upper == pytest.approx(tz.len_lower)
         assert tz.len_upper == pytest.approx(base_half_length(200.0, 2.0, 0.05))
         # opposite sides parallel and equal: a parallelogram (rectangle here)
@@ -144,7 +144,7 @@ class TestTrapezoidGeometry:
 
     def test_bases_perpendicular_to_axis(self):
         tz = make_trapezoid(1, (5.0, 5.0), (20.0, 30.0), 4.0, 6.0, 1.0, 2.0)
-        corners = tz.corners()
+        corners = tz.corners
         axis = tz.mid_lower - tz.mid_upper
         base_u = corners[1] - corners[0]
         base_l = corners[2] - corners[3]
@@ -162,7 +162,7 @@ class TestTrapezoidGeometry:
 
     def test_depth_interpolates_along_axis(self):
         tz = make_trapezoid(1, (10.0, 0.0), (10.0, 40.0), 4.0, 4.0, 1.0, 3.0)
-        d = tz.depth_at(np.array([[10.0, 0.0], [10.0, 20.0], [10.0, 40.0]]))
+        d = tz.depth_at(10.0, np.array([0.0, 20.0, 40.0]))
         assert d == pytest.approx([1.0, 2.0, 3.0])
 
 
@@ -202,6 +202,41 @@ class TestProjectKeypointsToMask:
         assert np.allclose(head.mid_lower, [20.0, 10.0])
         assert head.paint_depth_lower == pytest.approx(2.1)
         assert head.len_upper == pytest.approx(base_half_length(200.0, 1.5, 0.10) * 1.2)
+
+    def test_five_anchor_head_end_beside_a_one_anchor_end(self):
+        """The head's upper end is the mean of five fused face anchors, in
+        keypoint order, and its lower end the one shoulder that has an
+        anchor; every field matches the per-part reference bit for bit."""
+        face = {kp: at_pixel(30.0 + 1.7 * i, 20.0 - 0.3 * i, 1.9 + 0.07 * i)
+                for i, kp in enumerate(body.PART_KEYPOINTS[body.HEAD])}
+        rows = {**face, body.L_SHOULDER: at_pixel(25.0, 45.0, 2.05)}
+        pixels, confidences = detection()
+        confidences[body.R_SHOULDER] = 0.0  # no fallback anchor either
+        depth = np.full((120, 160), 1.5)
+        parts = [body.TORSO, body.HEAD]
+        got = camera_trapezoids(fused_table(rows), parts, (pixels, confidences), depth)
+        head = got[1]
+        assert head.part == body.HEAD and len(face) == 5
+        anchor_px, anchor_depth = ref.anchor_tables(ref.project_keypoints_to_mask(
+            {kp: np.asarray(p) for kp, p in rows.items()}, (pixels, confidences), identity(),
+            k_small(), depth, 3, parts))
+        assert head.mid_upper.tobytes() == np.mean(anchor_px[list(face)], axis=0).tobytes()
+        assert head.paint_depth_upper == float(np.mean(anchor_depth[list(face)]))
+        assert np.allclose(head.mid_lower, [25.0, 45.0])
+        assert head.paint_depth_lower == pytest.approx(2.05)
+        ref.assert_same_trapezoids(got, ref.trapezoids(
+            {kp: np.asarray(p) for kp, p in rows.items()}, (pixels, confidences), identity(),
+            k_small(), depth, 3, parts, RADII, 1.2))
+
+    def test_mean_anchor_of_negative_zeros_is_positive_zero(self):
+        """Five face anchors detected at column -0.0 average to +0.0, as
+        ``np.mean``'s sum, which starts from 0.0, gives it."""
+        pixels, confidences = detection()
+        pixels[list(body.PART_KEYPOINTS[body.HEAD])] = [-0.0, 30.0]
+        fused = fused_table({body.L_SHOULDER: at_pixel(25.0, 45.0, 2.0)})
+        _torso, head = camera_trapezoids(fused, [body.TORSO, body.HEAD],
+                                         (pixels, confidences))
+        assert head.mid_upper.tobytes() == np.array([0.0, 30.0]).tobytes()
 
     def test_zero_confidence_keypoint_has_no_fallback_anchor(self):
         """A keypoint this camera reported at confidence 0 gets no anchor
@@ -383,7 +418,7 @@ class TestMaskWindow:
         a = make_trapezoid(1, (20, 10), (20, 30), 4, 4, 1.0, 1.0)
         b = make_trapezoid(2, (50, 35), (55, 45), 3, 3, 2.0, 2.0)
         mask = paint_masks([a, b], 80, 60)
-        corners = np.vstack([a.corners(), b.corners()])
+        corners = np.vstack([a.corners, b.corners])
         (u0, v0), (u1, v1) = np.floor(corners.min(axis=0)), np.ceil(corners.max(axis=0))
         assert mask.shape == (60, 80)
         assert mask.origin == (v0, u0)
@@ -419,7 +454,7 @@ class TestMaskWindow:
 def trapezoid_contains_reference(tz, pixels):
     """Trapezoid.contains as it was before its edge functions became
     separable: the point test over an (N, 2) array of (u, v) pixels."""
-    corners = tz.corners()
+    corners = tz.corners
     pts = np.atleast_2d(np.asarray(pixels, dtype=np.float64))
     area2 = 0.0
     for i in range(4):
@@ -442,7 +477,7 @@ def paint_masks_reference(trapezoids, width, height):
     ``mgrid``, the point test and ``depth_at`` at every pixel of the box."""
     mask = MaskImage.blank(width, height)
     for tz in sorted(trapezoids, key=lambda t: (-t.paint_depth, t.part)):
-        corners = tz.corners()
+        corners = tz.corners
         u0 = max(0, int(np.floor(corners[:, 0].min())))
         u1 = min(width - 1, int(np.ceil(corners[:, 0].max())))
         v0 = max(0, int(np.floor(corners[:, 1].min())))
@@ -452,7 +487,7 @@ def paint_masks_reference(trapezoids, width, height):
         vv, uu = np.mgrid[v0:v1 + 1, u0:u1 + 1]
         pix = np.column_stack([uu.ravel(), vv.ravel()]).astype(np.float64)
         inside = trapezoid_contains_reference(tz, pix)
-        depths = tz.depth_at(pix)
+        depths = tz.depth_at(pix[:, 0], pix[:, 1])
         inside2 = inside.reshape(vv.shape)
         mask.labels[v0:v1 + 1, u0:u1 + 1][inside2] = tz.part
         mask.depths[v0:v1 + 1, u0:u1 + 1][inside2] = depths[inside]
@@ -467,7 +502,7 @@ def same_mask(got, want) -> bool:
 
 
 def winding(tz) -> float:
-    c = tz.corners()
+    c = tz.corners
     return float(sum(c[i, 0] * c[(i + 1) % 4, 1] - c[(i + 1) % 4, 0] * c[i, 1]
                      for i in range(4)))
 

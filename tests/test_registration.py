@@ -364,6 +364,52 @@ class TestRegisterLevel:
         assert (got[0].iterations, got[0].converged) == (1, True)
         assert (got[1].iterations, got[1].converged) == (3, False)
 
+    def test_cloud_on_the_axis_line_retries_its_nan_step_and_stops(self, rng, monkeypatch):
+        """20 points exactly on a part's axis line, over its whole length,
+        give zero normal equations, so the step is 0/0 and NaN. The NaN
+        step is rejected, the damped retry is NaN again, and the part
+        stops unconverged at its initial axis, while the part beside it
+        goes on iterating."""
+        line = KeypartState(body.L_LOWER_ARM, np.array([0.2, 0.1, 1.3]),
+                            np.array([0.0, 0.0, 1.0]), 0.28, 0.04)
+        on_axis = line.base + np.outer(np.linspace(0.0, line.height, 20), line.axis)
+        limb = random_limb(rng)
+        limb_cloud = noisy_cylinder_cloud(limb, 300, rng, 20.0, np.zeros(3), 0.004)
+        frames = []  # the frames of each evaluation, one row per live part
+        evaluate = registration._Stack.evaluate
+
+        def spy(stack, at, trim):
+            frames.append(np.array(at))
+            return evaluate(stack, at, trim)
+
+        monkeypatch.setattr(registration._Stack, "evaluate", spy)
+        got = level_results([limb, line], [limb_cloud, on_axis])
+        assert (got[1].iterations, got[1].converged, got[1].note) == (0, False, "")
+        assert got[1].state.axis.tobytes() == line.axis.tobytes()
+        assert got[1].residual == pytest.approx(line.radius)  # the initial RMS
+        assert got[0].iterations > 2
+        # the initial evaluation, then the NaN step and its NaN retry
+        assert [len(f) for f in frames[:3]] == [2, 2, 2]
+        assert np.isfinite(frames[0]).all()
+        assert all(np.isnan(f[1]).all() and np.isfinite(f[0]).all() for f in frames[1:3])
+        assert len(frames) > 3 and all(len(f) == 1 for f in frames[3:])
+
+    @pytest.mark.parametrize("z", [0.0, -0.0])
+    def test_axis_with_a_signed_zero_z(self, rng, z):
+        """The tangent frame takes its sign from z, so an axis whose z is
+        -0.0 gets the frame of z < 0, as ``np.copysign`` gives it: e1's z
+        is x there, -x at +0.0. The solve from either matches the
+        reference bit for bit."""
+        axis = np.array([0.6, 0.8, z])
+        frame = registration._tangent_frame(axis.tolist())
+        e1, e2 = ref.tangent_basis(axis)
+        assert np.array(frame[:6]).tobytes() == np.concatenate([e1, e2]).tobytes()
+        assert frame[2] == (0.6 if np.signbit(z) else -0.6)
+        init = KeypartState(body.R_UPPER_ARM, np.array([0.1, 0.2, 1.2]), axis, 0.3, 0.05)
+        cloud = noisy_cylinder_cloud(init, 200, rng, 15.0, np.zeros(3), 0.004)
+        got = level_results([init], [cloud])
+        assert got[0].iterations > 0
+
     def test_empty_cloud(self, rng):
         init = random_limb(rng)
         got = level_results([init, init], [np.zeros((0, 3)), sample_cylinder(init, 40)])

@@ -299,7 +299,7 @@ class TestSyntheticDetect:
         nose_w = pose.keypoints[body.NOSE]
         mid = 0.5 * (nose_w + rig.world_pose().translation)
         axis = np.array([0.0, 0.0, 1.0])
-        parts = pose.cylinders()
+        parts = pose.cylinders
         parts[body.L_LOWER_LEG] = Cylinder(mid - axis * 0.5, axis, 1.0, 0.25)
         noise = DetectorNoise(sigma_px=0.0)
         _pixels, conf = synthetic_detect(rig.intrinsics, rig.world_pose(),
@@ -307,7 +307,7 @@ class TestSyntheticDetect:
         assert conf[body.NOSE] == pytest.approx(0.9 * 0.15)
         turned = dataclasses.replace(rig, pan=0.9).world_pose()  # a copy looks away
         _pixels, conf = synthetic_detect(rig.intrinsics, turned, pose.keypoints,
-                                         pose.cylinders(), (), noise)
+                                         pose.cylinders, (), noise)
         assert conf.tolist() == pytest.approx([0.05] * body.NUM_KEYPOINTS)
 
 
@@ -433,7 +433,7 @@ def template_views(size, times=(0.0, 1.3, 2.6)):
             for ci, rig in enumerate(scene.rigs):
                 rig = at_resolution(rig, size)
                 rig.pan, rig.tilt = 0.45 * np.sin(3.0 * t + ci), -0.2 * np.cos(t)
-                yield scene, ci, rig, pose, pose.cylinders() + links + props, links + props
+                yield scene, ci, rig, pose, pose.cylinders + links + props, links + props
 
 
 SIZES = [(144, 112), (640, 480)]
