@@ -39,7 +39,7 @@ import numpy as np
 
 from . import body, keyparts, registration, scenario, scheduler, simulator
 from .geometry import Cylinder, Intrinsics
-from .keypoints import NoValidDepth, PresenceWindow, detect, fuse, lift_depth
+from .keypoints import SLICE_RADIUS, NoValidDepth, PresenceWindow, detect, fuse, lift_depth
 from .scenario import CONFIGS, ScenarioScript
 
 log = logging.getLogger("mvsense.harness")
@@ -250,13 +250,8 @@ def keypoint_depth_offsets(dims: body.PartDimensions) -> np.ndarray:
 
 
 def gt_part_presence(pose, workspace_min, workspace_max) -> list:
-    lo = np.asarray(workspace_min)
-    hi = np.asarray(workspace_max)
-    out = []
-    for part in range(body.NUM_KEYPARTS):
-        mid = pose.cylinders[part].midpoint
-        out.append(bool(np.all(mid >= lo) & np.all(mid <= hi)))
-    return out
+    mids = np.array([c.midpoint for c in pose.cylinders])
+    return ((mids >= workspace_min) & (mids <= workspace_max)).all(axis=1).tolist()
 
 
 class _Stopwatch:
@@ -278,7 +273,13 @@ class Pipeline:
     gives the robot's links over the scheduler's horizon; without it (no
     robot) the cameras are never steered. Steering commands the rigs; the
     caller moves them. Wall-clock stage times add up in ``timings_ms``.
+
+    Its settings are the stages' own constants and defaults; of the
+    script it reads only the frame rate, the body dimensions and the name.
     """
+
+    cloud_params = keyparts.CloudParams()
+    scheduler_params = scheduler.SchedulerParams()
 
     def __init__(self, script: ScenarioScript, rigs: list, robot_links_at=None):
         self.script = script
@@ -286,8 +287,7 @@ class Pipeline:
         self.robot_links_at = robot_links_at
         self.dt = 1.0 / script.frame_rate
         self.depth_offsets = keypoint_depth_offsets(script.dims)
-        self.windows = {rig.rig_id: PresenceWindow(script.window_m, script.window_gamma,
-                                                   script.window_alpha) for rig in rigs}
+        self.windows = {rig.rig_id: PresenceWindow() for rig in rigs}
         self.tracked: dict = {}  # part -> [last estimated cylinder, sigma]
         self.timings_ms: dict = {}
 
@@ -302,7 +302,7 @@ class Pipeline:
         return result
 
     def _run(self, inp: FrameInput, result: FrameResult) -> None:
-        script, dims = self.script, self.script.dims
+        dims = self.script.dims
         watch = _Stopwatch(self.timings_ms)
         t0 = time.perf_counter()
 
@@ -318,7 +318,7 @@ class Pipeline:
             for kp in np.flatnonzero(present[:body.NUM_KEYPOINTS]).tolist():
                 try:
                     lifts[c, kp] = lift_depth(pixels[kp], inp.depth[rig.rig_id],
-                                              script.slice_radius, rig.intrinsics)
+                                              SLICE_RADIUS, rig.intrinsics)
                 except NoValidDepth:
                     continue  # absent for this camera this frame
             seen[rig.rig_id] = np.flatnonzero(present[body.NUM_KEYPOINTS:]).tolist()
@@ -343,12 +343,12 @@ class Pipeline:
             depth, pose_cam = inp.depth[rig.rig_id], inp.poses[rig.rig_id]
             trapezoids = keyparts.project_keypoints_to_mask(
                 result.fused, inp.detections[rig.rig_id], pose_cam, rig.intrinsics,
-                depth, script.slice_radius, parts_here, dims.radius, script.mask_inflation)
+                depth, SLICE_RADIUS, parts_here, dims.radius, keyparts.MASK_INFLATION)
             mask = keyparts.paint_masks(trapezoids, rig.intrinsics.width,
                                         rig.intrinsics.height)
             result.masks[rig.rig_id] = mask
             clouds = keyparts.extract_clouds(
-                mask, depth, pose_cam, rig.intrinsics, inp.robot_links, script.cloud)
+                mask, depth, pose_cam, rig.intrinsics, inp.robot_links, self.cloud_params)
             for cloud in clouds:
                 chunks.setdefault(cloud.part, []).append(cloud.points)
         result.clouds = {p: np.vstack(c) for p, c in chunks.items()}
@@ -357,12 +357,11 @@ class Pipeline:
         # tree: build from the union of per-camera part presence
         result.parts = sorted({j for parts in seen.values() for j in parts})
         tree = body.augment(body.build_tree(result.parts), result.fused, dims)
-        result.tree = registration.register_tree(tree, result.clouds, dims,
-                                                 script.model_samples)
+        result.tree = registration.register_tree(tree, result.clouds, dims)
         t0 = watch.add("register", t0)
 
         # scheduler bookkeeping and planning
-        params, tracked = script.scheduler, self.tracked
+        params, tracked = self.scheduler_params, self.tracked
         for j in range(body.NUM_KEYPARTS):
             state = result.tree.nodes[j].state
             if j in result.parts and state is not None:

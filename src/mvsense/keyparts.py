@@ -57,6 +57,9 @@ BACKGROUND = -1
 # as much time per 640x480 frame.
 LIFT_SAMPLES_PER_VOXEL = 2
 
+# The pipeline's ``inflation`` for ``project_keypoints_to_mask``
+MASK_INFLATION = 1.2
+
 
 def base_half_length(focal: float, depth: float, radius: float) -> float:
     """Projected cylinder half-width in pixels at a given depth."""

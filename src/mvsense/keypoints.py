@@ -21,6 +21,9 @@ import numpy as np
 from .body import NUM_KEYPOINTS
 from .geometry import Intrinsics, reproject
 
+# The pipeline's depth-slice radius in pixels, for lifts and mask anchors
+SLICE_RADIUS = 5
+
 
 class DetectorFailure(RuntimeError):
     """The keypoint detector could not produce an inference."""

@@ -2,7 +2,7 @@
 
 The torso is registered to its cloud by free ICP: every data point is
 paired with its nearest model point and a closed-form SVD update moves
-the cylinder. The model is small (``model-samples``, 128 by default), so
+the cylinder. The model is small (``MODEL_SAMPLES`` points), so
 correspondences come from a blocked matrix product against all model
 points rather than from a spatial index built per call.
 
@@ -56,6 +56,9 @@ from .geometry import _cross, frame_from_axis, inside_any, normalize, rotation_b
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
+# Points sampled on the torso's cylinder model for its free ICP.
+MODEL_SAMPLES = 128
+
 
 def sample_cylinder_local(radius: float, height: float, n: int) -> np.ndarray:
     """Deterministic quasi-uniform lateral-surface samples, axis = +z.
@@ -72,13 +75,13 @@ def sample_cylinder_local(radius: float, height: float, n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=128)
-def _cylinder_model(radius: float, height: float, n: int) -> np.ndarray:
-    """``sample_cylinder_local(radius, height, n)``, built once per shape.
+def _cylinder_model(radius: float, height: float) -> np.ndarray:
+    """The torso's ``MODEL_SAMPLES``-point model, built once per shape.
 
     Every call with the same shape returns the same array, made read-only
     so that no caller can change what the next one reads.
     """
-    model = sample_cylinder_local(radius, height, n)
+    model = sample_cylinder_local(radius, height, MODEL_SAMPLES)
     model.flags.writeable = False
     return model
 
@@ -524,8 +527,7 @@ LEVELS = ((body.TORSO,),
           tuple(p for p, q in body.PARENT.items() if q == body.TORSO),
           tuple(p for p, q in body.PARENT.items() if q not in (None, body.TORSO)))
 
-def register_tree(tree: BodyTree, clouds: dict, dims: PartDimensions,
-                  model_samples: int = 128) -> BodyTree:
+def register_tree(tree: BodyTree, clouds: dict, dims: PartDimensions) -> BodyTree:
     """Register every active part, level by level, constraints maintained.
 
     ``clouds`` maps part -> (N, 3) merged world points, empty when absent.
@@ -569,7 +571,7 @@ def register_tree(tree: BodyTree, clouds: dict, dims: PartDimensions,
             data = [cloud[~bleed] for cloud, bleed in zip(data, np.split(inside, bounds))]
 
         if level == LEVELS[0]:  # the torso
-            results = [icp_register(_cylinder_model(s.radius, s.height, model_samples), d, s)
+            results = [icp_register(_cylinder_model(s.radius, s.height), d, s)
                        for s, d in zip(inits, data)]
         else:
             results = register_level(inits, data, MAX_ITERATIONS, TOL, TRIM)

@@ -2,7 +2,7 @@
 
 A scenario file is line-oriented and human-editable. The first
 non-comment line must be the versioned header ``format mvsense-scenario
-1``. Every other line is a directive followed by positional tokens and
+2``. Every other line is a directive followed by positional tokens and
 ``key=value`` pairs; unknown directives or keys are rejected with the
 offending line number.
 
@@ -10,9 +10,11 @@ offending line number.
 keys, the attribute each key fills and how its value is read and
 written. ``parse`` and ``emit`` both walk it, and ``emit`` produces a
 canonical text form whose parse equals the original script, which keeps
-golden fixtures stable. Defaults live in the parameter objects the
-stages consume (``DetectorNoise``, ``DepthNoise``, ``CloudParams``,
-``SchedulerParams``, ``PartDimensions``), which ``ScenarioScript`` holds.
+golden fixtures stable. A script describes only the world the simulator
+builds: cameras, props, the robot, human motion and body dimensions, the
+workspace and sensor noise. Defaults live in the parameter objects
+``ScenarioScript`` holds (``DetectorNoise``, ``DepthNoise``,
+``PartDimensions``); perception's settings are its stages' own.
 """
 
 from __future__ import annotations
@@ -25,12 +27,10 @@ import numpy as np
 
 from . import body
 from .body import PartDimensions
-from .keyparts import CloudParams
-from .scheduler import SchedulerParams
 from .simulator import TOTAL_DOF, DepthNoise, DetectorNoise
 
 FORMAT_NAME = "mvsense-scenario"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 CONFIGS = ("multi-active", "multi-fixed", "single-active", "single-fixed")
 
@@ -91,18 +91,8 @@ class ScenarioScript:
     seed: int = 0
     duration: float = 10.0
     frame_rate: float = 10.0
-    # presence windows
-    window_m: int = 5
-    window_gamma: float = 0.7
-    window_alpha: float = 1.0
     detector: DetectorNoise = DetectorNoise()
     depth_noise: DepthNoise = DepthNoise()
-    slice_radius: int = 5  # keypoint depth slice
-    mask_inflation: float = 1.2
-    cloud: CloudParams = CloudParams()
-    model_samples: int = 128
-    scheduler: SchedulerParams = SchedulerParams()
-    # world
     workspace_min: tuple = (-1.6, -2.0, 0.0)
     workspace_max: tuple = (1.6, 2.0, 2.3)
     dims: PartDimensions = PartDimensions()
@@ -117,40 +107,15 @@ class ScenarioScript:
             if not cond:
                 raise ConfigError(msg, field_name=fld, item=item)
 
-        det, noise, cloud = self.detector, self.depth_noise, self.cloud
-        sched, dims = self.scheduler, self.dims
+        det, noise, dims = self.detector, self.depth_noise, self.dims
         need(self.duration >= 0, "duration must be >= 0", "duration")
         need(self.frame_rate > 0, "frame-rate must be > 0", "frame-rate")
         need(self.seed >= 0, "seed must be >= 0", "seed")
-        need(self.window_m >= 1, "window m must be >= 1", "window")
-        need(0 < self.window_gamma < 1, "window gamma must be in (0,1)", "window")
-        need(0 < self.window_alpha < self.window_m,
-             "window alpha must be in (0, m)", "window")
         need(det.sigma_px >= 0, "sigma-px must be >= 0", "detector")
         for nm, v in (("c-hi", det.c_hi), ("c-occ", det.c_occ), ("c-out", det.c_out)):
             need(0 < v < 1, f"{nm} must be in (0,1)", "detector")
         need(noise.sigma_d >= 0, "depth sigma must be >= 0", "depth-noise")
         need(0 <= noise.p_drop < 1, "depth drop must be in [0,1)", "depth-noise")
-        need(self.slice_radius >= 1, "slice-radius must be >= 1", "slice-radius")
-        need(self.mask_inflation >= 1.0, "mask-inflation must be >= 1", "mask-inflation")
-        need(cloud.voxel > 0, "voxel must be > 0", "cloud")
-        need(0 < cloud.range_min < cloud.range_max, "need 0 < range-min < range-max",
-             "cloud")
-        need(cloud.cluster_radius > 0, "cluster-radius must be > 0", "cloud")
-        need(cloud.cluster_min >= 1, "cluster-min must be >= 1", "cloud")
-        need(cloud.robot_margin_scale >= 1.0, "robot-margin must be >= 1", "cloud")
-        need(cloud.depth_gate >= 0, "depth-gate must be >= 0", "cloud")
-        need(self.model_samples >= 8, "model-samples must be >= 8", "model-samples")
-        need(sched.horizon >= 1, "scheduler horizon must be >= 1", "scheduler")
-        need(0 < sched.gamma < 1, "scheduler gamma must be in (0,1)", "scheduler")
-        need(sched.interval > 0, "scheduler interval must be > 0", "scheduler")
-        need(sched.grid_pan >= 1 and sched.grid_tilt >= 1,
-             "scheduler grid must be >= 1", "scheduler")
-        need(sched.growth >= 0, "scheduler growth must be >= 0", "scheduler")
-        need(sched.sigma_obs > 0, "scheduler sigma-obs must be > 0", "scheduler")
-        need(sched.sigma_cap > 0, "scheduler sigma-cap must be > 0", "scheduler")
-        need(sched.exhaustive_limit >= 0, "scheduler exhaustive-limit must be >= 0",
-             "scheduler")
         need(all(a < b for a, b in zip(self.workspace_min, self.workspace_max)),
              "workspace min must be < max per axis", "workspace")
         need(len(dims.radius) == body.NUM_KEYPARTS
@@ -324,22 +289,10 @@ DIRECTIVES = {
     "seed": _scalar("seed", INT),
     "duration": _scalar("duration", NUMBER),
     "frame-rate": _scalar("frame_rate", NUMBER),
-    "window": _setting(_k("m", INT, "window_m"), _k("gamma", attr="window_gamma"),
-                       _k("alpha", attr="window_alpha")),
     "detector": _setting(_k("sigma-px"), _k("c-hi"), _k("c-occ"), _k("c-out"),
                          owner="detector"),
     "depth-noise": _setting(_k("sigma", attr="sigma_d"), _k("drop", attr="p_drop"),
                             owner="depth_noise"),
-    "slice-radius": _scalar("slice_radius", INT),
-    "mask-inflation": _scalar("mask_inflation", NUMBER),
-    "cloud": _setting(_k("voxel"), _k("range-min"), _k("range-max"), _k("cluster-radius"),
-                      _k("cluster-min", INT), _k("robot-margin", attr="robot_margin_scale"),
-                      _k("depth-gate"), owner="cloud"),
-    "model-samples": _scalar("model_samples", INT),
-    "scheduler": _setting(_k("horizon", INT), _k("gamma"), _k("interval"),
-                          _k("grid-pan", INT), _k("grid-tilt", INT), _k("growth"),
-                          _k("sigma-obs"), _k("sigma-cap"), _k("exhaustive-limit", INT),
-                          owner="scheduler"),
     "workspace": _setting(_k("min", VEC3, "workspace_min"), _k("max", VEC3, "workspace_max")),
     "body": _setting(_k("shoulder-width"), _k("hip-width"), owner="dims"),
     "part-dim": _Directive(
@@ -531,17 +484,6 @@ def _bench_cameras():
     ]
 
 
-def _desk_scale(script: ScenarioScript) -> None:
-    """Planner settings sized for the bundled comparison sweep.
-
-    Desk-scale clearances are large, so unobserved-part uncertainty must
-    grow quickly for the risk objective to reward re-acquiring people who
-    drift out of view.
-    """
-    script.scheduler = replace(script.scheduler, grid_pan=5, grid_tilt=3, growth=0.35,
-                               sigma_cap=1.5)
-
-
 def scene_assembly(seed: int = 0, duration: float = 12.0) -> ScenarioScript:
     """Operator assembling in front of the arm, swaying along the bench."""
     script = ScenarioScript(name="assembly", seed=seed, duration=duration)
@@ -559,7 +501,6 @@ def scene_assembly(seed: int = 0, duration: float = 12.0) -> ScenarioScript:
         t += 1.9
         k += 1
     script.human_waypoints = wps
-    _desk_scale(script)
     script.validate()
     return script
 
@@ -582,7 +523,6 @@ def scene_reach_in(seed: int = 0, duration: float = 12.0) -> ScenarioScript:
         t += 1.6
         k += 1
     script.human_waypoints = hps
-    _desk_scale(script)
     script.validate()
     return script
 
@@ -621,7 +561,6 @@ def scene_enter_exit(seed: int = 0, duration: float = 16.8) -> ScenarioScript:
             wps.append((round(t0 + dt, 6), _standing_dofs(x, y, -np.pi / 2, reach, 0.2)))
         t0 += period
     script.human_waypoints = wps
-    _desk_scale(script)
     script.validate()
     return script
 

@@ -35,11 +35,14 @@ class SchedulerParams:
     horizon: int = 3           # M: intervals 0..M inclusive
     gamma: float = 0.9
     interval: float = 0.4      # seconds per planning step
-    grid_pan: int = 7
-    grid_tilt: int = 5
-    growth: float = 0.1        # sigma growth in m/s while unobserved
+    grid_pan: int = 5
+    grid_tilt: int = 3
+    # sigma growth in m/s while unobserved: desk-scale clearances are large,
+    # so the uncertainty must grow quickly for the risk objective to reward
+    # re-acquiring people who drift out of view
+    growth: float = 0.35
     sigma_obs: float = 0.02    # sigma right after an observation
-    sigma_cap: float = 1.0
+    sigma_cap: float = 1.5
     exhaustive_limit: int = 2000
 
 

@@ -35,6 +35,7 @@ from mvsense.registration import (
     DAMPING,
     LEVELS,
     MAX_ITERATIONS,
+    MODEL_SAMPLES,
     TOL,
     TRIM,
     ICPResult,
@@ -272,8 +273,7 @@ def contains(cylinder, points: np.ndarray, radial_margin: float = 0.0) -> np.nda
     return (ax >= 0.0) & (ax <= cylinder.height) & (radial2 <= r * r)
 
 
-def register_tree(tree: BodyTree, clouds: dict, dims: PartDimensions,
-                  model_samples: int = 128) -> BodyTree:
+def register_tree(tree: BodyTree, clouds: dict, dims: PartDimensions) -> BodyTree:
 
     settled = []  # confidently registered cylinders, used to strip bleed-over
     for level in LEVELS:
@@ -305,7 +305,7 @@ def register_tree(tree: BodyTree, clouds: dict, dims: PartDimensions,
         for part, state, data in fits:
             if part == body.TORSO:
                 model_local = sample_cylinder_local(state.radius, state.height,
-                                                    model_samples)
+                                                    MODEL_SAMPLES)
                 result = icp_register(model_local, data, state)
             else:
                 result = register_part(state, data, MAX_ITERATIONS, TOL, TRIM)

@@ -3,6 +3,7 @@ and the command-line surface with its exit codes."""
 
 import json
 import logging
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -47,6 +48,18 @@ class TestSceneBuilding:
         assert all(flags)  # assembly operator works inside the volume
         far = gt_part_presence(pose, (50, 50, 50), (60, 60, 60))
         assert not any(far)
+
+    def test_gt_presence_matches_a_per_part_test(self):
+        """The stacked comparison gives what a test per part gives: a
+        midpoint on a face of the box is inside, one with a NaN outside."""
+        lo, hi = (-1.0, -2.0, 0.0), (1.0, 2.0, 2.0)
+        rng = np.random.default_rng(0)
+        got, want = [], []
+        for mids in rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0, np.nan], (40, body.NUM_KEYPARTS, 3)):
+            pose = SimpleNamespace(cylinders=[SimpleNamespace(midpoint=m) for m in mids])
+            got += gt_part_presence(pose, lo, hi)
+            want += [bool(np.all(m >= lo) & np.all(m <= hi)) for m in mids]
+        assert got == want and any(want) and not all(want)
 
     def test_depth_offsets_zero_for_face_points(self):
         off = keypoint_depth_offsets(body.PartDimensions())
@@ -372,9 +385,8 @@ class TestPipeline:
                 conf = conf.tolist()
                 row_conf = conf + [max(conf[k] for k in body.PART_KEYPOINTS[j])
                                    for j in range(body.NUM_KEYPARTS)]
-                ref = windows.setdefault(rig_id, [keypoints.PresenceWindow(
-                    script.window_m, script.window_gamma, script.window_alpha)
-                    for _ in range(rows)])
+                ref = windows.setdefault(rig_id, [keypoints.PresenceWindow()
+                                                  for _ in range(rows)])
                 for w, c in zip(ref, row_conf):
                     w.update(c)
                 assert scores[rig_id].tolist() == [float(w.score()) for w in ref]
@@ -473,8 +485,17 @@ class TestCli:
 
     def test_validate_bad_script_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.scn"
-        bad.write_text("format mvsense-scenario 1\nbogus-directive 1\n")
+        bad.write_text("format mvsense-scenario 2\nbogus-directive 1\n")
         assert main(["validate", "--script", str(bad)]) == 1
+
+    def test_validate_version_1_file_exit_1(self, tmp_path, capsys):
+        """Every version-1 file holds perception settings, which version 2
+        dropped; ``validate`` refuses it at its header."""
+        bad = tmp_path / "v1.scn"
+        bad.write_text(scenario.emit(tiny_script()).replace(
+            "mvsense-scenario 2\n", "mvsense-scenario 1\nslice-radius 5\n"))
+        assert main(["validate", "--script", str(bad)]) == 1
+        assert "line 1, field 'format': unsupported format version 1" in capsys.readouterr().err
 
     def test_validate_bare_scalar_directive_exit_1(self, tmp_path, capsys):
         text = scenario.emit(tiny_script())

@@ -43,7 +43,7 @@ from mvsense.registration import icp_register, nearest_model_search, sample_cyli
 from mvsense.simulator import pose_from_dofs
 
 ROUNDS = 20
-MODEL_SAMPLES = 128  # the ``model-samples`` default
+MODEL_SAMPLES = registration.MODEL_SAMPLES
 SIZES = [(144, 112), (640, 480)]
 EXHAUSTIVE_PLANS = 6  # replayed plans at single-active, each searched exhaustively
 

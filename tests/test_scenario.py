@@ -23,7 +23,7 @@ from mvsense.scenario import (
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 MINIMAL = """\
-format mvsense-scenario 1
+format mvsense-scenario 2
 name tiny
 seed 3
 duration 1.0
@@ -31,6 +31,18 @@ frame-rate 10.0
 camera cam0 fx=150 fy=150 cx=71.5 cy=55.5 width=144 height=112 pos=3.0,0.0,1.6 yaw=3.14159 pitch=-0.3
 human-waypoint t=0.0 dof=0,0,0.9,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0
 """
+
+# The perception settings that version 1 carried, as ``emit`` wrote them
+VERSION_1_SETTINGS = [
+    "window m=5 gamma=0.7 alpha=1.0",
+    "slice-radius 5",
+    "mask-inflation 1.2",
+    "cloud voxel=0.02 range-min=0.2 range-max=5.0 cluster-radius=0.05 cluster-min=10 "
+    "robot-margin=1.1 depth-gate=0.3",
+    "model-samples 128",
+    "scheduler horizon=3 gamma=0.9 interval=0.4 grid-pan=5 grid-tilt=3 growth=0.35 "
+    "sigma-obs=0.02 sigma-cap=1.5 exhaustive-limit=2000",
+]
 
 
 class TestParse:
@@ -47,17 +59,27 @@ class TestParse:
 
     def test_unsupported_version_rejected(self):
         with pytest.raises(ConfigError) as err:
-            parse(MINIMAL.replace("mvsense-scenario 1", "mvsense-scenario 2"))
+            parse(MINIMAL.replace("mvsense-scenario 2", "mvsense-scenario 3"))
         assert "version" in str(err.value)
 
-    def test_unknown_directive_reports_line(self):
-        bad = MINIMAL + "warp-drive on\n"
+    def test_version_1_file_refused_at_header(self):
+        v1 = MINIMAL.replace("mvsense-scenario 2\n", "mvsense-scenario 1\n"
+                             + "\n".join(VERSION_1_SETTINGS) + "\n")
+        with pytest.raises(ConfigError) as err:
+            parse(v1)
+        assert (err.value.line, err.value.field_name) == (1, "format")
+        assert err.value.message == "unsupported format version 1"
+
+    @pytest.mark.parametrize("line", ["warp-drive on"] + VERSION_1_SETTINGS)
+    def test_unknown_directive_reports_line(self, line):
+        bad = MINIMAL + line + "\n"
         with pytest.raises(ConfigError) as err:
             parse(bad)
         assert err.value.line == len(MINIMAL.splitlines()) + 1
+        assert err.value.message == f"unknown directive {line.split()[0]!r}"
 
     def test_unknown_key_rejected_with_field(self):
-        bad = MINIMAL.replace("seed 3", "seed 3\nwindow m=5 glamour=0.7")
+        bad = MINIMAL.replace("seed 3", "seed 3\ndetector sigma-px=1.5 glamour=0.7")
         with pytest.raises(ConfigError) as err:
             parse(bad)
         assert err.value.field_name == "glamour"
@@ -77,8 +99,8 @@ class TestParse:
         with pytest.raises(ConfigError):
             parse(bad)
 
-    def test_out_of_range_gamma_rejected(self):
-        bad = MINIMAL + "window gamma=1.2\n"
+    def test_out_of_range_confidence_rejected(self):
+        bad = MINIMAL + "detector c-hi=1.2\n"
         with pytest.raises(ConfigError):
             parse(bad)
 
@@ -104,8 +126,7 @@ class TestParse:
             parse(MINIMAL + "prop pos=1,2,0 radius=0.5\n")
 
     @pytest.mark.parametrize("line", ["bare", "extra token"])
-    @pytest.mark.parametrize("directive", ["seed", "duration", "frame-rate", "slice-radius",
-                                           "mask-inflation", "model-samples"])
+    @pytest.mark.parametrize("directive", ["name", "seed", "duration", "frame-rate"])
     def test_malformed_scalar_directive(self, directive, line):
         kept = [ln for ln in MINIMAL.splitlines() if ln.split()[0] != directive]
         bad = directive if line == "bare" else f"{directive} 3 7"
@@ -133,28 +154,14 @@ class TestParse:
         """A check ``validate`` makes after parsing names the line that set
         the field: the singleton directive, or the failing entry."""
         cam = next(ln for ln in MINIMAL.splitlines() if ln.startswith("camera"))
-        text = MINIMAL + "window gamma=1.2\n"
+        text = MINIMAL + "depth-noise drop=1.5\n"
         with pytest.raises(ConfigError) as err:
             parse(text)
-        assert (err.value.line, err.value.field_name) == (len(text.splitlines()), "window")
+        assert (err.value.line, err.value.field_name) == (len(text.splitlines()), "depth-noise")
         text = MINIMAL + cam.replace("cam0", "cam1").replace("fy=150", "fy=151") + "\n"
         with pytest.raises(ConfigError) as err:
             parse(text)
         assert (err.value.line, err.value.field_name) == (len(text.splitlines()), "camera")
-
-
-    @pytest.mark.parametrize("key, value", [("sigma-cap", "0"), ("sigma-cap", "-1.0"),
-                                            ("exhaustive-limit", "-5")])
-    def test_scheduler_ranges_rejected(self, key, value):
-        text = MINIMAL + f"scheduler {key}={value}\n"
-        with pytest.raises(ConfigError) as err:
-            parse(text)
-        assert (err.value.line, err.value.field_name) == (len(text.splitlines()), "scheduler")
-        assert key in err.value.message
-
-    def test_scheduler_range_edges_accepted(self):
-        script = parse(MINIMAL + "scheduler sigma-cap=1e-3 exhaustive-limit=0\n")
-        assert (script.scheduler.sigma_cap, script.scheduler.exhaustive_limit) == (1e-3, 0)
 
 
 class TestRoundTrip:
