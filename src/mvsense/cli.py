@@ -8,6 +8,7 @@ Subcommands:
   emit-template  write a built-in scenario template to a file
 
 Exit codes: 0 ok, 1 configuration error, 2 runtime error.
+Only the commands that run a trial import ``harness`` (the pipeline, scipy).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import logging
 import sys
 from pathlib import Path
 
-from . import harness, scenario
+from . import scenario
 
 
 def _load_script(args) -> scenario.ScenarioScript:
@@ -29,6 +30,7 @@ def _load_script(args) -> scenario.ScenarioScript:
 
 
 def _cmd_simulate(args) -> int:
+    from . import harness
     script = _load_script(args)
     metrics = harness.run_trial(script, config=args.config, frames=args.frames,
                                 out_dir=args.out_dir)
@@ -37,6 +39,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from . import harness
     per_scene = {}
     for path in args.script:
         script = scenario.parse_file(path)
@@ -54,6 +57,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_dump_frame(args) -> int:
+    from . import harness
     script = _load_script(args)
     harness.run_trial(script, config=args.config, frames=args.frame + 1,
                       out_dir=args.out_dir, dump_frame=args.frame)

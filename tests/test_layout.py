@@ -14,10 +14,18 @@ allowed); assigning it is not reading it. A dataclass field is read when
 some attribute of that name is loaded, except that a load from ``self``
 counts only for the class whose method makes it; passing a field to the
 constructor or assigning it is not reading it.
+
+The package namespace re-exports nothing, so a process that only reads,
+checks or writes scenario scripts loads neither the pipeline nor scipy.
 """
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import mvsense
@@ -41,6 +49,10 @@ ALLOWED_FIELDS = {
 # modules they must not depend on
 PERCEPTION = ("body", "keypoints", "keyparts", "filters", "registration", "scheduler")
 OUTSIDE = ("simulator", "harness", "scenario", "cli")
+
+# what reading, checking and writing a script must not load
+SCRIPT_ONLY_ABSENT = ("mvsense.harness", "mvsense.keyparts", "mvsense.filters",
+                      "mvsense.registration", "mvsense.keypoints", "mvsense.scheduler")
 
 
 def _scan():
@@ -203,3 +215,31 @@ def test_perception_defines_nothing_only_the_simulator_reads():
                 if readers == {"simulator"}:
                     only.append(f"{name}.{target}")
     assert not only, "perception code only the simulator reads: " + ", ".join(only)
+
+
+def test_scenario_scripts_load_no_pipeline_and_no_scipy(tmp_path):
+    """In a fresh interpreter, round-trip every template and run ``validate``
+    and ``emit-template``; the pytest process has imported everything."""
+    probe = textwrap.dedent("""
+        import json, sys
+        import mvsense
+        from mvsense import cli
+        from mvsense.scenario import TEMPLATES, emit, parse
+
+        for name, builder in TEMPLATES.items():
+            script = builder(seed=0)
+            assert parse(emit(script)) == script, name
+        out = sys.argv[1] + "/t.scn"
+        assert cli.main(["emit-template", "--name", next(iter(TEMPLATES)),
+                         "--out", out]) == 0
+        assert cli.main(["validate", "--script", out]) == 0
+        print(json.dumps(sorted(sys.modules)))
+    """)
+    run = subprocess.run([sys.executable, "-c", probe, str(tmp_path)],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert run.returncode == 0, run.stderr
+    loaded = json.loads(run.stdout.splitlines()[-1])
+    wrong = sorted(name for name in loaded if name == "scipy" or name.startswith("scipy.")
+                   or name in SCRIPT_ONLY_ABSENT)
+    assert not wrong, "script handling loaded: " + ", ".join(wrong)
