@@ -246,7 +246,21 @@ def frame_from_axis(axis: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# back-projection
+# projection and back-projection
+
+
+def project(points, k: Intrinsics) -> np.ndarray:
+    """Pixels (..., 2) of camera-frame points (..., 3), the mirror of
+    ``reproject``, with the same bits whichever points share the call.
+    Rows at or behind the camera divide without a warning; each caller
+    masks them by its own depth test.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    z = points[..., 2]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u = k.fx * points[..., 0] / z + k.cx
+        v = k.fy * points[..., 1] / z + k.cy
+    return np.stack([u, v], axis=-1)
 
 
 def reproject(pixels, depths, k: Intrinsics) -> np.ndarray:
@@ -386,19 +400,3 @@ def segment_segment_distance_batch(p0, p1, q0, q1) -> np.ndarray:
         - (q0[None, :, :] + t[..., None] * v[None, :, :])
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
-
-def segment_segment_distance(p0, p1, q0, q1) -> float:
-    """Minimum distance between segments [p0, p1] and [q0, q1]."""
-    p0, p1, q0, q1 = (_as_vec3(x) for x in (p0, p1, q0, q1))
-    return float(segment_segment_distance_batch(p0[None], p1[None],
-                                                q0[None], q1[None])[0, 0])
-
-
-def cylinder_clearance(c1: Cylinder, c2: Cylinder) -> float:
-    """Surface-to-surface clearance between two cylinders, floored at 0.
-
-    Approximates each cylinder by its axis segment plus radius; exact for
-    laterally-facing configurations, slightly conservative near caps.
-    """
-    d = segment_segment_distance(c1.base, c1.top, c2.base, c2.top)
-    return max(0.0, d - c1.radius - c2.radius)

@@ -6,8 +6,9 @@ image, checks the synthetic detector's pixels and confidences
 result to the pipeline as a ``FrameInput``; then it steps the scene.
 
 ``Pipeline.step`` is the paper's per-frame loop and knows nothing of the
-simulator: per camera it updates one presence window over the 17
-keypoint confidences and the 10 keypart max-confidences and lifts the
+simulator or the scene script: it is built from its rigs, a body model
+and its frame period. Per camera it updates one presence window over the
+17 keypoint confidences and the 10 keypart max-confidences and lifts the
 present keypoints through the depth image into one (C, 17, 3) stack.
 One ``fuse`` call turns the stack into the frame's (17, 3) world
 keypoint table, NaN rows unfused; then, per camera, the table's mask
@@ -39,7 +40,8 @@ import numpy as np
 
 from . import body, keyparts, registration, scenario, scheduler, simulator
 from .geometry import Cylinder, Intrinsics
-from .keypoints import SLICE_RADIUS, NoValidDepth, PresenceWindow, detect, fuse, lift_depth
+from .keypoints import (SLICE_RADIUS, NoValidDepth, PresenceWindow, detect, fuse,
+                        keypoint_depth_offsets, lift_depth)
 from .scenario import CONFIGS, ScenarioScript
 
 log = logging.getLogger("mvsense.harness")
@@ -235,20 +237,6 @@ def prop_cylinders(script: ScenarioScript) -> list:
             for p in script.props]
 
 
-def keypoint_depth_offsets(dims: body.PartDimensions) -> np.ndarray:
-    """Surface-to-joint depth correction per keypoint.
-
-    A depth slice samples the body surface, which sits roughly one part
-    radius in front of the joint center; face keypoints are true surface
-    features and need no correction. The lifted point is pushed deeper
-    along its camera ray by this offset before fusion.
-    """
-    radii = np.array(dims.radius, dtype=np.float64)[:, None]
-    off = np.where(body.PART_KEYPOINT_MASK, radii, np.inf).min(axis=0)
-    off[list(body.PART_KEYPOINTS[body.HEAD])] = 0.0
-    return off
-
-
 def gt_part_presence(pose, workspace_min, workspace_max) -> list:
     mids = np.array([c.midpoint for c in pose.cylinders])
     return ((mids >= workspace_min) & (mids <= workspace_max)).all(axis=1).tolist()
@@ -274,19 +262,20 @@ class Pipeline:
     robot) the cameras are never steered. Steering commands the rigs; the
     caller moves them. Wall-clock stage times add up in ``timings_ms``.
 
-    Its settings are the stages' own constants and defaults; of the
-    script it reads only the frame rate, the body dimensions and the name.
+    It is built from what a deployed loop has: its rigs, the body model
+    ``dims`` and the frame period ``dt`` in seconds. Every other setting
+    is a stage's own constant or default.
     """
 
     cloud_params = keyparts.CloudParams()
     scheduler_params = scheduler.SchedulerParams()
 
-    def __init__(self, script: ScenarioScript, rigs: list, robot_links_at=None):
-        self.script = script
+    def __init__(self, rigs: list, dims: body.PartDimensions, dt: float, robot_links_at=None):
         self.rigs = rigs
+        self.dims = dims
+        self.dt = dt
         self.robot_links_at = robot_links_at
-        self.dt = 1.0 / script.frame_rate
-        self.depth_offsets = keypoint_depth_offsets(script.dims)
+        self.depth_offsets = keypoint_depth_offsets(dims)
         self.windows = {rig.rig_id: PresenceWindow() for rig in rigs}
         self.tracked: dict = {}  # part -> [last estimated cylinder, sigma]
         self.timings_ms: dict = {}
@@ -297,12 +286,12 @@ class Pipeline:
         try:
             self._run(inp, result)
         except Exception:  # per-frame errors never abort the trial
-            log.exception("frame %d pipeline error (%s)", inp.frame, self.script.name)
+            log.exception("frame %d pipeline error", inp.frame)
             result.failed = True
         return result
 
     def _run(self, inp: FrameInput, result: FrameResult) -> None:
-        dims = self.script.dims
+        dims = self.dims
         watch = _Stopwatch(self.timings_ms)
         t0 = time.perf_counter()
 
@@ -437,7 +426,7 @@ def run_trial(script: ScenarioScript, config: str = "script",
             raise scenario.ConfigError(
                 f"{dump_frame} is past the {n_frames} frames run", field_name="frame")
 
-    pipeline = Pipeline(script, scene.rigs,
+    pipeline = Pipeline(scene.rigs, script.dims, dt,
                         scene.robot.links_at if scene.robot else None)
     metrics = TrialMetrics(script.name, config, scene.seed, n_frames,
                            timings_ms=pipeline.timings_ms)
@@ -514,8 +503,8 @@ def write_frame_dump(result: FrameResult, out_dir: Path, frame: int) -> None:
     for part, pts in result.clouds.items():
         path = out_dir / f"frame{frame}_part{part}_cloud.xyz"
         with open(path, "w", encoding="utf-8") as f:
-            for p in pts:
-                f.write(f"{p[0]!r} {p[1]!r} {p[2]!r}\n")
+            for x, y, z in pts.tolist():
+                f.write(f"{x!r} {y!r} {z!r}\n")
     if result.failed:  # no tree, not even one registered before the failure
         return
     state = {}

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import body
 from .filters import largest_euclidean_cluster, voxel_downsample
-from .geometry import Intrinsics, RigidTransform, inside_any, reproject
+from .geometry import Intrinsics, RigidTransform, inside_any, project, reproject
 from .keypoints import NoValidDepth, slice_depth
 
 BACKGROUND = -1
@@ -246,8 +246,7 @@ def project_keypoints_to_mask(fused: np.ndarray, detection: tuple,
     z = cam[:, 2]
     unfused = np.isnan(fused[:, 0])
     front = wanted & ~unfused & (z > 0)
-    anchor_px[front, 0] = k.fx * cam[front, 0] / z[front] + k.cx
-    anchor_px[front, 1] = k.fy * cam[front, 1] / z[front] + k.cy
+    anchor_px[front] = project(cam, k)[front]
     anchor_depth[front] = z[front]
     for kp in np.flatnonzero(wanted & unfused & (confidences > 0.0)).tolist():
         try:

@@ -5,10 +5,12 @@ A camera's detections are two arrays in keypoint order: 17 pixels
 the detector's arrays (``detect``), track a discounted sliding window of
 confidences to decide presence, and lift each present keypoint to 3D
 through a depth-image slice (``lift_depth``, one call per keypoint, so a
-keypoint without valid depth raises on its own). Then one ``fuse`` call
-per frame takes every camera's lifts as a (C, 17, 3) stack and returns
-the frame's keypoints as a (17, 3) world-frame table, with NaN rows for
-the keypoints it could not fuse.
+keypoint without valid depth raises on its own). A slice samples the
+body surface, so ``keypoint_depth_offsets`` gives, from the body model,
+how far each lift lies in front of its joint. Then one ``fuse`` call per
+frame takes every camera's lifts as a (C, 17, 3) stack and returns the
+frame's keypoints as a (17, 3) world-frame table, with NaN rows for the
+keypoints it could not fuse.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .body import NUM_KEYPOINTS
+from .body import HEAD, NUM_KEYPOINTS, PART_KEYPOINT_MASK, PART_KEYPOINTS, PartDimensions
 from .geometry import Intrinsics, reproject
 
 # The pipeline's depth-slice radius in pixels, for lifts and mask anchors
@@ -130,6 +132,20 @@ def lift_depth(pixel: np.ndarray, depth_image: np.ndarray, radius: int,
                k: Intrinsics) -> np.ndarray:
     """3D camera-frame position of a detected pixel via its depth slice."""
     return reproject(pixel, slice_depth(pixel, depth_image, radius), k)
+
+
+def keypoint_depth_offsets(dims: PartDimensions) -> np.ndarray:
+    """Surface-to-joint depth correction per keypoint.
+
+    A depth slice samples the body surface, which sits roughly one part
+    radius in front of the joint center; face keypoints are true surface
+    features and need no correction. The lifted point is pushed deeper
+    along its camera ray by this offset before fusion.
+    """
+    radii = np.array(dims.radius, dtype=np.float64)[:, None]
+    off = np.where(PART_KEYPOINT_MASK, radii, np.inf).min(axis=0)
+    off[list(PART_KEYPOINTS[HEAD])] = 0.0
+    return off
 
 
 def effectiveness_factor(n):

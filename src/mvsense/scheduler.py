@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import pan_tilt_rotation, segment_segment_distance_batch
+from .geometry import pan_tilt_rotation, project, segment_segment_distance_batch
 
 P_CAP = 1.0 - 1e-9
 
@@ -144,15 +144,12 @@ def _view_quality(rig, orientations: list, positions: np.ndarray) -> np.ndarray:
     cam = np.matmul(positions, inverse.transpose(0, 2, 1))
     cam += np.matmul(-inverse, mount.translation)[:, None, :]
     k = rig.intrinsics
-    z = cam[..., 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = k.fx * cam[..., 0] / z + k.cx
-        v = k.fy * cam[..., 1] / z + k.cy
-    du = np.abs(u - (k.width - 1) / 2.0) / (k.width / 2.0)
-    dv = np.abs(v - (k.height - 1) / 2.0) / (k.height / 2.0)
+    uv = project(cam, k)
+    du = np.abs(uv[..., 0] - (k.width - 1) / 2.0) / (k.width / 2.0)
+    dv = np.abs(uv[..., 1] - (k.height - 1) / 2.0) / (k.height / 2.0)
     off = np.maximum(du, dv)
     q = np.clip((1.0 - off) / (1.0 - QUALITY_CORE), 0.0, 1.0)
-    return np.where(z > 0.05, q, 0.0)
+    return np.where(cam[..., 2] > 0.05, q, 0.0)
 
 
 class _CameraTable:

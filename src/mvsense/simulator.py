@@ -31,6 +31,7 @@ from .geometry import (
     cast_rays,
     cylinder_table,
     pan_tilt_rotation,
+    project,
     rot_x,
     rot_y,
     rot_z,
@@ -502,11 +503,8 @@ def synthetic_detect(k: Intrinsics, cam_pose: RigidTransform, keypoints: np.ndar
     cam_pts = cam_pose.inverse().apply(keypoints)
     occluded = occlusion_mask(cam_pose.translation, keypoints, parts, occluders)
 
-    z = cam_pts[:, 2]
-    front = z > 0.05
-    zs = np.where(front, z, 1.0)
-    uv = np.column_stack([k.fx * cam_pts[:, 0] / zs + k.cx, k.fy * cam_pts[:, 1] / zs + k.cy])
-    pixel = np.where(front[:, None], uv, 0.0)
+    front = cam_pts[:, 2] > 0.05
+    pixel = np.where(front[:, None], project(cam_pts, k), 0.0)
     inside = front & (pixel >= 0.0).all(axis=1) & (pixel < [k.width, k.height]).all(axis=1)
     conf = np.where(inside, np.where(occluded, noise.c_hi * noise.c_occ, noise.c_hi), noise.c_out)
     if rng is not None and noise.sigma_px > 0:

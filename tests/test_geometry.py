@@ -1,4 +1,5 @@
-"""Back-projection, rigid-transform, and ray/cylinder geometry tests.
+"""Projection, back-projection, rigid-transform, segment-distance and
+ray/cylinder geometry tests.
 
 Back-projection is checked against the one-point projection kept in
 ``keypoints_reference``.
@@ -6,6 +7,8 @@ Back-projection is checked against the one-point projection kept in
 The ray/cylinder reference is a sphere-tracing oracle on the finite
 cylinder's signed distance field, independent of the quadratic solve.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -15,12 +18,12 @@ from hypothesis import strategies as st
 from conftest import at_origin, first_hit, identity, random_rigid, ray_cylinder_hits_reference
 import icp_reference as icp_ref
 from keypoints_reference import project
+from mvsense import geometry
 from mvsense.geometry import (
     RAY_BLOCK,
     Cylinder,
     RigidTransform,
     cast_rays,
-    cylinder_clearance,
     cylinder_table,
     frame_from_axis,
     inside_any,
@@ -30,7 +33,6 @@ from mvsense.geometry import (
     rot_x,
     rot_y,
     rotation_between,
-    segment_segment_distance,
     segment_segment_distance_batch,
 )
 
@@ -114,6 +116,31 @@ class TestProjection:
         assert got.shape == (50, 3)
         for row, pixel, depth in zip(got, pixels, depths):
             assert row.tobytes() == reproject(pixel, float(depth), k_vga).tobytes()
+
+    def test_project_many_points_matches_one_at_a_time(self, k_vga, rng):
+        points = rng.uniform(-2.0, 2.0, (50, 3))
+        points[:, 2] = rng.uniform(0.1, 10.0, 50)
+        got = geometry.project(points, k_vga)
+        assert got.shape == (50, 2)
+        for row, point in zip(got, points):
+            assert row.tobytes() == geometry.project(point, k_vga).tobytes()
+
+    def test_project_behind_the_camera_warns_nothing(self, k_vga):
+        """Rows at or behind the camera, and NaN rows, divide quietly; a
+        row in front keeps its pixel."""
+        points = np.array([[1.0, 0.0, 2.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0],
+                           [1.0, -1.0, -2.0], [1e300, 0.0, 1e-300], [np.nan] * 3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = geometry.project(points, k_vga)
+        assert got.shape == (6, 2)
+        assert got[0].tolist() == [570.0, 240.0]
+
+    def test_project_inverts_reproject(self, k_vga, rng):
+        pixels = rng.uniform(0.0, 640.0, (200, 2))
+        depths = rng.uniform(0.1, 10.0, 200)
+        back = geometry.project(reproject(pixels, depths, k_vga), k_vga)
+        assert np.abs(back - pixels).max() < 1e-9
 
     def test_round_trip_identity(self, k_vga, rng):
         pose = identity()
@@ -512,19 +539,27 @@ class TestCastRays:
         assert t[1] == pytest.approx(ref[1], rel=1e-9)
 
 
-class TestSegmentsAndClearance:
+def segment_distance(p0, p1, q0, q1) -> float:
+    """One pair's distance through the batch, on 1x1 inputs."""
+    d = segment_segment_distance_batch(*(np.asarray(x, dtype=np.float64)[None]
+                                         for x in (p0, p1, q0, q1)))
+    assert d.shape == (1, 1)
+    return float(d[0, 0])
+
+
+class TestSegments:
     def test_parallel_segments(self):
-        d = segment_segment_distance((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0))
+        d = segment_distance((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0))
         assert d == pytest.approx(1.0, abs=1e-12)
 
     def test_crossing_segments(self):
-        d = segment_segment_distance((-1, 0, 0), (1, 0, 0), (0, -1, 1), (0, 1, 1))
+        d = segment_distance((-1, 0, 0), (1, 0, 0), (0, -1, 1), (0, 1, 1))
         assert d == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_dense_sampling(self, rng):
         for _ in range(50):
             p0, p1, q0, q1 = rng.uniform(-1, 1, (4, 3))
-            fast = segment_segment_distance(p0, p1, q0, q1)
+            fast = segment_distance(p0, p1, q0, q1)
             s = np.linspace(0, 1, 400)
             pa = p0 + s[:, None] * (p1 - p0)
             qb = q0 + s[:, None] * (q1 - q0)
@@ -532,25 +567,6 @@ class TestSegmentsAndClearance:
                 ((pa[:, None, :] - qb[None, :, :]) ** 2).sum(-1)).min()
             assert fast <= dense + 1e-9
             assert fast >= dense - 5e-3  # sampling resolution slack
-
-    def test_batch_matches_scalar(self, rng):
-        p0, p1 = rng.uniform(-1, 1, (2, 4, 3))
-        q0, q1 = rng.uniform(-1, 1, (2, 5, 3))
-        batch = segment_segment_distance_batch(p0, p1, q0, q1)
-        for i in range(4):
-            for j in range(5):
-                assert batch[i, j] == pytest.approx(
-                    segment_segment_distance(p0[i], p1[i], q0[j], q1[j]), abs=1e-12)
-
-    def test_clearance_floors_at_zero(self):
-        a = Cylinder(np.zeros(3), np.array([0, 0, 1.0]), 1.0, 0.3)
-        b = Cylinder(np.array([0.1, 0, 0.0]), np.array([0, 0, 1.0]), 1.0, 0.3)
-        assert cylinder_clearance(a, b) == 0.0
-
-    def test_clearance_positive(self):
-        a = Cylinder(np.zeros(3), np.array([0, 0, 1.0]), 1.0, 0.3)
-        b = Cylinder(np.array([2.0, 0, 0.0]), np.array([0, 0, 1.0]), 1.0, 0.3)
-        assert cylinder_clearance(a, b) == pytest.approx(1.4, abs=1e-9)
 
 
 class TestRotationBetween:

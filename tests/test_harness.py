@@ -3,6 +3,7 @@ and the command-line surface with its exit codes."""
 
 import json
 import logging
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,7 +18,6 @@ from mvsense.harness import (
     compare_configs,
     format_comparison,
     gt_part_presence,
-    keypoint_depth_offsets,
     run_trial,
     select_cameras,
 )
@@ -60,30 +60,6 @@ class TestSceneBuilding:
             got += gt_part_presence(pose, lo, hi)
             want += [bool(np.all(m >= lo) & np.all(m <= hi)) for m in mids]
         assert got == want and any(want) and not all(want)
-
-    def test_depth_offsets_zero_for_face_points(self):
-        off = keypoint_depth_offsets(body.PartDimensions())
-        for kp in body.PART_KEYPOINTS[body.HEAD]:
-            assert off[kp] == 0.0
-        assert off[body.L_WRIST] > 0.0
-
-    @pytest.mark.parametrize("radius", [
-        body.PartDimensions().radius,
-        (0.05, 0.12, 0.2, 0.04, 0.03, 0.09, 0.05, 0.11, 0.08, 0.02),
-        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10),
-    ])
-    def test_depth_offsets_match_per_keypoint_loop(self, radius):
-        """Each keypoint's smallest radius over the parts it lies on, 0 on
-        the face, as the per-keypoint loop computed it."""
-        dims = body.PartDimensions(radius=radius)
-        want = np.zeros(body.NUM_KEYPOINTS)
-        for kp in range(body.NUM_KEYPOINTS):
-            if kp in body.PART_KEYPOINTS[body.HEAD]:
-                continue
-            want[kp] = min(dims.radius[p] for p, kps in body.PART_KEYPOINTS.items()
-                           if kp in kps)
-        got = keypoint_depth_offsets(dims)
-        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
 class TestRunTrial:
@@ -166,13 +142,29 @@ class TestRunTrial:
             name: {"mean_axis_error_deg": None, "samples": 0}
             for name in body.KEYPART_NAMES}
 
-    def test_dump_frame_writes_artifacts(self, tmp_path):
+    def test_dump_frame_writes_artifacts(self, tmp_path, monkeypatch):
+        """Masks, clouds and the tree are written; each ``.xyz`` file loads
+        with ``np.loadtxt`` into its part's cloud, every coordinate's bits
+        kept."""
+        results = []
+        step = harness.Pipeline.step
+
+        def recorded(self, inp):
+            results.append(step(self, inp))
+            return results[-1]
+
+        monkeypatch.setattr(harness.Pipeline, "step", recorded)
         script = tiny_script()
         run_trial(script, config="multi-fixed", frames=2, out_dir=tmp_path,
                   dump_frame=1)
         masks = list(tmp_path.glob("frame1_*_mask.txt"))
-        clouds = list(tmp_path.glob("frame1_part*_cloud.xyz"))
+        clouds = results[1].clouds
         assert masks and clouds
+        assert sorted(tmp_path.glob("frame1_part*_cloud.xyz")) == sorted(
+            tmp_path / f"frame1_part{part}_cloud.xyz" for part in clouds)
+        for part, points in clouds.items():
+            back = np.loadtxt(tmp_path / f"frame1_part{part}_cloud.xyz", ndmin=2)
+            assert back.tobytes() == points.tobytes()
         tree = json.loads((tmp_path / "frame1_tree.json").read_text())
         assert "torso" in tree
 
@@ -307,9 +299,11 @@ class TestRunTrial:
             assert all((mask.labels == keyparts.BACKGROUND).all()
                        for mask in result.masks.values())
 
-    def test_failed_frame_adds_no_pose_error(self, monkeypatch):
+    def test_failed_frame_adds_no_pose_error(self, monkeypatch, caplog):
         """Frames that fail in the scheduler, after their trees were
-        registered, predict every part absent and add no pose error."""
+        registered, predict every part absent and add no pose error. Each
+        logs one ERROR record with its traceback, the count perfbench
+        reads as failed frames."""
         calls = []
 
         def plan(*args, **kwargs):
@@ -317,8 +311,15 @@ class TestRunTrial:
             raise RuntimeError("injected scheduler failure")
 
         monkeypatch.setattr(harness.scheduler, "plan", plan)
-        m = run_trial(tiny_script(), config="multi-active", frames=4)
+        with caplog.at_level(logging.ERROR, logger="mvsense.harness"):
+            m = run_trial(tiny_script(), config="multi-active", frames=4)
         assert calls
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == len(calls)
+        for r in errors:
+            assert r.name == "mvsense.harness"
+            assert re.fullmatch(r"frame \d+ pipeline error", r.getMessage())
+            assert str(r.exc_info[1]) == "injected scheduler failure"
         assert m.summary()["pose_samples"] == 0
         assert not any(row[f"pred_{j}"] for row in m.rows for j in range(body.NUM_KEYPARTS))
 
@@ -352,7 +353,8 @@ class TestPipeline:
         for name in ("render_depth", "synthetic_detect"):
             monkeypatch.setattr(simulator, name, no_simulator)
         monkeypatch.setattr(simulator.Scene, "__init__", no_simulator)
-        pipeline = harness.Pipeline(script, select_cameras(script, "multi-fixed"))
+        pipeline = harness.Pipeline(select_cameras(script, "multi-fixed"), script.dims,
+                                    1.0 / script.frame_rate)
         replay = harness.TrialMetrics(script.name, "multi-fixed", trial.seed, 8)
         for inp, (frame, t, pose) in zip(inputs, truths):
             replay.score(frame, t, pipeline.step(inp), pose,

@@ -1,5 +1,6 @@
 """Keypoint detection pipeline: the detector contract, presence windows,
-depth lifting, and confidence-weighted multi-camera fusion.
+depth lifting and its surface-to-joint offsets, and confidence-weighted
+multi-camera fusion.
 
 Fusion correctness is checked against an independent gradient-descent
 minimizer of the weighted squared-distance objective.
@@ -10,6 +11,7 @@ import pytest
 
 import keypoints_reference as ref
 from conftest import fuse_one, identity, random_rigid
+from mvsense import body
 from mvsense.body import NUM_KEYPOINTS
 from mvsense.keypoints import (
     DetectorFailure,
@@ -18,6 +20,7 @@ from mvsense.keypoints import (
     detect,
     effectiveness_factor,
     fuse,
+    keypoint_depth_offsets,
     lift_depth,
     slice_depth,
 )
@@ -170,6 +173,32 @@ class TestLiftDepth:
         d2 = slice_depth(pixel, fewer, 5)
         assert d1 == pytest.approx(3.0)
         assert d2 == pytest.approx(3.0)
+
+
+class TestDepthOffsets:
+    def test_depth_offsets_zero_for_face_points(self):
+        off = keypoint_depth_offsets(body.PartDimensions())
+        for kp in body.PART_KEYPOINTS[body.HEAD]:
+            assert off[kp] == 0.0
+        assert off[body.L_WRIST] > 0.0
+
+    @pytest.mark.parametrize("radius", [
+        body.PartDimensions().radius,
+        (0.05, 0.12, 0.2, 0.04, 0.03, 0.09, 0.05, 0.11, 0.08, 0.02),
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10),
+    ])
+    def test_depth_offsets_match_per_keypoint_loop(self, radius):
+        """Each keypoint's smallest radius over the parts it lies on, 0 on
+        the face, as the per-keypoint loop computed it."""
+        dims = body.PartDimensions(radius=radius)
+        want = np.zeros(body.NUM_KEYPOINTS)
+        for kp in range(body.NUM_KEYPOINTS):
+            if kp in body.PART_KEYPOINTS[body.HEAD]:
+                continue
+            want[kp] = min(dims.radius[p] for p, kps in body.PART_KEYPOINTS.items()
+                           if kp in kps)
+        got = keypoint_depth_offsets(dims)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
 def fusion_objective(p, entries):

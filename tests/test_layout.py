@@ -5,7 +5,8 @@ Code that only the tests call belongs in ``tests/`` (as an oracle helper
 in ``conftest.py``) or nowhere. Perception, the modules a deployed
 system runs each frame, stands apart from the simulator and the trial
 code around it: it imports none of them and defines nothing that only
-the simulator reads. The scan is by name: a definition counts
+the simulator reads, and the loop's classes in the trial module name no
+scene script and no simulator. The scan is by name: a definition counts
 as used when some ``Name``, ``Attribute`` or import in the package refers
 to its name. Docstrings and comments are not references, and dunder
 methods are called by the language, not by name. A constant is a
@@ -33,9 +34,6 @@ import mvsense
 PACKAGE = Path(mvsense.__file__).parent
 CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
-# Helpers waiting for a caller inside the package (the clearance metric).
-ALLOWED = {"cylinder_clearance"}
-
 # Dataclass fields read outside the package, with the reader.
 ALLOWED_FIELDS = {
     # perfbench counts the planner's exhaustive searches by it
@@ -49,6 +47,12 @@ ALLOWED_FIELDS = {
 # modules they must not depend on
 PERCEPTION = ("body", "keypoints", "keyparts", "filters", "registration", "scheduler")
 OUTSIDE = ("simulator", "harness", "scenario", "cli")
+
+# the perception loop's classes in the trial module, and the names of the
+# scene script and the simulator that none of them may use: a pipeline is
+# built from its rigs, a body model and its frame period
+LOOP_CLASSES = ("Pipeline", "FrameInput", "FrameResult")
+SCRIPT_NAMES = ("script", "ScenarioScript", "scenario", "simulator")
 
 # what reading, checking and writing a script must not load
 SCRIPT_ONLY_ABSENT = ("mvsense.harness", "mvsense.keyparts", "mvsense.filters",
@@ -156,8 +160,7 @@ def _is_dunder(name):
 def test_every_definition_has_a_caller_in_the_package():
     defined, _constants, referenced = _scan()
     unused = sorted(f"{name} ({where})" for name, where in defined.items()
-                    if name not in referenced and name not in ALLOWED
-                    and not _is_dunder(name))
+                    if name not in referenced and not _is_dunder(name))
     assert not unused, "defined in src/mvsense but never referenced there: " \
         + ", ".join(unused)
 
@@ -167,14 +170,6 @@ def test_every_constant_is_read_in_the_package():
     unread = sorted(f"{name} ({where})" for name, where in constants.items()
                     if name not in referenced)
     assert not unread, "constants in src/mvsense never read there: " + ", ".join(unread)
-
-
-def test_allowlist_names_exist_and_are_unused():
-    """An allowlisted name that gained a caller, or went away, leaves the list."""
-    defined, _constants, referenced = _scan()
-    for name in ALLOWED:
-        assert name in defined, f"{name} is no longer defined"
-        assert name not in referenced, f"{name} has a caller now"
 
 
 def test_every_dataclass_field_is_read_in_the_package():
@@ -215,6 +210,25 @@ def test_perception_defines_nothing_only_the_simulator_reads():
                 if readers == {"simulator"}:
                     only.append(f"{name}.{target}")
     assert not only, "perception code only the simulator reads: " + ", ".join(only)
+
+
+def test_perception_loop_names_no_script_or_simulator():
+    """``Pipeline``, ``FrameInput`` and ``FrameResult`` read no scene script
+    and no simulator: no name, attribute, argument or keyword of theirs is
+    one of ``SCRIPT_NAMES``."""
+    classes = {node.name: node for node in _modules()["harness"][0].body
+               if isinstance(node, ast.ClassDef)}
+    assert set(LOOP_CLASSES) <= set(classes)
+    wrong = []
+    for name in LOOP_CLASSES:
+        for node in ast.walk(classes[name]):
+            used = node.id if isinstance(node, ast.Name) else \
+                node.attr if isinstance(node, ast.Attribute) else \
+                node.arg if isinstance(node, (ast.arg, ast.keyword)) else None
+            if used in SCRIPT_NAMES:
+                wrong.append(f"{name} line {node.lineno}: {used}")
+    assert not wrong, "the perception loop names the script or the simulator: " \
+        + ", ".join(wrong)
 
 
 def test_scenario_scripts_load_no_pipeline_and_no_scipy(tmp_path):
