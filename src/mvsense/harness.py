@@ -256,8 +256,9 @@ class Pipeline:
     """The per-frame perception loop over a fixed set of camera rigs.
 
     It holds the state that outlives a frame: each rig's presence window
-    over its 17 keypoints and then its 10 keyparts, and the scheduler's
-    last estimate and uncertainty per tracked part. ``robot_links_at(t)``
+    over its 17 keypoints and then its 10 keyparts, and ``tracks``, each
+    tracked part's last registered cylinder and uncertainty, which
+    ``scheduler.update_tracks`` ages and restarts. ``robot_links_at(t)``
     gives the robot's links over the scheduler's horizon; without it (no
     robot) the cameras are never steered. Steering commands the rigs; the
     caller moves them. Wall-clock stage times add up in ``timings_ms``.
@@ -277,7 +278,7 @@ class Pipeline:
         self.robot_links_at = robot_links_at
         self.depth_offsets = keypoint_depth_offsets(dims)
         self.windows = {rig.rig_id: PresenceWindow() for rig in rigs}
-        self.tracked: dict = {}  # part -> [last estimated cylinder, sigma]
+        self.tracks: dict = {}  # part -> (last registered Cylinder, sigma)
         self.timings_ms: dict = {}
 
     def step(self, inp: FrameInput) -> FrameResult:
@@ -349,24 +350,17 @@ class Pipeline:
         result.tree = registration.register_tree(tree, result.clouds, dims)
         t0 = watch.add("register", t0)
 
-        # scheduler bookkeeping and planning
-        params, tracked = self.scheduler_params, self.tracked
-        for j in range(body.NUM_KEYPARTS):
-            state = result.tree.nodes[j].state
-            if j in result.parts and state is not None:
-                tracked[j] = [state.cylinder(), params.sigma_obs]
-            elif j in tracked:
-                tracked[j][1] = min(tracked[j][1] + params.growth * self.dt,
-                                    params.sigma_cap)
+        # scheduler: age the tracks, restart the registered parts', plan
+        params = self.scheduler_params
+        nodes = result.tree.nodes
+        registered = [(j, nodes[j].state.cylinder()) for j in result.parts
+                      if nodes[j].state is not None]
+        scheduler.update_tracks(self.tracks, registered, self.dt, params)
         steer = [rig for rig in self.rigs if rig.active]
-        if steer and tracked and self.robot_links_at is not None:
-            estimate = scheduler.estimate_collision(
-                {j: c for j, (c, _s) in tracked.items()},
-                {j: s for j, (_c, s) in tracked.items()},
-                self.robot_links_at, params, inp.t)
-            result.plan = scheduler.plan(
-                steer, estimate, {j: c.midpoint for j, (c, _s) in tracked.items()},
-                params)
+        if steer and self.tracks and self.robot_links_at is not None:
+            estimate = scheduler.estimate_collision(self.tracks, self.robot_links_at,
+                                                    params, inp.t)
+            result.plan = scheduler.plan(steer, estimate, params)
             for rig in steer:
                 rig.command(*result.plan.commands[rig.rig_id][0])
         watch.add("schedule", t0)

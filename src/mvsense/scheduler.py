@@ -4,10 +4,13 @@ Cameras are steered to maximize a discounted sum of log survival
 probabilities, sum_m gamma^m * ln(1 - p_collide[m]), over a short
 horizon. The collision probability per keypart is a Gaussian-clearance
 surrogate, exp(-clearance^2 / (2 sigma^2)), where sigma is the part's
-positional uncertainty: it grows while a part goes unobserved and resets
-when some camera has it in view. Observing high-risk parts therefore
-lowers future p_collide, which is what the objective rewards, so the
-planner turns cameras toward the regions of highest collision risk.
+positional uncertainty. ``update_tracks`` keeps each part's track,
+``part -> (last registered Cylinder, sigma)``: every frame sigma grows,
+and a registered part resets to ``sigma_obs``. The planner's steps grow
+it by the same ``grown_sigma`` and reset it by view quality. Observing
+high-risk parts therefore lowers future p_collide, which is what the
+objective rewards, so the planner turns cameras toward the regions of
+highest collision risk.
 
 One search serves both planning modes. It expands joint steps level by
 level, and each partial sequence scores all the options its cameras can
@@ -57,6 +60,7 @@ class CollisionEstimate:
     parts: list                      # part ids, column order of the matrices
     clearances: np.ndarray           # (M+1, P) min robot distance per interval
     sigmas: np.ndarray               # (P,) current positional uncertainty
+    positions: np.ndarray            # (P, 3) the tracked cylinders' midpoints
 
 
 @dataclass
@@ -76,20 +80,39 @@ def collision_probability(clearance, sigma) -> np.ndarray:
     return np.minimum(p, P_CAP)
 
 
-def estimate_collision(part_cylinders: dict, sigmas: dict, robot_links_at,
-                       params: SchedulerParams, t0: float = 0.0) -> CollisionEstimate:
+def grown_sigma(sigma, seconds: float, params: SchedulerParams):
+    """``sigma`` after ``seconds`` unobserved: linear growth, capped."""
+    return np.minimum(sigma + params.growth * seconds, params.sigma_cap)
+
+
+def update_tracks(tracks: dict, observed, seconds: float,
+                  params: SchedulerParams) -> None:
+    """Age every track by ``seconds``, then restart each (part, Cylinder
+    registered now) of ``observed`` at ``sigma_obs``, in place. A part
+    never observed has no track.
+    """
+    for part, (cylinder, sigma) in tracks.items():
+        tracks[part] = (cylinder, grown_sigma(sigma, seconds, params))
+    for part, cylinder in observed:
+        tracks[part] = (cylinder, params.sigma_obs)
+
+
+def estimate_collision(tracks: dict, robot_links_at, params: SchedulerParams,
+                       t0: float = 0.0) -> CollisionEstimate:
     """Clearance and baseline collision probability per planning interval.
 
-    ``robot_links_at(t)`` yields the robot link cylinders at time t. It
-    is called once per interval endpoint, and the clearance over interval
-    m is the smallest against the links at either of its endpoints.
-    Keypart poses are held at the current estimate.
+    ``tracks`` maps part -> (Cylinder, sigma), as ``update_tracks`` keeps
+    it. ``robot_links_at(t)`` yields the robot link cylinders at time t.
+    It is called once per interval endpoint, and the clearance over
+    interval m is the smallest against the links at either of its
+    endpoints. Keypart poses are held at the current estimate.
     """
-    parts = sorted(part_cylinders)
+    parts = sorted(tracks)
+    cylinders = [tracks[j][0] for j in parts]
     m1 = params.horizon + 1
-    part_base = np.stack([part_cylinders[j].base for j in parts])
-    part_top = np.stack([part_cylinders[j].top for j in parts])
-    part_r = np.array([part_cylinders[j].radius for j in parts])
+    part_base = np.stack([c.base for c in cylinders])
+    part_top = np.stack([c.top for c in cylinders])
+    part_r = np.array([c.radius for c in cylinders])
     posed = [list(robot_links_at(t0 + k * params.interval)) for k in range(m1 + 1)]
     links = [link for at in posed for link in at]
 
@@ -105,7 +128,8 @@ def estimate_collision(part_cylinders: dict, sigmas: dict, robot_links_at,
             if ends[m + 2] > ends[m]:
                 clearances[m] = np.maximum(gap[:, ends[m]:ends[m + 2]].min(axis=1), 0.0)
     return CollisionEstimate(parts, clearances,
-                             np.array([sigmas[part] for part in parts], dtype=np.float64))
+                             np.array([tracks[j][1] for j in parts], dtype=np.float64),
+                             np.stack([c.midpoint for c in cylinders]))
 
 
 def _axis_points(lo: float, hi: float, n: int) -> np.ndarray:
@@ -188,7 +212,7 @@ class _CameraTable:
 
 def _advance_sigma(sig, quality, params: SchedulerParams):
     """Grow unobserved uncertainty; blend toward sigma_obs by view quality."""
-    grown = np.minimum(sig + params.growth * params.interval, params.sigma_cap)
+    grown = grown_sigma(sig, params.interval, params)
     return grown + quality * (params.sigma_obs - grown)
 
 
@@ -218,8 +242,7 @@ def _step(sig, quality, clearance_row, m: int, params: SchedulerParams):
     return sig2, term
 
 
-def plan(rigs, estimate: CollisionEstimate, part_positions: dict,
-         params: SchedulerParams) -> ViewpointTrajectory:
+def plan(rigs, estimate: CollisionEstimate, params: SchedulerParams) -> ViewpointTrajectory:
     """Choose pan-tilt command sequences maximizing the discounted objective.
 
     With no tracked parts, or no strictly better candidate, every camera
@@ -230,8 +253,7 @@ def plan(rigs, estimate: CollisionEstimate, part_positions: dict,
     if not estimate.parts or not rigs:
         return ViewpointTrajectory(hold, 0.0, "hold")
 
-    positions = np.stack([part_positions[p] for p in estimate.parts])
-    tables = [_CameraTable(rig, params, positions) for rig in rigs]
+    tables = [_CameraTable(rig, params, estimate.positions) for rig in rigs]
 
     branching = np.prod([len(t.reachable_from(t.hold)) for t in tables],
                         dtype=np.float64)

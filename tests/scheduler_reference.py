@@ -10,8 +10,10 @@ search over one step function. ``_CameraTable`` and ``_view_quality_row``
 build each rig's visibility table one candidate orientation at a time,
 each with its own pose, the mount composed with ``rot_y(pan) @
 rot_x(tilt)``, and projection, as before the table was built in one
-batch. The live code must give the same bits on every
-input.
+batch. ``_advance_sigma`` writes out the capped sigma growth that the
+live scheduler keeps in ``grown_sigma``, and ``estimate_collision``
+takes each part's midpoint from its cylinder's base, axis and height.
+The live code must give the same bits on every input.
 """
 
 import itertools
@@ -25,7 +27,6 @@ from mvsense.scheduler import (
     CollisionEstimate,
     SchedulerParams,
     ViewpointTrajectory,
-    _advance_sigma,
     _candidate_grid,
     collision_probability,
 )
@@ -88,8 +89,14 @@ def combine_parts(p_parts: np.ndarray) -> float:
     return float(min(1.0 - np.prod(1.0 - np.asarray(p_parts)), P_CAP))
 
 
-def estimate_collision(part_cylinders: dict, sigmas: dict, robot_links_at,
-                       params, t0: float = 0.0) -> CollisionEstimate:
+def _advance_sigma(sig, quality, params):
+    grown = np.minimum(sig + params.growth * params.interval, params.sigma_cap)
+    return grown + quality * (params.sigma_obs - grown)
+
+
+def estimate_collision(tracks: dict, robot_links_at, params,
+                       t0: float = 0.0) -> CollisionEstimate:
+    part_cylinders = {j: cylinder for j, (cylinder, _sigma) in tracks.items()}
     parts = sorted(part_cylinders)
     p = len(parts)
     m1 = params.horizon + 1
@@ -109,8 +116,11 @@ def estimate_collision(part_cylinders: dict, sigmas: dict, robot_links_at,
         dist = segment_segment_distance_batch(part_base, part_top, link_base, link_top)
         gap = dist - part_r[:, None] - link_r[None, :]
         clearances[m] = np.maximum(gap.min(axis=1), 0.0)
-    sig = np.array([sigmas[part] for part in parts], dtype=np.float64)
-    return CollisionEstimate(parts, clearances, sig)
+    sig = np.array([tracks[part][1] for part in parts], dtype=np.float64)
+    positions = np.stack([part_cylinders[j].base
+                          + part_cylinders[j].axis * (0.5 * part_cylinders[j].height)
+                          for j in parts])
+    return CollisionEstimate(parts, clearances, sig, positions)
 
 
 def _interval_term(clearance_row, sig) -> float:
@@ -118,15 +128,13 @@ def _interval_term(clearance_row, sig) -> float:
     return float(np.log(1.0 - combine_parts(p)))
 
 
-def plan(rigs, estimate: CollisionEstimate, part_positions: dict,
-         params) -> ViewpointTrajectory:
+def plan(rigs, estimate: CollisionEstimate, params) -> ViewpointTrajectory:
     m1 = params.horizon + 1
     hold = {rig.rig_id: [(rig.pan, rig.tilt)] * m1 for rig in rigs}
     if not estimate.parts or not rigs:
         return ViewpointTrajectory(hold, 0.0, "hold")
 
-    positions = np.stack([part_positions[p] for p in estimate.parts])
-    tables = [_CameraTable(rig, params, positions) for rig in rigs]
+    tables = [_CameraTable(rig, params, estimate.positions) for rig in rigs]
 
     branching = np.prod([len(t.reachable_from(t.hold)) for t in tables],
                         dtype=np.float64)
@@ -217,7 +225,7 @@ def _greedy(tables, estimate, params, m1):
 
 def assert_same_estimate(got: CollisionEstimate, want: CollisionEstimate):
     assert got.parts == want.parts
-    for name in ("clearances", "sigmas"):
+    for name in ("clearances", "sigmas", "positions"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 

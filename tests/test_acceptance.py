@@ -321,16 +321,13 @@ def test_criterion_09_scheduler():
     params = scheduler.SchedulerParams(horizon=2, gamma=0.9, interval=0.5,
                                        grid_pan=5, grid_tilt=5, growth=0.8,
                                        sigma_obs=0.02, exhaustive_limit=10 ** 9)
-    parts = {0: vertical(2.0, 1.3), 1: vertical(2.4, -0.9)}
-    est = scheduler.estimate_collision(parts, {0: 0.55, 1: 0.5},
-                                       lambda t: [vertical(2.1, 0.4)], params)
-    positions = {p: c.midpoint for p, c in parts.items()}
-    traj = scheduler.plan([rig], est, positions, params)
+    tracks = {0: (vertical(2.0, 1.3), 0.55), 1: (vertical(2.4, -0.9), 0.5)}
+    est = scheduler.estimate_collision(tracks, lambda t: [vertical(2.1, 0.4)], params)
+    traj = scheduler.plan([rig], est, params)
     assert traj.mode == "exhaustive"
 
     # brute-force optimum over every rate-feasible sequence
-    tables = [_CameraTable(rig, params, np.stack([positions[p]
-                                                  for p in est.parts]))]
+    tables = [_CameraTable(rig, params, est.positions)]
     best = -np.inf
 
     def recurse(step, cur, prefix):

@@ -216,14 +216,13 @@ def test_plan_exhaustive(benchmark):
     """Single-active plans with ``exhaustive-limit`` raised to their joint
     product, so the search keeps every option."""
     calls = []
-    for rigs, estimate, positions, params in captured_calls(
+    for rigs, estimate, params in captured_calls(
             scheduler, "plan", SIZES[0], 1.0, "single-active")[:EXHAUSTIVE_PLANS]:
-        tables = [scheduler_reference._CameraTable(rig, params, np.stack(
-            [positions[p] for p in estimate.parts])) for rig in rigs]
+        tables = [scheduler_reference._CameraTable(rig, params, estimate.positions)
+                  for rig in rigs]
         joint = int(np.prod([len(t.reachable_from(t.hold)) for t in tables])) \
             ** (params.horizon + 1)
-        calls.append((rigs, estimate, positions,
-                      dataclasses.replace(params, exhaustive_limit=joint)))
+        calls.append((rigs, estimate, dataclasses.replace(params, exhaustive_limit=joint)))
     got = timed(benchmark, scheduler.plan, calls)
     assert len(got) == len(calls) > 0
     for traj, args in zip(got, calls):

@@ -6,9 +6,10 @@ in ``conftest.py``) or nowhere. Perception, the modules a deployed
 system runs each frame, stands apart from the simulator and the trial
 code around it: it imports none of them and defines nothing that only
 the simulator reads, and the loop's classes in the trial module name no
-scene script and no simulator. The scan is by name: a definition counts
-as used when some ``Name``, ``Attribute`` or import in the package refers
-to its name. Docstrings and comments are not references, and dunder
+scene script and no simulator. How a part's uncertainty grows and
+resets is read in the scheduler alone. The scan is by name: a definition
+counts as used when some ``Name``, ``Attribute`` or import in the package
+refers to its name. Docstrings and comments are not references, and dunder
 methods are called by the language, not by name. A constant is a
 module-level assignment to an UPPER_CASE name (a leading underscore
 allowed); assigning it is not reading it. A dataclass field is read when
@@ -53,6 +54,10 @@ OUTSIDE = ("simulator", "harness", "scenario", "cli")
 # built from its rigs, a body model and its frame period
 LOOP_CLASSES = ("Pipeline", "FrameInput", "FrameResult")
 SCRIPT_NAMES = ("script", "ScenarioScript", "scenario", "simulator")
+
+# the scheduler's uncertainty policy: how sigma grows and resets is
+# written in the scheduler alone
+SIGMA_FIELDS = ("growth", "sigma_obs", "sigma_cap")
 
 # what reading, checking and writing a script must not load
 SCRIPT_ONLY_ABSENT = ("mvsense.harness", "mvsense.keyparts", "mvsense.filters",
@@ -229,6 +234,17 @@ def test_perception_loop_names_no_script_or_simulator():
                 wrong.append(f"{name} line {node.lineno}: {used}")
     assert not wrong, "the perception loop names the script or the simulator: " \
         + ", ".join(wrong)
+
+
+def test_sigma_policy_is_read_only_in_the_scheduler():
+    """``SchedulerParams.growth``, ``sigma_obs`` and ``sigma_cap`` are
+    loaded as attributes in ``scheduler`` and in no other module."""
+    wrong = sorted(f"{name}.py:{node.lineno}: {node.attr}"
+                   for name, (tree, _names) in _modules().items() if name != "scheduler"
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                   and node.attr in SIGMA_FIELDS)
+    assert not wrong, "sigma policy read outside the scheduler: " + ", ".join(wrong)
 
 
 def test_scenario_scripts_load_no_pipeline_and_no_scipy(tmp_path):

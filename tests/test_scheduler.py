@@ -13,10 +13,13 @@ from mvsense.geometry import Cylinder, Intrinsics
 from mvsense.scheduler import (
     CollisionEstimate,
     SchedulerParams,
+    _advance_sigma,
     _step,
     collision_probability,
     estimate_collision,
+    grown_sigma,
     plan,
+    update_tracks,
 )
 from mvsense.simulator import CameraRig, camera_mount
 
@@ -36,7 +39,7 @@ def toy_rig(pan_range=1.0, tilt_range=0.6, rate=10.0, fov=120.0):
 class TestCollisionSurrogate:
     def test_overlapping_cylinders_probability_one(self):
         est = estimate_collision(
-            {0: vertical(0.0, 0.0)}, {0: 0.05},
+            {0: (vertical(0.0, 0.0), 0.05)},
             lambda t: [vertical(0.05, 0.0)], SchedulerParams(horizon=1))
         assert est.clearances[0, 0] == 0.0
         p = collision_probability(est.clearances, est.sigmas)
@@ -44,7 +47,7 @@ class TestCollisionSurrogate:
 
     def test_large_clearance_probability_near_zero(self):
         est = estimate_collision(
-            {0: vertical(0.0, 0.0)}, {0: 0.05},
+            {0: (vertical(0.0, 0.0), 0.05)},
             lambda t: [vertical(5.0, 0.0)], SchedulerParams(horizon=1))
         assert collision_probability(est.clearances, est.sigmas)[0, 0] < 1e-12
 
@@ -85,9 +88,44 @@ class TestCollisionSurrogate:
     def test_moving_robot_changes_interval_clearances(self):
         def links_at(t):
             return [vertical(2.0 - t, 0.0)]
-        est = estimate_collision({0: vertical(0.0, 0.0)}, {0: 0.1},
+        est = estimate_collision({0: (vertical(0.0, 0.0), 0.1)},
                                  links_at, SchedulerParams(horizon=2, interval=0.5))
         assert est.clearances[2, 0] < est.clearances[0, 0]
+
+
+class TestTracks:
+    def test_observed_part_restarts_at_sigma_obs(self):
+        params = SchedulerParams()
+        old, new = vertical(0.0, 0.0), vertical(1.0, 0.5)
+        tracks = {2: (old, 0.9)}
+        update_tracks(tracks, [(2, new)], 0.1, params)
+        assert tracks == {2: (new, params.sigma_obs)}
+
+    def test_unseen_part_grows_until_the_cap(self):
+        params = SchedulerParams(growth=0.5, sigma_obs=0.02, sigma_cap=0.3)
+        part = vertical(0.0, 0.0)
+        tracks = {4: (part, params.sigma_obs)}
+        update_tracks(tracks, [], 0.2, params)
+        assert tracks[4][0] is part
+        assert tracks[4][1] == params.sigma_obs + params.growth * 0.2
+        for _ in range(5):
+            update_tracks(tracks, [], 0.2, params)
+        assert tracks[4][1] == params.sigma_cap
+
+    def test_a_part_never_observed_is_not_tracked(self):
+        params = SchedulerParams()
+        tracks = {}
+        update_tracks(tracks, [], 0.1, params)
+        assert tracks == {}
+        update_tracks(tracks, [(1, vertical(0.0, 0.0))], 0.1, params)
+        update_tracks(tracks, [], 0.1, params)
+        assert list(tracks) == [1]
+
+    def test_planner_step_grows_by_the_same_rule(self, rng):
+        params = SchedulerParams(sigma_cap=0.6)
+        sig = rng.uniform(0.0, 0.8, 50)
+        assert _advance_sigma(sig, 0.0, params).tobytes() == \
+            grown_sigma(sig, params.interval, params).tobytes()
 
 
 class TestObjective:
@@ -101,10 +139,10 @@ class TestObjective:
         assert val == pytest.approx(np.log(1e-9), rel=1e-6)
 
 
-def brute_force_plan(rigs, estimate, positions, params):
+def brute_force_plan(rigs, estimate, params):
     """Exhaustive oracle over the full joint candidate product space."""
     from mvsense.scheduler import _CameraTable, _sequence_value
-    tables = [_CameraTable(rig, params, positions) for rig in rigs]
+    tables = [_CameraTable(rig, params, estimate.positions) for rig in rigs]
     m1 = params.horizon + 1
     best_seq, best_val = None, -np.inf
 
@@ -135,16 +173,16 @@ class TestPlan:
         rig = toy_rig()
         rig.pan = 0.2
         params = SchedulerParams(horizon=2, grid_pan=5, grid_tilt=5)
-        est = estimate_collision({0: vertical(3.0, 0.0)}, {0: 0.02},
+        est = estimate_collision({0: (vertical(3.0, 0.0), 0.02)},
                                  lambda t: [vertical(-50.0, 0.0)], params)
-        traj = plan([rig], est, {0: vertical(3.0, 0.0).midpoint}, params)
+        traj = plan([rig], est, params)
         assert all(cmd == (0.2, 0.0) for cmd in traj.commands["cam"])
 
     def test_no_tracked_parts_holds(self):
         rig = toy_rig()
         params = SchedulerParams()
-        est = CollisionEstimate([], np.zeros((4, 0)), np.zeros(0))
-        traj = plan([rig], est, {}, params)
+        est = CollisionEstimate([], np.zeros((4, 0)), np.zeros(0), np.zeros((0, 3)))
+        traj = plan([rig], est, params)
         assert traj.mode == "hold"
 
     def test_single_risky_part_centered_on_toy_grid(self):
@@ -155,10 +193,10 @@ class TestPlan:
                                  grid_pan=5, grid_tilt=5, growth=0.8,
                                  sigma_obs=0.02, exhaustive_limit=100000)
         part = vertical(2.0, 1.4, h=1.6, r=0.1)
-        est = estimate_collision({3: part}, {3: 0.6},
+        est = estimate_collision({3: (part, 0.6)},
                                  lambda t: [vertical(2.0, 2.1, h=1.6)], params)
         assert est.clearances[0, 0] > 0.3  # genuine risk gradient, not a cap
-        traj = plan([rig], est, {3: part.midpoint}, params)
+        traj = plan([rig], est, params)
         assert traj.mode == "exhaustive"
         final_pan, final_tilt = traj.commands["cam"][-1]
         # the part must sit near the FOV center at the final orientation
@@ -176,14 +214,11 @@ class TestPlan:
         params = SchedulerParams(horizon=2, gamma=0.9, interval=0.5,
                                  grid_pan=5, grid_tilt=5, growth=0.8,
                                  sigma_obs=0.02, exhaustive_limit=10 ** 9)
-        parts = {0: vertical(2.0, 1.2, r=0.08), 1: vertical(2.2, -0.8, r=0.08)}
-        sigmas = {0: 0.5, 1: 0.4}
-        est = estimate_collision(parts, sigmas,
-                                 lambda t: [vertical(2.1, 0.2)], params)
-        positions = {p: c.midpoint for p, c in parts.items()}
-        traj = plan([rig], est, positions, params)
-        _oracle_cmds, oracle_val = brute_force_plan([rig], est, np.stack(
-            [positions[p] for p in est.parts]), params)
+        tracks = {0: (vertical(2.0, 1.2, r=0.08), 0.5),
+                  1: (vertical(2.2, -0.8, r=0.08), 0.4)}
+        est = estimate_collision(tracks, lambda t: [vertical(2.1, 0.2)], params)
+        traj = plan([rig], est, params)
+        _oracle_cmds, oracle_val = brute_force_plan([rig], est, params)
         assert traj.mode == "exhaustive"
         assert traj.objective == pytest.approx(oracle_val, abs=1e-9)
 
@@ -197,19 +232,16 @@ class TestPlan:
                                  grid_pan=3, grid_tilt=1, growth=0.8,
                                  sigma_obs=0.02, exhaustive_limit=10 ** 7)
         # parts near the +-1 rad grid bearings so a camera must commit a side
-        parts = {0: vertical(2.0, 3.1, h=1.6, r=0.1),
-                 1: vertical(2.0, -3.1, h=1.6, r=0.1)}
-        sigmas = {0: 0.6, 1: 0.6}
+        tracks = {0: (vertical(2.0, 3.1, h=1.6, r=0.1), 0.6),
+                  1: (vertical(2.0, -3.1, h=1.6, r=0.1), 0.6)}
         est = estimate_collision(
-            parts, sigmas,
+            tracks,
             lambda t: [vertical(2.0, 3.8, h=1.6), vertical(2.0, -3.8, h=1.6)],
             params)
         assert est.clearances.min() > 0.3
-        positions = {p: c.midpoint for p, c in parts.items()}
-        traj = plan([rig_a, rig_b], est, positions, params)
+        traj = plan([rig_a, rig_b], est, params)
         assert traj.mode == "exhaustive"
-        cmds, val = brute_force_plan([rig_a, rig_b], est, np.stack(
-            [positions[p] for p in est.parts]), params)
+        cmds, val = brute_force_plan([rig_a, rig_b], est, params)
         assert traj.objective == pytest.approx(val, abs=1e-9)
         final_a = traj.commands["cam"][-1][0]
         final_b = traj.commands["cam2"][-1][0]
@@ -222,15 +254,12 @@ class TestPlan:
             rig.pan = float(rng.uniform(-0.5, 0.5))
             params = SchedulerParams(horizon=3, grid_pan=7, grid_tilt=5,
                                      growth=0.5, exhaustive_limit=1)  # force greedy
-            parts = {i: vertical(rng.uniform(1.5, 3.0), rng.uniform(-1.5, 1.5),
-                                 r=0.08) for i in range(3)}
-            sigmas = {i: rng.uniform(0.05, 0.8) for i in parts}
-            est = estimate_collision(parts, sigmas,
-                                     lambda t: [vertical(2.0, 0.0)], params)
-            positions = {p: c.midpoint for p, c in parts.items()}
-            traj = plan([rig], est, positions, params)
-            tables = [_CameraTable(rig, params, np.stack(
-                [positions[p] for p in est.parts]))]
+            parts = [vertical(rng.uniform(1.5, 3.0), rng.uniform(-1.5, 1.5), r=0.08)
+                     for _ in range(3)]
+            tracks = {i: (part, rng.uniform(0.05, 0.8)) for i, part in enumerate(parts)}
+            est = estimate_collision(tracks, lambda t: [vertical(2.0, 0.0)], params)
+            traj = plan([rig], est, params)
+            tables = [_CameraTable(rig, params, est.positions)]
             hold_seq = tuple((tables[0].index[tables[0].hold],)
                              for _ in range(params.horizon + 1))
             hold_val = _sequence_value(hold_seq, tables, est, params)
@@ -240,10 +269,9 @@ class TestPlan:
         rig = toy_rig(rate=0.8)
         params = SchedulerParams(horizon=3, interval=0.4, grid_pan=7,
                                  grid_tilt=5, growth=0.8, exhaustive_limit=1)
-        parts = {0: vertical(2.0, 1.5, r=0.1)}
-        est = estimate_collision(parts, {0: 0.7},
+        est = estimate_collision({0: (vertical(2.0, 1.5, r=0.1), 0.7)},
                                  lambda t: [vertical(2.0, 1.6)], params)
-        traj = plan([rig], est, {0: parts[0].midpoint}, params)
+        traj = plan([rig], est, params)
         reach = rig.max_rate * params.interval + 1e-9
         prev = (rig.pan, rig.tilt)
         for cmd in traj.commands["cam"]:
@@ -278,7 +306,7 @@ def random_problem(rng):
     parts = {int(j): vertical(rng.uniform(1.0, 3.0), rng.uniform(-2.0, 2.0),
                               h=float(rng.uniform(0.3, 1.6)), r=float(rng.uniform(0.03, 0.12)))
              for j in rng.choice(10, size=int(rng.integers(1, 5)), replace=False)}
-    sigmas = {j: float(rng.uniform(0.02, 0.9)) for j in parts}
+    tracks = {j: (c, float(rng.uniform(0.02, 0.9))) for j, c in parts.items()}
     t0 = float(rng.uniform(0.0, 5.0))
     links_per_time = [[vertical(rng.uniform(1.0, 3.0), rng.uniform(-2.0, 2.0),
                          h=float(rng.uniform(0.5, 1.6)), r=0.07)
@@ -288,8 +316,7 @@ def random_problem(rng):
     def links_at(t):
         return links_per_time[int(round((t - t0) / params.interval))]
 
-    positions = {j: c.midpoint for j, c in parts.items()}
-    return rigs, parts, sigmas, links_at, params, t0, positions
+    return rigs, tracks, links_at, params, t0
 
 
 class TestReference:
@@ -297,12 +324,12 @@ class TestReference:
         rng = np.random.default_rng(14)
         modes = []
         for _ in range(300):
-            rigs, parts, sigmas, links_at, params, t0, positions = random_problem(rng)
-            est = estimate_collision(parts, sigmas, links_at, params, t0)
+            rigs, tracks, links_at, params, t0 = random_problem(rng)
+            est = estimate_collision(tracks, links_at, params, t0)
             reference.assert_same_estimate(est, reference.estimate_collision(
-                parts, sigmas, links_at, params, t0))
-            traj = plan(rigs, est, positions, params)
-            reference.assert_same_plan(traj, reference.plan(rigs, est, positions, params))
+                tracks, links_at, params, t0))
+            traj = plan(rigs, est, params)
+            reference.assert_same_plan(traj, reference.plan(rigs, est, params))
             modes.append((traj.mode, len(rigs)))
         for mode in ("exhaustive", "greedy"):
             for n_rigs in (1, 2):
