@@ -13,9 +13,9 @@ not modeled.
 
 Keypoint positions are one (17, 3) world table in keypoint order, the
 table ``keypoints.fuse`` returns, with a NaN row for a keypoint not
-known. The tree's supplements and joint constraints read and write its
-rows. Posing the model from joint angles is ground truth, not
-perception: that forward kinematics lives in ``simulator``.
+known. The tree keeps a copy, and only this module reads part states
+from it or writes into it. Posing the model from joint angles is ground
+truth, not perception: that forward kinematics lives in ``simulator``.
 """
 
 from __future__ import annotations
@@ -381,20 +381,61 @@ def parent_joint_position(part: int, tree: BodyTree) -> np.ndarray | None:
     return tree.keypoints[kp].copy()
 
 
-def enforce_joint_constraints(tree: BodyTree) -> BodyTree:
+def initial_state(part: int, tree: BodyTree, dims: PartDimensions) -> KeypartState | None:
+    """Initial coarse state of a part to register, from the keypoint table.
+
+    Every part but the torso starts at ``parent_joint_position``.
+    """
+    if part == TORSO:
+        return fit_torso_state(tree.keypoints, dims)
+    anchor = parent_joint_position(part, tree)
+    if part == HEAD:
+        st = head_state_from_keypoints(tree.keypoints, dims)
+        if st is None and anchor is not None:
+            torso = tree.nodes[TORSO].state
+            axis = torso.axis if torso is not None else np.array([0.0, 0.0, 1.0])
+            st = KeypartState(part, anchor, axis,
+                              dims.height[part], dims.radius[part])
+        elif st is not None and anchor is not None:
+            st.base = anchor
+        return st
+    if anchor is None:
+        return None
+    distal = tree.keypoints[DISTAL_KEYPOINT[part]]
+    if not np.isnan(distal[0]):
+        d = distal - anchor
+        length = float(np.linalg.norm(d))
+        # a grossly wrong segment length means the distal lift was polluted
+        h = dims.height[part]
+        if 0.45 * h <= length <= 1.5 * h:
+            return KeypartState(part, anchor, normalize(d),
+                                h, dims.radius[part])
+    # no distal evidence: continue along the parent axis (rest-like)
+    parent = tree.nodes[PARENT[part]].state
+    if parent is None:
+        return None
+    axis = parent.axis if PARENT[part] != TORSO else -parent.axis
+    return KeypartState(part, anchor, axis.copy(),
+                        dims.height[part], dims.radius[part])
+
+
+def enforce_joint_constraints(tree: BodyTree, dims: PartDimensions) -> BodyTree:
     """Snap each child's proximal endpoint onto its parent joint.
 
-    Orientation, height and radius are preserved; the keypoints attached
-    to moved joints are updated to stay consistent. Idempotent.
+    The torso's state writes its four anchor rows; orientation, height
+    and radius are preserved, and the keypoints attached to moved joints
+    are updated to stay consistent. Idempotent.
     """
     for part in tree.traversal():
-        node = tree.nodes[part]
-        if node.state is None or part == TORSO:
+        state = tree.nodes[part].state
+        if state is None:
+            continue
+        if part == TORSO:
+            tree.keypoints[TORSO_ROWS] = torso_anchor_points(state, dims)
             continue
         anchor = parent_joint_position(part, tree)
         if anchor is None:
             continue
-        state = node.state
         state.base = anchor
         kp = EDGE_KEYPOINT.get(part)
         if kp is not None:
@@ -403,4 +444,3 @@ def enforce_joint_constraints(tree: BodyTree) -> BodyTree:
         if dist is not None:
             tree.keypoints[dist] = state.tip
     return tree
-

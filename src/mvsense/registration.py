@@ -36,8 +36,10 @@ Before a level is fitted, the points of each cloud inside a part settled
 in an earlier level are stripped as bleed-over, in one test over the
 level's clouds, however few remain; the solvers' skip rules
 (empty, degenerate, axial stub) alone decide that a cloud cannot be
-fitted. Keypoint-derived poses provide the initial coarse state, and
-supplemented nodes (no cloud exists for them) skip registration entirely.
+fitted. Each part starts from ``body.initial_state``; supplemented nodes
+(no cloud exists for them) skip registration. The keypoint table is
+``body``'s alone: ``body.enforce_joint_constraints`` settles every level,
+supplements included, before the next is anchored on it.
 """
 
 from __future__ import annotations
@@ -486,41 +488,6 @@ def register_level(inits: list, clouds: list, max_iterations: int, tol: float,
     return results
 
 
-def _init_state(part: int, tree: BodyTree, dims: PartDimensions,
-                anchor: np.ndarray | None) -> KeypartState | None:
-    """Initial coarse state from the joint keypoints."""
-    if part == body.TORSO:
-        return body.fit_torso_state(tree.keypoints, dims)
-    if part == body.HEAD:
-        st = body.head_state_from_keypoints(tree.keypoints, dims)
-        if st is None and anchor is not None:
-            torso = tree.nodes[body.TORSO].state
-            axis = torso.axis if torso is not None else np.array([0.0, 0.0, 1.0])
-            st = KeypartState(part, anchor, axis,
-                              dims.height[part], dims.radius[part])
-        elif st is not None and anchor is not None:
-            st.base = anchor
-        return st
-    if anchor is None:
-        return None
-    distal = tree.keypoints[body.DISTAL_KEYPOINT[part]]
-    if not np.isnan(distal[0]):
-        d = distal - anchor
-        length = float(np.linalg.norm(d))
-        # a grossly wrong segment length means the distal lift was polluted
-        h = dims.height[part]
-        if 0.45 * h <= length <= 1.5 * h:
-            return KeypartState(part, anchor, normalize(d),
-                                h, dims.radius[part])
-    # no distal evidence: continue along the parent axis (rest-like)
-    parent = tree.nodes[body.PARENT[part]].state
-    if parent is None:
-        return None
-    axis = parent.axis if body.PARENT[part] != body.TORSO else -parent.axis
-    return KeypartState(part, anchor, axis.copy(),
-                        dims.height[part], dims.radius[part])
-
-
 # The tree's levels, each a tuple of parts in part order: the torso, the
 # parts hanging off it, and the parts hanging off those.
 LEVELS = ((body.TORSO,),
@@ -531,14 +498,15 @@ def register_tree(tree: BodyTree, clouds: dict, dims: PartDimensions) -> BodyTre
     """Register every active part, level by level, constraints maintained.
 
     ``clouds`` maps part -> (N, 3) merged world points, empty when absent.
-    The tree's keypoint table, filled by ``body.augment``, seeds each
-    part's state. The torso takes free ICP on its sampled model; each
-    level below it takes one ``register_level`` solve. Points inside a part
-    confidently registered in an earlier level are bleed-over and are
-    always stripped first, however few remain; the solvers' notes alone
-    mark a cloud that cannot be fitted, and its part keeps its
-    keypoint-initialized state. Per-part failures mark the node and never
-    abort the rest of the tree.
+    ``body.initial_state`` seeds each part's state. The torso takes free
+    ICP on its sampled model; each level below it takes one
+    ``register_level`` solve. Points inside a part confidently registered
+    in an earlier level are bleed-over and are always stripped first,
+    however few remain; the solvers' notes alone mark a cloud that cannot
+    be fitted, and its part keeps its keypoint-initialized state. Per-part
+    failures mark the node and never abort the rest of the tree. Each
+    level ends with ``body.enforce_joint_constraints``, so the joint
+    constraint holds after every level.
     """
     settled = []  # confidently registered cylinders, used to strip bleed-over
     for level in LEVELS:
@@ -550,8 +518,7 @@ def register_tree(tree: BodyTree, clouds: dict, dims: PartDimensions) -> BodyTre
             if node.supplemented:
                 node.registered = False  # keypoint-derived state only
                 continue
-            anchor = None if part == body.TORSO else body.parent_joint_position(part, tree)
-            state = _init_state(part, tree, dims, anchor)
+            state = body.initial_state(part, tree, dims)
             node.state = state
             if state is None:
                 node.note = "no keypoint initialization available"
@@ -584,12 +551,5 @@ def register_tree(tree: BodyTree, clouds: dict, dims: PartDimensions) -> BodyTre
             if node.registered and result.residual < 0.05:
                 settled.append(node.state.cylinder())
 
-        # propagate the refined poses into the shared keypoint table
-        for part in parts:
-            state = tree.nodes[part].state
-            if part == body.TORSO:
-                tree.keypoints[body.TORSO_ROWS] = body.torso_anchor_points(state, dims)
-            elif part in body.DISTAL_KEYPOINT:
-                tree.keypoints[body.DISTAL_KEYPOINT[part]] = state.tip
-
-    return body.enforce_joint_constraints(tree)
+        body.enforce_joint_constraints(tree, dims)
+    return tree

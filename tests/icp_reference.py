@@ -18,7 +18,12 @@ was cached and the bleed-over test became one stacked pass: it samples
 the torso's model on every call and strips bleed-over with one
 ``contains`` per settled cylinder, and it registers through this file's
 ``icp_register`` and ``register_level``; its keypoint table is the
-tree's (17, 3) array, as in the live code. ``contains`` is the
+tree's (17, 3) array, as in the live code. It seeds each part from
+``body.initial_state`` and writes each level into the table inline (the
+torso's anchors, each fitted part's tip), calling
+``body.enforce_joint_constraints`` once at the end, where the live code
+calls it after every level: on a tree with no supplemented node the two
+must agree. ``contains`` is the
 per-cylinder point test that ``geometry.Cylinder`` had before
 ``geometry.inside_any`` became the one containment test. The live code
 must give the same bits on every input.
@@ -39,7 +44,6 @@ from mvsense.registration import (
     TOL,
     TRIM,
     ICPResult,
-    _init_state,
     _trimmed_order as live_trimmed_order,
     sample_cylinder_local,
 )
@@ -285,8 +289,7 @@ def register_tree(tree: BodyTree, clouds: dict, dims: PartDimensions) -> BodyTre
             if node.supplemented:
                 node.registered = False  # keypoint-derived state only
                 continue
-            anchor = None if part == body.TORSO else body.parent_joint_position(part, tree)
-            state = _init_state(part, tree, dims, anchor)
+            state = body.initial_state(part, tree, dims)
             if state is None:
                 node.note = "no keypoint initialization available"
                 node.state = None
@@ -327,7 +330,7 @@ def register_tree(tree: BodyTree, clouds: dict, dims: PartDimensions) -> BodyTre
                 if distal is not None:
                     tree.keypoints[distal] = state.tip
 
-    return body.enforce_joint_constraints(tree)
+    return body.enforce_joint_constraints(tree, dims)
 
 
 def assert_same_result(got: ICPResult, ref: ICPResult) -> None:

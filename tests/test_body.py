@@ -249,16 +249,16 @@ class TestJointConstraints:
         tree = self._chain_tree()
         child = tree.nodes[body.L_UPPER_ARM].state
         child.base = child.base + np.array([0.05, 0.0, 0.0])
-        enforce_joint_constraints(tree)
+        enforce_joint_constraints(tree, DIMS)
         gap = np.linalg.norm(tree.nodes[body.L_UPPER_ARM].state.base
                              - tree.keypoints[body.L_SHOULDER])
         assert gap < 1e-6
 
     def test_idempotent(self):
         tree = self._chain_tree()
-        enforce_joint_constraints(tree)
+        enforce_joint_constraints(tree, DIMS)
         before = {p: tree.nodes[p].state.base.copy() for p in tree.traversal()}
-        enforce_joint_constraints(tree)
+        enforce_joint_constraints(tree, DIMS)
         for p, base in before.items():
             assert np.allclose(tree.nodes[p].state.base, base, atol=1e-9)
 
@@ -269,7 +269,7 @@ class TestJointConstraints:
             for p in (body.L_UPPER_ARM, body.L_LOWER_ARM):
                 st = tree.nodes[p].state
                 st.base = st.base + rng.uniform(-0.1, 0.1, 3)
-            enforce_joint_constraints(tree)
+            enforce_joint_constraints(tree, DIMS)
             ua = tree.nodes[body.L_UPPER_ARM].state
             la = tree.nodes[body.L_LOWER_ARM].state
             assert np.linalg.norm(ua.base - tree.keypoints[body.L_SHOULDER]) < 1e-9
@@ -283,10 +283,23 @@ class TestJointConstraints:
                        for p in tree.traversal()}
         for p in tree.traversal():
             tree.nodes[p].state.base = tree.nodes[p].state.base + rng.normal(size=3) * 0.02
-        enforce_joint_constraints(tree)
+        enforce_joint_constraints(tree, DIMS)
         for p, (h, r) in dims_before.items():
             assert tree.nodes[p].state.height == h
             assert tree.nodes[p].state.radius == r
+
+    def test_torso_rows_rewritten_from_the_torso_state(self):
+        """The torso's four anchor rows come from its state, not from the
+        table it was fitted to."""
+        tree = self._chain_tree()
+        torso = tree.nodes[body.TORSO].state
+        torso.base = torso.base + np.array([0.0, 0.04, -0.02])
+        tree.keypoints[body.TORSO_ROWS] = np.nan
+        enforce_joint_constraints(tree, DIMS)
+        want = body.torso_anchor_points(torso, DIMS)
+        assert tree.keypoints[body.TORSO_ROWS].tobytes() == want.tobytes()
+        assert tree.nodes[body.L_UPPER_ARM].state.base.tobytes() == \
+            want[0].tobytes()
 
 
 class TestForwardKinematics:

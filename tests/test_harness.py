@@ -393,6 +393,46 @@ class TestPipeline:
                     w.update(c)
                 assert scores[rig_id].tolist() == [float(w.score()) for w in ref]
 
+    def test_a_keypoint_is_present_only_where_its_parts_are(self, rng):
+        """A part row holds the max confidence of its keypoints, so its
+        window never scores below theirs: in a camera, a present keypoint
+        has every part that contains it present. Hence an absent part's
+        keypoints are never lifted and ``augment`` finds no keypoint to
+        supplement it from. Random histories, as ``Pipeline._run`` builds
+        its rows, with zeros and ties."""
+        levels = np.array([0.0, 0.0, 0.05, 0.135, 0.2, 0.34, 0.5, 0.9])
+        split = seen = 0
+        for _ in range(300):
+            window = keypoints.PresenceWindow()
+            for _ in range(10):
+                conf = np.where(rng.random(body.NUM_KEYPOINTS) < 0.6,
+                                rng.choice(levels, body.NUM_KEYPOINTS),
+                                rng.random(body.NUM_KEYPOINTS))
+                part_conf = np.where(body.PART_KEYPOINT_MASK, conf, -np.inf).max(axis=1)
+                window.update(np.concatenate([conf, part_conf]))
+                present = window.present()
+                kp, part = present[:body.NUM_KEYPOINTS], present[body.NUM_KEYPOINTS:]
+                assert not (body.PART_KEYPOINT_MASK & kp & ~part[:, None]).any()
+                seen += int(kp.sum())
+                split += int((body.PART_KEYPOINT_MASK & ~kp & part[:, None]).any())
+        assert seen and split  # present keypoints, and parts with absent ones
+
+    def test_trial_trees_have_no_supplemented_node(self, monkeypatch):
+        """The consequence on a golden trial: no tree the pipeline registers
+        holds a supplemented node."""
+        present, supplemented = [], []
+        register = registration.register_tree
+
+        def recording_register(tree, *args):
+            present.extend(p for p, node in tree.nodes.items() if node.present)
+            supplemented.extend(p for p, node in tree.nodes.items() if node.supplemented)
+            return register(tree, *args)
+
+        monkeypatch.setattr(registration, "register_tree", recording_register)
+        run_trial(scenario.TEMPLATES["reach-in"](seed=0, duration=1.0),
+                  config="single-fixed")
+        assert present and not supplemented
+
 
 class TestCompareConfigs:
     def test_structure_and_single_trial_std_zero(self):

@@ -7,7 +7,8 @@ system runs each frame, stands apart from the simulator and the trial
 code around it: it imports none of them and defines nothing that only
 the simulator reads, and the loop's classes in the trial module name no
 scene script and no simulator. How a part's uncertainty grows and
-resets is read in the scheduler alone. The scan is by name: a definition
+resets is read in the scheduler alone, and the tree's keypoint table is
+written in the body model alone. The scan is by name: a definition
 counts as used when some ``Name``, ``Attribute`` or import in the package
 refers to its name. Docstrings and comments are not references, and dunder
 methods are called by the language, not by name. A constant is a
@@ -245,6 +246,24 @@ def test_sigma_policy_is_read_only_in_the_scheduler():
                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
                    and node.attr in SIGMA_FIELDS)
     assert not wrong, "sigma policy read outside the scheduler: " + ", ".join(wrong)
+
+
+def test_keypoint_table_is_written_only_in_body():
+    """Only ``body`` stores into a ``.keypoints[...]`` subscript, and
+    ``registration`` names no attribute ``keypoints``: it reads the table
+    through ``body.initial_state`` and writes it through
+    ``body.enforce_joint_constraints``."""
+    wrong = []
+    for name, (tree, _names) in _modules().items():
+        for node in ast.walk(tree):
+            if name != "body" and isinstance(node, ast.Subscript) \
+                    and isinstance(node.ctx, ast.Store) \
+                    and isinstance(node.value, ast.Attribute) and node.value.attr == "keypoints":
+                wrong.append(f"{name}.py:{node.lineno}: stores into .keypoints[...]")
+            elif name == "registration" and isinstance(node, ast.Attribute) \
+                    and node.attr == "keypoints":
+                wrong.append(f"{name}.py:{node.lineno}: names .keypoints")
+    assert not wrong, "keypoint table reached outside the body model: " + ", ".join(wrong)
 
 
 def test_scenario_scripts_load_no_pipeline_and_no_scipy(tmp_path):

@@ -628,6 +628,30 @@ class TestRegisterTree:
         assert tree.nodes[body.L_UPPER_ARM].supplemented
         assert not tree.nodes[body.L_UPPER_ARM].registered
 
+    def test_supplemented_upper_arm_reanchored_before_its_forearm(self, monkeypatch):
+        """With the fused shoulder 5 cm off, the registered torso moves the
+        shoulder; the supplemented upper arm follows it before the forearm
+        is fitted, so the forearm's anchor is the upper arm's settled tip
+        and stays its base."""
+        pose = pose_from_dofs(rest_dofs(), DIMS)
+        kps = pose.keypoints.copy()
+        kps[body.L_SHOULDER] += (0.05, 0.0, 0.0)
+        tree = augment(build_tree([body.TORSO, body.L_LOWER_ARM]), kps, DIMS)
+        assert tree.nodes[body.L_UPPER_ARM].supplemented
+        seen = {}
+
+        def level_spy(inits, *args):
+            seen.update({s.part: s.base.copy() for s in inits})
+            return register_level(inits, *args)
+
+        monkeypatch.setattr(registration, "register_level", level_spy)
+        tree = register_tree(tree, self._clouds_from_pose(
+            pose, [body.TORSO, body.L_LOWER_ARM]), DIMS)
+        forearm = tree.nodes[body.L_LOWER_ARM].state
+        assert forearm.base.tobytes() == seen[body.L_LOWER_ARM].tobytes()
+        assert forearm.base.tobytes() == \
+            tree.nodes[body.L_UPPER_ARM].state.tip.tobytes()
+
     def test_hierarchical_determinism(self, rng):
         pose = pose_from_dofs(rest_dofs(), DIMS)
         kps = pose.keypoints
