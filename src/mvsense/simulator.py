@@ -285,21 +285,14 @@ class Scene:
         self.frame_index += 1
 
 
-# Camera depth at which a footprint is clipped: its part in front is
-# projected, and the thin slab behind it, down to the camera plane, is
-# bounded by the side of the optical axis it lies on.
+# Camera depth that a box's every corner must reach for its footprint to
+# be the image of its corners; a box reaching nearer casts the whole image.
 NEAR = 0.05
 
 # rows of the bounding box corners as weights of (base, h axis, r e1, r e2):
 # the four corners around the base, then the four around the top
 _CORNERS = np.array([[1.0, end, s1, s2] for end in (0.0, 1.0)
                      for s1, s2 in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))])
-# the box's twelve edges: pairs of corners that differ in one weight
-_EDGES = np.array([(i, j) for i in range(8) for j in range(i + 1, 8)
-                   if bin(i ^ j).count("1") == 1])
-# the planes the edges are clipped at, and which crossings bound the front part
-_PLANES = np.array([NEAR, 0.0])
-_FRONT_PLANES = np.tile(_PLANES > 0.0, len(_EDGES))
 
 
 def _pixel_spans(table: np.ndarray, k: Intrinsics) -> tuple:
@@ -311,18 +304,16 @@ def _pixel_spans(table: np.ndarray, k: Intrinsics) -> tuple:
     pixel box, in cylinder then row order; a length may be 0.
 
     A cylinder lies in its oriented bounding box (the ends +- r e1 +- r
-    e2, with e1 and e2 unit vectors across the axis), which is clipped at
-    camera depth ``NEAR`` along its twelve edges. The part in front
-    projects inside the hull of its projected vertices, and so inside a
-    rectangle along the projected axis and across it. The part between
-    the camera plane and ``NEAR`` has x / z >= x_min / NEAR when its x_min
-    is positive, and likewise for x_max < 0 and for y, which bounds its
-    image per image axis by a half-plane, or by none when the part
-    surrounds the optical axis. A row's span is the hull of its crossings
-    of the two parts, widened by 1 px on each side to absorb rounding. The
-    camera plane bounds nothing more: a ray hits at t > 0 only, and t is
-    camera depth. All cylinders are computed at once: numpy's per-call cost
-    makes a loop over cylinders slower than the rays it saves at 144x112.
+    e2, with e1 and e2 unit vectors across the axis), and one rule on the
+    box's eight corners gives its footprint. With every corner at camera
+    depth ``NEAR`` or more, the box projects inside the hull of its
+    projected corners, and so inside a rectangle along the projected axis
+    and across it; a row's span is the rectangle's, widened by 1 px on each
+    side to absorb rounding. With every corner at depth 0 or less, no ray
+    hits (a ray hits at t > 0 only, and t is camera depth), and the
+    cylinder casts nothing. Any other box casts every pixel of the image.
+    All cylinders are computed at once: numpy's per-call cost makes a loop
+    over cylinders slower than the rays it saves at 144x112.
     """
     n, r = len(table), table[:, 7]
     # (base, h axis, r e1, r e2) per cylinder
@@ -341,14 +332,8 @@ def _pixel_spans(table: np.ndarray, k: Intrinsics) -> tuple:
     basis[:, 3, 1] = sign * r + ay * ay * c * r
     basis[:, 3, 2] = -ay * r
     corners = _CORNERS @ basis  # (n, 8, 3)
-    p, q = corners[:, _EDGES[:, :1]], corners[:, _EDGES[:, 1:]]  # (n, 12, 1, 3)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cross = p + (_PLANES[:, None] - p[..., 2:]) / (q[..., 2:] - p[..., 2:]) * (q - p)
-    crosses = ((p[..., 2] < _PLANES) != (q[..., 2] < _PLANES)).reshape(n, _FRONT_PLANES.size)
-    points = np.concatenate([corners, cross.reshape(n, _FRONT_PLANES.size, 3)], axis=1)
     z = corners[..., 2]
-    front = np.concatenate([z >= NEAR, crosses & _FRONT_PLANES], axis=1)
-    slab = np.concatenate([(z >= 0.0) & (z <= NEAR), crosses], axis=1)
+    front, behind = (z >= NEAR).all(axis=1), (z <= 0.0).all(axis=1)
 
     # the projected axis has the direction (fx (a_x b_z - a_z b_x),
     # fy (a_y b_z - a_z b_y)) at every point in front of the camera; an
@@ -359,50 +344,34 @@ def _pixel_spans(table: np.ndarray, k: Intrinsics) -> tuple:
     # columns (du, dv) taking (u, v) to along = e.(u, v) and across = (-e_v, e_u).(u, v)
     turn = np.stack([e, e[:, ::-1] * (-1.0, 1.0)], axis=2)
     focal, centre = np.array([k.fx, k.fy]), np.array([k.cx, k.cy])
-    uv = points[..., :2] / np.maximum(points[..., 2:], NEAR) * focal + centre
-    # per cylinder the low and high u, v, along and across of the front
-    # part, and x, y of the part behind NEAR; an empty part gives inf, -inf
-    values = np.concatenate([uv, uv @ turn, points[..., :2]], axis=2)
-    keep = np.concatenate([np.repeat(front[..., None], 4, 2), np.repeat(slab[..., None], 2, 2)], 2)
-    low = np.where(keep, values, np.inf).min(axis=1)
-    high = np.where(keep, values, -np.inf).max(axis=1)
-    size = np.array([k.width - 1.0, k.height - 1.0])
-    front_low = np.maximum(np.ceil(low[:, :2] - 1.0), 0.0)
-    front_high = np.minimum(np.floor(high[:, :2] + 1.0), size)
-    slab_low = np.maximum(np.ceil(np.where(
-        low[:, 4:] > 0.0, low[:, 4:] / NEAR * focal + centre - 1.0, -np.inf)), 0.0)
-    slab_high = np.minimum(np.floor(np.where(
-        high[:, 4:] < 0.0, high[:, 4:] / NEAR * focal + centre + 1.0, np.inf)), size)
-    for box_low, box_high in ((front_low, front_high), (slab_low, slab_high)):
-        empty = (box_low > box_high).any(axis=1)
-        box_low[empty], box_high[empty] = np.inf, -np.inf
-    v0 = np.minimum(front_low[:, 1], slab_low[:, 1])
-    v1 = np.maximum(front_high[:, 1], slab_high[:, 1])
-    index = np.flatnonzero(v0 <= v1)
+    uv = corners[..., :2] / np.maximum(corners[..., 2:], NEAR) * focal + centre
+    # per cylinder the low and high u, v, along and across of its corners;
+    # unbounded for a box nearer than NEAR, empty for one behind the camera
+    values = np.concatenate([uv, uv @ turn], axis=2)
+    low, high = values.min(axis=1), values.max(axis=1)
+    low[~front], high[~front] = -np.inf, np.inf
+    low[behind], high[behind] = np.inf, -np.inf
+    box_low = np.maximum(np.ceil(low[:, :2] - 1.0), 0.0)
+    box_high = np.minimum(np.floor(high[:, :2] + 1.0), [k.width - 1.0, k.height - 1.0])
+    index = np.flatnonzero((box_low <= box_high).all(axis=1))
 
     # the rectangle: bottom <= du u + dv v <= top along e and across it
     du, dv = turn[index, 0], turn[index, 1]
     du[np.abs(du) < 1e-12] = 1e-12  # moves du u by under 1e-8 px
-    bottom = (low[index, 2:4] - 1.0) / du
-    top = (high[index, 2:4] + 1.0) / du
+    bottom = (low[index, 2:] - 1.0) / du
+    top = (high[index, 2:] + 1.0) / du
     # in row v the columns run from min(bottom, top) - slope v to
     # max(bottom, top) - slope v for both directions
     coef = np.concatenate([np.minimum(bottom, top), np.maximum(bottom, top), dv / du,
-                           front_low[index], front_high[index],
-                           slab_low[index], slab_high[index]], axis=1)
-    rows = (v1[index] - v0[index]).astype(np.int64) + 1
+                           box_low[index, :1], box_high[index, :1]], axis=1)
+    v0, v1 = box_low[index, 1], box_high[index, 1]
+    rows = (v1 - v0).astype(np.int64) + 1
     first_row = np.cumsum(rows) - rows
-    from_a, from_b, to_a, to_b, slope_a, slope_b, fu0, fv0, fu1, fv1, su0, sv0, su1, sv1 = \
-        np.repeat(coef, rows, axis=0).T
-    row = np.arange(rows.sum()) - np.repeat(first_row - v0[index], rows)
-    with np.errstate(invalid="ignore"):  # an empty front part gives inf - inf
-        lo = np.ceil(np.maximum(np.maximum(from_a - slope_a * row, from_b - slope_b * row), fu0))
-        hi = np.floor(np.minimum(np.minimum(to_a - slope_a * row, to_b - slope_b * row), fu1))
-    in_front = (row >= fv0) & (row <= fv1) & (lo <= hi)
-    in_slab = (row >= sv0) & (row <= sv1)
-    lo = np.minimum(np.where(in_front, lo, np.inf), np.where(in_slab, su0, np.inf))
-    hi = np.maximum(np.where(in_front, hi, -np.inf), np.where(in_slab, su1, -np.inf))
-    cast = in_front | in_slab
+    from_a, from_b, to_a, to_b, slope_a, slope_b, u0, u1 = np.repeat(coef, rows, axis=0).T
+    row = np.arange(rows.sum()) - np.repeat(first_row - v0, rows)
+    lo = np.ceil(np.maximum(np.maximum(from_a - slope_a * row, from_b - slope_b * row), u0))
+    hi = np.floor(np.minimum(np.minimum(to_a - slope_a * row, to_b - slope_b * row), u1))
+    cast = lo <= hi
     first = np.where(cast, lo, 0.0).astype(np.int64)
     spans = np.where(cast, hi - lo + 1.0, 0.0).astype(np.int64)
     return np.repeat(index, rows), row.astype(np.int64), first, spans
@@ -417,9 +386,10 @@ def render_depth(rig: CameraRig, cylinders, noise: DepthNoise | None = None,
     ((u - cx) / fx, (v - cy) / fy, 1), so the intersection parameter is the
     camera depth directly. Each cylinder is cast only through the pixels
     of its footprint (``_pixel_spans``): per row, the columns that the
-    image of its oriented bounding box can cover. All cylinders go through
-    one ``geometry.cast_rays`` call, whose elementwise arithmetic gives
-    each pixel the bits that a cast of any other pixel set, the whole box
+    image of its oriented bounding box can cover, or the whole image when
+    the box reaches nearer than ``NEAR``. All cylinders go through one
+    ``geometry.cast_rays`` call, whose elementwise arithmetic gives each
+    pixel the bits that a cast of any other pixel set, the whole image
     included, gives it.
 
     Optional Gaussian depth noise and dropout touch hit pixels only: one

@@ -270,6 +270,7 @@ def test_criterion_07_tree_connectivity(rng):
     ok(7, f"1024/1024 subsets connected; worst joint gap {worst_gap:.2e} m")
 
 
+@pytest.mark.slow
 def test_criterion_08_configuration_ordering():
     """Desk-scale substitute for the four-system comparison.
 

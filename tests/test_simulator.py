@@ -18,7 +18,6 @@ from conftest import (
 )
 from render_reference import (
     assert_matches_reference,
-    bbox_reference,
     box_of,
     camera_rays,
     render_depth_box_reference,
@@ -591,11 +590,14 @@ def random_camera_cylinders(rig, rng, n=25):
         else:
             axis = normalize(rng.normal(size=3))
         cyls.append(camera_cylinder(rig, base, axis, height, radius))
-    # thin rods just beside the camera, through its plane: their images
-    # reach the image border, far past the corners' clamped projections
-    for base in ((0.005, 0.0, -0.5), (0.0, -0.004, -0.3)):
-        cyls.append(camera_cylinder(rig, base, (0.0, 0.0, 1.0), 2.0, 0.003))
-    return cyls
+    return cyls + thin_rods(rig)
+
+
+def thin_rods(rig):
+    """Thin rods just beside the camera, through its plane: their images
+    reach the image border, far past the corners' clamped projections."""
+    return [camera_cylinder(rig, base, (0.0, 0.0, 1.0), 2.0, 0.003)
+            for base in ((0.005, 0.0, -0.5), (0.0, -0.004, -0.3))]
 
 
 def hard_views(size):
@@ -657,25 +659,28 @@ class TestPixelBoundingBox:
         assert cast[1].sum() == 4 and cast[1][:2, :2].all()
 
     @pytest.mark.parametrize("size", SIZES)
-    def test_near_plane_clips_footprints(self, size):
-        """A cylinder within NEAR of the camera plane is cast through the
-        image of its part in front of NEAR and a bound on the image of its
-        part behind, not through the whole image. In the hard poses most such
-        cylinders cast less than half the image, and pixels hit nearer than
-        NEAR are cast too."""
-        near = halves = near_hits = 0
+    def test_box_reaching_the_near_plane_casts_the_whole_image(self, size):
+        """A cylinder whose box crosses depth NEAR is cast through every
+        pixel, one wholly behind the camera plane through none, and pixels
+        hit nearer than NEAR are cast."""
+        near_hits = 0
         for rig, cyls in hard_views(size):
-            k = rig.intrinsics
-            inv = rig.world_pose().inverse()
-            footprint = footprint_masks(rig, cyls)
-            for cyl, cast in zip(cyls, footprint):
-                if bbox_reference(cyl, inv, k) == "full":
-                    near += 1
-                    halves += cast.sum() < 0.5 * k.width * k.height
             depth = render_depth(rig, cyls)
             near_hits += int(((depth > 0) & (depth < NEAR)).sum())
         assert near_hits > 0
-        assert halves > near / 2
+        rig = at_resolution(small_rig(yaw=0.4, pitch=-0.2), size)
+        behind = [camera_cylinder(rig, (0.2, 0.1, -1.5), (0.0, 0.0, 1.0), 1.0, 0.2),
+                  camera_cylinder(rig, (0.0, 0.0, -0.3), (1.0, 0.0, 0.0), 0.4, 0.1)]
+        footprint = footprint_masks(rig, thin_rods(rig) + behind)
+        assert footprint[:2].all()
+        assert not footprint[2:].any()
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_no_template_footprint_is_the_whole_image(self, size):
+        """Template cameras keep every body, robot and prop box beyond NEAR,
+        so none of their renders pays for a whole-image cast."""
+        for _scene, _ci, rig, _pose, cyls, _links in template_views(size):
+            assert not footprint_masks(rig, cyls).all(axis=(1, 2)).any()
 
 
 class TestMatchesBoxCastReference:
